@@ -1,12 +1,31 @@
 """Exact rational scalars, dense polynomials, Laurent polynomials and linear solves.
 
-Everything in this module is exact: coefficients are `fractions.Fraction`
-(aliased `Rational`), so no operation ever rounds.  Polynomials are stored
-densely (coefficient list indexed by exponent), which is the right trade-off
-here because every polynomial in play has degree at most a few hundred.
+Everything in this module is exact: no operation ever rounds.  Scalars are
+`fractions.Fraction` (aliased `Rational`).  A polynomial is stored
+fraction-free, as FLINT's fmpq_poly is: a tuple of integer numerators over
+one common integer denominator, so the coefficient of z^k (of z^(min_exp+k)
+for a Laurent polynomial) is numerators[k] / denominator.  The stored form
+is canonical:
 
-The zero polynomial carries the sentinel degree -1; callers that do degree
-arithmetic must check `is_zero` first.
+  * no trailing zero numerator, and for a Laurent polynomial no leading one;
+  * a denominator greater than 0;
+  * gcd(denominator, every numerator) = 1.
+
+Two polynomials are therefore equal exactly when their stored integers are.
+The zero polynomial has no numerators and denominator 1; `Poly` gives it the
+sentinel degree -1, so callers that do degree arithmetic must check `is_zero`
+first.
+
+One set of module-level integer helpers (`_canonical`, `_add`, `_mul`,
+`_scale`, `_divmod`) does the coefficient arithmetic of both classes, so a
+coefficient operation is an integer multiply-add rather than a gcd and a new
+`Fraction`; each result is reduced once.  `.coeffs`, `coeff()`, `leading` and
+`items()` still hand out reduced `Fraction`s, built on first use and cached,
+and evaluation runs Horner's rule over them, so numeric callers see exactly
+the values of a `Fraction` coefficient list.
+
+Polynomials are dense (indexed by exponent), which suits degrees up to a few
+hundred.
 """
 
 from __future__ import annotations
@@ -14,6 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add, sub
 from typing import Iterable, Sequence, Union
 
 Rational = Fraction
@@ -51,21 +72,180 @@ def _coerce(value: Scalar) -> Fraction:
     return Fraction(value)
 
 
+# -- integer kernel ----------------------------------------------------------
+#
+# A coefficient vector is a sequence of integer numerators plus one integer
+# denominator.  The helpers below take canonical vectors and return plain
+# (numerators, denominator) pairs, which `_canonical` puts back in canonical
+# form.
+
+
+def _canonical(nums: list, den: int) -> tuple:
+    """(numerators, denominator) without trailing zeros, den > 0, content coprime to den."""
+    while nums and not nums[-1]:
+        nums.pop()
+    if not nums:
+        return (), 1
+    if den < 0:
+        den = -den
+        nums = [-v for v in nums]
+    if den != 1:
+        g = gcd(den, *nums)
+        if g != 1:
+            den //= g
+            nums = [v // g for v in nums]
+    return tuple(nums), den
+
+
+def _from_scalars(values: Iterable[Scalar]) -> tuple:
+    """Numerators over the least common denominator of the given scalars."""
+    fracs = [_coerce(v) for v in values]
+    den = lcm(*(q.denominator for q in fracs))
+    return [q.numerator * (den // q.denominator) for q in fracs], den
+
+
+def _add(a, ad: int, b, bd: int, shift: int, op) -> tuple:
+    """a/ad op z^shift * b/bd, with op add or sub.
+
+    The numerators start at exponent min(0, shift), counted from a's first
+    exponent.
+    """
+    if ad == bd:
+        den = ad
+    else:
+        g = gcd(ad, bd)
+        fa, fb = bd // g, ad // g
+        a = [v * fa for v in a]
+        b = [v * fb for v in b]
+        den = ad * fa
+    if shift < 0:
+        out = [0] * -shift
+        out += a
+        start = 0
+    else:
+        out = list(a)
+        start = shift
+    end = start + len(b)
+    if len(out) < end:
+        out += [0] * (end - len(out))
+    out[start:end] = map(op, out[start:end], b)
+    return out, den
+
+
+def _mul(a, b) -> list:
+    """Schoolbook product of two nonempty integer coefficient sequences."""
+    if len(a) > len(b):
+        a, b = b, a
+    width = len(b)
+    out = [0] * (len(a) + width - 1)
+    for i, x in enumerate(a):
+        if x:
+            out[i : i + width] = map(add, out[i : i + width], map(x.__mul__, b))
+    return out
+
+
+def _scale(nums, den: int, scalar) -> tuple:
+    """Canonical (numerators, denominator) of an int or Fraction scalar times nums/den."""
+    p, r = scalar.numerator, scalar.denominator
+    if not p or not nums:
+        return (), 1
+    # nums/den is canonical and p/r reduced, so these two gcds reduce fully
+    g1, g2 = gcd(p, den), gcd(r, *nums)
+    if g1 != 1:
+        p, den = p // g1, den // g1
+    if g2 != 1:
+        r = r // g2
+        nums = [v // g2 for v in nums]
+    return tuple(v * p for v in nums), den * r
+
+
+def _divmod(a, ad: int, b, bd: int) -> tuple:
+    """Long division of a/ad by b/bd, with len(a) >= len(b).
+
+    Returns (quotient numerators, denominator, remainder numerators,
+    denominator), not canonical.  The quotient of the integer division a / b
+    is built top down as numerators over one denominator `den`, which grows
+    only when a new quotient coefficient needs it; every quotient coefficient
+    is final once computed, so `den` stays, up to sign, the least common
+    denominator of the quotient found so far.
+    """
+    nb, nq = len(b), len(a) - len(b) + 1
+    lead = b[-1]
+    q = [0] * nq
+    den = 1
+    for t in range(nq - 1, -1, -1):
+        # numerator over den of the remainder's coefficient at z^(t + nb - 1)
+        acc = a[t + nb - 1] * den - sum(
+            q[t + j] * b[nb - 1 - j] for j in range(1, min(nb, nq - t))
+        )
+        if not acc:
+            continue
+        g = gcd(acc, lead)
+        acc, step = acc // g, lead // g
+        if step != 1:
+            q = [v * step for v in q]
+            den *= step
+            h = gcd(den, acc, *q)
+            if h != 1:
+                acc //= h
+                den //= h
+                q = [v // h for v in q]
+        q[t] = acc
+    rem = [
+        a[p] * den - sum(q[t] * b[p - t] for t in range(max(0, p - nb + 1), min(p, nq - 1) + 1))
+        for p in range(nb - 1)
+    ]
+    # a = (q/den) b + rem/den, so a/ad = (q bd / (den ad)) (b/bd) + rem / (den ad)
+    if bd != 1:
+        q = [v * bd for v in q]
+    return q, den * ad, rem, den * ad
+
+
+def _fractions(p) -> tuple:
+    """The coefficients of p as reduced Fractions, cached on p."""
+    if p._f is None:
+        d = p._d
+        p._f = tuple(Fraction(v, d) for v in p._n)
+    return p._f
+
+
+def _poly(nums, den: int) -> "Poly":
+    """Poly from canonical numerators and denominator, taken as they are."""
+    p = object.__new__(Poly)
+    p._n, p._d, p._f = tuple(nums), den, None
+    return p
+
+
+def _laurent_parts(min_exp: int, nums, den: int) -> tuple:
+    """Canonical (min_exp, numerators, denominator) from any numerators and denominator."""
+    nums, den = _canonical(list(nums), den)
+    drop = 0
+    while drop < len(nums) and not nums[drop]:
+        drop += 1
+    return (min_exp + drop if nums else 0), nums[drop:], den
+
+
+def _laurent(min_exp: int, nums, den: int) -> "LaurentPoly":
+    """LaurentPoly from any (numerators, denominator), put in canonical form."""
+    p = object.__new__(LaurentPoly)
+    p._min, p._n, p._d = _laurent_parts(min_exp, nums, den)
+    p._f = None
+    return p
+
+
 class Poly:
     """Dense univariate polynomial over the rationals, immutable.
 
-    Coefficients are indexed by exponent, lowest first.  Trailing zeros are
-    stripped on construction so the leading coefficient is nonzero unless the
-    polynomial is zero.
+    Stored as integer numerators (lowest exponent first) over one common
+    denominator, in the canonical form of the module docstring; the leading
+    coefficient is nonzero unless the polynomial is zero.
     """
 
-    __slots__ = ("_c",)
+    __slots__ = ("_n", "_d", "_f")
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):  # noqa: D107
-        c = [_coerce(v) for v in coeffs]
-        while c and c[-1] == 0:
-            c.pop()
-        object.__setattr__(self, "_c", tuple(c))
+        self._n, self._d = _canonical(*_from_scalars(coeffs))
+        self._f = None
 
     # -- constructors ------------------------------------------------------
 
@@ -87,85 +267,92 @@ class Poly:
             raise ValueError("Poly exponents are nonnegative; use LaurentPoly")
         return cls((0,) * exponent + (_coerce(coeff),))
 
+    @classmethod
+    def from_numerators(cls, numerators: Iterable[int], denominator: int = 1) -> "Poly":
+        """The polynomial sum_k numerators[k]/denominator z^k, reduced to canonical form."""
+        if not denominator:
+            raise ZeroDivisionError("zero denominator")
+        return _poly(*_canonical(list(numerators), denominator))
+
     # -- basic structure ---------------------------------------------------
 
     @property
     def coeffs(self) -> tuple:
-        return self._c
+        """Coefficients as reduced Fractions, lowest exponent first."""
+        return _fractions(self)
+
+    @property
+    def numerators(self) -> tuple:
+        """Integer numerators over `denominator`, lowest exponent first."""
+        return self._n
+
+    @property
+    def denominator(self) -> int:
+        """The common denominator, > 0 and coprime to the numerators' gcd."""
+        return self._d
 
     @property
     def degree(self) -> int:
         """Degree, with -1 as the sentinel for the zero polynomial."""
-        return len(self._c) - 1
+        return len(self._n) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self._c
+        return not self._n
 
     def coeff(self, exponent: int) -> Fraction:
-        if 0 <= exponent < len(self._c):
-            return self._c[exponent]
+        if 0 <= exponent < len(self._n):
+            return _fractions(self)[exponent]
         return Fraction(0)
 
     @property
     def leading(self) -> Fraction:
-        if not self._c:
+        if not self._n:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self._c[-1]
+        return Fraction(self._n[-1], self._d)
 
     @property
     def is_monic(self) -> bool:
-        return bool(self._c) and self._c[-1] == 1
+        return bool(self._n) and self._n[-1] == self._d
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, LaurentPoly):
-            return self.to_laurent() + other
-        other = self._as_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self._c, other._c
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, v in enumerate(b):
-            out[i] += v
-        return Poly(out)
+        return self._combine(other, add)
 
     def __radd__(self, other):
         return self.__add__(other)
 
     def __sub__(self, other):
-        if isinstance(other, LaurentPoly):
-            return self.to_laurent() - other
-        other = self._as_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        return self._combine(other, sub)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
+    def _combine(self, other, op):
+        if isinstance(other, LaurentPoly):
+            return op(self.to_laurent(), other)
+        other = self._as_poly(other)
+        if other is NotImplemented:
+            return NotImplemented
+        if not other._n:
+            return self
+        if not self._n:
+            return other if op is add else -other
+        return _poly(*_canonical(*_add(self._n, self._d, other._n, other._d, 0, op)))
+
     def __neg__(self):
-        return Poly(tuple(-v for v in self._c))
+        return _poly([-v for v in self._n], self._d)
 
     def __mul__(self, other):
         if isinstance(other, LaurentPoly):
             return self.to_laurent() * other
         if isinstance(other, Poly):
-            if not self._c or not other._c:
+            if not self._n or not other._n:
                 return Poly()
-            out = [Fraction(0)] * (len(self._c) + len(other._c) - 1)
-            for i, a in enumerate(self._c):
-                if a == 0:
-                    continue
-                for j, b in enumerate(other._c):
-                    out[i + j] += a * b
-            return Poly(out)
+            return _poly(*_canonical(_mul(self._n, other._n), self._d * other._d))
         if isinstance(other, (Fraction, int)):
-            q = Fraction(other)
-            return Poly(tuple(v * q for v in self._c))
+            return _poly(*_scale(self._n, self._d, other))
         return NotImplemented
 
     def __rmul__(self, other):
@@ -189,21 +376,10 @@ class Poly:
             return NotImplemented
         if divisor.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self._c)
-        dd = divisor.degree
-        lead = divisor.leading
-        if len(rem) - 1 < dd:
+        if len(self._n) < len(divisor._n):
             return Poly(), self
-        quot = [Fraction(0)] * (len(rem) - dd)
-        for i in range(len(rem) - 1, dd - 1, -1):
-            c = rem[i]
-            if c == 0:
-                continue
-            q = c / lead
-            quot[i - dd] = q
-            for j, v in enumerate(divisor._c):
-                rem[i - dd + j] -= q * v
-        return Poly(quot), Poly(rem)
+        q, qd, r, rd = _divmod(self._n, self._d, divisor._n, divisor._d)
+        return _poly(*_canonical(q, qd)), _poly(*_canonical(r, rd))
 
     def __floordiv__(self, divisor):
         return divmod(self, divisor)[0]
@@ -214,12 +390,12 @@ class Poly:
     # -- calculus and transforms --------------------------------------------
 
     def derivative(self) -> "Poly":
-        return Poly(tuple(self._c[k] * k for k in range(1, len(self._c))))
+        return _poly(*_canonical([k * v for k, v in enumerate(self._n[1:], 1)], self._d))
 
     def __call__(self, point):
         """Horner evaluation; works for Fraction, int, float, mpmath values."""
         acc = 0
-        for c in reversed(self._c):
+        for c in reversed(_fractions(self)):
             acc = acc * point + c
         return acc
 
@@ -230,10 +406,7 @@ class Poly:
             return Poly()
         if k < self.degree:
             raise ValueError("reversal exponent below degree")
-        out = [Fraction(0)] * (k + 1)
-        for i, v in enumerate(self._c):
-            out[k - i] = v
-        return Poly(out)
+        return _poly(*_canonical([0] * (k - self.degree) + list(self._n[::-1]), self._d))
 
     def shifted(self, k: int) -> "Poly":
         """Multiply by z^k, k >= 0."""
@@ -241,10 +414,10 @@ class Poly:
             raise ValueError("negative shift; use to_laurent().shifted(k)")
         if self.is_zero:
             return Poly()
-        return Poly((0,) * k + self._c)
+        return _poly((0,) * k + self._n, self._d)
 
     def to_laurent(self, shift: int = 0) -> "LaurentPoly":
-        return LaurentPoly(shift, self._c)
+        return _laurent(shift, self._n, self._d)
 
     # -- plumbing ------------------------------------------------------------
 
@@ -256,46 +429,39 @@ class Poly:
         return NotImplemented
 
     def __eq__(self, other):
-        if isinstance(other, Poly):
-            return self._c == other._c
-        if isinstance(other, (Fraction, int)):
-            return self._c == Poly((other,))._c
         if isinstance(other, LaurentPoly):
             return self.to_laurent() == other
-        return NotImplemented
+        other = self._as_poly(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self._n == other._n and self._d == other._d
 
     def __hash__(self):
-        return hash(("Poly", self._c))
+        return hash(("Poly", self._n, self._d))
 
     def __bool__(self):
-        return bool(self._c)
+        return bool(self._n)
 
     def __repr__(self):
-        return f"Poly({[str(v) for v in self._c]})"
+        return f"Poly({[str(v) for v in _fractions(self)]})"
 
     def __str__(self):
-        return _pretty_terms(enumerate(self._c))
+        return _pretty_terms(enumerate(_fractions(self)))
 
 
 class LaurentPoly:
     """Laurent polynomial: coefficients from `min_exp` upward, exact and immutable.
 
-    Normalised so the coefficients at both extreme exponents are nonzero
-    (zero is stored as min_exp=0 with an empty coefficient tuple).
+    Stored as integer numerators over one common denominator, in the canonical
+    form of the module docstring, so the coefficients at both extreme
+    exponents are nonzero (zero is stored as min_exp=0 with no numerators).
     """
 
-    __slots__ = ("_min", "_c")
+    __slots__ = ("_min", "_n", "_d", "_f")
 
     def __init__(self, min_exp: int = 0, coeffs: Iterable[Scalar] = ()):  # noqa: D107
-        c = [_coerce(v) for v in coeffs]
-        while c and c[-1] == 0:
-            c.pop()
-        drop = 0
-        while drop < len(c) and c[drop] == 0:
-            drop += 1
-        c = c[drop:]
-        object.__setattr__(self, "_min", (min_exp + drop) if c else 0)
-        object.__setattr__(self, "_c", tuple(c))
+        self._min, self._n, self._d = _laurent_parts(min_exp, *_from_scalars(coeffs))
+        self._f = None
 
     @classmethod
     def zero(cls) -> "LaurentPoly":
@@ -307,85 +473,81 @@ class LaurentPoly:
 
     @classmethod
     def from_poly(cls, p: Poly, shift: int = 0) -> "LaurentPoly":
-        return cls(shift, p.coeffs)
+        return p.to_laurent(shift)
 
     @property
     def is_zero(self) -> bool:
-        return not self._c
+        return not self._n
 
     @property
     def min_exp(self) -> int:
         return self._min
 
     @property
+    def numerators(self) -> tuple:
+        """Integer numerators over `denominator`, from min_exp upward."""
+        return self._n
+
+    @property
+    def denominator(self) -> int:
+        """The common denominator, > 0 and coprime to the numerators' gcd."""
+        return self._d
+
+    @property
     def max_exp(self) -> int:
         """Largest exponent with nonzero coefficient; min_exp - 1 when zero."""
-        return self._min + len(self._c) - 1
+        return self._min + len(self._n) - 1
 
     def coeff(self, exponent: int) -> Fraction:
         i = exponent - self._min
-        if 0 <= i < len(self._c):
-            return self._c[i]
+        if 0 <= i < len(self._n):
+            return _fractions(self)[i]
         return Fraction(0)
 
     def items(self):
         """(exponent, coefficient) pairs, ascending, nonzero entries only."""
-        for i, v in enumerate(self._c):
-            if v != 0:
+        for i, v in enumerate(_fractions(self)):
+            if v:
                 yield self._min + i, v
 
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other):
-        other = self._as_laurent(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        lo = min(self._min, other._min)
-        hi = max(self.max_exp, other.max_exp)
-        out = [Fraction(0)] * (hi - lo + 1)
-        for e, v in self.items():
-            out[e - lo] += v
-        for e, v in other.items():
-            out[e - lo] += v
-        return LaurentPoly(lo, out)
+        return self._combine(other, add)
 
     def __radd__(self, other):
         return self.__add__(other)
 
     def __sub__(self, other):
-        other = self._as_laurent(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        return self._combine(other, sub)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
+    def _combine(self, other, op):
+        other = self._as_laurent(other)
+        if other is NotImplemented:
+            return NotImplemented
+        if other.is_zero:
+            return self
+        if self.is_zero:
+            return other if op is add else -other
+        shift = other._min - self._min
+        nums, den = _add(self._n, self._d, other._n, other._d, shift, op)
+        return _laurent(min(self._min, other._min), nums, den)
+
     def __neg__(self):
-        return LaurentPoly(self._min, tuple(-v for v in self._c))
+        return _laurent(self._min, [-v for v in self._n], self._d)
 
     def __mul__(self, other):
         if isinstance(other, (Fraction, int)):
-            q = Fraction(other)
-            if q == 0:
-                return LaurentPoly.zero()
-            return LaurentPoly(self._min, tuple(v * q for v in self._c))
+            return _laurent(self._min, *_scale(self._n, self._d, other))
         other = self._as_laurent(other)
         if other is NotImplemented:
             return NotImplemented
         if self.is_zero or other.is_zero:
             return LaurentPoly.zero()
-        out = [Fraction(0)] * (len(self._c) + len(other._c) - 1)
-        for i, a in enumerate(self._c):
-            if a == 0:
-                continue
-            for j, b in enumerate(other._c):
-                out[i + j] += a * b
-        return LaurentPoly(self._min + other._min, out)
+        return _laurent(self._min + other._min, _mul(self._n, other._n), self._d * other._d)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -404,41 +566,36 @@ class LaurentPoly:
             raise ZeroDivisionError("Laurent division by zero")
         if self.is_zero:
             return LaurentPoly.zero(), LaurentPoly.zero()
-        a_part = Poly(self._c)
-        b_part = Poly(divisor._c)
-        q, r = divmod(a_part, b_part)
-        return (
-            LaurentPoly(self._min - divisor._min, q.coeffs),
-            LaurentPoly(self._min, r.coeffs),
-        )
+        if len(self._n) < len(divisor._n):
+            return LaurentPoly.zero(), self
+        q, qd, r, rd = _divmod(self._n, self._d, divisor._n, divisor._d)
+        return _laurent(self._min - divisor._min, q, qd), _laurent(self._min, r, rd)
 
     def derivative(self) -> "LaurentPoly":
-        return LaurentPoly(
-            self._min - 1,
-            tuple(v * (self._min + i) for i, v in enumerate(self._c)),
-        )
+        lo = self._min
+        return _laurent(lo - 1, [(lo + i) * v for i, v in enumerate(self._n)], self._d)
 
     def inverted(self) -> "LaurentPoly":
         """Substitute z -> 1/z; an involution."""
-        return LaurentPoly(-self.max_exp, tuple(reversed(self._c)))
+        return _laurent(-self.max_exp, self._n[::-1], self._d)
 
     def shifted(self, k: int) -> "LaurentPoly":
-        return LaurentPoly(self._min + k, self._c)
+        return _laurent(self._min + k, self._n, self._d)
 
     def __call__(self, point):
         if self.is_zero:
             return 0
         acc = 0
-        for c in reversed(self._c):
+        for c in reversed(_fractions(self)):
             acc = acc * point + c
         if self._min >= 0:
             return acc * point**self._min
         return acc / point ** (-self._min)
 
     def to_poly(self) -> Poly:
-        if self._min < 0 and self._c:
+        if self._min < 0 and self._n:
             raise ValueError(f"not a polynomial: pole of order {-self._min} at 0")
-        return Poly((0,) * self._min + self._c)
+        return _poly((0,) * self._min + self._n, self._d)
 
     # -- plumbing ------------------------------------------------------------
 
@@ -455,16 +612,16 @@ class LaurentPoly:
         other = self._as_laurent(other)
         if other is NotImplemented:
             return NotImplemented
-        return self._min == other._min and self._c == other._c
+        return self._min == other._min and self._n == other._n and self._d == other._d
 
     def __hash__(self):
-        return hash(("LaurentPoly", self._min, self._c))
+        return hash(("LaurentPoly", self._min, self._n, self._d))
 
     def __bool__(self):
-        return bool(self._c)
+        return bool(self._n)
 
     def __repr__(self):
-        return f"LaurentPoly(min_exp={self._min}, {[str(v) for v in self._c]})"
+        return f"LaurentPoly(min_exp={self._min}, {[str(v) for v in _fractions(self)]})"
 
     def __str__(self):
         return _pretty_terms(self.items())

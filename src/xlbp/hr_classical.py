@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from typing import Union
 
 from .exact_core import LaurentPoly, Poly
@@ -116,22 +117,34 @@ def hr_poly(n: int, params: Params) -> Poly:
     """P_n(z; alpha, beta) from the terminating hypergeometric sum.
 
     Coefficient of z^k is ((beta)_n/(alpha+1)_n) * ((-n)_k (alpha+1)_k)
-    / ((1-beta-n)_k k!).  The result is monic of degree n.
+    / ((1-beta-n)_k k!).  The result is monic of degree n, so coefficient k
+    is also the product over k <= i < n of the inverse term ratios
+    ((1-beta-n+i)(i+1)) / ((i-n)(alpha+1+i)); the numerators are built from
+    integer running products over one common denominator and reduced once.
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    a, b = params.alpha, params.beta
-    pref = Fraction(1)
-    for k in range(n):
-        pref *= (b + k) / _require_nonzero(a + 1 + k, f"alpha+1+k at k={k}")
-    coeffs = [pref]
-    c = pref
-    for k in range(n):
-        num = (-n + k) * (a + 1 + k)
-        den = _require_nonzero(1 - b - n + k, f"1-beta-n+k at k={k}") * (k + 1)
-        c = c * num / den
-        coeffs.append(c)
-    return Poly(coeffs)
+    pa, qa = params.alpha.numerator, params.alpha.denominator
+    pb, qb = params.beta.numerator, params.beta.denominator
+    # alpha+1+i = up[i]/qa and 1-beta-n+i = down[i]/qb
+    up = [pa + (1 + i) * qa for i in range(n)]
+    down = [(1 - n + i) * qb - pb for i in range(n)]
+    for k, v in enumerate(up):
+        _require_nonzero(v, f"alpha+1+k at k={k}")
+    for k, v in enumerate(down):
+        _require_nonzero(v, f"1-beta-n+k at k={k}")
+    # term ratio c_{i+1}/c_i = ((i-n) up[i] qb) / (down[i] qa (i+1)), and c_n = 1, so
+    # c_k = prod_{i<k} (i-n) up[i] qb * prod_{i>=k} down[i] qa (i+1) / prod_{i<n} (i-n) up[i] qb
+    suffix = [1] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        suffix[i] = suffix[i + 1] * down[i] * qa * (i + 1)
+    nums = []
+    prefix = 1
+    for k in range(n + 1):
+        nums.append(prefix * suffix[k])
+        if k < n:
+            prefix *= (k - n) * up[k] * qb
+    return Poly.from_numerators(nums, prefix)
 
 
 def hr_partner(n: int, params: Params) -> Poly:
@@ -359,20 +372,33 @@ def expand_in_hr_basis(poly: Poly, params: Params) -> list:
     """Coefficients e_j with poly = sum_j e_j P_j(z; params), exact.
 
     The P_j are monic, so this is back-substitution on a unit triangular
-    change of basis: O(deg^2).
+    change of basis: O(deg^2).  The remainder is kept as integer numerators
+    over one denominator, reduced whenever the denominator grows.
     """
     if poly.is_zero:
         return []
-    rem = poly
-    out = [Fraction(0)] * (poly.degree + 1)
+    rem, den = list(poly.numerators), poly.denominator
+    out = [Fraction(0)] * len(rem)
     basis = hr_family(poly.degree, params)
     for j in range(poly.degree, -1, -1):
-        c = rem.coeff(j)
-        if c != 0:
-            out[j] = c
-            rem = rem - c * basis[j]
-    if not rem.is_zero:
-        raise AssertionError("triangular expansion failed to terminate")
+        c = rem[j]
+        if not c:
+            continue
+        out[j] = Fraction(c, den)
+        p_j = basis[j]
+        if p_j.degree != j or not p_j.is_monic:
+            raise AssertionError(f"basis member P_{j} is not monic of degree {j}")
+        # rem/den - (c/den) P_j, where P_j = nums/d with nums[j] = d
+        d = p_j.denominator
+        g = gcd(c, d)
+        scale, c = d // g, c // g
+        rem = [r * scale - c * v for r, v in zip(rem[:j], p_j.numerators)]
+        den *= scale
+        if scale != 1:
+            h = gcd(den, *rem)
+            if h != 1:
+                den //= h
+                rem = [r // h for r in rem]
     return out
 
 

@@ -272,7 +272,11 @@ class RecurrenceCertificate:
 
 def xi_reading_report(idx: XIndex, params: Params) -> dict:
     """Which closed-form eigenvalue reading matches the solver route (types 3, 4)."""
-    outcome = a_coeffs_solver(idx, params)
+    return _reading_matches(idx, params, a_coeffs_solver(idx, params))
+
+
+def _reading_matches(idx: XIndex, params: Params, outcome: SolverOutcome) -> dict:
+    """reading -> whether its closed-form a equals the solver outcome's a."""
     report = {}
     for reading in ("full", "reduced"):
         try:
@@ -329,7 +333,7 @@ def certify(
                         "closed-form a disagrees with solver route"
                     )
             else:
-                for reading, match in xi_reading_report(idx, params).items():
+                for reading, match in _reading_matches(idx, params, outcome).items():
                     if match:
                         tags.append(f"a-formula-{reading}-xi-agrees")
         else:

@@ -153,7 +153,31 @@ def x_poly(idx: XIndex, params: Params) -> XPoly:
             "only the backward-operator kernel handles it"
         )
     poly = _compact_form(idx.j0, idx.l0, idx.n, params)
+    if poly.degree != idx.degree:
+        for factor, value in _leading_factors(idx, params):
+            if value == 0:
+                raise ParameterPoleError(
+                    f"{factor} = 0 at l0={idx.l0}, n={idx.n}: "
+                    f"the leading coefficient of the type-{int(idx.j0)} member vanishes"
+                )
     return XPoly(idx, poly, idx.degree)
+
+
+def _leading_factors(idx: XIndex, params: Params) -> tuple:
+    """Named factors whose product is the compact form's z^degree coefficient.
+
+    Every classical factor in the compact products is monic, so the leading
+    coefficient is the prefactor times the leading terms' linear combination.
+    """
+    n, l0 = idx.n, idx.l0
+    a, b = params.alpha, params.beta
+    if idx.j0 is SeedType.T1:
+        return (("n-l0", n - l0),)
+    if idx.j0 is SeedType.T2:
+        return (("l0-n-alpha-beta", l0 - n - a - b),)
+    if idx.j0 is SeedType.T3:
+        return (("(beta)_l0", pochhammer(b, l0)), ("n+alpha+1", n + a + 1))
+    return (("(-alpha)_l0", pochhammer(-a, l0)), ("n+alpha+1", n + a + 1))
 
 
 def x_partner(idx: XIndex, params: Params) -> XPoly:

@@ -1,9 +1,12 @@
 """End-to-end CLI contract: flags, formats, exit codes, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 
 PKG_ROOT = Path(__file__).resolve().parent.parent
@@ -19,6 +22,16 @@ def run_cli(*argv, timeout=600):
         env={"PYTHONPATH": env_path, "PATH": "/usr/bin:/bin"},
         cwd=str(PKG_ROOT),
     )
+
+
+# certify --l0 2 --n 40 --alpha 3/5 --beta 1/2, by --j0: digests of the
+# output of the Fraction-coefficient kernel this package started from
+CERTIFICATE_SHA256 = {
+    1: "85733ad41f8459516a36ade0c681947a8b424502d1ca9df81ae0e7feb37bea21",
+    2: "2ffae09f8ae99afbce413d6dde023db42927e65815c472fee5468d80f877e441",
+    3: "4cb11980937ba1212e98b77989e311a1d1d8e0ddb8e51b1b3184eece8e57f700",
+    4: "ea841e2ee99a9bb473223d717327b99a5ae56a6c8eb40f186d9b7703dfed3e35",
+}
 
 
 class TestGen:
@@ -170,6 +183,23 @@ class TestVerify:
         assert skipped
         assert all(c["reason"] for c in skipped)
 
+    def test_degenerate_type2_member_is_skipped(self):
+        # alpha + beta = 1 makes the leading factor l0-n-alpha-beta of the
+        # type-2 members (l0, n) = (1, 0) and (2, 1) vanish: a parameter pole,
+        # recorded as a skipped check rather than a traceback
+        proc = run_cli(
+            "verify",
+            "--suite", "xhr", "--alpha", "1/3", "--beta", "2/3",
+            "--max-n", "8", "--max-l0", "2",
+        )
+        assert "Traceback" not in proc.stderr
+        assert proc.returncode == 0
+        checks = {c["check_id"]: c for c in json.loads(proc.stdout)["checks"]}
+        for l0, n in ((1, 0), (2, 1)):
+            check = checks[f"xhr/construction/j0=2/l0={l0}/n={n}"]
+            assert check["status"] == "skipped"
+            assert check["reason"].startswith(f"l0-n-alpha-beta = 0 at l0={l0}, n={n}")
+
     def test_verified_failure_exits_1(self, tmp_path):
         # (-1/2, -1/4) passes positivity but the weight is so singular that
         # the rule cannot converge; the failed check must drive exit code 1
@@ -213,6 +243,17 @@ class TestCertify:
             "--mode", "thm11", "--k", "3",
         )
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("j0", [1, 2, 3, 4])
+    def test_certificate_bytes_pinned(self, j0):
+        # SHA-256 of the certificate JSON as the CLI prints it; pins every
+        # exact coefficient, so a kernel change that alters any value fails
+        proc = run_cli(
+            "certify",
+            "--j0", str(j0), "--l0", "2", "--n", "40", "--alpha", "3/5", "--beta", "1/2",
+        )
+        assert proc.returncode == 0
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == CERTIFICATE_SHA256[j0]
 
     def test_json_deterministic(self):
         args = (

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -130,6 +131,159 @@ class TestLaurent:
     def test_involution_property(self, shift, coeffs):
         p = LaurentPoly(shift, coeffs)
         assert p.inverted().inverted() == p
+
+
+# -- the integer kernel against a plain Fraction reference ---------------------
+#
+# A reference value is a dict exponent -> nonzero Fraction; every operation is
+# recomputed on it with Fraction arithmetic only.
+
+coeff_values = st.one_of(st.just(Fraction(0)), rationals)
+coeff_lists = st.lists(coeff_values, max_size=7)
+any_polys = coeff_lists.map(Poly)
+any_laurents = st.builds(LaurentPoly, st.integers(min_value=-5, max_value=5), coeff_lists)
+scalars = st.one_of(st.integers(min_value=-9, max_value=9), rationals)
+
+
+def assert_canonical(p):
+    nums, den = p.numerators, p.denominator
+    assert all(type(v) is int for v in nums) and type(den) is int
+    assert den > 0
+    assert gcd(den, *nums) == 1
+    if not nums:
+        assert den == 1
+        if isinstance(p, LaurentPoly):
+            assert p.min_exp == 0
+        return
+    assert nums[-1] != 0
+    if isinstance(p, LaurentPoly):
+        assert nums[0] != 0
+
+
+def ref(p) -> dict:
+    pairs = enumerate(p.coeffs) if isinstance(p, Poly) else p.items()
+    return {e: c for e, c in pairs if c != 0}
+
+
+def ref_add(a: dict, b: dict, sign=1) -> dict:
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, Fraction(0)) + sign * c
+    return {e: c for e, c in out.items() if c != 0}
+
+
+def ref_mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for e, c in a.items():
+        for f, d in b.items():
+            out[e + f] = out.get(e + f, Fraction(0)) + c * d
+    return {e: c for e, c in out.items() if c != 0}
+
+
+def ref_long_division(a: dict, a_lo: int, b: dict, b_lo: int) -> tuple:
+    """Long division of sum a[e] z^(e-a_lo) by sum b[e] z^(e-b_lo), both true polynomials.
+
+    Returns the quotient and remainder as dicts, shifted back by z^(a_lo-b_lo)
+    and z^a_lo respectively.
+    """
+    num = [a.get(a_lo + k, Fraction(0)) for k in range(max(a) - a_lo + 1)]
+    den = [b.get(b_lo + k, Fraction(0)) for k in range(max(b) - b_lo + 1)]
+    quot = {}
+    for i in range(len(num) - 1, len(den) - 2, -1):
+        c = num[i] / den[-1]
+        if c:
+            quot[a_lo - b_lo + i - len(den) + 1] = c
+        for j, v in enumerate(den):
+            num[i - len(den) + 1 + j] -= c * v
+    return quot, {a_lo + k: c for k, c in enumerate(num) if c}
+
+
+def check(result, expected: dict):
+    assert_canonical(result)
+    assert ref(result) == expected
+
+
+class TestKernelAgainstReference:
+    @settings(max_examples=80)
+    @given(p=any_polys, q=any_polys, s=scalars)
+    def test_poly_ring(self, p, q, s):
+        a, b = ref(p), ref(q)
+        check(p + q, ref_add(a, b))
+        check(p - q, ref_add(a, b, -1))
+        check(-p, ref_add({}, a, -1))
+        check(p * q, ref_mul(a, b))
+        check(p * s, ref_mul(a, {0: Fraction(s)} if s else {}))
+        check(s * p, ref_mul(a, {0: Fraction(s)} if s else {}))
+        check(p + s, ref_add(a, {0: Fraction(s)} if s else {}))
+
+    @settings(max_examples=80)
+    @given(p=any_polys, d=any_polys.filter(lambda p: not p.is_zero))
+    def test_poly_divmod(self, p, d):
+        quot, rem = divmod(p, d)
+        want_q, want_r = ref_long_division(ref(p), 0, ref(d), 0) if p else ({}, {})
+        check(quot, want_q)
+        check(rem, want_r)
+        assert rem.degree < d.degree
+
+    @settings(max_examples=80)
+    @given(p=any_polys, k=st.integers(min_value=0, max_value=4))
+    def test_poly_transforms(self, p, k):
+        a = ref(p)
+        check(p.derivative(), {e - 1: e * c for e, c in a.items() if e})
+        check(p.shifted(k), {e + k: c for e, c in a.items()})
+        if not p.is_zero:
+            top = p.degree + k
+            check(p.reversed(top), {top - e: c for e, c in a.items()})
+        check(p.to_laurent(-k), {e - k: c for e, c in a.items()})
+
+    @settings(max_examples=80)
+    @given(p=any_laurents, q=any_laurents, s=scalars)
+    def test_laurent_ring(self, p, q, s):
+        a, b = ref(p), ref(q)
+        check(p + q, ref_add(a, b))
+        check(p - q, ref_add(a, b, -1))
+        check(-p, ref_add({}, a, -1))
+        check(p * q, ref_mul(a, b))
+        check(p * s, ref_mul(a, {0: Fraction(s)} if s else {}))
+        check(s * p, ref_mul(a, {0: Fraction(s)} if s else {}))
+
+    @settings(max_examples=80)
+    @given(p=any_laurents, d=any_laurents.filter(lambda p: not p.is_zero))
+    def test_laurent_divmod(self, p, d):
+        quot, rem = divmod(p, d)
+        # Laurent division strips the lowest power of z from both operands
+        a, b = ref(p), ref(d)
+        want_q, want_r = ref_long_division(a, min(a), b, min(b)) if a else ({}, {})
+        check(quot, want_q)
+        check(rem, want_r)
+        assert (quot * d + rem) == p
+
+    @settings(max_examples=80)
+    @given(p=any_laurents, k=st.integers(min_value=-4, max_value=4))
+    def test_laurent_transforms(self, p, k):
+        a = ref(p)
+        check(p.derivative(), {e - 1: e * c for e, c in a.items() if e})
+        check(p.shifted(k), {e + k: c for e, c in a.items()})
+        check(p.inverted(), {-e: c for e, c in a.items()})
+
+    @settings(max_examples=60)
+    @given(p=any_polys, q=any_laurents)
+    def test_mixed_operands_are_laurent(self, p, q):
+        check(p + q, ref_add(ref(p), ref(q)))
+        check(p * q, ref_mul(ref(p), ref(q)))
+
+    @settings(max_examples=60)
+    @given(
+        coeffs=st.lists(rationals, max_size=6),
+        m=st.integers(min_value=-30, max_value=30).filter(bool),
+    )
+    def test_equal_values_have_equal_storage(self, coeffs, m):
+        # unreduced and negative denominators must land on one canonical form
+        p = Poly(coeffs)
+        scaled = Poly.from_numerators([v * m for v in p.numerators], p.denominator * m)
+        assert_canonical(scaled)
+        assert scaled == p and hash(scaled) == hash(p)
+        assert scaled.coeffs == tuple(Fraction(c) for c in coeffs[: len(p.coeffs)])
 
 
 class TestLinearSolve:

@@ -71,6 +71,21 @@ class TestConstructors:
         with pytest.raises(ParameterPoleError, match="beta"):
             hr_poly(3, Params(Fraction(1, 2), 0))
 
+    @pytest.mark.parametrize(
+        "alpha, beta, message",
+        [
+            (-3, Fraction(1, 2), "alpha+1+k at k=2 = 0"),
+            (Fraction(1, 2), -2, "1-beta-n+k at k=2 = 0"),
+            # both factors vanish: the alpha factor is checked first
+            (-3, -2, "alpha+1+k at k=2 = 0"),
+        ],
+        ids=["alpha-factor", "beta-factor", "both-factors"],
+    )
+    def test_parameter_pole_message_pinned(self, alpha, beta, message):
+        with pytest.raises(ParameterPoleError) as info:
+            hr_poly(5, Params(alpha, beta))
+        assert str(info.value) == message
+
     def test_robust_falls_back_to_recurrence(self):
         # (alpha+2, beta-2) at (1,1) poles hypergeometrically, not recursively
         twisted = Params(3, -1)
