@@ -3,7 +3,7 @@ and machine certification of the associated recurrence relations.
 
 The package is organised bottom-up:
 
-  exact_core    rationals, dense and Laurent polynomials, exact linear solves
+  exact_core    rationals, one exact (Laurent) polynomial type, exact linear solves
   hr_classical  the classical two-parameter family plus its identity catalog
   darboux       seed data and the backward operator for the four extensions
   xhr           exceptional families, partners, norms, structured weights
@@ -13,8 +13,6 @@ The package is organised bottom-up:
 """
 
 from .exact_core import (
-    LaurentPoly,
-    LinearSystem,
     Poly,
     Rational,
     format_rational,

@@ -4,21 +4,15 @@ Exit codes: 0 when everything requested passed, 1 when a verification or
 certification failed, 2 on usage errors, parameter poles or inadmissible
 indices.  JSON output is byte-deterministic (sorted keys, canonical rational
 strings); wall-clock timings are opt-in via --timings because they would break
-determinism.
-
-The environment variable XLBP_THREADS caps the worker count used to shard
-suite checks; the default is sequential execution and the report order is
-fixed either way.
+determinism.  Checks run one after another, in report order.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import __version__
@@ -48,7 +42,6 @@ from .xhr import (
     x_norm_ratio,
     x_partner,
     x_poly,
-    x_weight_factor,
     xp4_derivative_factor,
 )
 
@@ -57,7 +50,30 @@ CHECK_FAILURE = 1
 
 
 def _parse_params(args) -> Params:
-    return Params(parse_rational(args.alpha), parse_rational(args.beta))
+    return Params(args.alpha, args.beta)
+
+
+def _rational_arg(text: str) -> Fraction:
+    """argparse type: a rational "p/q" or "p" with a nonzero denominator."""
+    try:
+        return parse_rational(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
+
+
+def _int_at_least(minimum: int):
+    """argparse type: an integer no smaller than `minimum`."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return parse
 
 
 def _poly_strings(p: Poly) -> list:
@@ -77,7 +93,7 @@ def cmd_gen(args) -> int:
         meta = {"family": "hr", "n": args.n}
     else:
         if args.j0 is None or args.l0 is None:
-            raise argparse.ArgumentTypeError("--family xhr requires --j0 and --l0")
+            raise ValueError("--family xhr requires --j0 and --l0")
         idx = XIndex(args.j0, args.l0, args.n)
         xp = x_partner(idx, params) if args.partner else x_poly(idx, params)
         poly = xp.poly
@@ -118,12 +134,17 @@ def _emit(text: str, out_path: str | None) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _run_checks(checks, workers: int):
-    """Execute (check_id, inputs, thunk) triples; order of results is fixed."""
-    results = [None] * len(checks)
+def _residual_strings(residual):
+    """Coefficient strings of a polynomial residual; None for none or one with a pole at 0."""
+    if isinstance(residual, Poly) and residual.min_exp >= 0:
+        return _poly_strings(residual)
+    return None
 
-    def run_one(i):
-        check_id, inputs, thunk = checks[i]
+
+def _run_checks(checks):
+    """Execute (check_id, inputs, thunk) triples in order, one record each."""
+    records = []
+    for check_id, inputs, thunk in checks:
         started = time.perf_counter()
         try:
             outcome = thunk()
@@ -134,29 +155,18 @@ def _run_checks(checks, workers: int):
         except (ParameterPoleError, InadmissibleIndexError) as exc:
             status, witness, reason = "skipped", None, str(exc)
         except CertificationError as exc:
-            status, reason = "fail", str(exc)
-            witness = (
-                _poly_strings(exc.residual)
-                if isinstance(exc.residual, Poly)
-                else None
-            )
-        return {
-            "check_id": check_id,
-            "inputs": inputs,
-            "status": status,
-            "witness": witness,
-            "reason": reason,
-            "time_s": time.perf_counter() - started,
-        }
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for i, rec in enumerate(pool.map(run_one, range(len(checks)))):
-                results[i] = rec
-    else:
-        for i in range(len(checks)):
-            results[i] = run_one(i)
-    return results
+            status, witness, reason = "fail", _residual_strings(exc.residual), str(exc)
+        records.append(
+            {
+                "check_id": check_id,
+                "inputs": inputs,
+                "status": status,
+                "witness": witness,
+                "reason": reason,
+                "time_s": time.perf_counter() - started,
+            }
+        )
+    return records
 
 
 def _witness_or_none(result):
@@ -216,7 +226,7 @@ def _darboux_checks(params, j0s, max_n, max_l0):
                     if not res.divisible:
                         return [str(c) for _, c in res.remainder.items()]
                     want = xi(j0, l0, n, params) * hr_poly_robust(n, shifted)
-                    diff = res.image - want.to_laurent()
+                    diff = res.image - want
                     return None if diff.is_zero else [str(c) for _, c in diff.items()]
 
                 checks.append(
@@ -284,30 +294,7 @@ def _xhr_checks(params, j0s, max_n, max_l0):
                             else "factorisation failed",
                         )
                     )
-        checks.append(
-            (
-                f"xhr/weight-ratio/j0={j0}",
-                {"j0": j0, "l0": 1, "z": "2"},
-                lambda j0=j0: _weight_spot(j0, params),
-            )
-        )
     return checks
-
-
-def _weight_spot(j0, params):
-    factor = x_weight_factor(j0, 1, params)
-    z = Fraction(2)
-    den = factor.denominator_base(z)
-    if den == 0:
-        raise ParameterPoleError("weight denominator vanishes at the spot point")
-    lin = (z - 1) if factor.linear_base == "z-1" else (1 - z)
-    expected = (
-        factor.constant_ratio * z**factor.monomial_power * lin / den**2
-        if factor.linear_power == 1
-        else factor.constant_ratio * z**factor.monomial_power / (lin * den**2)
-    )
-    got = factor.ratio_at(z)
-    return None if got == expected else [str(got), str(expected)]
 
 
 def _recurrence_checks(params, j0s, max_n, max_l0):
@@ -333,27 +320,21 @@ def _recurrence_checks(params, j0s, max_n, max_l0):
                     (f"recurrence/certify/j0={j0}/l0={l0}/n={n}", inputs, cert_check)
                 )
         if j0 in (3, 4) and max_n >= 2 * 1 + 1:
+            inputs = {
+                "j0": j0,
+                "l0": 1,
+                "note": "records which eigenvalue-ratio reading matches the solver",
+                "matched": [],
+            }
 
-            def reading(j0=j0):
-                n_probe = min(max_n, 7)
-                rep = xi_reading_report(XIndex(j0, 1, n_probe), params)
-                matched = [k for k, v in rep.items() if v]
-                if not matched:
+            def reading(j0=j0, inputs=inputs):
+                rep = xi_reading_report(XIndex(j0, 1, min(max_n, 7)), params)
+                inputs["matched"] = sorted(k for k, v in rep.items() if v)
+                if not inputs["matched"]:
                     return ["no eigenvalue reading matches the solver route"]
                 return None
 
-            checks.append(
-                (
-                    f"recurrence/eigenvalue-reading/j0={j0}",
-                    {
-                        "j0": j0,
-                        "l0": 1,
-                        "note": "records which eigenvalue-ratio reading matches the solver",
-                        "matched": _reading_tags(j0, params, max_n),
-                    },
-                    reading,
-                )
-            )
+            checks.append((f"recurrence/eigenvalue-reading/j0={j0}", inputs, reading))
         if max_n >= 5:
 
             def golden(j0=j0):
@@ -372,14 +353,6 @@ def _recurrence_checks(params, j0s, max_n, max_l0):
                 )
             )
     return checks
-
-
-def _reading_tags(j0, params, max_n):
-    try:
-        rep = xi_reading_report(XIndex(j0, 1, min(max_n, 7)), params)
-        return sorted(k for k, v in rep.items() if v)
-    except (ParameterPoleError, InadmissibleIndexError):
-        return []
 
 
 def _quadrature_checks(params, j0s, max_n):
@@ -402,7 +375,21 @@ def _quadrature_checks(params, j0s, max_n):
     cfg_exceptional = quad.QuadConfig(tolerance=1e-7, refinement_levels=7)
     n_cap = min(max_n, 3)
 
+    def guarded(thunk):
+        """The check, with the rule's own failures mapped to a skip or a failure."""
+
+        def run():
+            try:
+                return thunk()
+            except quad.DenominatorNearZeroError as exc:
+                raise ParameterPoleError(f"denominator guard: {exc}") from exc
+            except quad.QuadratureConvergenceError as exc:
+                return [f"no convergence: {exc}"]
+
+        return run
+
     def classical(n, m):
+        @guarded
         def thunk():
             res = quad.classical_quad(n, m, params, cfg_classical)
             exact = norm_ratio(n, params) if n == m else Fraction(0)
@@ -423,6 +410,7 @@ def _quadrature_checks(params, j0s, max_n):
             )
 
     def exceptional(j0, n, m):
+        @guarded
         def thunk():
             res = quad.exceptional_quad(
                 XIndex(j0, 1, n), XIndex(j0, 1, m), params, cfg_exceptional
@@ -469,13 +457,13 @@ def cmd_verify(args) -> int:
             checks += _recurrence_checks(params, j0s, args.max_n, args.max_l0)
         elif suite == "quadrature":
             checks += _quadrature_checks(params, j0s, args.max_n)
+    if not checks:
+        raise ValueError(f"--suite {args.suite} has no checks at --max-n {args.max_n}")
 
-    workers = max(1, int(os.environ.get("XLBP_THREADS", "1")))
-    records = []
-    for rec in _run_checks_with_quad_errors(checks, workers):
-        if not args.timings:
+    records = _run_checks(checks)
+    if not args.timings:
+        for rec in records:
             rec["time_s"] = None
-        records.append(rec)
 
     summary = {
         "pass": sum(1 for r in records if r["status"] == "pass"),
@@ -507,25 +495,6 @@ def cmd_verify(args) -> int:
     else:
         sys.stdout.write(text)
     return 0 if summary["fail"] == 0 else CHECK_FAILURE
-
-
-def _run_checks_with_quad_errors(checks, workers):
-    """Like _run_checks but mapping the quadrature guard to skipped status."""
-    from .quadrature import DenominatorNearZeroError, QuadratureConvergenceError
-
-    wrapped = []
-    for check_id, inputs, thunk in checks:
-
-        def safe(thunk=thunk):
-            try:
-                return thunk()
-            except DenominatorNearZeroError as exc:
-                raise ParameterPoleError(f"denominator guard: {exc}") from exc
-            except QuadratureConvergenceError as exc:
-                return [f"no convergence: {exc}"]
-
-        wrapped.append((check_id, inputs, safe))
-    return _run_checks(wrapped, workers)
 
 
 # ---------------------------------------------------------------------------
@@ -565,8 +534,10 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--j0", type=int, choices=[1, 2, 3, 4])
     gen.add_argument("--l0", type=int)
     gen.add_argument("--n", type=int, required=True)
-    gen.add_argument("--alpha", required=True, help='rational like "3/5" or "1"')
-    gen.add_argument("--beta", required=True)
+    gen.add_argument(
+        "--alpha", required=True, type=_rational_arg, help='rational like "3/5" or "1"'
+    )
+    gen.add_argument("--beta", required=True, type=_rational_arg)
     gen.add_argument("--partner", action="store_true", help="emit the partner family")
     gen.add_argument("--format", choices=["json", "csv", "text"], default="json")
     gen.add_argument("--out")
@@ -578,10 +549,10 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["identities", "darboux", "xhr", "recurrence", "quadrature", "all"],
         required=True,
     )
-    verify.add_argument("--alpha", required=True)
-    verify.add_argument("--beta", required=True)
-    verify.add_argument("--max-n", type=int, default=8, dest="max_n")
-    verify.add_argument("--max-l0", type=int, default=2, dest="max_l0")
+    verify.add_argument("--alpha", required=True, type=_rational_arg)
+    verify.add_argument("--beta", required=True, type=_rational_arg)
+    verify.add_argument("--max-n", type=_int_at_least(0), default=8, dest="max_n")
+    verify.add_argument("--max-l0", type=_int_at_least(1), default=2, dest="max_l0")
     verify.add_argument("--j0", type=int, action="append", choices=[1, 2, 3, 4])
     verify.add_argument("--out")
     verify.add_argument(
@@ -595,8 +566,8 @@ def build_parser() -> argparse.ArgumentParser:
     cert.add_argument("--j0", type=int, choices=[1, 2, 3, 4], required=True)
     cert.add_argument("--l0", type=int, required=True)
     cert.add_argument("--n", type=int, required=True)
-    cert.add_argument("--alpha", required=True)
-    cert.add_argument("--beta", required=True)
+    cert.add_argument("--alpha", required=True, type=_rational_arg)
+    cert.add_argument("--beta", required=True, type=_rational_arg)
     cert.add_argument("--mode", choices=["thm12", "thm11"], default="thm12")
     cert.add_argument("--k", type=int)
     cert.add_argument("--out")
@@ -610,11 +581,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except CertificationError as exc:
-        residual = (
-            [format_rational(c) for c in exc.residual.coeffs]
-            if isinstance(exc.residual, Poly)
-            else None
-        )
+        residual = _residual_strings(exc.residual)
         sys.stderr.write(f"certification failed: {exc}\n")
         if residual is not None:
             sys.stderr.write(f"residual coefficients: {residual}\n")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
 
-from .exact_core import LaurentPoly, Poly
+from .exact_core import Poly
 from .hr_classical import (
     ParameterPoleError,
     Params,
@@ -74,11 +74,11 @@ class Seed:
     Q_factor: Poly
     gauge_tag: str
 
-    def p_laurent(self) -> LaurentPoly:
+    def p_laurent(self) -> Poly:
         """The seed polynomial part as it enters the operator calculus."""
         if self.j0 in (SeedType.T3, SeedType.T4):
-            return self.p_poly.to_laurent().shifted(-self.l0)
-        return self.p_poly.to_laurent()
+            return self.p_poly.shifted(-self.l0)
+        return self.p_poly
 
 
 def _reversal_prefactor(l0: int, params: Params) -> Fraction:
@@ -138,30 +138,36 @@ def make_seed(j0: SeedType, l0: int, params: Params) -> Seed:
     return Seed(j0, l0, p, theta, p_factors[j0], q_factors[j0], _GAUGE_TAGS[j0])
 
 
-def psi_hat(j0: SeedType, l0: int, n: int, params: Params) -> LaurentPoly:
+def psi_hat(j0: SeedType, l0: int, n: int, params: Params) -> Poly:
     """Transformed eigenfunction for classical index n.
 
     For types 1 and 2 this is the exceptional polynomial itself; for types 3
     and 4 the exceptional polynomial is z^l0 times this value (which has a
-    pole of order at most l0 at the origin).
+    pole of order at most l0 at the origin).  A type-2 member that vanishes
+    because its leading factor l0-n-alpha-beta does is a parameter pole, as
+    in `xhr.x_poly`.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     seed = make_seed(j0, l0, params)
     p = seed.p_laurent()
-    p_n = hr_poly_robust(n, params).to_laurent()
-    p_n_der = hr_poly_robust(n, params).derivative().to_laurent()
-    core = p * p_n_der - p.derivative() * p_n
-    return seed.Q_factor.to_laurent() * core - seed.P_factor.to_laurent() * p * p_n
+    p_n = hr_poly_robust(n, params)
+    core = p * p_n.derivative() - p.derivative() * p_n
+    out = seed.Q_factor * core - seed.P_factor * p * p_n
+    if out.is_zero and seed.j0 is SeedType.T2 and l0 - n - params.alpha - params.beta == 0:
+        raise ParameterPoleError(
+            f"l0-n-alpha-beta = 0 at l0={l0}, n={n}: the type-2 member vanishes"
+        )
+    return out
 
 
 @dataclass(frozen=True)
 class BackwardResult:
     """Outcome of the backward operator: quotient, divisibility, remainder."""
 
-    image: LaurentPoly
+    image: Poly
     divisible: bool
-    remainder: LaurentPoly
+    remainder: Poly
 
 
 def _first_order_coefficient(j0: SeedType, l0: int, params: Params) -> Poly:
@@ -175,13 +181,13 @@ def _first_order_coefficient(j0: SeedType, l0: int, params: Params) -> Poly:
     }[j0]
 
 
-def _divisor(seed: Seed) -> LaurentPoly:
+def _divisor(seed: Seed) -> Poly:
     # Q_factor * p for every type; for type 3 this is -z * p, where the sign
     # matters for the image to land on xi_n * P_n(.; alpha+1, beta-1).
-    return seed.Q_factor.to_laurent() * seed.p_laurent()
+    return seed.Q_factor * seed.p_laurent()
 
 
-def backward_apply(j0: SeedType, l0: int, p, params: Params) -> BackwardResult:
+def backward_apply(j0: SeedType, l0: int, p: Poly, params: Params) -> BackwardResult:
     """Apply the backward operator to a (Laurent) polynomial.
 
     Forms z(1-z) p' + (type-specific linear) p and divides exactly by the
@@ -190,15 +196,11 @@ def backward_apply(j0: SeedType, l0: int, p, params: Params) -> BackwardResult:
     than raising.
     """
     j0 = SeedType(j0)
-    if isinstance(p, Poly):
-        p = p.to_laurent()
     if p.is_zero:
         raise ValueError("backward operator input must be nonzero")
     seed = make_seed(j0, l0, params)
-    a1 = Poly((0, 1, -1)).to_laurent()  # z(1-z)
-    numerator = a1 * p.derivative() + _first_order_coefficient(
-        j0, l0, params
-    ).to_laurent() * p
+    a1 = Poly((0, 1, -1))  # z(1-z)
+    numerator = a1 * p.derivative() + _first_order_coefficient(j0, l0, params) * p
     quotient, remainder = divmod(numerator, _divisor(seed))
     return BackwardResult(quotient, remainder.is_zero, remainder)
 

@@ -1,31 +1,47 @@
-"""Exact rational scalars, dense polynomials, Laurent polynomials and linear solves.
+"""Exact rational scalars, Laurent polynomials and linear solves.
 
 Everything in this module is exact: no operation ever rounds.  Scalars are
-`fractions.Fraction` (aliased `Rational`).  A polynomial is stored
-fraction-free, as FLINT's fmpq_poly is: a tuple of integer numerators over
-one common integer denominator, so the coefficient of z^k (of z^(min_exp+k)
-for a Laurent polynomial) is numerators[k] / denominator.  The stored form
-is canonical:
+`fractions.Fraction` (aliased `Rational`).  `Poly` is the one polynomial
+type: a Laurent polynomial sum_k c_k z^k over the rationals, of which the
+ordinary polynomials are the values with `min_exp >= 0`.  A value with a pole
+at 0 is built as `Poly(coeffs).shifted(-k)`.
 
-  * no trailing zero numerator, and for a Laurent polynomial no leading one;
+A `Poly` is stored fraction-free, as FLINT's fmpq_poly is: its lowest
+exponent `min_exp` and a tuple of integer numerators over one common integer
+denominator, so the coefficient of z^(min_exp+k) is numerators[k] /
+denominator.  The stored form is canonical:
+
+  * no leading or trailing zero numerator;
   * a denominator greater than 0;
   * gcd(denominator, every numerator) = 1.
 
-Two polynomials are therefore equal exactly when their stored integers are.
-The zero polynomial has no numerators and denominator 1; `Poly` gives it the
-sentinel degree -1, so callers that do degree arithmetic must check `is_zero`
-first.
+Two values are therefore equal exactly when their stored integers are, and
+equal values hash equal.  The zero polynomial has min_exp 0, no numerators,
+denominator 1 and the sentinel degree -1, so callers that do degree arithmetic
+must check `is_zero` first.
+
+`.coeffs` is the dense coefficient tuple from z^0 upward and exists only for
+polynomials: on a value with a pole at 0 it raises AttributeError, so
+`getattr(p, "coeffs", None)` tells the two apart.  `items()` lists the nonzero
+(exponent, coefficient) pairs of any value, and `require_polynomial()` raises
+ValueError on a pole.
+
+`divmod(a, b)` divides in the Laurent ring.  Writing a = z^i A and b = z^j B
+with A(0), B(0) nonzero, the quotient is z^(i-j) (A div B) and the remainder
+z^i (A mod B), so b divides a exactly when B divides A.  For two polynomials
+this is Euclidean division in Q[z] whenever the division is exact or neither
+operand vanishes at 0.
 
 One set of module-level integer helpers (`_canonical`, `_add`, `_mul`,
-`_scale`, `_divmod`) does the coefficient arithmetic of both classes, so a
-coefficient operation is an integer multiply-add rather than a gcd and a new
-`Fraction`; each result is reduced once.  `.coeffs`, `coeff()`, `leading` and
-`items()` still hand out reduced `Fraction`s, built on first use and cached,
-and evaluation runs Horner's rule over them, so numeric callers see exactly
-the values of a `Fraction` coefficient list.
+`_scale`, `_divmod`) does the coefficient arithmetic, so a coefficient
+operation is an integer multiply-add rather than a gcd and a new `Fraction`;
+each result is reduced once.  `.coeffs`, `coeff()`, `leading` and `items()`
+hand out reduced `Fraction`s, built on first use and cached, and evaluation
+runs Horner's rule over them, so numeric callers see exactly the values of a
+`Fraction` coefficient list.
 
-Polynomials are dense (indexed by exponent), which suits degrees up to a few
-hundred.
+Polynomials are dense between their extreme exponents, which suits degrees up
+to a few hundred.
 """
 
 from __future__ import annotations
@@ -44,8 +60,6 @@ Scalar = Union[Fraction, int, str]
 __all__ = [
     "Rational",
     "Poly",
-    "LaurentPoly",
-    "LinearSystem",
     "LinearSolution",
     "SolveStatus",
     "solve_exact",
@@ -202,17 +216,17 @@ def _divmod(a, ad: int, b, bd: int) -> tuple:
 
 
 def _fractions(p) -> tuple:
-    """The coefficients of p as reduced Fractions, cached on p."""
+    """The stored coefficients of p, from min_exp upward, as reduced Fractions, cached on p."""
     if p._f is None:
         d = p._d
         p._f = tuple(Fraction(v, d) for v in p._n)
     return p._f
 
 
-def _poly(nums, den: int) -> "Poly":
-    """Poly from canonical numerators and denominator, taken as they are."""
+def _make(min_exp: int, nums, den: int) -> "Poly":
+    """Poly from canonical (min_exp, numerators, denominator), taken as they are."""
     p = object.__new__(Poly)
-    p._n, p._d, p._f = tuple(nums), den, None
+    p._min, p._n, p._d, p._f = min_exp, tuple(nums), den, None
     return p
 
 
@@ -225,26 +239,25 @@ def _laurent_parts(min_exp: int, nums, den: int) -> tuple:
     return (min_exp + drop if nums else 0), nums[drop:], den
 
 
-def _laurent(min_exp: int, nums, den: int) -> "LaurentPoly":
-    """LaurentPoly from any (numerators, denominator), put in canonical form."""
-    p = object.__new__(LaurentPoly)
-    p._min, p._n, p._d = _laurent_parts(min_exp, nums, den)
-    p._f = None
-    return p
+def _laurent(min_exp: int, nums, den: int) -> "Poly":
+    """Poly from any (numerators, denominator) starting at z^min_exp, put in canonical form."""
+    return _make(*_laurent_parts(min_exp, nums, den))
 
 
 class Poly:
-    """Dense univariate polynomial over the rationals, immutable.
+    """Laurent polynomial over the rationals, immutable; a polynomial when min_exp >= 0.
 
-    Stored as integer numerators (lowest exponent first) over one common
-    denominator, in the canonical form of the module docstring; the leading
-    coefficient is nonzero unless the polynomial is zero.
+    Stored as `min_exp` plus integer numerators (lowest exponent first) over
+    one common denominator, in the canonical form of the module docstring, so
+    the coefficients at both extreme exponents are nonzero unless the value
+    is zero.
     """
 
-    __slots__ = ("_n", "_d", "_f")
+    __slots__ = ("_min", "_n", "_d", "_f")
 
-    def __init__(self, coeffs: Iterable[Scalar] = ()):  # noqa: D107
-        self._n, self._d = _canonical(*_from_scalars(coeffs))
+    def __init__(self, coeffs: Iterable[Scalar] = ()):
+        """The polynomial sum_k coeffs[k] z^k."""
+        self._min, self._n, self._d = _laurent_parts(0, *_from_scalars(coeffs))
         self._f = None
 
     # -- constructors ------------------------------------------------------
@@ -262,28 +275,30 @@ class Poly:
         return cls((0, 1))
 
     @classmethod
-    def monomial(cls, exponent: int, coeff: Scalar = 1) -> "Poly":
-        if exponent < 0:
-            raise ValueError("Poly exponents are nonnegative; use LaurentPoly")
-        return cls((0,) * exponent + (_coerce(coeff),))
-
-    @classmethod
     def from_numerators(cls, numerators: Iterable[int], denominator: int = 1) -> "Poly":
         """The polynomial sum_k numerators[k]/denominator z^k, reduced to canonical form."""
         if not denominator:
             raise ZeroDivisionError("zero denominator")
-        return _poly(*_canonical(list(numerators), denominator))
+        return _laurent(0, numerators, denominator)
 
     # -- basic structure ---------------------------------------------------
 
     @property
     def coeffs(self) -> tuple:
-        """Coefficients as reduced Fractions, lowest exponent first."""
+        """Coefficients as reduced Fractions from z^0 upward; polynomials only.
+
+        Raises AttributeError on a value with a pole at 0; `items()` covers
+        every value.
+        """
+        if self._min < 0:
+            raise AttributeError(f"coeffs: pole of order {-self._min} at 0; use items()")
+        if self._min:
+            return (Fraction(0),) * self._min + _fractions(self)
         return _fractions(self)
 
     @property
     def numerators(self) -> tuple:
-        """Integer numerators over `denominator`, lowest exponent first."""
+        """Integer numerators over `denominator`, from min_exp upward."""
         return self._n
 
     @property
@@ -292,18 +307,32 @@ class Poly:
         return self._d
 
     @property
+    def min_exp(self) -> int:
+        """Smallest exponent with nonzero coefficient; 0 for the zero polynomial."""
+        return self._min
+
+    @property
     def degree(self) -> int:
-        """Degree, with -1 as the sentinel for the zero polynomial."""
-        return len(self._n) - 1
+        """Largest exponent with nonzero coefficient, with -1 as the sentinel for zero."""
+        return self._min + len(self._n) - 1
+
+    max_exp = degree
 
     @property
     def is_zero(self) -> bool:
         return not self._n
 
     def coeff(self, exponent: int) -> Fraction:
-        if 0 <= exponent < len(self._n):
-            return _fractions(self)[exponent]
+        i = exponent - self._min
+        if 0 <= i < len(self._n):
+            return _fractions(self)[i]
         return Fraction(0)
+
+    def items(self):
+        """(exponent, coefficient) pairs, ascending, nonzero entries only."""
+        for i, v in enumerate(_fractions(self)):
+            if v:
+                yield self._min + i, v
 
     @property
     def leading(self) -> Fraction:
@@ -314,6 +343,12 @@ class Poly:
     @property
     def is_monic(self) -> bool:
         return bool(self._n) and self._n[-1] == self._d
+
+    def require_polynomial(self) -> "Poly":
+        """self, once checked to have no pole at 0; ValueError otherwise."""
+        if self._min < 0:
+            raise ValueError(f"not a polynomial: pole of order {-self._min} at 0")
+        return self
 
     # -- arithmetic --------------------------------------------------------
 
@@ -330,48 +365,43 @@ class Poly:
         return (-self).__add__(other)
 
     def _combine(self, other, op):
-        if isinstance(other, LaurentPoly):
-            return op(self.to_laurent(), other)
-        other = self._as_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if not isinstance(other, Poly):
+            if not isinstance(other, (Fraction, int)):
+                return NotImplemented
+            other = Poly((other,))
         if not other._n:
             return self
         if not self._n:
             return other if op is add else -other
-        return _poly(*_canonical(*_add(self._n, self._d, other._n, other._d, 0, op)))
+        shift = other._min - self._min
+        nums, den = _add(self._n, self._d, other._n, other._d, shift, op)
+        return _laurent(min(self._min, other._min), nums, den)
 
     def __neg__(self):
-        return _poly([-v for v in self._n], self._d)
+        return _make(self._min, [-v for v in self._n], self._d)
 
     def __mul__(self, other):
-        if isinstance(other, LaurentPoly):
-            return self.to_laurent() * other
         if isinstance(other, Poly):
             if not self._n or not other._n:
                 return Poly()
-            return _poly(*_canonical(_mul(self._n, other._n), self._d * other._d))
+            # the end coefficients of a product of canonical factors are
+            # nonzero, so only the content needs reducing
+            nums, den = _canonical(_mul(self._n, other._n), self._d * other._d)
+            return _make(self._min + other._min, nums, den)
         if isinstance(other, (Fraction, int)):
-            return _poly(*_scale(self._n, self._d, other))
+            nums, den = _scale(self._n, self._d, other)
+            return _make(self._min if nums else 0, nums, den)
         return NotImplemented
 
     def __rmul__(self, other):
         return self.__mul__(other)
 
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power")
-        out = Poly.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def __divmod__(self, divisor: "Poly"):
-        """Exact long division: self = q*divisor + r with deg r < deg divisor."""
+        """self = q*divisor + r in the Laurent ring (see the module docstring).
+
+        Writing self = z^a A and divisor = z^b B with A(0), B(0) nonzero, the
+        quotient is z^(a-b) (A div B) and the remainder z^a (A mod B).
+        """
         if not isinstance(divisor, Poly):
             return NotImplemented
         if divisor.is_zero:
@@ -379,262 +409,68 @@ class Poly:
         if len(self._n) < len(divisor._n):
             return Poly(), self
         q, qd, r, rd = _divmod(self._n, self._d, divisor._n, divisor._d)
-        return _poly(*_canonical(q, qd)), _poly(*_canonical(r, rd))
-
-    def __floordiv__(self, divisor):
-        return divmod(self, divisor)[0]
-
-    def __mod__(self, divisor):
-        return divmod(self, divisor)[1]
+        return _laurent(self._min - divisor._min, q, qd), _laurent(self._min, r, rd)
 
     # -- calculus and transforms --------------------------------------------
 
     def derivative(self) -> "Poly":
-        return _poly(*_canonical([k * v for k, v in enumerate(self._n[1:], 1)], self._d))
+        lo = self._min
+        return _laurent(lo - 1, [(lo + i) * v for i, v in enumerate(self._n)], self._d)
 
     def __call__(self, point):
         """Horner evaluation; works for Fraction, int, float, mpmath values."""
         acc = 0
-        for c in reversed(_fractions(self)):
+        for c in reversed(_fractions(self) if self._min < 0 else self.coeffs):
             acc = acc * point + c
-        return acc
+        return acc / point ** (-self._min) if self._min < 0 else acc
 
     def reversed(self, exponent: int | None = None) -> "Poly":
-        """z^k * p(1/z) as a true polynomial; k defaults to deg p, must be >= deg p."""
-        k = self.degree if exponent is None else exponent
+        """z^k * p(1/z); k defaults to deg p, must be >= deg p."""
         if self.is_zero:
-            return Poly()
+            return self
+        k = self.degree if exponent is None else exponent
         if k < self.degree:
             raise ValueError("reversal exponent below degree")
-        return _poly(*_canonical([0] * (k - self.degree) + list(self._n[::-1]), self._d))
+        return self.inverted().shifted(k)
+
+    def inverted(self) -> "Poly":
+        """Substitute z -> 1/z; an involution."""
+        if self.is_zero:
+            return self
+        return _make(-self.degree, self._n[::-1], self._d)
 
     def shifted(self, k: int) -> "Poly":
-        """Multiply by z^k, k >= 0."""
-        if k < 0:
-            raise ValueError("negative shift; use to_laurent().shifted(k)")
+        """Multiply by z^k, for any integer k."""
         if self.is_zero:
-            return Poly()
-        return _poly((0,) * k + self._n, self._d)
-
-    def to_laurent(self, shift: int = 0) -> "LaurentPoly":
-        return _laurent(shift, self._n, self._d)
-
-    # -- plumbing ------------------------------------------------------------
-
-    def _as_poly(self, other):
-        if isinstance(other, Poly):
-            return other
-        if isinstance(other, (Fraction, int)):
-            return Poly((other,))
-        return NotImplemented
-
-    def __eq__(self, other):
-        if isinstance(other, LaurentPoly):
-            return self.to_laurent() == other
-        other = self._as_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self._n == other._n and self._d == other._d
-
-    def __hash__(self):
-        return hash(("Poly", self._n, self._d))
-
-    def __bool__(self):
-        return bool(self._n)
-
-    def __repr__(self):
-        return f"Poly({[str(v) for v in _fractions(self)]})"
-
-    def __str__(self):
-        return _pretty_terms(enumerate(_fractions(self)))
-
-
-class LaurentPoly:
-    """Laurent polynomial: coefficients from `min_exp` upward, exact and immutable.
-
-    Stored as integer numerators over one common denominator, in the canonical
-    form of the module docstring, so the coefficients at both extreme
-    exponents are nonzero (zero is stored as min_exp=0 with no numerators).
-    """
-
-    __slots__ = ("_min", "_n", "_d", "_f")
-
-    def __init__(self, min_exp: int = 0, coeffs: Iterable[Scalar] = ()):  # noqa: D107
-        self._min, self._n, self._d = _laurent_parts(min_exp, *_from_scalars(coeffs))
-        self._f = None
-
-    @classmethod
-    def zero(cls) -> "LaurentPoly":
-        return cls(0, ())
-
-    @classmethod
-    def monomial(cls, exponent: int, coeff: Scalar = 1) -> "LaurentPoly":
-        return cls(exponent, (coeff,))
-
-    @classmethod
-    def from_poly(cls, p: Poly, shift: int = 0) -> "LaurentPoly":
-        return p.to_laurent(shift)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._n
-
-    @property
-    def min_exp(self) -> int:
-        return self._min
-
-    @property
-    def numerators(self) -> tuple:
-        """Integer numerators over `denominator`, from min_exp upward."""
-        return self._n
-
-    @property
-    def denominator(self) -> int:
-        """The common denominator, > 0 and coprime to the numerators' gcd."""
-        return self._d
-
-    @property
-    def max_exp(self) -> int:
-        """Largest exponent with nonzero coefficient; min_exp - 1 when zero."""
-        return self._min + len(self._n) - 1
-
-    def coeff(self, exponent: int) -> Fraction:
-        i = exponent - self._min
-        if 0 <= i < len(self._n):
-            return _fractions(self)[i]
-        return Fraction(0)
-
-    def items(self):
-        """(exponent, coefficient) pairs, ascending, nonzero entries only."""
-        for i, v in enumerate(_fractions(self)):
-            if v:
-                yield self._min + i, v
-
-    # -- arithmetic ----------------------------------------------------------
-
-    def __add__(self, other):
-        return self._combine(other, add)
-
-    def __radd__(self, other):
-        return self.__add__(other)
-
-    def __sub__(self, other):
-        return self._combine(other, sub)
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
-
-    def _combine(self, other, op):
-        other = self._as_laurent(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.is_zero:
             return self
-        if self.is_zero:
-            return other if op is add else -other
-        shift = other._min - self._min
-        nums, den = _add(self._n, self._d, other._n, other._d, shift, op)
-        return _laurent(min(self._min, other._min), nums, den)
-
-    def __neg__(self):
-        return _laurent(self._min, [-v for v in self._n], self._d)
-
-    def __mul__(self, other):
-        if isinstance(other, (Fraction, int)):
-            return _laurent(self._min, *_scale(self._n, self._d, other))
-        other = self._as_laurent(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.is_zero or other.is_zero:
-            return LaurentPoly.zero()
-        return _laurent(self._min + other._min, _mul(self._n, other._n), self._d * other._d)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __divmod__(self, divisor):
-        """self = q*divisor + r.  Exact in the Laurent ring.
-
-        Writing self = z^a A and divisor = z^b B with A(0), B(0) nonzero,
-        the quotient is z^(a-b) (A div B) and the remainder z^a (A mod B),
-        so divisibility reduces to ordinary polynomial divisibility of A by B.
-        """
-        divisor = self._as_laurent(divisor)
-        if divisor is NotImplemented:
-            return NotImplemented
-        if divisor.is_zero:
-            raise ZeroDivisionError("Laurent division by zero")
-        if self.is_zero:
-            return LaurentPoly.zero(), LaurentPoly.zero()
-        if len(self._n) < len(divisor._n):
-            return LaurentPoly.zero(), self
-        q, qd, r, rd = _divmod(self._n, self._d, divisor._n, divisor._d)
-        return _laurent(self._min - divisor._min, q, qd), _laurent(self._min, r, rd)
-
-    def derivative(self) -> "LaurentPoly":
-        lo = self._min
-        return _laurent(lo - 1, [(lo + i) * v for i, v in enumerate(self._n)], self._d)
-
-    def inverted(self) -> "LaurentPoly":
-        """Substitute z -> 1/z; an involution."""
-        return _laurent(-self.max_exp, self._n[::-1], self._d)
-
-    def shifted(self, k: int) -> "LaurentPoly":
-        return _laurent(self._min + k, self._n, self._d)
-
-    def __call__(self, point):
-        if self.is_zero:
-            return 0
-        acc = 0
-        for c in reversed(_fractions(self)):
-            acc = acc * point + c
-        if self._min >= 0:
-            return acc * point**self._min
-        return acc / point ** (-self._min)
-
-    def to_poly(self) -> Poly:
-        if self._min < 0 and self._n:
-            raise ValueError(f"not a polynomial: pole of order {-self._min} at 0")
-        return _poly((0,) * self._min + self._n, self._d)
+        return _make(self._min + k, self._n, self._d)
 
     # -- plumbing ------------------------------------------------------------
 
-    def _as_laurent(self, other):
-        if isinstance(other, LaurentPoly):
-            return other
-        if isinstance(other, Poly):
-            return other.to_laurent()
-        if isinstance(other, (Fraction, int)):
-            return LaurentPoly(0, (other,))
-        return NotImplemented
-
     def __eq__(self, other):
-        other = self._as_laurent(other)
-        if other is NotImplemented:
+        if isinstance(other, (Fraction, int)):
+            other = Poly((other,))
+        elif not isinstance(other, Poly):
             return NotImplemented
         return self._min == other._min and self._n == other._n and self._d == other._d
 
     def __hash__(self):
-        return hash(("LaurentPoly", self._min, self._n, self._d))
+        return hash((self._min, self._n, self._d))
 
     def __bool__(self):
         return bool(self._n)
 
     def __repr__(self):
-        return f"LaurentPoly(min_exp={self._min}, {[str(v) for v in _fractions(self)]})"
+        if self._min < 0:
+            return f"Poly({[str(v) for v in _fractions(self)]}).shifted({self._min})"
+        return f"Poly({[str(v) for v in self.coeffs]})"
 
     def __str__(self):
-        return _pretty_terms(self.items())
-
-
-def _pretty_terms(pairs) -> str:
-    terms = []
-    for e, v in sorted(pairs, key=lambda t: -t[0]):
-        if v == 0:
-            continue
-        if e == 0:
-            terms.append(str(v))
-        else:
+        terms = []
+        for e, v in reversed(list(self.items())):
+            if e == 0:
+                terms.append(str(v))
+                continue
             mono = "z" if e == 1 else f"z^{e}"
             if v == 1:
                 terms.append(mono)
@@ -642,7 +478,7 @@ def _pretty_terms(pairs) -> str:
                 terms.append(f"-{mono}")
             else:
                 terms.append(f"{v}*{mono}")
-    return " + ".join(terms).replace("+ -", "- ") if terms else "0"
+        return " + ".join(terms).replace("+ -", "- ") if terms else "0"
 
 
 class SolveStatus(Enum):
@@ -659,28 +495,6 @@ class LinearSolution:
     rank: int
 
 
-@dataclass(frozen=True)
-class LinearSystem:
-    """Exact rational linear system matrix * x = rhs."""
-
-    matrix: tuple
-    rhs: tuple
-
-    def __init__(self, matrix: Sequence[Sequence[Scalar]], rhs: Sequence[Scalar]):
-        rows = tuple(tuple(_coerce(v) for v in row) for row in matrix)
-        b = tuple(_coerce(v) for v in rhs)
-        if len(rows) != len(b):
-            raise ValueError("matrix/rhs size mismatch")
-        widths = {len(r) for r in rows}
-        if len(widths) > 1:
-            raise ValueError("ragged matrix")
-        object.__setattr__(self, "matrix", rows)
-        object.__setattr__(self, "rhs", b)
-
-    def solve(self) -> LinearSolution:
-        return solve_exact(self.matrix, self.rhs)
-
-
 def _bit_size(q: Fraction) -> int:
     return q.numerator.bit_length() + q.denominator.bit_length()
 
@@ -688,10 +502,15 @@ def _bit_size(q: Fraction) -> int:
 def solve_exact(matrix: Sequence[Sequence[Scalar]], rhs: Sequence[Scalar]) -> LinearSolution:
     """Gauss-Jordan over Fraction, returning the full exact solution set.
 
-    Pivot choice prefers the candidate with the smallest numerator/denominator
-    bit size, which keeps intermediate fractions small; correctness does not
-    depend on the choice.
+    Raises ValueError on a ragged matrix or when matrix and rhs differ in
+    length.  Pivot choice prefers the candidate with the smallest
+    numerator/denominator bit size, which keeps intermediate fractions small;
+    correctness does not depend on the choice.
     """
+    if len(matrix) != len(rhs):
+        raise ValueError("matrix/rhs size mismatch")
+    if len({len(row) for row in matrix}) > 1:
+        raise ValueError("ragged matrix")
     rows = [list(map(_coerce, row)) + [_coerce(b)] for row, b in zip(matrix, rhs)]
     n_rows = len(rows)
     n_cols = len(rows[0]) - 1 if rows else 0

@@ -21,7 +21,7 @@ from functools import lru_cache
 from math import gcd
 from typing import Union
 
-from .exact_core import LaurentPoly, Poly
+from .exact_core import Poly
 
 __all__ = [
     "ParameterPoleError",
@@ -266,12 +266,10 @@ def moments(params: Params, k_min: int, k_max: int) -> MomentTable:
 def inner_product(f, g, table: MomentTable) -> Fraction:
     """<w f, g-bar> in units of the zeroth moment.
 
-    Both arguments may be Poly or LaurentPoly.  Equals the sum over k of the
-    z^k coefficient of f(z) g(1/z) times the normalised moment value(k).
+    Both arguments may have poles at 0.  Equals the sum over k of the z^k
+    coefficient of f(z) g(1/z) times the normalised moment value(k).
     """
-    fl = f.to_laurent() if isinstance(f, Poly) else f
-    gl = g.to_laurent() if isinstance(g, Poly) else g
-    prod = fl * gl.inverted()
+    prod = f * g.inverted()
     total = Fraction(0)
     for e, v in prod.items():
         total += v * table.value(e)
@@ -373,11 +371,11 @@ def expand_in_hr_basis(poly: Poly, params: Params) -> list:
 
     The P_j are monic, so this is back-substitution on a unit triangular
     change of basis: O(deg^2).  The remainder is kept as integer numerators
-    over one denominator, reduced whenever the denominator grows.
+    from z^0 over one denominator, reduced whenever the denominator grows.
     """
     if poly.is_zero:
         return []
-    rem, den = list(poly.numerators), poly.denominator
+    rem, den = [0] * poly.min_exp + list(poly.numerators), poly.denominator
     out = [Fraction(0)] * len(rem)
     basis = hr_family(poly.degree, params)
     for j in range(poly.degree, -1, -1):
@@ -392,7 +390,10 @@ def expand_in_hr_basis(poly: Poly, params: Params) -> list:
         d = p_j.denominator
         g = gcd(c, d)
         scale, c = d // g, c // g
-        rem = [r * scale - c * v for r, v in zip(rem[:j], p_j.numerators)]
+        nums = p_j.numerators
+        if p_j.min_exp:
+            nums = (0,) * p_j.min_exp + nums
+        rem = [r * scale - c * v for r, v in zip(rem[:j], nums)]
         den *= scale
         if scale != 1:
             h = gcd(den, *rem)
@@ -460,7 +461,7 @@ class IdentityResult:
 
 
 def _result(tag, n, diff) -> IdentityResult:
-    if isinstance(diff, (Poly, LaurentPoly)):
+    if isinstance(diff, Poly):
         ok = diff.is_zero
     else:
         ok = not any(d for d in diff)
@@ -499,17 +500,13 @@ def _check_log_derivative_swapped(n, params):
 def _check_log_derivative_negated(n, params):
     # cleared by z^2 P_n(z;-a-1,1-b) P_n(1/z;-b,-a); all terms Laurent
     if n < 1:
-        return LaurentPoly.zero()
+        return Poly.zero()
     p_neg = hr_poly_robust(n, Params(-params.alpha - 1, -params.beta + 1))
-    rev_n = hr_poly_robust(n, params.negated()).to_laurent().inverted()
-    rev_n1 = (
-        hr_poly_robust(n - 1, Params(-params.beta + 1, -params.alpha))
-        .to_laurent()
-        .inverted()
-    )
-    z = LaurentPoly.monomial(1)
-    lhs = z * z * p_neg.derivative().to_laurent() * rev_n
-    rhs = n * (z * p_neg.to_laurent() * rev_n - p_neg.to_laurent() * rev_n1)
+    rev_n = hr_poly_robust(n, params.negated()).inverted()
+    rev_n1 = hr_poly_robust(n - 1, Params(-params.beta + 1, -params.alpha)).inverted()
+    z = Poly.x()
+    lhs = z * z * p_neg.derivative() * rev_n
+    rhs = n * (z * p_neg * rev_n - p_neg * rev_n1)
     return lhs - rhs
 
 

@@ -25,18 +25,13 @@ from .xhr import XIndex, x_partner, x_poly, x_weight_factor
 
 __all__ = [
     "QuadConfig",
-    "BranchConvention",
     "QuadResult",
     "QuadratureConvergenceError",
     "DenominatorNearZeroError",
-    "default_branch_convention",
     "weight_on_circle",
     "classical_quad",
     "exceptional_quad",
 ]
-
-_NEG_Z_TAG = "arg z in (0, 2pi); (-z)^(-beta) positive real at arg z = pi"
-_ONE_MINUS_Z_TAG = "arg(1-z) in (-pi, pi); (1-z)^(alpha+beta) positive real at arg(1-z) = 0"
 
 
 class QuadratureConvergenceError(RuntimeError):
@@ -45,23 +40,6 @@ class QuadratureConvergenceError(RuntimeError):
 
 class DenominatorNearZeroError(RuntimeError):
     """The exceptional weight's denominator nearly vanishes on the contour."""
-
-
-@dataclass(frozen=True)
-class BranchConvention:
-    """Branch tags for the two multivalued weight factors on the circle."""
-
-    neg_z_power: str = _NEG_Z_TAG
-    one_minus_z_power: str = _ONE_MINUS_Z_TAG
-
-    def validate(self) -> "BranchConvention":
-        if self.neg_z_power != _NEG_Z_TAG or self.one_minus_z_power != _ONE_MINUS_Z_TAG:
-            raise ValueError("unsupported branch convention")
-        return self
-
-
-def default_branch_convention() -> BranchConvention:
-    return BranchConvention()
 
 
 @dataclass(frozen=True)
@@ -96,14 +74,15 @@ def _mpf(x) -> mp.mpf:
     return mp.mpf(x)
 
 
-def weight_on_circle(x, params: Params, convention: BranchConvention | None = None):
+def weight_on_circle(x, params: Params):
     """w(e^{ix}) for x in (0, 2pi) under the fixed branch choices.
 
-    With arg(-z) = x - pi and arg(1-z) = (x - pi)/2 both inside the stated
-    ranges, the weight collapses to
+    The branches are arg z in (0, 2pi), with (-z)^(-beta) positive real at
+    arg z = pi, and arg(1-z) in (-pi, pi), with (1-z)^(alpha+beta) positive
+    real at arg(1-z) = 0.  With arg(-z) = x - pi and arg(1-z) = (x - pi)/2
+    both inside these ranges, the weight collapses to
     (2 sin(x/2))^(alpha+beta) * exp(i (x-pi)(alpha-beta)/2).
     """
-    (convention or default_branch_convention()).validate()
     a = _mpf(params.alpha)
     b = _mpf(params.beta)
     s = 2 * mp.sin(x / 2)

@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .darboux import SeedType, backward_apply, psi_hat, seed_theta, xi
-from .exact_core import LinearSystem, Poly, SolveStatus
+from .exact_core import Poly, SolveStatus, solve_exact
 from .hr_classical import (
     ParameterPoleError,
     Params,
@@ -114,14 +114,14 @@ class CExpansion:
 
 @lru_cache(maxsize=None)
 def _c_vector(j0: SeedType, l0: int, n: int, params: Params) -> tuple:
-    product = q_poly(j0, l0, params).to_laurent() * psi_hat(j0, l0, n, params)
+    product = q_poly(j0, l0, params) * psi_hat(j0, l0, n, params)
     result = backward_apply(j0, l0, product, params)
     if not result.divisible:
         raise CertificationError(
             "backward image of q * psi_hat is not in the family span",
             residual=result.remainder,
         )
-    image = result.image.to_poly()
+    image = result.image.require_polynomial()
     coeffs = expand_in_hr_basis(image, params.shifted(1, -1))
     coeffs += [Fraction(0)] * (n + l0 + 2 - len(coeffs))
     return tuple(coeffs)
@@ -218,7 +218,7 @@ def a_coeffs_solver(idx: XIndex, params: Params) -> SolverOutcome:
         rows.append(
             [(columns[l][m] if m < len(columns[l]) else Fraction(0)) for l in active]
         )
-    solution = LinearSystem(rows, [0] * len(rows)).solve()
+    solution = solve_exact(rows, [0] * len(rows))
     nullity = len(solution.nullspace)
     if nullity != 1 or solution.nullspace[0][0] == 0:
         return SolverOutcome(None, nullity)
@@ -292,7 +292,7 @@ def _solve_b(lhs: Poly, members: dict) -> tuple:
     size = max(lhs.degree, max(p.degree for p in members.values())) + 1
     matrix = [[p.coeff(row) for p in members.values()] for row in range(size)]
     rhs = [lhs.coeff(row) for row in range(size)]
-    solution = LinearSystem(matrix, rhs).solve()
+    solution = solve_exact(matrix, rhs)
     if solution.status is SolveStatus.INCONSISTENT:
         raise CertificationError(
             "window expansion is inconsistent: the relation fails", residual=lhs

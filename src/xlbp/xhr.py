@@ -211,7 +211,7 @@ def darboux_route_poly(idx: XIndex, params: Params) -> Poly:
     ph = psi_hat(idx.j0, idx.l0, idx.n, params)
     if idx.j0 in (SeedType.T3, SeedType.T4):
         ph = ph.shifted(idx.l0)
-    return ph.to_poly()
+    return ph.require_polynomial()
 
 
 def _norm_prefactor(idx: XIndex, params: Params) -> Fraction:

@@ -33,6 +33,14 @@ CERTIFICATE_SHA256 = {
     4: "ea841e2ee99a9bb473223d717327b99a5ae56a6c8eb40f186d9b7703dfed3e35",
 }
 
+# verify --alpha 3/5 --beta 1/2 --max-n 8 --max-l0 2, by --suite: digests of
+# the reports printed before Poly and LaurentPoly became one class
+REPORT_SHA256 = {
+    "identities": "ff4c1a6ecbec03cf9ec6adea972de1a646d29489ad847f35eb97bdddbc71afe5",
+    "darboux": "19925d40ba4f3d5cb2f0777640d19cd960e448f225619174e46e2727fff0569d",
+    "recurrence": "cc9d38a66c874f27b2b08ee4e888562a30f011209f5ada0f0250bea020047baf",
+}
+
 
 class TestGen:
     def test_hr_json(self):
@@ -106,6 +114,30 @@ class TestGen:
         assert proc.returncode == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gen", "--family", "hr", "--n", "1", "--alpha", "1/0", "--beta", "1"),
+        ("certify", "--j0", "1", "--l0", "1", "--n", "5", "--alpha", "1", "--beta", "x"),
+        ("gen", "--family", "xhr", "--n", "2", "--alpha", "1", "--beta", "2"),
+        ("gen", "--family", "xhr", "--j0", "1", "--n", "2", "--alpha", "1", "--beta", "2"),
+        ("verify", "--suite", "identities", "--alpha", "1", "--beta", "1", "--max-n", "-1"),
+        ("verify", "--suite", "darboux", "--alpha", "1", "--beta", "1", "--max-l0", "0"),
+        ("verify", "--suite", "recurrence", "--alpha", "1", "--beta", "1", "--max-n", "2"),
+    ],
+    ids=["zero-denominator", "not-rational", "xhr-no-j0", "xhr-no-l0",
+         "negative-max-n", "zero-max-l0", "no-checks"],
+)
+def test_usage_errors_exit_2_without_traceback(argv):
+    # a usage error is exit 2 with a message, never a traceback (exit 1 would
+    # read as a verified failure) and never a vacuous pass
+    proc = run_cli(*argv)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "error:" in proc.stderr
+    assert proc.stdout == ""
+
+
 class TestVerify:
     def test_identities_suite_passes(self, tmp_path):
         out = tmp_path / "report.json"
@@ -147,27 +179,16 @@ class TestVerify:
         )
         assert counted == len(ids)
 
-    def test_threads_env_gives_same_report(self, tmp_path):
-        args = (
-            "verify", "--suite", "identities", "--alpha", "1", "--beta", "1",
-            "--max-n", "3",
+    @pytest.mark.parametrize("suite", sorted(REPORT_SHA256))
+    def test_report_bytes_pinned(self, suite):
+        # SHA-256 of the report as the CLI prints it: every check id, input,
+        # status, witness and reason, so a refactor that alters any fails
+        proc = run_cli(
+            "verify", "--suite", suite, "--alpha", "3/5", "--beta", "1/2",
+            "--max-n", "8", "--max-l0", "2",
         )
-        one = run_cli(*args, "--out", str(tmp_path / "one.json"))
-        proc = subprocess.run(
-            [sys.executable, "-m", "xlbp.cli", *args, "--out", str(tmp_path / "four.json")],
-            capture_output=True,
-            text=True,
-            env={
-                "PYTHONPATH": str(PKG_ROOT / "src"),
-                "PATH": "/usr/bin:/bin",
-                "XLBP_THREADS": "4",
-            },
-            cwd=str(PKG_ROOT),
-        )
-        assert one.returncode == 0 and proc.returncode == 0
-        assert (tmp_path / "one.json").read_bytes() == (
-            tmp_path / "four.json"
-        ).read_bytes()
+        assert proc.returncode == 0
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == REPORT_SHA256[suite]
 
     def test_skips_are_recorded(self, tmp_path):
         # (1,1) poles two identity checks; they must appear as skips
@@ -186,19 +207,20 @@ class TestVerify:
     def test_degenerate_type2_member_is_skipped(self):
         # alpha + beta = 1 makes the leading factor l0-n-alpha-beta of the
         # type-2 members (l0, n) = (1, 0) and (2, 1) vanish: a parameter pole,
-        # recorded as a skipped check rather than a traceback
-        proc = run_cli(
-            "verify",
-            "--suite", "xhr", "--alpha", "1/3", "--beta", "2/3",
-            "--max-n", "8", "--max-l0", "2",
-        )
-        assert "Traceback" not in proc.stderr
-        assert proc.returncode == 0
-        checks = {c["check_id"]: c for c in json.loads(proc.stdout)["checks"]}
-        for l0, n in ((1, 0), (2, 1)):
-            check = checks[f"xhr/construction/j0=2/l0={l0}/n={n}"]
-            assert check["status"] == "skipped"
-            assert check["reason"].startswith(f"l0-n-alpha-beta = 0 at l0={l0}, n={n}")
+        # recorded as a skipped check rather than a traceback or exit 2
+        for suite, check in (("xhr", "construction"), ("darboux", "backward-image")):
+            proc = run_cli(
+                "verify",
+                "--suite", suite, "--alpha", "1/3", "--beta", "2/3",
+                "--max-n", "8", "--max-l0", "2",
+            )
+            assert "Traceback" not in proc.stderr
+            assert proc.returncode == 0, suite
+            checks = {c["check_id"]: c for c in json.loads(proc.stdout)["checks"]}
+            for l0, n in ((1, 0), (2, 1)):
+                record = checks[f"{suite}/{check}/j0=2/l0={l0}/n={n}"]
+                assert record["status"] == "skipped"
+                assert record["reason"].startswith(f"l0-n-alpha-beta = 0 at l0={l0}, n={n}")
 
     def test_verified_failure_exits_1(self, tmp_path):
         # (-1/2, -1/4) passes positivity but the weight is so singular that

@@ -5,12 +5,10 @@ import pytest
 
 from xlbp.hr_classical import Params, norm_ratio
 from xlbp.quadrature import (
-    BranchConvention,
     DenominatorNearZeroError,
     QuadConfig,
     QuadratureConvergenceError,
     classical_quad,
-    default_branch_convention,
     exceptional_quad,
     weight_on_circle,
 )
@@ -37,11 +35,6 @@ class TestConfigAndBranch:
             QuadConfig(tolerance=0)
         with pytest.raises(ValueError):
             QuadConfig(refinement_levels=0)
-
-    def test_branch_convention_fixed(self):
-        default_branch_convention().validate()
-        with pytest.raises(ValueError):
-            BranchConvention(neg_z_power="other").validate()
 
     def test_weight_matches_exact_moments(self):
         # adaptive integrals of z^k w(z) against the exact ratio recursion
