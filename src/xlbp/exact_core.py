@@ -495,64 +495,106 @@ class LinearSolution:
     rank: int
 
 
-def _bit_size(q: Fraction) -> int:
-    return q.numerator.bit_length() + q.denominator.bit_length()
+def _integer_row(values: Sequence[Scalar]) -> list:
+    """values times the lcm of their denominators, divided by the content."""
+    fracs = [_coerce(v) for v in values]
+    den = lcm(*(q.denominator for q in fracs))
+    row = [q.numerator * (den // q.denominator) for q in fracs]
+    g = gcd(*row)
+    return [v // g for v in row] if g > 1 else row
 
 
 def solve_exact(matrix: Sequence[Sequence[Scalar]], rhs: Sequence[Scalar]) -> LinearSolution:
-    """Gauss-Jordan over Fraction, returning the full exact solution set.
+    """The full exact solution set of matrix * x = rhs.
+
+    Fraction-free elimination with content removal (Geddes, Czapor and
+    Labahn, Algorithms for Computer Algebra, ch. 9): each augmented row is
+    scaled to integers by the lcm of its denominators and divided by its
+    content; forward elimination replaces each row below the pivot row by
+    p*row - f*pivot_row, divided by its content again.  The pivot is the
+    candidate with the smallest bit size, which keeps the integers small;
+    correctness does not depend on the choice.  The rows below the rank are
+    then zero on the left and are scanned for an inconsistent right side, and
+    only the rank rows (at most one per column) are back-substituted to the
+    reduced row echelon form in Fractions.  That form is unique, so the
+    result does not depend on the elimination order.
 
     Raises ValueError on a ragged matrix or when matrix and rhs differ in
-    length.  Pivot choice prefers the candidate with the smallest
-    numerator/denominator bit size, which keeps intermediate fractions small;
-    correctness does not depend on the choice.
+    length.
     """
     if len(matrix) != len(rhs):
         raise ValueError("matrix/rhs size mismatch")
     if len({len(row) for row in matrix}) > 1:
         raise ValueError("ragged matrix")
-    rows = [list(map(_coerce, row)) + [_coerce(b)] for row, b in zip(matrix, rhs)]
+    rows = [_integer_row([*row, b]) for row, b in zip(matrix, rhs)]
     n_rows = len(rows)
     n_cols = len(rows[0]) - 1 if rows else 0
 
+    # forward elimination; the rows from r down are zero left of col
     pivot_cols: list[int] = []
     r = 0
     for col in range(n_cols):
-        best = None
+        if r == n_rows:
+            break
+        best, best_bits = None, 0
         for i in range(r, n_rows):
-            if rows[i][col] != 0:
-                if best is None or _bit_size(rows[i][col]) < _bit_size(rows[best][col]):
-                    best = i
+            v = rows[i][col]
+            if v and (best is None or abs(v).bit_length() < best_bits):
+                best, best_bits = i, abs(v).bit_length()
         if best is None:
             continue
         rows[r], rows[best] = rows[best], rows[r]
-        piv = rows[r][col]
-        rows[r] = [v / piv for v in rows[r]]
-        for i in range(n_rows):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivot = rows[r]
+        p = pivot[col]
+        for i in range(r + 1, n_rows):
+            row = rows[i]
+            f = row[col]
+            if not f:
+                continue
+            g = gcd(p, f)
+            ps, fs = p // g, f // g
+            tail = [ps * a - fs * b for a, b in zip(row[col + 1 :], pivot[col + 1 :])]
+            g = gcd(*tail)
+            if g > 1:
+                tail = [v // g for v in tail]
+            rows[i] = [0] * (col + 1) + tail
         pivot_cols.append(col)
         r += 1
-        if r == n_rows:
-            break
 
     rank = len(pivot_cols)
     for i in range(rank, n_rows):
-        if rows[i][n_cols] != 0:
+        if rows[i][n_cols]:
             return LinearSolution(SolveStatus.INCONSISTENT, None, (), rank)
+
+    # back-substitution: reduced[i][c] is the reduced row echelon entry of
+    # rank row i at each free column c and at the right side c = n_cols
+    pivots = set(pivot_cols)
+    free_cols = [c for c in range(n_cols) if c not in pivots]
+    targets = free_cols + [n_cols]
+    reduced: list = [None] * rank
+    for i in range(rank - 1, -1, -1):
+        row = rows[i]
+        p = row[pivot_cols[i]]
+        entries = {}
+        for c in targets:
+            acc = Fraction(row[c])
+            for k in range(i + 1, rank):
+                v = row[pivot_cols[k]]
+                if v:
+                    acc -= v * reduced[k][c]
+            entries[c] = acc / p
+        reduced[i] = entries
 
     solution = [Fraction(0)] * n_cols
     for i, col in enumerate(pivot_cols):
-        solution[col] = rows[i][n_cols]
+        solution[col] = reduced[i][n_cols]
 
-    free_cols = [c for c in range(n_cols) if c not in set(pivot_cols)]
     basis = []
     for free in free_cols:
         vec = [Fraction(0)] * n_cols
         vec[free] = Fraction(1)
         for i, col in enumerate(pivot_cols):
-            vec[col] = -rows[i][free]
+            vec[col] = -reduced[i][free]
         basis.append(tuple(vec))
 
     status = SolveStatus.UNIQUE if not free_cols else SolveStatus.UNDERDETERMINED

@@ -112,7 +112,11 @@ def _require_nonzero(value: Fraction, factor: str) -> Fraction:
     return value
 
 
-@lru_cache(maxsize=None)
+# The polynomial caches are bounded so that a long-lived process stops
+# growing.  Each bound is at least twice the entries that one full run of any
+# workload in bench/ leaves (at most 6294 for hr_poly, 6043 for
+# hr_poly_robust and 107 for build_via_ttrr), so those runs never evict.
+@lru_cache(maxsize=16384)
 def hr_poly(n: int, params: Params) -> Poly:
     """P_n(z; alpha, beta) from the terminating hypergeometric sum.
 
@@ -181,7 +185,7 @@ def ttrr_coeffs(n: int, params: Params) -> tuple:
     return ttrr_d(n, params), ttrr_b(n, params)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=512)
 def build_via_ttrr(n: int, params: Params) -> Poly:
     """P_n built from P_{k+1} = z(P_k + b_k P_{k-1}) - d_k P_k.
 
@@ -204,7 +208,7 @@ def build_via_ttrr(n: int, params: Params) -> Poly:
     return cur
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16384)
 def hr_poly_robust(n: int, params: Params) -> Poly:
     """P_n via the hypergeometric sum, falling back to the recurrence route.
 

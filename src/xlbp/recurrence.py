@@ -9,8 +9,10 @@ certification pipeline:
      classical basis at (alpha+1, beta-1)   -> c coefficients;
   2. solve the exact nullspace condition for the left-side a coefficients
      (authoritative route), cross-checking the closed formula route;
-  3. solve the window linear system for the right-side b coefficients in
-     monomial coordinates and re-verify the residual is the zero polynomial;
+  3. expand the left side over the window members for the right-side b
+     coefficients: the members have distinct degrees, so back-substitution
+     from the top degree down finds b, and what it leaves over is the
+     residual, which must be the zero polynomial;
   4. cross-derive b from the c coefficients through the backward eigenvalues
      and require agreement.
 
@@ -25,7 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .darboux import SeedType, backward_apply, psi_hat, seed_theta, xi
-from .exact_core import Poly, SolveStatus, solve_exact
+from .exact_core import Poly, solve_exact
 from .hr_classical import (
     ParameterPoleError,
     Params,
@@ -112,7 +114,9 @@ class CExpansion:
         return Fraction(0)
 
 
-@lru_cache(maxsize=None)
+# bounded like the polynomial caches in hr_classical: one full run of any
+# workload in bench/ leaves at most 1900 entries
+@lru_cache(maxsize=4096)
 def _c_vector(j0: SeedType, l0: int, n: int, params: Params) -> tuple:
     product = q_poly(j0, l0, params) * psi_hat(j0, l0, n, params)
     result = backward_apply(j0, l0, product, params)
@@ -287,18 +291,33 @@ def _reading_matches(idx: XIndex, params: Params, outcome: SolverOutcome) -> dic
     return report
 
 
-def _solve_b(lhs: Poly, members: dict) -> tuple:
-    """Expand lhs over the given family members in monomial coordinates."""
-    size = max(lhs.degree, max(p.degree for p in members.values())) + 1
-    matrix = [[p.coeff(row) for p in members.values()] for row in range(size)]
-    rhs = [lhs.coeff(row) for row in range(size)]
-    solution = solve_exact(matrix, rhs)
-    if solution.status is SolveStatus.INCONSISTENT:
+def _solve_b(lhs: Poly, members: dict) -> dict:
+    """Coefficients b with lhs = sum_j b_j members[j], exact.
+
+    The members have distinct degrees, so this is back-substitution from the
+    top degree down; what is left over is the residual lhs - sum_j b_j
+    members[j], which must be the zero polynomial.  Returns b in the members'
+    order.
+    """
+    if len({p.degree for p in members.values()}) != len(members):
+        raise CertificationError("window members share a degree")
+    order = sorted(members, key=lambda j: members[j].degree, reverse=True)
+    b = {}
+    rem = lhs
+    for j in order:
+        member = members[j]
+        if rem.degree > member.degree:
+            break  # no member left can cancel the top term of rem
+        if rem.degree == member.degree:
+            b[j] = rem.leading / member.leading
+            rem = rem - b[j] * member
+        else:
+            b[j] = Fraction(0)
+    if not rem.is_zero:
         raise CertificationError(
             "window expansion is inconsistent: the relation fails", residual=lhs
         )
-    b = dict(zip(members.keys(), solution.solution))
-    return b, solution.status is SolveStatus.UNIQUE
+    return {j: b[j] for j in members}
 
 
 def certify(
@@ -380,13 +399,7 @@ def certify(
             members[j] = Poly((compact_darboux_sign(j0),))
         else:
             members[j] = x_poly(XIndex(j0, l0, j), params).poly
-    b, unique = _solve_b(lhs, members)
-
-    residual = lhs
-    for j, coef in b.items():
-        residual = residual - coef * members[j]
-    if not residual.is_zero:
-        raise CertificationError("residual recheck failed", residual=residual)
+    b = _solve_b(lhs, members)
 
     # cross-route: b_j = (sum_l a_l c_{n-l,j}) / xi_j wherever xi_j != 0
     c_rows = [_c_row(j0, l0, n - l, params) for l in range(len(a))]
@@ -424,7 +437,8 @@ def certify(
         b=b,
         window=(window[0], window[-1]),
         residual_zero=True,
-        b_unique=unique,
+        # members of distinct degrees are independent, so b is unique
+        b_unique=True,
         method_tags=tuple(tags),
     )
 

@@ -1,12 +1,18 @@
 """End-to-end CLI contract: flags, formats, exit codes, determinism."""
 
+import contextlib
 import hashlib
+import io
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from xlbp.cli import main
 
 
 PKG_ROOT = Path(__file__).resolve().parent.parent
@@ -32,6 +38,17 @@ CERTIFICATE_SHA256 = {
     3: "4cb11980937ba1212e98b77989e311a1d1d8e0ddb8e51b1b3184eece8e57f700",
     4: "ea841e2ee99a9bb473223d717327b99a5ae56a6c8eb40f186d9b7703dfed3e35",
 }
+
+# certify --mode thm11 --l0 2 --n 12 --k 3 --alpha 3/5 --beta 1/2, by --j0, and
+# the large-degree thm12 instance --j0 4 --l0 4 --n 95 at the same pair:
+# digests of the output of the dense Fraction solve the b-expansion replaced
+THM11_CERTIFICATE_SHA256 = {
+    1: "b383190d65f169c52748f5d393dd9e46c110ee6bc00ffe972cb8cea784044f14",
+    2: "7e21bce8306aaaa84d8b7a977f822b72c5818ecb83e6a90e03764511088d7c56",
+    3: "0e751648cd59854b5af29ec3bf1b4dcc6a0d910da01ffcce46b71d6f17b4751c",
+    4: "56ccec79c2591ff187c561465df31bed2a970bf5d30a1358ecbf41de8609bf1b",
+}
+LARGE_CERTIFICATE_SHA256 = "569dc3f7f558e53c2d424ad94a38a6dc994bf7dc97e13219d3ae45db751f054a"
 
 # verify --alpha 3/5 --beta 1/2 --max-n 8 --max-l0 2, by --suite: digests of
 # the reports printed before Poly and LaurentPoly became one class
@@ -277,9 +294,77 @@ class TestCertify:
         assert proc.returncode == 0
         assert hashlib.sha256(proc.stdout.encode()).hexdigest() == CERTIFICATE_SHA256[j0]
 
+    @pytest.mark.parametrize("j0", [1, 2, 3, 4])
+    def test_thm11_certificate_bytes_pinned(self, j0):
+        proc = run_cli(
+            "certify", "--mode", "thm11", "--k", "3",
+            "--j0", str(j0), "--l0", "2", "--n", "12", "--alpha", "3/5", "--beta", "1/2",
+        )
+        assert proc.returncode == 0
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == THM11_CERTIFICATE_SHA256[j0]
+
+    def test_large_degree_certificate_bytes_pinned(self):
+        proc = run_cli(
+            "certify",
+            "--j0", "4", "--l0", "4", "--n", "95", "--alpha", "3/5", "--beta", "1/2",
+        )
+        assert proc.returncode == 0
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == LARGE_CERTIFICATE_SHA256
+
     def test_json_deterministic(self):
         args = (
             "certify",
             "--j0", "2", "--l0", "1", "--n", "4", "--alpha", "3/5", "--beta", "1/2",
         )
         assert run_cli(*args).stdout == run_cli(*args).stdout
+
+
+# -- the exit-code contract under generated input ------------------------------
+
+fuzz_rationals = st.builds(
+    lambda p, q: f"{p}/{q}",
+    st.integers(min_value=-9, max_value=9),
+    st.integers(min_value=1, max_value=3),
+)
+fuzz_j0 = st.integers(min_value=1, max_value=4).map(str)
+fuzz_l0 = st.integers(min_value=0, max_value=3)
+fuzz_n = st.integers(min_value=-3, max_value=14)
+
+
+@st.composite
+def fuzz_argv(draw):
+    command = draw(st.sampled_from(("gen-hr", "gen-xhr", "thm12", "thm11", "verify")))
+    l0, n = draw(fuzz_l0), draw(fuzz_n)
+    index = ["--j0", draw(fuzz_j0), "--l0", str(l0), "--n", str(n)]
+    if command == "gen-hr":
+        argv = ["gen", "--family", "hr", "--n", str(n)]
+    elif command == "gen-xhr":
+        argv = ["gen", "--family", "xhr", *index]
+    elif command == "thm12":
+        argv = ["certify", *index]
+    elif command == "thm11":
+        k = draw(st.integers(min_value=-1, max_value=max(n, 0) + 1))
+        argv = ["certify", "--mode", "thm11", "--k", str(k), *index]
+    else:
+        suite = draw(st.sampled_from(("identities", "darboux", "xhr", "recurrence")))
+        max_n = draw(st.integers(min_value=-1, max_value=5))
+        argv = ["verify", "--suite", suite, "--max-n", str(max_n), "--max-l0", str(l0)]
+    return argv + [f"--alpha={draw(fuzz_rationals)}", f"--beta={draw(fuzz_rationals)}"]
+
+
+@settings(max_examples=80, deadline=None)
+@given(argv=fuzz_argv())
+def test_exit_code_contract_holds_for_generated_input(argv):
+    # 0 pass, 1 verified failure, 2 usage error or parameter pole; anything
+    # escaping main would print a traceback.  The parameters are passed as
+    # "--alpha=-1/2", since argparse takes a separate "-1/2" for an option
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects a value
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 0 and argv[0] == "verify":
+        assert json.loads(out.getvalue())["checks"], argv

@@ -2,10 +2,11 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from xlbp.exact_core import (
+    LinearSolution,
     Poly,
     SolveStatus,
     format_rational,
@@ -292,6 +293,90 @@ class TestKernelAgainstReference:
             assert padded == p and hash(padded) == hash(p)
 
 
+# -- the integer solver against a plain Fraction Gauss-Jordan -------------------
+
+
+def reference_solve(matrix, rhs) -> LinearSolution:
+    """Gauss-Jordan over Fraction: normalise each pivot row, clear its column above and below."""
+    rows = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
+    n_rows = len(rows)
+    n_cols = len(rows[0]) - 1 if rows else 0
+    pivot_cols = []
+    r = 0
+    for col in range(n_cols):
+        best = next((i for i in range(r, n_rows) if rows[i][col] != 0), None)
+        if best is None:
+            continue
+        rows[r], rows[best] = rows[best], rows[r]
+        piv = rows[r][col]
+        rows[r] = [v / piv for v in rows[r]]
+        for i in range(n_rows):
+            if i != r and rows[i][col] != 0:
+                f = rows[i][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivot_cols.append(col)
+        r += 1
+        if r == n_rows:
+            break
+    rank = len(pivot_cols)
+    if any(rows[i][n_cols] != 0 for i in range(rank, n_rows)):
+        return LinearSolution(SolveStatus.INCONSISTENT, None, (), rank)
+    solution = [Fraction(0)] * n_cols
+    for i, col in enumerate(pivot_cols):
+        solution[col] = rows[i][n_cols]
+    basis = []
+    for free in (c for c in range(n_cols) if c not in pivot_cols):
+        vec = [Fraction(0)] * n_cols
+        vec[free] = Fraction(1)
+        for i, col in enumerate(pivot_cols):
+            vec[col] = -rows[i][free]
+        basis.append(tuple(vec))
+    status = SolveStatus.UNDERDETERMINED if basis else SolveStatus.UNIQUE
+    return LinearSolution(status, tuple(solution), tuple(basis), rank)
+
+
+# 200- to 260-bit numerators over up to 230-bit denominators, as certify reaches
+wide_rationals = st.builds(
+    lambda sign, p, q: Fraction(sign * p, q),
+    st.sampled_from((1, -1)),
+    st.integers(min_value=2**200, max_value=2**260),
+    st.integers(min_value=1, max_value=2**230),
+)
+entries = st.one_of(st.just(Fraction(0)), rationals, wide_rationals)
+nonzero_scales = st.one_of(rationals, wide_rationals).filter(bool)
+
+
+@st.composite
+def linear_systems(draw):
+    """0-8 rows by 0-6 columns, with duplicate, scaled, combined and zero rows.
+
+    The right side is either A x for a drawn x (consistent) or drawn entry by
+    entry, which is generically inconsistent once the rows are dependent.
+    """
+    n_cols = draw(st.integers(min_value=0, max_value=6))
+    matrix = []
+    for _ in range(draw(st.integers(min_value=0, max_value=8))):
+        kind = draw(st.sampled_from(("fresh", "zero", "scaled", "combined")))
+        if kind == "zero":
+            row = [Fraction(0)] * n_cols
+        elif kind == "fresh" or not matrix:
+            row = draw(st.lists(entries, min_size=n_cols, max_size=n_cols))
+        elif kind == "scaled":
+            s = draw(st.one_of(st.just(Fraction(1)), nonzero_scales))
+            row = [s * v for v in draw(st.sampled_from(matrix))]
+        else:
+            s, t = draw(nonzero_scales), draw(nonzero_scales)
+            first, second = draw(st.sampled_from(matrix)), draw(st.sampled_from(matrix))
+            row = [s * u + t * v for u, v in zip(first, second)]
+        matrix.append(row)
+    if draw(st.booleans()):
+        x = draw(st.lists(entries, min_size=n_cols, max_size=n_cols))
+        rhs = [sum((a * v for a, v in zip(row, x)), Fraction(0)) for row in matrix]
+    else:
+        rhs = draw(st.lists(entries, min_size=len(matrix), max_size=len(matrix)))
+    return matrix, rhs
+
+
 class TestLinearSolve:
     def test_identity_system(self):
         sol = solve_exact([[1, 0], [0, 1]], [1, 2])
@@ -316,6 +401,17 @@ class TestLinearSolve:
             solve_exact([[1, 2], [3]], [1, 2])
         with pytest.raises(ValueError):
             solve_exact([[1, 2]], [1, 2])
+
+    @settings(max_examples=300, deadline=None)
+    @given(system=linear_systems())
+    @example(system=([], []))
+    @example(system=([[], []], [0, 1]))
+    @example(system=([[0, 0], [0, 0]], [0, 0]))
+    def test_equals_fraction_gauss_jordan(self, system):
+        # the reduced row echelon form is unique, so the integer elimination
+        # must give exactly the reference's status, solution, nullspace, rank
+        matrix, rhs = system
+        assert solve_exact(matrix, rhs) == reference_solve(matrix, rhs)
 
     @settings(max_examples=40)
     @given(

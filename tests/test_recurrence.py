@@ -4,8 +4,11 @@ import pytest
 
 from xlbp.darboux import make_seed, xi
 from xlbp.exact_core import Poly
-from xlbp.hr_classical import Params, hr_poly_robust
+from xlbp.hr_classical import Params, build_via_ttrr, hr_poly, hr_poly_robust
 from xlbp.recurrence import (
+    CertificationError,
+    _c_vector,
+    _solve_b,
     a_coeffs_formula,
     a_coeffs_solver,
     c_expansion,
@@ -17,7 +20,7 @@ from xlbp.recurrence import (
     q_poly,
     xi_reading_report,
 )
-from xlbp.xhr import InadmissibleIndexError, XIndex, x_poly
+from xlbp.xhr import InadmissibleIndexError, XIndex, compact_darboux_sign, x_poly
 
 from conftest import PAIR_A, pairs_for_recurrence
 
@@ -213,6 +216,15 @@ class TestCertify:
         assert cert.residual_zero
         assert -2 in cert.b and cert.b[-2] != 0
 
+    @pytest.mark.parametrize("j0", [1, 2, 3, 4])
+    def test_thm11_b_is_unique(self, j0):
+        # the full window has members of distinct degrees; for type 4 that
+        # takes the added state, the constant member
+        l0 = 2
+        cert = certify(XIndex(j0, l0, 7), PAIR_A, mode="thm11", k=3)
+        assert cert.residual_zero and cert.b_unique
+        assert (-l0 - 1 in cert.b) == (j0 == 4)
+
     def test_mode_validation(self):
         with pytest.raises(ValueError):
             certify(XIndex(1, 1, 5), PAIR_A, mode="thm11")  # k missing
@@ -222,6 +234,47 @@ class TestCertify:
             certify(XIndex(1, 1, 2), PAIR_A)  # n < 2 l0 + 1
         with pytest.raises(ValueError):
             certify(XIndex(1, 1, 5), PAIR_A, mode="thm13")
+
+
+def _window_members(cert, params) -> dict:
+    """The certificate's window members, the type-4 added state as a constant."""
+    j0, l0 = cert.index.j0, cert.index.l0
+    lo, hi = cert.window
+    return {
+        j: Poly((compact_darboux_sign(j0),)) if j < 0 else x_poly(XIndex(j0, l0, j), params).poly
+        for j in range(lo, hi + 1)
+        if XIndex(j0, l0, j).is_admissible
+    }
+
+
+class TestBExpansion:
+    @pytest.mark.parametrize(
+        "j0, mode",
+        [(1, "thm11"), (4, "thm11"), (2, "thm12"), (3, "thm12")],
+    )
+    def test_monomial_outside_the_span_is_inconsistent(self, j0, mode):
+        l0 = 2
+        cert = certify(XIndex(j0, l0, 7), PAIR_A, mode=mode, k=3 if mode == "thm11" else None)
+        members = _window_members(cert, PAIR_A)
+        lhs = sum((v * members[j] for j, v in cert.b.items()), Poly.zero())
+        assert _solve_b(lhs, members) == cert.b
+        assert list(_solve_b(lhs, members)) == list(members)
+        degrees = sorted(p.degree for p in members.values())
+        top = degrees[-1]
+        gaps = [k for k in range(top) if k not in degrees]
+        # thm11: type 1 skips j = l0 and type 4 jumps from the constant to
+        # degree l0+1; thm12: the window starts above degree 0
+        assert gaps
+        for k in gaps + [top + 1, top + 3]:
+            bad = lhs + Poly([0] * k + [1])
+            with pytest.raises(CertificationError, match="window expansion is inconsistent") as err:
+                _solve_b(bad, members)
+            assert err.value.residual == bad
+
+    def test_members_sharing_a_degree_are_refused(self):
+        members = {0: Poly((1, 1)), 1: Poly((2, 1))}
+        with pytest.raises(CertificationError, match="share a degree"):
+            _solve_b(Poly((3, 2)), members)
 
 
 class TestGoldenExamples:
@@ -282,3 +335,10 @@ class TestSerialisation:
         assert data["window"] == [4, 7]
         assert data["residual_zero"] is True
         assert data["index"] == {"j0": 1, "l0": 1, "n": 5}
+
+
+@pytest.mark.parametrize("cached", [hr_poly, build_via_ttrr, hr_poly_robust, _c_vector])
+def test_caches_are_bounded(cached):
+    # an unbounded cache grows with every new parameter pair a long-lived
+    # process sees
+    assert cached.cache_info().maxsize is not None
