@@ -81,11 +81,6 @@ class Params:
         """(-beta, -alpha), as used by the type-2 and type-4 seed data."""
         return Params(-self.beta, -self.alpha)
 
-    def valid_up_to(self, n: int) -> bool:
-        """True when alpha+1+k is nonzero for all 0 <= k <= n."""
-        a = self.alpha
-        return all(a + 1 + k != 0 for k in range(n + 1))
-
     @property
     def is_positive(self) -> bool:
         """Positivity needed by the quadrature module only."""
@@ -704,7 +699,7 @@ def _check_monic_completion(n, params):
         expansion = expand_in_hr_basis(lhs, params)
         for j, e in enumerate(expansion):
             if j <= n + 1 and e != 0:
-                diff_total = diff_total + Poly.monomial(j, e)
+                diff_total = diff_total + Poly((e,)).shifted(j)
     return diff_total
 
 

@@ -5,12 +5,30 @@ evaluates weights numerically, as a cross-check of the moment-based inner
 products and the only practical route to the exceptional biorthogonality
 integrals.
 
-Integration uses the uniform trapezoidal rule on the periodic integrand,
-which converges fast once the integrand is smooth enough; when the algebraic
-branch point at z = 1 is too strong (exponent <= 2) the rule switches to a
-midpoint rule under the clustering substitution x = pi(1 - cos t).  Working
-precision is configurable and defaults to well beyond double because the
-exceptional weights carry squared denominators that amplify cancellation.
+Every integral is (1/2pi) times the integral over x = arg z in (0, 2pi) of a
+polynomial or rational integrand f(z, 1/z) against the weight w(e^{ix}).
+Folding x -> 2pi - x turns it into (1/2pi) times the integral over y in
+(0, pi) of f(y) w(y) + f(2pi - y) w(2pi - y), which puts the weight's
+algebraic branch point at z = 1 on the endpoint y = 0.  All coefficients are
+rational, so the two folded values are complex conjugates and one evaluation
+per node gives both.  The folded integral is evaluated by the tanh-sinh rule
+(Takahasi and Mori, 1974), y = pi / (1 + exp(-pi sinh t)), whose nodes crowd
+double-exponentially into both endpoints; the distance from a node to its
+endpoint is computed directly, so the nodes near the branch point keep their
+full relative precision.  Level 0 takes t in steps of 1/2 outwards from 0, on
+each side until a term falls below 2^-prec times the sum of the term sizes so
+far or |t| reaches a cap; each later level halves the step and evaluates only
+the new odd nodes, reusing the previous sum.
+
+Values are divided by the closed-form zeroth moment
+Gamma(1+alpha+beta) / (Gamma(1+alpha) Gamma(1+beta)).  The error estimate is
+the last level difference, plus the outermost terms of level 0 (the
+truncation), plus the rounding bound N 2^-prec sum |terms| of a sum of N
+terms, all divided by that moment.  Before integrating an exceptional
+integrand, its exponent at z = 1 is computed exactly and a divergent integral
+is refused.  Working precision is configurable and defaults to well beyond
+double because the exceptional weights carry squared denominators that
+amplify cancellation.
 """
 
 from __future__ import annotations
@@ -20,6 +38,7 @@ from fractions import Fraction
 
 import mpmath as mp
 
+from .exact_core import Poly
 from .hr_classical import Params, hr_partner, hr_poly_robust
 from .xhr import XIndex, x_partner, x_poly, x_weight_factor
 
@@ -33,9 +52,14 @@ __all__ = [
     "exceptional_quad",
 ]
 
+# level-0 step and the largest |t| any level reaches; at 128 bits the cap
+# leaves the left walk unfinished only for exponents at z = 1 within 0.02 of -1
+_H0 = 0.5
+_T_CAP = 8
+
 
 class QuadratureConvergenceError(RuntimeError):
-    """Refinement budget exhausted before reaching the requested tolerance."""
+    """The integral diverges, or the refinement budget ran out before the tolerance."""
 
 
 class DenominatorNearZeroError(RuntimeError):
@@ -44,14 +68,11 @@ class DenominatorNearZeroError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadConfig:
-    num_points: int = 256
     refinement_levels: int = 6
     tolerance: float = 1e-9
     precision_bits: int = 128
 
     def __post_init__(self):
-        if self.num_points < 16:
-            raise ValueError("num_points must be at least 16")
         if self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
         if self.refinement_levels < 1:
@@ -60,10 +81,14 @@ class QuadConfig:
 
 @dataclass(frozen=True)
 class QuadResult:
-    """Converged value with the refinement-difference error estimate."""
+    """Converged value with its error estimate.
 
-    value: complex
-    error_estimate: float
+    `estimates` holds the difference between consecutive levels, and
+    `num_points_used` counts the circle points evaluated (two per node).
+    """
+
+    value: mp.mpf
+    error_estimate: mp.mpf
     num_points_used: int
     estimates: tuple = field(default=())
 
@@ -83,21 +108,19 @@ def weight_on_circle(x, params: Params):
     both inside these ranges, the weight collapses to
     (2 sin(x/2))^(alpha+beta) * exp(i (x-pi)(alpha-beta)/2).
     """
-    a = _mpf(params.alpha)
-    b = _mpf(params.beta)
-    s = 2 * mp.sin(x / 2)
-    return s ** (a + b) * mp.exp(1j * (x - mp.pi) * (a - b) / 2)
+    a, b = _mpf(params.alpha), _mpf(params.beta)
+    return _weight(x, a + b, (a - b) / 2)
 
 
-def _pairwise_sum(values):
-    """Fixed-order pairwise summation for reproducibility."""
-    n = len(values)
-    if n == 0:
-        return mp.mpc(0)
-    if n == 1:
-        return values[0]
-    mid = n // 2
-    return _pairwise_sum(values[:mid]) + _pairwise_sum(values[mid:])
+def _weight(x, gamma, phase):
+    """w(e^{ix}) given gamma = alpha + beta and phase = (alpha - beta)/2 as mpf values."""
+    return (2 * mp.sin(x / 2)) ** gamma * mp.expj((x - mp.pi) * phase)
+
+
+def _zeroth_moment(params: Params) -> mp.mpf:
+    """(1/2pi) * integral of w: the Cauchy-Dyson beta integral in closed form."""
+    a, b = _mpf(params.alpha), _mpf(params.beta)
+    return mp.gamma(1 + a + b) / (mp.gamma(1 + a) * mp.gamma(1 + b))
 
 
 def _mp_coeffs(poly):
@@ -111,90 +134,84 @@ def _horner(coeffs, z):
     return acc
 
 
-_GRID_CACHE: dict = {}
+def _integrate_levels(make_term, params, cfg):
+    """(1/2pi) * integral of term(x) w(x) dx over (0, 2pi) by nested tanh-sinh.
 
-
-def _weight_grid(params: Params, rule: str, n_points: int, extra=None):
-    """(z, conj z, weight-like factor) at the rule's nodes, with node weights.
-
-    For the plain rule the nodes are x_k = 2 pi k / N (the k = 0 node is the
-    branch point where the integrand vanishes, so it is dropped); for the
-    substituted rule they are midpoints in t with the sin t Jacobian folded
-    into the node weight.  Cached per (parameters, rule, N, precision).
+    `make_term(z, zbar)` supplies the weightless part of the integrand; its
+    value at (zbar, z) must be the conjugate of its value at (z, zbar), which
+    holds for every polynomial with rational coefficients.  Returns (value,
+    per-level differences, circle points evaluated, error bound).
     """
-    key = (params.alpha, params.beta, rule, n_points, mp.mp.prec, extra)
-    hit = _GRID_CACHE.get(key)
-    if hit is not None:
-        return hit
-    nodes = []
-    if rule == "plain":
-        for k in range(1, n_points):
-            x = 2 * mp.pi * k / n_points
-            z = mp.expj(x)
-            nodes.append((z, mp.conj(z), weight_on_circle(x, params), mp.mpf(1) / n_points))
-    else:
-        for k in range(n_points):
-            t = (k + mp.mpf("0.5")) * mp.pi / n_points
-            x = mp.pi * (1 - mp.cos(t))
-            z = mp.expj(x)
-            node_w = mp.pi * mp.sin(t) / (2 * n_points)  # (1/2pi) dx = pi sin(t) dt / 2pi
-            nodes.append((z, mp.conj(z), weight_on_circle(x, params), node_w))
-    _GRID_CACHE[key] = nodes
-    return nodes
+    eps = mp.ldexp(1, -mp.mp.prec)
+    a, b = _mpf(params.alpha), _mpf(params.beta)
+    gamma, phase = a + b, (a - b) / 2
 
+    def node(t):
+        """Term of node t without the step h, and its size."""
+        e = mp.exp(-mp.pi * mp.sinh(abs(t)))
+        d = mp.pi * e / (1 + e)  # distance from y to the endpoint t moves to
+        y = d if t < 0 else mp.pi - d
+        z = mp.expj(y)
+        value = _weight(y, gamma, phase) * make_term(z, mp.conj(z))
+        # dy/dt / (2 pi), times 2 for the conjugate folded value
+        scale = mp.pi * mp.cosh(t) * e / (1 + e) ** 2
+        return scale * value.real, scale * abs(value)
 
-def _integrate_levels(make_term, params, gamma, cfg):
-    """Refine (1/2pi) * integral of term(x) w(x) dx until tolerance is met.
+    h0 = h = mp.mpf(_H0)
+    total, size = node(mp.mpf(0))
+    points = 2
+    ends = []
+    for side in (-1, 1):
+        k = 0
+        while True:
+            k += 1
+            term, term_size = node(side * k * h)
+            total += term
+            size += term_size
+            points += 2
+            if term_size <= eps * size or k * h >= _T_CAP:
+                break
+        ends.append((k, term_size))
+    (left, left_size), (right, right_size) = ends
 
-    `make_term(z, zbar)` supplies the weightless part of the integrand.
-    Returns (value, per-level refinement differences, points used).
-    """
-    rule = "plain" if gamma > 2 else "substituted"
-    values = []
+    value = h * total
     diffs = []
-    n = cfg.num_points
-    for level in range(cfg.refinement_levels + 1):
-        nodes = _weight_grid(params, rule, n)
-        terms = [w_node * make_term(z, zbar) * nw for (z, zbar, w_node, nw) in nodes]
-        values.append(_pairwise_sum(terms))
-        if level > 0:
-            diffs.append(abs(values[-1] - values[-2]))
-            if diffs[-1] <= cfg.tolerance * max(1, abs(values[-1])):
-                return values[-1], diffs, n
-        n *= 2
+    for level in range(1, cfg.refinement_levels + 1):
+        h /= 2
+        for i in range(1 - 2**level * left, 2**level * right, 2):
+            term, term_size = node(i * h)
+            total += term
+            size += term_size
+            points += 2
+        previous, value = value, h * total
+        diffs.append(abs(value - previous))
+        if diffs[-1] <= cfg.tolerance * max(1, abs(value)):
+            truncation = h0 * (left_size + right_size)
+            rounding = eps * points * h * size
+            return value, diffs, points, diffs[-1] + truncation + rounding
     raise QuadratureConvergenceError(
         f"no convergence to {cfg.tolerance} within {cfg.refinement_levels} refinements "
-        f"(last difference {diffs[-1] if diffs else 'n/a'})"
+        f"(last difference {mp.nstr(diffs[-1], 5)})"
     )
-
-
-def _zeroth_moment(params: Params, cfg: QuadConfig):
-    gamma = _mpf(params.alpha + params.beta)
-    value, _, _ = _integrate_levels(lambda z, zbar: 1, params, gamma, cfg)
-    return value
 
 
 def classical_quad(n: int, m: int, params: Params, cfg: QuadConfig | None = None) -> QuadResult:
     """Numeric inner product of member n against partner m, self-normalised.
 
     Approximates the circle integral of P_n(z) Q_m(1/z) w(z) divided by the
-    same integral at n = m = 0, so the exact counterpart is
-    norm_ratio(n) * delta_{nm}.
+    zeroth moment, so the exact counterpart is norm_ratio(n) * delta_{nm}.
     """
     cfg = cfg or QuadConfig()
     if not params.is_positive:
         raise ValueError("positivity (alpha, beta, alpha+beta > -1) required")
     with mp.workprec(cfg.precision_bits):
-        gamma = _mpf(params.alpha + params.beta)
         p_c = _mp_coeffs(hr_poly_robust(n, params))
         q_c = _mp_coeffs(hr_partner(m, params))
-        den = _zeroth_moment(params, cfg)
-        num, diffs, pts = _integrate_levels(
-            lambda z, zbar: _horner(p_c, z) * _horner(q_c, zbar), params, gamma, cfg
+        num, diffs, pts, err = _integrate_levels(
+            lambda z, zbar: _horner(p_c, z) * _horner(q_c, zbar), params, cfg
         )
-        ratio = num / den
-        est = diffs[-1] / abs(den)
-    return QuadResult(ratio, est, pts, tuple(diffs))
+        den = _zeroth_moment(params)
+        return QuadResult(num / den, err / abs(den), pts, tuple(diffs))
 
 
 def _denominator_guard(base_poly, threshold=1e-3, samples=512):
@@ -211,6 +228,15 @@ def _denominator_guard(base_poly, threshold=1e-3, samples=512):
         )
 
 
+def _order_at_one(poly: Poly) -> int:
+    """Multiplicity of z = 1 as a root of a nonzero polynomial, exactly."""
+    for order in range(poly.degree + 1):
+        if poly(1) != 0:
+            return order
+        poly = poly.derivative()
+    raise ValueError("the zero polynomial has no order at z = 1")
+
+
 def exceptional_quad(
     idx_n: XIndex, idx_m: XIndex, params: Params, cfg: QuadConfig | None = None
 ) -> QuadResult:
@@ -218,7 +244,8 @@ def exceptional_quad(
 
     The exact counterpart is x_norm_ratio(idx_n) * delta_{nm}.  Refuses to
     integrate when the squared denominator of the exceptional weight comes
-    close to zero on the contour (reported, not silently mis-integrated).
+    close to zero on the contour, and when the integrand's exponent at z = 1
+    makes the integral diverge (both reported, not silently mis-integrated).
     """
     cfg = cfg or QuadConfig()
     if (idx_n.j0, idx_n.l0) != (idx_m.j0, idx_m.l0):
@@ -230,24 +257,22 @@ def exceptional_quad(
     with mp.workprec(cfg.precision_bits):
         factor = x_weight_factor(idx_n.j0, idx_n.l0, params)
         _denominator_guard(factor.denominator_base)
-        # z = 1 exponent of the full exceptional weight
-        shift = 1 if factor.linear_power == 1 else -1
-        gamma = _mpf(params.alpha + params.beta) + shift
-        p_c = _mp_coeffs(x_poly(idx_n, params).poly)
-        q_c = _mp_coeffs(x_partner(idx_m, params).poly)
-        const = _mpf(factor.constant_ratio)
-        base_c = _mp_coeffs(factor.denominator_base)
-        power = factor.monomial_power
-        plus = factor.linear_power == 1
+        p = x_poly(idx_n, params).poly
+        q = x_partner(idx_m, params).poly
+        # |1 - z|^exponent near z = 1, where the guard keeps the denominator nonzero
+        exponent = (
+            params.alpha + params.beta + factor.linear_power + _order_at_one(p) + _order_at_one(q)
+        )
+        if exponent <= -1:
+            raise QuadratureConvergenceError(
+                f"the integral diverges: the integrand behaves like |1-z|^({exponent}) "
+                f"at z = 1, and the exponent is <= -1"
+            )
+        p_c, q_c = _mp_coeffs(p), _mp_coeffs(q)
 
         def term(z, zbar):
-            den = _horner(base_c, z)
-            lin = (z - 1) if plus else 1 / (1 - z)
-            ratio = const * z**power * lin / (den * den)
-            return ratio * _horner(p_c, z) * _horner(q_c, zbar)
+            return factor.ratio_at(z) * _horner(p_c, z) * _horner(q_c, zbar)
 
-        den_int = _zeroth_moment(params, cfg)
-        num, diffs, pts = _integrate_levels(term, params, gamma, cfg)
-        ratio = num / den_int
-        est = diffs[-1] / abs(den_int)
-    return QuadResult(ratio, est, pts, tuple(diffs))
+        num, diffs, pts, err = _integrate_levels(term, params, cfg)
+        den = _zeroth_moment(params)
+        return QuadResult(num / den, err / abs(den), pts, tuple(diffs))

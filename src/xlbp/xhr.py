@@ -269,18 +269,14 @@ class WeightFactor:
 
     constant_ratio: Fraction
     monomial_power: int
-    linear_base: str  # "z-1" or "1-z"
     linear_power: int  # +1 or -1
     denominator_base: Poly  # the degree-l0 polynomial that gets squared
-    base: str = "classical-weight"
 
     def ratio_at(self, z):
         """Evaluate the ratio at a point (exact for Fraction, numeric otherwise)."""
         den = self.denominator_base(z)
-        lin = (z - 1) if self.linear_base == "z-1" else (1 - z)
-        if self.linear_power == 1:
-            return self.constant_ratio * z**self.monomial_power * lin / (den * den)
-        return self.constant_ratio * z**self.monomial_power / (lin * den * den)
+        value = self.constant_ratio * z**self.monomial_power / (den * den)
+        return value * (z - 1) if self.linear_power == 1 else value / (1 - z)
 
 
 def x_weight_factor(j0: SeedType, l0: int, params: Params) -> WeightFactor:
@@ -292,7 +288,7 @@ def x_weight_factor(j0: SeedType, l0: int, params: Params) -> WeightFactor:
         if den == 0:
             raise ParameterPoleError(f"(alpha+1)_{l0} = 0")
         return WeightFactor(
-            pochhammer(b, l0) / den, l0, "z-1", 1, hr_poly_robust(l0, params)
+            pochhammer(b, l0) / den, l0, 1, hr_poly_robust(l0, params)
         )
     if j0 is SeedType.T2:
         den = pochhammer(-b + 1, l0)
@@ -301,7 +297,6 @@ def x_weight_factor(j0: SeedType, l0: int, params: Params) -> WeightFactor:
         return WeightFactor(
             pochhammer(-a, l0) / den,
             l0 + 1,
-            "1-z",
             -1,
             hr_poly_robust(l0, params.negated()),
         )
@@ -312,7 +307,6 @@ def x_weight_factor(j0: SeedType, l0: int, params: Params) -> WeightFactor:
         return WeightFactor(
             pochhammer(a + 1, l0) / den,
             l0,
-            "z-1",
             1,
             hr_poly_robust(l0, Params(b - 1, a + 1)),
         )
@@ -322,7 +316,6 @@ def x_weight_factor(j0: SeedType, l0: int, params: Params) -> WeightFactor:
     return WeightFactor(
         pochhammer(-b + 1, l0) / den,
         l0 + 1,
-        "1-z",
         -1,
         hr_poly_robust(l0, Params(-a - 1, -b + 1)),
     )

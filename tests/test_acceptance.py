@@ -317,10 +317,11 @@ def test_criterion_9_cli_contract(tmp_path):
         "--max-n", "3",
     )
     assert ok.returncode == 0
-    # exit 1: a verified failure (legitimately non-convergent quadrature)
+    # exit 1: a verified failure (a type-2 biorthogonality integral that
+    # diverges, exponent -7/4 at z = 1)
     fail = run(
         "verify", "--suite", "quadrature", "--alpha=-1/2", "--beta=-1/4",
-        "--max-n", "0", "--j0", "1",
+        "--max-n", "0", "--j0", "2",
     )
     assert fail.returncode == 1
     # exit 2: usage / parameter errors

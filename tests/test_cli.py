@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from xlbp import hr_classical
 from xlbp.cli import main
 
 
@@ -240,17 +241,52 @@ class TestVerify:
                 assert record["reason"].startswith(f"l0-n-alpha-beta = 0 at l0={l0}, n={n}")
 
     def test_verified_failure_exits_1(self, tmp_path):
-        # (-1/2, -1/4) passes positivity but the weight is so singular that
-        # the rule cannot converge; the failed check must drive exit code 1
+        # (-1/2, -1/4) passes positivity, but the type-2 integrand behaves
+        # like |1-z|^(-7/4) at z = 1, so the biorthogonality integral does
+        # not exist; the failed check must drive exit code 1
         out = tmp_path / "report.json"
         proc = run_cli(
             "verify",
             "--suite", "quadrature", "--alpha=-1/2", "--beta=-1/4",
-            "--max-n", "0", "--j0", "1", "--out", str(out),
+            "--max-n", "0", "--j0", "2", "--out", str(out),
         )
         assert proc.returncode == 1
         report = json.loads(out.read_text())
         assert report["summary"]["fail"] >= 1
+
+    def test_integrable_singular_weight_passes(self):
+        # at the same pair the type-1 exponents at z = 1 are -3/4 and +1/4:
+        # both integrals exist, and the rule converges to the exact values
+        proc = run_cli(
+            "verify",
+            "--suite", "quadrature", "--alpha=-1/2", "--beta=-1/4",
+            "--max-n", "0", "--j0", "1",
+        )
+        assert proc.returncode == 0, proc.stdout
+        assert json.loads(proc.stdout)["summary"] == {"fail": 0, "pass": 2, "skipped": 0}
+
+    def test_refuted_identity_exits_1_with_a_witness(self, monkeypatch):
+        # a perturbed basis expansion refutes monic completion: the report
+        # carries the difference as a witness, with no exception escaping
+        original = hr_classical.expand_in_hr_basis
+
+        def perturbed(poly, params):
+            coeffs = original(poly, params)
+            return [coeffs[0] + 1] + coeffs[1:]
+
+        monkeypatch.setattr(hr_classical, "expand_in_hr_basis", perturbed)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(
+                ["verify", "--suite", "identities", "--alpha", "3/5", "--beta", "1/2", "--max-n", "2"]
+            )
+        assert code == 1
+        report = json.loads(out.getvalue())
+        failed = [c for c in report["checks"] if c["status"] == "fail"]
+        assert [c["check_id"] for c in failed] == [
+            f"identities/monic-completion/n={n}" for n in range(3)
+        ]
+        assert all(c["witness"] for c in failed)
 
 
 class TestCertify:

@@ -3,6 +3,8 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
+from xlbp import quadrature
+from xlbp.exact_core import Poly
 from xlbp.hr_classical import Params, norm_ratio
 from xlbp.quadrature import (
     DenominatorNearZeroError,
@@ -15,6 +17,8 @@ from xlbp.quadrature import (
 from xlbp.xhr import XIndex, x_norm_ratio
 
 POSITIVE = Params(1, Fraction(3, 2))
+# alpha + beta = -3/4: the type-2 and type-4 exponent at z = 1 is -7/4
+SINGULAR = Params(Fraction(-1, 2), Fraction(-1, 4))
 CFG = QuadConfig(tolerance=1e-9, refinement_levels=7)
 
 
@@ -29,8 +33,6 @@ def rel_error(value, exact: Fraction):
 
 class TestConfigAndBranch:
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            QuadConfig(num_points=8)
         with pytest.raises(ValueError):
             QuadConfig(tolerance=0)
         with pytest.raises(ValueError):
@@ -49,6 +51,8 @@ class TestConfigAndBranch:
             # h_0 = Gamma(a+b+1)/(Gamma(a+1)Gamma(b+1)) = 5/2 at (1, 3/2)
             assert abs(c0 / (2 * mp.pi) - mp.mpf("2.5")) < mp.mpf("1e-25")
             assert abs(c1 / c0 - as_mpf(Fraction(-3, 4))) < mp.mpf("1e-25")
+            # the closed form that normalises every integral
+            assert abs(quadrature._zeroth_moment(POSITIVE) - mp.mpf("2.5")) < mp.mpf("1e-25")
 
 
 class TestClassical:
@@ -67,21 +71,47 @@ class TestClassical:
     def test_error_estimate_is_reported(self):
         res = classical_quad(1, 1, POSITIVE, CFG)
         assert res.error_estimate > 0
-        assert res.num_points_used >= CFG.num_points
+        assert res.num_points_used > 0
+
+    def test_levels_evaluate_only_new_nodes(self, monkeypatch):
+        # level k has 1 + 2^k (L + R) nodes for the level-0 walk lengths L
+        # and R, so level k + 1 adds one node fewer than level k has
+        calls = []
+        integrate = quadrature._integrate_levels
+
+        def counting(make_term, *args):
+            def term(z, zbar):
+                calls[-1] += 1
+                return make_term(z, zbar)
+
+            return integrate(term, *args)
+
+        monkeypatch.setattr(quadrature, "_integrate_levels", counting)
+        for levels in (1, 2):
+            calls.append(0)
+            with pytest.raises(QuadratureConvergenceError):
+                classical_quad(2, 2, POSITIVE, QuadConfig(refinement_levels=levels, tolerance=1e-60))
+        assert calls[1] - calls[0] == calls[0] - 1
+        calls.append(0)
+        res = classical_quad(2, 2, POSITIVE, CFG)
+        assert res.num_points_used == 2 * calls[-1]
 
     def test_positivity_required(self):
         with pytest.raises(ValueError, match="positivity"):
             classical_quad(0, 0, Params(-2, 1), CFG)
 
     def test_self_consistency_within_reported_estimate(self):
-        # the refinement-difference estimate must bound the true deviation
-        # from the exact moment route on every tested pair
-        for n in range(3):
-            for m in range(3):
-                res = classical_quad(n, m, POSITIVE, CFG)
-                exact = norm_ratio(n, POSITIVE) if n == m else Fraction(0)
-                deviation = abs(res.value - as_mpf(exact))
-                assert deviation <= max(res.error_estimate, mp.mpf("1e-30")), (n, m)
+        # the error estimate must bound the true deviation from the exact
+        # moment route on every tested pair; compared at 128 bits, since a
+        # Fraction subtracted at 53 bits floors the deviation near 1e-16
+        for params in (POSITIVE, SINGULAR):
+            for n in range(3):
+                for m in range(3):
+                    res = classical_quad(n, m, params, CFG)
+                    exact = norm_ratio(n, params) if n == m else Fraction(0)
+                    with mp.workprec(128):
+                        deviation = abs(res.value - as_mpf(exact))
+                    assert deviation <= res.error_estimate, (params, n, m)
 
     def test_refinement_estimates_shrink(self):
         # doubling the point count must not increase the refinement
@@ -93,14 +123,14 @@ class TestClassical:
             assert later <= 4 * earlier
 
     def test_substituted_rule_branch(self):
-        # alpha + beta <= 2 triggers the clustering substitution; results
-        # must agree with the exact values all the same
+        # a weak branch point, 0 < alpha + beta < 1, where the weight is not
+        # differentiable at z = 1
         weak = Params(Fraction(1, 4), Fraction(1, 2))
         res = classical_quad(1, 1, weak, CFG)
         assert rel_error(res.value, norm_ratio(1, weak)) < 1e-8
 
     def test_nonconvergence_is_reported(self):
-        tiny = QuadConfig(num_points=16, refinement_levels=1, tolerance=1e-30)
+        tiny = QuadConfig(refinement_levels=1, tolerance=1e-30)
         with pytest.raises(QuadratureConvergenceError):
             classical_quad(4, 4, POSITIVE, tiny)
 
@@ -122,6 +152,43 @@ class TestExceptional:
                     assert rel_error(res.value, exact) < 1e-6, (j0, n)
                 else:
                     assert abs(res.value) < 1e-6, (j0, n, m)
+
+    @pytest.mark.parametrize("params", [POSITIVE, SINGULAR], ids=["positive", "singular"])
+    @pytest.mark.parametrize("j0", [1, 2, 3, 4])
+    def test_self_consistency_within_reported_estimate(self, j0, params):
+        # at alpha + beta < 0 the type-2 and type-4 integrals diverge and
+        # must be refused before any integration
+        diverges = params == SINGULAR and j0 in (2, 4)
+        for n in range(3):
+            for m in range(3):
+                if not (XIndex(j0, 1, n).is_admissible and XIndex(j0, 1, m).is_admissible):
+                    continue
+                if diverges:
+                    with pytest.raises(QuadratureConvergenceError, match=r"\(-7/4\)"):
+                        exceptional_quad(XIndex(j0, 1, n), XIndex(j0, 1, m), params, CFG)
+                    continue
+                res = exceptional_quad(XIndex(j0, 1, n), XIndex(j0, 1, m), params, CFG)
+                exact = x_norm_ratio(XIndex(j0, 1, n), params) if n == m else Fraction(0)
+                with mp.workprec(128):
+                    deviation = abs(res.value - as_mpf(exact))
+                assert deviation <= res.error_estimate, (j0, n, m)
+
+    def test_divergent_integral_is_refused_without_integrating(self, monkeypatch):
+        # (2/5, -9/10), type 2, n = m = 0: exponent -1/2 - 1 = -3/2, and
+        # neither polynomial vanishes at z = 1
+        def integrate(*args):
+            raise AssertionError("integrated a divergent integral")
+
+        monkeypatch.setattr(quadrature, "_integrate_levels", integrate)
+        with pytest.raises(QuadratureConvergenceError, match=r"\(-3/2\)"):
+            exceptional_quad(
+                XIndex(2, 1, 0), XIndex(2, 1, 0), Params(Fraction(2, 5), Fraction(-9, 10)), CFG
+            )
+
+    def test_order_at_one(self):
+        assert quadrature._order_at_one(Poly((2, 3))) == 0
+        assert quadrature._order_at_one(Poly((1, -2, 1))) == 2
+        assert quadrature._order_at_one(Poly((0, -1, 0, 1))) == 1
 
     def test_family_mismatch_rejected(self):
         with pytest.raises(ValueError, match="family"):

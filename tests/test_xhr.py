@@ -134,13 +134,13 @@ class TestWeightFactors:
     def test_type1_structure(self):
         factor = x_weight_factor(1, 2, PAIR_A)
         assert factor.monomial_power == 2
-        assert factor.linear_base == "z-1" and factor.linear_power == 1
+        assert factor.linear_power == 1
         assert factor.denominator_base == hr_poly_robust(2, PAIR_A)
 
     def test_type2_denominator(self):
         factor = x_weight_factor(2, 2, PAIR_A)
         assert factor.denominator_base == hr_poly_robust(2, PAIR_A.negated())
-        assert factor.linear_base == "1-z" and factor.linear_power == -1
+        assert factor.linear_power == -1
         assert factor.monomial_power == 3
 
     def test_reconstruction_at_point(self):
