@@ -49,21 +49,13 @@ class SeedType(IntEnum):
     T4 = 4
 
 
-_GAUGE_TAGS = {
-    SeedType.T1: "1",
-    SeedType.T2: "(1-z)^(-alpha-beta)",
-    SeedType.T3: "(-z)^(-1-alpha)",
-    SeedType.T4: "(-z)^(beta-1)*(1-z)^(-alpha-beta)",
-}
-
-
 @dataclass(frozen=True)
 class Seed:
     """Full table entry for one (type, l0) seed at concrete parameters.
 
     `p_poly` is the seed polynomial itself for types 1 and 2; for types 3 and
     4 it is z^l0 times the (1/z)-polynomial, i.e. always a true degree-l0
-    polynomial.  The gauge factor is recorded symbolically only.
+    polynomial.
     """
 
     j0: SeedType
@@ -72,7 +64,6 @@ class Seed:
     theta: Fraction
     P_factor: Poly
     Q_factor: Poly
-    gauge_tag: str
 
     def p_laurent(self) -> Poly:
         """The seed polynomial part as it enters the operator calculus."""
@@ -94,13 +85,13 @@ def seed_theta(j0: SeedType, l0: int, params: Params) -> Fraction:
     Defined for every parameter pair, unlike the seed polynomial itself.
     """
     j0 = SeedType(j0)
-    a, b = params.alpha, params.beta
-    return {
-        SeedType.T1: Fraction(l0),
-        SeedType.T2: l0 - a - b,
-        SeedType.T3: -l0 - 1 - a - b,
-        SeedType.T4: Fraction(-l0 - 1),
-    }[j0]
+    if j0 is SeedType.T1:
+        return Fraction(l0)
+    if j0 is SeedType.T4:
+        return Fraction(-l0 - 1)
+    if j0 is SeedType.T2:
+        return l0 - params.alpha - params.beta
+    return -l0 - 1 - params.alpha - params.beta
 
 
 def make_seed(j0: SeedType, l0: int, params: Params) -> Seed:
@@ -135,7 +126,7 @@ def make_seed(j0: SeedType, l0: int, params: Params) -> Seed:
         SeedType.T3: Poly((0, -1)),
         SeedType.T4: Poly((0, 1, -1)),
     }
-    return Seed(j0, l0, p, theta, p_factors[j0], q_factors[j0], _GAUGE_TAGS[j0])
+    return Seed(j0, l0, p, theta, p_factors[j0], q_factors[j0])
 
 
 def psi_hat(j0: SeedType, l0: int, n: int, params: Params) -> Poly:

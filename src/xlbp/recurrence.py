@@ -26,9 +26,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .darboux import SeedType, backward_apply, psi_hat, seed_theta, xi
+from .darboux import SeedType, backward_apply, psi_hat, xi
 from .exact_core import Poly, solve_exact
 from .hr_classical import (
+    CertificationError,
     ParameterPoleError,
     Params,
     expand_in_hr_basis,
@@ -52,16 +53,8 @@ __all__ = [
     "example_oracles",
     "example_a_oracles",
     "example3_middle_coefficient_as_published",
-    "xi_reading_report",
+    "a_formula_in_window",
 ]
-
-
-class CertificationError(RuntimeError):
-    """A certification step failed; carries the offending residual if any."""
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
 
 
 def q_poly(j0: SeedType, l0: int, params: Params) -> Poly:
@@ -155,14 +148,12 @@ def _c_row(j0: SeedType, l0: int, m: int, params: Params) -> tuple:
     return _c_vector(j0, l0, m, params)
 
 
-def a_coeffs_formula(idx: XIndex, params: Params, xi_reading: str = "full") -> list:
+def a_coeffs_formula(idx: XIndex, params: Params) -> list:
     """Closed-form left-side coefficients, a_0 = 1.
 
     Types 1, 2: the (l0+1)-fold twist coefficients at (alpha, beta).
     Types 3, 4: the same coefficients at (alpha+1, beta-1), scaled by the ratio
-    of backward eigenvalues.  `xi_reading` selects the eigenvalue convention:
-    "full" uses -(n-theta)(n+alpha+1); "reduced" drops the (n+alpha+1) factor
-    (the two differ only in the ratio; the solver route arbitrates).
+    xi(n)/xi(n-l) of the full backward eigenvalues -(m-theta)(m+alpha+1).
     """
     j0, l0, n = idx.j0, idx.l0, idx.n
     if n < 2 * l0 + 1:
@@ -170,19 +161,35 @@ def a_coeffs_formula(idx: XIndex, params: Params, xi_reading: str = "full") -> l
     if j0 in (SeedType.T1, SeedType.T2):
         return [Fraction(1)] + twisted_coeffs(n, l0 + 1, params, side="P")
     base = twisted_coeffs(n, l0 + 1, params.shifted(1, -1), side="P")
+    num = xi(j0, l0, n, params)
     out = [Fraction(1)]
     for l, c in enumerate(base, start=1):
-        if xi_reading == "full":
-            num, den = xi(j0, l0, n, params), xi(j0, l0, n - l, params)
-        elif xi_reading == "reduced":
-            num = n - seed_theta(j0, l0, params)
-            den = (n - l) - seed_theta(j0, l0, params)
-        else:
-            raise ValueError("xi_reading must be 'full' or 'reduced'")
+        den = xi(j0, l0, n - l, params)
         if den == 0:
             raise ParameterPoleError(f"backward eigenvalue vanishes at n-l = {n - l}")
         out.append(c * num / den)
     return out
+
+
+def _stacked_expansion(idx: XIndex, a, params: Params) -> list:
+    """sum_l a_l c_{n-l,m} for m = 0..n+l0+1: the left side's c-expansion."""
+    j0, l0, n = idx.j0, idx.l0, idx.n
+    rows = [_c_row(j0, l0, n - l, params) for l in range(len(a))]
+    return [
+        sum((a[l] * row[m] for l, row in enumerate(rows) if m < len(row)), Fraction(0))
+        for m in range(n + l0 + 2)
+    ]
+
+
+def a_formula_in_window(idx: XIndex, params: Params) -> bool:
+    """Whether the closed-form a satisfies sum_l a_l c_{n-l,m} = 0 for m < n-l0.
+
+    These are the window-vanishing rows the solver route solves.  Where they
+    have a one-dimensional solution space this is the same as comparing with
+    the solver's a; where they do not, it still tests the closed form.
+    """
+    stacked = _stacked_expansion(idx, a_coeffs_formula(idx, params), params)
+    return not any(stacked[: idx.n - idx.l0])
 
 
 @dataclass(frozen=True)
@@ -274,23 +281,6 @@ class RecurrenceCertificate:
         }
 
 
-def xi_reading_report(idx: XIndex, params: Params) -> dict:
-    """Which closed-form eigenvalue reading matches the solver route (types 3, 4)."""
-    return _reading_matches(idx, params, a_coeffs_solver(idx, params))
-
-
-def _reading_matches(idx: XIndex, params: Params, outcome: SolverOutcome) -> dict:
-    """reading -> whether its closed-form a equals the solver outcome's a."""
-    report = {}
-    for reading in ("full", "reduced"):
-        try:
-            candidate = a_coeffs_formula(idx, params, xi_reading=reading)
-            report[reading] = outcome.a is not None and tuple(candidate) == outcome.a
-        except ParameterPoleError:
-            report[reading] = False
-    return report
-
-
 def _solve_b(lhs: Poly, members: dict) -> dict:
     """Coefficients b with lhs = sum_j b_j members[j], exact.
 
@@ -341,27 +331,22 @@ def certify(
         if n < 2 * l0 + 1:
             raise ValueError("thm12 mode requires n >= 2*l0 + 1")
         outcome = a_coeffs_solver(idx, params)
+        a = a_coeffs_formula(idx, params)
         if outcome.a is not None:
-            a = list(outcome.a)
+            if list(outcome.a) != a:
+                raise CertificationError("closed-form a disagrees with solver route")
             tags.append("a-solver")
-            if j0 in (SeedType.T1, SeedType.T2):
-                if a == a_coeffs_formula(idx, params):
-                    tags.append("a-formula-agrees")
-                else:
-                    raise CertificationError(
-                        "closed-form a disagrees with solver route"
-                    )
-            else:
-                for reading, match in _reading_matches(idx, params, outcome).items():
-                    if match:
-                        tags.append(f"a-formula-{reading}-xi-agrees")
+            tags.append(
+                "a-formula-agrees"
+                if j0 in (SeedType.T1, SeedType.T2)
+                else "a-formula-full-xi-agrees"
+            )
         else:
             # non-generic parameters can collapse the window-vanishing rows
             # (e.g. proportional conditions), leaving the solver without a
             # unique normalisation; the closed formula then picks a canonical
             # member of the solution space and the cross-checks below still
             # verify it vanishes on the excluded window
-            a = a_coeffs_formula(idx, params)
             tags.append(f"a-formula-fallback(nullspace-dim={outcome.nullity})")
         window = list(range(n - l0, n + l0 + 2))
     elif mode == "thm11":
@@ -402,15 +387,7 @@ def certify(
     b = _solve_b(lhs, members)
 
     # cross-route: b_j = (sum_l a_l c_{n-l,j}) / xi_j wherever xi_j != 0
-    c_rows = [_c_row(j0, l0, n - l, params) for l in range(len(a))]
-    for j in range(0, n + l0 + 2):
-        c_tilde = sum(
-            (
-                a[l] * (c_rows[l][j] if j < len(c_rows[l]) else Fraction(0))
-                for l in range(len(a))
-            ),
-            Fraction(0),
-        )
+    for j, c_tilde in enumerate(_stacked_expansion(idx, a, params)):
         xi_j = xi(j0, l0, j, params)
         if xi_j == 0:
             if c_tilde != 0:

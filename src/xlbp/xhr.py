@@ -19,6 +19,7 @@ from fractions import Fraction
 from .darboux import SeedType, make_seed
 from .exact_core import Poly
 from .hr_classical import (
+    CertificationError,
     ParameterPoleError,
     Params,
     hr_poly_robust,
@@ -99,13 +100,6 @@ class XPoly:
     poly: Poly
     declared_degree: int
 
-    def __post_init__(self):
-        if self.poly.degree != self.declared_degree:
-            raise AssertionError(
-                f"degree mismatch for {self.index}: "
-                f"declared {self.declared_degree}, actual {self.poly.degree}"
-            )
-
 
 def _compact_form(j0: SeedType, l0: int, n: int, params: Params) -> Poly:
     """Compact product form; may legitimately evaluate to zero at n = l0, type 1."""
@@ -160,6 +154,10 @@ def x_poly(idx: XIndex, params: Params) -> XPoly:
                     f"{factor} = 0 at l0={idx.l0}, n={idx.n}: "
                     f"the leading coefficient of the type-{int(idx.j0)} member vanishes"
                 )
+        raise CertificationError(
+            f"degree mismatch for {idx}: declared {idx.degree}, actual {poly.degree}",
+            residual=poly,
+        )
     return XPoly(idx, poly, idx.degree)
 
 

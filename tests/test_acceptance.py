@@ -46,11 +46,11 @@ from xlbp.quadrature import (
 from xlbp.recurrence import (
     a_coeffs_formula,
     a_coeffs_solver,
+    a_formula_in_window,
     certify,
     example3_middle_coefficient_as_published,
     example_a_oracles,
     example_oracles,
-    xi_reading_report,
 )
 from xlbp.xhr import XIndex, x_norm_ratio, x_poly, xp4_derivative_factor
 
@@ -62,6 +62,7 @@ from conftest import (
     pairs_for_recurrence,
     pairs_for_type,
 )
+from test_recurrence import reduced_xi_reading
 
 PKG_ROOT = Path(__file__).resolve().parent.parent
 
@@ -229,13 +230,15 @@ def test_criterion_6_closed_form_cross_check():
                     assert list(a_coeffs_solver(idx, params).a) == a_coeffs_formula(
                         idx, params
                     ), (idx, params)
-    # types 3, 4: record which eigenvalue reading matches, and certify anyway
-    readings = {}
+    # types 3, 4: the full eigenvalue ratio satisfies the window-vanishing
+    # rows and equals the solver route; the reduced display shorthand misses
     for j0 in (3, 4):
         for params in pairs_for_recurrence(j0):
-            rep = xi_reading_report(XIndex(j0, 1, 7), params)
-            readings[(j0, str(params))] = rep
-            assert rep["full"] and not rep["reduced"], (j0, params)
+            idx = XIndex(j0, 1, 7)
+            assert a_formula_in_window(idx, params), (j0, params)
+            solver = list(a_coeffs_solver(idx, params).a)
+            assert solver == a_coeffs_formula(idx, params), (j0, params)
+            assert solver != reduced_xi_reading(idx, params), (j0, params)
     count = _certification_block((3, 4), (1,), 8)
     report(
         6,

@@ -288,6 +288,26 @@ class TestVerify:
         ]
         assert all(c["witness"] for c in failed)
 
+    @pytest.mark.parametrize("alpha, beta", [("1", "1/3"), ("3/5", "2")])
+    def test_eigenvalue_reading_passes_without_a_unique_solve(self, alpha, beta):
+        # at these pairs the window rows of some type-3/4 instances have a
+        # two-dimensional solution space, so there is no solver a to compare
+        # with; the reading check tests the closed form against the rows
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(
+                [
+                    "verify", "--suite", "recurrence", f"--alpha={alpha}",
+                    f"--beta={beta}", "--max-n", "8", "--max-l0", "2",
+                ]
+            )
+        assert code == 0
+        checks = {c["check_id"]: c for c in json.loads(out.getvalue())["checks"]}
+        for j0 in (3, 4):
+            record = checks[f"recurrence/eigenvalue-reading/j0={j0}"]
+            assert record["status"] == "pass"
+            assert record["inputs"]["matched"] == ["full"]
+
 
 class TestCertify:
     def test_golden_spot_value(self):

@@ -34,6 +34,12 @@ class TestSeeds:
         with pytest.raises(ParameterPoleError):
             make_seed(2, 2, PAIR_B)
 
+    def test_theta_printed_values(self):
+        a, b = PAIR_A.alpha, PAIR_A.beta
+        assert [seed_theta(j0, 2, PAIR_A) for j0 in (1, 2, 3, 4)] == [
+            2, 2 - a - b, -3 - a - b, -3
+        ]
+
     def test_seed_degree(self):
         for j0 in (1, 2, 3, 4):
             for l0 in (1, 2, 3):

@@ -12,6 +12,7 @@ from xlbp.hr_classical import (
     apply_l2,
     build_via_ttrr,
     dk_bk_polys,
+    dk_bk_sequence,
     expand_in_hr_basis,
     hr_partner,
     hr_poly,
@@ -85,6 +86,22 @@ class TestConstructors:
         with pytest.raises(ParameterPoleError) as info:
             hr_poly(5, Params(alpha, beta))
         assert str(info.value) == message
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        alpha=st.fractions(min_value=-4, max_value=4, max_denominator=3),
+        beta=st.fractions(min_value=-4, max_value=4, max_denominator=3),
+    )
+    def test_both_routes_are_monic_of_degree_n(self, alpha, beta):
+        # expand_in_hr_basis relies on this without checking it
+        params = Params(alpha, beta)
+        for n in range(9):
+            for build in (hr_poly, build_via_ttrr, hr_poly_robust):
+                try:
+                    p = build(n, params)
+                except ParameterPoleError:
+                    continue
+                assert p.degree == n and p.is_monic, (build.__name__, n)
 
     def test_robust_falls_back_to_recurrence(self):
         # (alpha+2, beta-2) at (1,1) poles hypergeometrically, not recursively
@@ -202,6 +219,27 @@ class TestConnectionPolynomials:
                     n, generic_params
                 )
                 assert lhs == rhs, (n, k)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        alpha=st.fractions(min_value=-4, max_value=4, max_denominator=3),
+        beta=st.fractions(min_value=-4, max_value=4, max_denominator=3),
+        n=st.integers(min_value=0, max_value=5),
+    )
+    def test_b_has_no_constant_term_and_leads_with_b_next(self, alpha, beta, n):
+        # so B_{k}/(b_{n+1} z) is monic of degree k-1 and the monic
+        # completion's expansion over that family always closes
+        params = Params(alpha, beta)
+        try:
+            b_next = ttrr_b(n + 1, params)
+            _, bs = dk_bk_sequence(5, n, params)
+        except ParameterPoleError:
+            return
+        if b_next == 0:
+            return  # the monic completion refuses b_{n+1} = 0 as a pole
+        for k in range(1, 6):
+            assert bs[k].coeff(0) == 0
+            assert bs[k].degree == k and bs[k].leading == b_next
 
     def test_rescaled_b_is_monic(self, generic_params):
         n = 2

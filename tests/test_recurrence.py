@@ -2,15 +2,23 @@ from fractions import Fraction
 
 import pytest
 
-from xlbp.darboux import make_seed, xi
+from xlbp import recurrence
+from xlbp.darboux import make_seed, seed_theta, xi
 from xlbp.exact_core import Poly
-from xlbp.hr_classical import Params, build_via_ttrr, hr_poly, hr_poly_robust
+from xlbp.hr_classical import (
+    Params,
+    build_via_ttrr,
+    hr_poly_robust,
+    twisted_coeffs,
+)
 from xlbp.recurrence import (
     CertificationError,
     _c_vector,
     _solve_b,
+    _stacked_expansion,
     a_coeffs_formula,
     a_coeffs_solver,
+    a_formula_in_window,
     c_expansion,
     certify,
     example3_middle_coefficient_as_published,
@@ -18,11 +26,24 @@ from xlbp.recurrence import (
     example_oracles,
     pi_factor,
     q_poly,
-    xi_reading_report,
 )
 from xlbp.xhr import InadmissibleIndexError, XIndex, compact_darboux_sign, x_poly
 
 from conftest import PAIR_A, pairs_for_recurrence
+
+
+def reduced_xi_reading(idx, params):
+    """Types 3, 4: the twist coefficients times (n-theta)/(n-l-theta).
+
+    A display shorthand drops the (m+alpha+1) factor of the backward
+    eigenvalue -(m-theta)(m+alpha+1); the tests refute this reading.
+    """
+    j0, l0, n = idx.j0, idx.l0, idx.n
+    theta = seed_theta(j0, l0, params)
+    base = twisted_coeffs(n, l0 + 1, params.shifted(1, -1), side="P")
+    return [Fraction(1)] + [
+        c * (n - theta) / (n - l - theta) for l, c in enumerate(base, start=1)
+    ]
 
 
 class TestQPoly:
@@ -143,9 +164,24 @@ class TestACoefficients:
         # dropping the second factor (as one display shorthand suggests) does
         # not reproduce the solver route
         for params in pairs_for_recurrence(j0):
-            report = xi_reading_report(XIndex(j0, 1, 5), params)
-            assert report["full"] is True
-            assert report["reduced"] is False
+            idx = XIndex(j0, 1, 5)
+            assert a_formula_in_window(idx, params)
+            solver = a_coeffs_solver(idx, params).a
+            assert list(solver) == a_coeffs_formula(idx, params)
+            reduced = reduced_xi_reading(idx, params)
+            assert list(solver) != reduced
+            assert any(_stacked_expansion(idx, reduced, params)[: idx.n - idx.l0])
+
+    @pytest.mark.parametrize(
+        "j0, params", [(4, Params(1, Fraction(1, 3))), (3, Params(Fraction(3, 5), 2))]
+    )
+    def test_window_membership_where_the_solver_is_not_unique(self, j0, params):
+        # the window rows have a two-dimensional solution space here, so there
+        # is no solver a to compare with; the closed form still lies in it
+        idx = XIndex(j0, 1, 7)
+        assert a_coeffs_solver(idx, params).nullity == 2
+        assert a_formula_in_window(idx, params)
+        assert "a-formula-fallback(nullspace-dim=2)" in certify(idx, params).method_tags
 
     def test_degenerate_slot_at_sharp_bound(self):
         # type 1 at n = 2 l0 + 1: the last slot multiplies the vanishing
@@ -182,6 +218,18 @@ class TestCertify:
                     assert cert.term_count == 3 * l0 + 4
                     assert cert.window == (n - l0, n + l0 + 1)
                     assert cert.a[0] == 1
+
+    @pytest.mark.parametrize("j0", [1, 2, 3, 4])
+    def test_closed_form_disagreeing_with_the_solver_is_refused(self, j0, monkeypatch):
+        original = recurrence.a_coeffs_formula
+
+        def perturbed(idx, params):
+            a = original(idx, params)
+            return a[:-1] + [a[-1] + 1]
+
+        monkeypatch.setattr(recurrence, "a_coeffs_formula", perturbed)
+        with pytest.raises(CertificationError, match="closed-form a disagrees"):
+            certify(XIndex(j0, 1, 5), PAIR_A)
 
     def test_certificate_recheck_is_independent(self):
         # re-multiply and subtract outside the certify pipeline
@@ -337,7 +385,7 @@ class TestSerialisation:
         assert data["index"] == {"j0": 1, "l0": 1, "n": 5}
 
 
-@pytest.mark.parametrize("cached", [hr_poly, build_via_ttrr, hr_poly_robust, _c_vector])
+@pytest.mark.parametrize("cached", [build_via_ttrr, hr_poly_robust, _c_vector])
 def test_caches_are_bounded(cached):
     # an unbounded cache grows with every new parameter pair a long-lived
     # process sees

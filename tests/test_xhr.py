@@ -4,7 +4,8 @@ import pytest
 
 from xlbp.darboux import seed_theta
 from xlbp.exact_core import Poly
-from xlbp.hr_classical import Params, hr_poly_robust, norm_ratio
+from xlbp import xhr
+from xlbp.hr_classical import CertificationError, Params, hr_poly_robust, norm_ratio
 from xlbp.xhr import (
     InadmissibleIndexError,
     XIndex,
@@ -62,6 +63,20 @@ class TestConstruction:
                     assert xp.poly == sign * darboux_route_poly(idx, params)
                     assert xp.poly.degree == idx.degree
                     assert xp.declared_degree == idx.degree
+
+    def test_degree_drop_without_a_vanishing_factor_is_refused(self, monkeypatch):
+        # every named leading factor is nonzero at PAIR_A, so a member of too
+        # low a degree refutes the construction rather than marking a pole
+        original = xhr._compact_form
+
+        def truncated(j0, l0, n, params):
+            poly = original(j0, l0, n, params)
+            return poly - Poly((poly.leading,)).shifted(poly.degree)
+
+        monkeypatch.setattr(xhr, "_compact_form", truncated)
+        with pytest.raises(CertificationError, match="degree mismatch") as err:
+            x_poly(XIndex(2, 1, 3), PAIR_A)
+        assert err.value.residual.degree < 4
 
     def test_sign_convention(self):
         assert compact_darboux_sign(1) == 1
