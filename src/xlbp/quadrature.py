@@ -18,13 +18,20 @@ endpoint is computed directly, so the nodes near the branch point keep their
 full relative precision.  Level 0 takes t in steps of 1/2 outwards from 0, on
 each side until a term falls below 2^-prec times the sum of the term sizes so
 far or |t| reaches a cap; each later level halves the step and evaluates only
-the new odd nodes, reusing the previous sum.
+the new odd nodes, reusing the previous sum.  A node's geometry (its circle
+point, 2 sin(y/2), y - pi and the Jacobian) depends only on t and the
+working precision, so it is computed once per precision and kept in a
+bounded table; each integrand pays only for the weight's powers and its own
+terms.
 
 Values are divided by the closed-form zeroth moment
 Gamma(1+alpha+beta) / (Gamma(1+alpha) Gamma(1+beta)).  The error estimate is
 the last level difference, plus the outermost terms of level 0 (the
 truncation), plus the rounding bound N 2^-prec sum |terms| of a sum of N
-terms, all divided by that moment.  Before integrating an exceptional
+terms, all divided by that moment.  Taking the last level difference as the
+error of the finer level is the usual tanh-sinh heuristic, not a rigorous
+bound; one would need the integrand's strip of analyticity (Tanaka,
+Sugihara, Murota and Mori, 2009).  Before integrating an exceptional
 integrand, its exponent at z = 1 is computed exactly and a divergent integral
 is refused.  Working precision is configurable and defaults to well beyond
 double because the exceptional weights carry squared denominators that
@@ -35,6 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath as mp
 
@@ -56,6 +64,13 @@ __all__ = [
 # leaves the left walk unfinished only for exponents at z = 1 within 0.02 of -1
 _H0 = 0.5
 _T_CAP = 8
+# nodes kept in the node table over all precisions: every node one integral
+# can reach at 7 levels, about 1.4 kB each at 128 bits
+_NODE_TABLE_SIZE = 1 + 2**7 * 2 * int(_T_CAP / _H0)
+# the denominator guard: points on the circle, and the smallest min/max ratio
+# of |denominator| it lets through
+_GUARD_SAMPLES = 512
+_GUARD_THRESHOLD = 1e-3
 
 
 class QuadratureConvergenceError(RuntimeError):
@@ -109,12 +124,7 @@ def weight_on_circle(x, params: Params):
     (2 sin(x/2))^(alpha+beta) * exp(i (x-pi)(alpha-beta)/2).
     """
     a, b = _mpf(params.alpha), _mpf(params.beta)
-    return _weight(x, a + b, (a - b) / 2)
-
-
-def _weight(x, gamma, phase):
-    """w(e^{ix}) given gamma = alpha + beta and phase = (alpha - beta)/2 as mpf values."""
-    return (2 * mp.sin(x / 2)) ** gamma * mp.expj((x - mp.pi) * phase)
+    return (2 * mp.sin(x / 2)) ** (a + b) * mp.expj((x - mp.pi) * ((a - b) / 2))
 
 
 def _zeroth_moment(params: Params) -> mp.mpf:
@@ -128,10 +138,27 @@ def _mp_coeffs(poly):
 
 
 def _horner(coeffs, z):
-    acc = mp.mpc(0)
-    for c in reversed(coeffs):
+    """sum_k coeffs[k] z^k for nonempty coeffs, started at the leading coefficient."""
+    acc = coeffs[-1]
+    for c in coeffs[-2::-1]:
         acc = acc * z + c
     return acc
+
+
+@lru_cache(maxsize=_NODE_TABLE_SIZE)
+def _node_geometry(prec, level, i):
+    """The weight-free part of tanh-sinh node t = i h0 / 2^level at `prec` bits.
+
+    Returns z = e^{iy}, its conjugate, 2 sin(y/2), y - pi, and the scale
+    dy/dt / (2 pi), doubled for the conjugate folded value.
+    """
+    with mp.workprec(prec):
+        t = mp.mpf(_H0) * i / 2**level
+        e = mp.exp(-mp.pi * mp.sinh(abs(t)))
+        d = mp.pi * e / (1 + e)  # distance from y to the endpoint t moves to
+        y = d if t < 0 else mp.pi - d
+        z = mp.expj(y)
+        return z, mp.conj(z), 2 * mp.sin(y / 2), y - mp.pi, mp.pi * mp.cosh(t) * e / (1 + e) ** 2
 
 
 def _integrate_levels(make_term, params, cfg):
@@ -140,32 +167,29 @@ def _integrate_levels(make_term, params, cfg):
     `make_term(z, zbar)` supplies the weightless part of the integrand; its
     value at (zbar, z) must be the conjugate of its value at (z, zbar), which
     holds for every polynomial with rational coefficients.  Returns (value,
-    per-level differences, circle points evaluated, error bound).
+    per-level differences, circle points evaluated, error estimate).
     """
-    eps = mp.ldexp(1, -mp.mp.prec)
+    prec = mp.mp.prec
+    eps = mp.ldexp(1, -prec)
     a, b = _mpf(params.alpha), _mpf(params.beta)
     gamma, phase = a + b, (a - b) / 2
 
-    def node(t):
-        """Term of node t without the step h, and its size."""
-        e = mp.exp(-mp.pi * mp.sinh(abs(t)))
-        d = mp.pi * e / (1 + e)  # distance from y to the endpoint t moves to
-        y = d if t < 0 else mp.pi - d
-        z = mp.expj(y)
-        value = _weight(y, gamma, phase) * make_term(z, mp.conj(z))
-        # dy/dt / (2 pi), times 2 for the conjugate folded value
-        scale = mp.pi * mp.cosh(t) * e / (1 + e) ** 2
+    def node(level, i):
+        """Term of node t = i h0 / 2^level without the step h, and its size."""
+        z, zbar, s, y_minus_pi, scale = _node_geometry(prec, level, i)
+        # the weight of weight_on_circle at y, from the tabulated parts
+        value = s**gamma * mp.expj(y_minus_pi * phase) * make_term(z, zbar)
         return scale * value.real, scale * abs(value)
 
     h0 = h = mp.mpf(_H0)
-    total, size = node(mp.mpf(0))
+    total, size = node(0, 0)
     points = 2
     ends = []
     for side in (-1, 1):
         k = 0
         while True:
             k += 1
-            term, term_size = node(side * k * h)
+            term, term_size = node(0, side * k)
             total += term
             size += term_size
             points += 2
@@ -179,7 +203,7 @@ def _integrate_levels(make_term, params, cfg):
     for level in range(1, cfg.refinement_levels + 1):
         h /= 2
         for i in range(1 - 2**level * left, 2**level * right, 2):
-            term, term_size = node(i * h)
+            term, term_size = node(level, i)
             total += term
             size += term_size
             points += 2
@@ -214,14 +238,25 @@ def classical_quad(n: int, m: int, params: Params, cfg: QuadConfig | None = None
         return QuadResult(num / den, err / abs(den), pts, tuple(diffs))
 
 
-def _denominator_guard(base_poly, threshold=1e-3, samples=512):
-    coeffs = _mp_coeffs(base_poly)
-    mags = []
-    for k in range(samples):
-        z = mp.expj(2 * mp.pi * k / samples)
-        mags.append(abs(_horner(coeffs, z)))
-    lo, hi = min(mags), max(mags)
-    if lo < threshold * hi:
+@lru_cache(maxsize=4)
+def _roots_of_unity(prec):
+    """The guard's points e^{2 pi i k / _GUARD_SAMPLES} on the circle at `prec` bits."""
+    with mp.workprec(prec):
+        return tuple(mp.expj(2 * mp.pi * k / _GUARD_SAMPLES) for k in range(_GUARD_SAMPLES))
+
+
+@lru_cache(maxsize=256)
+def _extremes_on_circle(poly: Poly, prec):
+    """(min, max) of |poly| over the guard's points on the circle, at `prec` bits."""
+    with mp.workprec(prec):
+        coeffs = _mp_coeffs(poly)
+        mags = [abs(_horner(coeffs, z)) for z in _roots_of_unity(prec)]
+        return min(mags), max(mags)
+
+
+def _denominator_guard(base_poly):
+    lo, hi = _extremes_on_circle(base_poly, mp.mp.prec)
+    if lo < _GUARD_THRESHOLD * hi:
         raise DenominatorNearZeroError(
             f"weight denominator nearly vanishes on the contour "
             f"(min |p| = {mp.nstr(lo, 5)}, max |p| = {mp.nstr(hi, 5)})"

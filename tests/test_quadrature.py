@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import mpmath as mp
@@ -21,6 +22,10 @@ POSITIVE = Params(1, Fraction(3, 2))
 SINGULAR = Params(Fraction(-1, 2), Fraction(-1, 4))
 CFG = QuadConfig(tolerance=1e-9, refinement_levels=7)
 
+# digest of `pinned_integrals()`, computed before the node geometry was
+# tabulated; a change to the rule's arithmetic changes it
+PINNED_SHA256 = "8058bb1b8c59983e034ceceeb3a2872d2909836f0fe8ea7b85b40be48a57dd1e"
+
 
 def as_mpf(q: Fraction):
     return mp.mpf(q.numerator) / mp.mpf(q.denominator)
@@ -29,6 +34,29 @@ def as_mpf(q: Fraction):
 def rel_error(value, exact: Fraction):
     e = as_mpf(exact)
     return abs(value) if e == 0 else abs(value - e) / abs(e)
+
+
+def pinned_integrals():
+    """Every field of a fixed set of classical and exceptional integrals, exactly.
+
+    The set: classical n, m <= 2 at POSITIVE and SINGULAR, and exceptional
+    types 1-4 (l0 = 1) at every admissible n, m <= 1 at POSITIVE.  Values
+    are written by repr at the working precision, which round-trips.
+    """
+    results = [classical_quad(n, m, params, CFG) for params in (POSITIVE, SINGULAR)
+               for n in range(3) for m in range(3)]
+    results += [
+        exceptional_quad(XIndex(j0, 1, n), XIndex(j0, 1, m), POSITIVE, CFG)
+        for j0 in range(1, 5)
+        for n in range(2)
+        for m in range(2)
+        if XIndex(j0, 1, n).is_admissible and XIndex(j0, 1, m).is_admissible
+    ]
+    with mp.workprec(CFG.precision_bits):
+        return [
+            (repr(r.value), repr(r.error_estimate), r.num_points_used, [repr(e) for e in r.estimates])
+            for r in results
+        ]
 
 
 class TestConfigAndBranch:
@@ -195,7 +223,46 @@ class TestExceptional:
             exceptional_quad(XIndex(1, 1, 0), XIndex(2, 1, 0), POSITIVE, CFG)
 
     def test_denominator_guard(self):
-        # P_1 root at 0.9999 sits essentially on the contour
+        # P_1 root at 0.9999 sits essentially on the contour; the second
+        # integral over the same denominator reuses the guard's extremes
         risky = Params(0, Fraction(-9999, 10000))
-        with pytest.raises(DenominatorNearZeroError):
-            exceptional_quad(XIndex(1, 1, 0), XIndex(1, 1, 0), risky, CFG)
+        quadrature._extremes_on_circle.cache_clear()
+        for _ in range(2):
+            with pytest.raises(DenominatorNearZeroError, match=r"min \|p\| = "):
+                exceptional_quad(XIndex(1, 1, 0), XIndex(1, 1, 0), risky, CFG)
+        info = quadrature._extremes_on_circle.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+
+class TestContourTable:
+    def test_integrals_are_bit_identical_to_the_untabulated_rule(self):
+        text = "\n".join(map(str, pinned_integrals()))
+        assert hashlib.sha256(text.encode()).hexdigest() == PINNED_SHA256
+
+    def test_one_table_per_precision(self):
+        # geometry filled at one precision must never serve another: each
+        # warm result equals the one from cold tables at its precision
+        def integrals(bits):
+            cfg = QuadConfig(tolerance=1e-9, refinement_levels=7, precision_bits=bits)
+            # from points of another precision, this denominator's extremes
+            # at 96 bits come out different in the last bit
+            den = quadrature.x_weight_factor(1, 2, POSITIVE).denominator_base
+            return (
+                classical_quad(2, 1, POSITIVE, cfg),
+                exceptional_quad(XIndex(1, 1, 2), XIndex(1, 1, 2), POSITIVE, cfg),
+                quadrature._extremes_on_circle(den, bits),
+            )
+
+        def clear():
+            for table in (quadrature._node_geometry, quadrature._roots_of_unity,
+                          quadrature._extremes_on_circle):
+                table.cache_clear()
+
+        clear()
+        warm = [integrals(bits) for bits in (128, 96, 128)]
+        cold = []
+        for bits in (128, 96, 128):
+            clear()
+            cold.append(integrals(bits))
+        assert warm == cold
+        assert warm[0][0].value != warm[1][0].value

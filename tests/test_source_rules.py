@@ -26,3 +26,54 @@ def test_no_assertions_in_package(path):
         if isinstance(node, ast.Assert) or _raises_assertion_error(node)
     ]
     assert not offending, f"{path.name}: assertion at lines {offending}"
+
+
+
+def _is_name(node, name) -> bool:
+    return (isinstance(node, ast.Name) and node.id == name) or (
+        isinstance(node, ast.Attribute) and node.attr == name
+    )
+
+
+def _unbounded_caches(tree) -> list:
+    """Lines of a functools `cache`, a bare `lru_cache` or an `lru_cache` without a finite maxsize."""
+    called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            lines += [node.lineno for alias in node.names if alias.name == "cache"]
+        elif _is_name(node, "cache") and _is_name(getattr(node, "value", None), "functools"):
+            lines.append(node.lineno)
+        elif _is_name(node, "lru_cache") and id(node) not in called:
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Call) and _is_name(node.func, "lru_cache"):
+            sizes = node.args[:1] + [kw.value for kw in node.keywords if kw.arg == "maxsize"]
+            if not sizes or any(isinstance(s, ast.Constant) and s.value is None for s in sizes):
+                lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize(
+    "source, unbounded",
+    [
+        ("@lru_cache(maxsize=64)\ndef f(): pass", False),
+        ("@functools.lru_cache(32)\ndef f(): pass", False),
+        ("@lru_cache\ndef f(): pass", True),
+        ("@lru_cache()\ndef f(): pass", True),
+        ("@lru_cache(maxsize=None)\ndef f(): pass", True),
+        ("@functools.lru_cache(None)\ndef f(): pass", True),
+        ("@functools.cache\ndef f(): pass", True),
+        ("from functools import cache", True),
+    ],
+)
+def test_cache_rule(source, unbounded):
+    assert bool(_unbounded_caches(ast.parse(source))) == unbounded
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_cache_is_bounded(path):
+    # memory stays bounded in a long-lived process only if every cache has an
+    # explicit finite size
+    tree = ast.parse(path.read_text(), filename=str(path))
+    offending = _unbounded_caches(tree)
+    assert not offending, f"{path.name}: unbounded cache at lines {offending}"
