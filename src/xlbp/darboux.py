@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
+from functools import lru_cache
 
 from .exact_core import Poly
 from .hr_classical import (
@@ -94,6 +95,9 @@ def seed_theta(j0: SeedType, l0: int, params: Params) -> Fraction:
     return -l0 - 1 - params.alpha - params.beta
 
 
+# psi_hat, backward_apply and xp4_derivative_factor ask for the same few
+# seeds over and over within one parameter pair
+@lru_cache(maxsize=256)
 def make_seed(j0: SeedType, l0: int, params: Params) -> Seed:
     """Construct the seed table entry for (j0, l0) at the given parameters."""
     j0 = SeedType(j0)
@@ -103,30 +107,22 @@ def make_seed(j0: SeedType, l0: int, params: Params) -> Seed:
     theta = seed_theta(j0, l0, params)
     if j0 is SeedType.T1:
         p = hr_poly_robust(l0, params)
+        p_factor, q_factor = Poly.zero(), Poly.one()
     elif j0 is SeedType.T2:
         p = hr_poly_robust(l0, params.negated())
+        p_factor, q_factor = Poly((a + b,)), Poly((1, -1))
     elif j0 is SeedType.T3:
         # z^l0 P_l0(1/z; alpha, beta) rewritten as a plain polynomial
         p = _reversal_prefactor(l0, params) * hr_poly_robust(
             l0, Params(b - 1, a + 1)
         )
+        p_factor, q_factor = Poly((1 + a,)), Poly((0, -1))
     else:
         p = _reversal_prefactor(l0, params.negated()) * hr_poly_robust(
             l0, Params(-a - 1, -b + 1)
         )
-    p_factors = {
-        SeedType.T1: Poly.zero(),
-        SeedType.T2: Poly((a + b,)),
-        SeedType.T3: Poly((1 + a,)),
-        SeedType.T4: Poly((-1 + b, 1 + a)),
-    }
-    q_factors = {
-        SeedType.T1: Poly.one(),
-        SeedType.T2: Poly((1, -1)),
-        SeedType.T3: Poly((0, -1)),
-        SeedType.T4: Poly((0, 1, -1)),
-    }
-    return Seed(j0, l0, p, theta, p_factors[j0], q_factors[j0])
+        p_factor, q_factor = Poly((-1 + b, 1 + a)), Poly((0, 1, -1))
+    return Seed(j0, l0, p, theta, p_factor, q_factor)
 
 
 def psi_hat(j0: SeedType, l0: int, n: int, params: Params) -> Poly:
@@ -164,12 +160,13 @@ class BackwardResult:
 def _first_order_coefficient(j0: SeedType, l0: int, params: Params) -> Poly:
     """The linear multiplier of p in the backward operator's numerator."""
     a, b = params.alpha, params.beta
-    return {
-        SeedType.T1: Poly((1 - b - l0, l0 - a - 2)),
-        SeedType.T2: Poly((1 + a - l0, l0 - a - 1)),
-        SeedType.T3: Poly((l0, -(l0 + a + b + 1))),
-        SeedType.T4: Poly((l0, -l0)),
-    }[j0]
+    if j0 is SeedType.T1:
+        return Poly((1 - b - l0, l0 - a - 2))
+    if j0 is SeedType.T2:
+        return Poly((1 + a - l0, l0 - a - 1))
+    if j0 is SeedType.T3:
+        return Poly((l0, -(l0 + a + b + 1)))
+    return Poly((l0, -l0))
 
 
 def _divisor(seed: Seed) -> Poly:

@@ -77,6 +77,12 @@ class Params:
     def __init__(self, alpha, beta):  # noqa: D107 -- coerce to Fraction
         object.__setattr__(self, "alpha", Fraction(alpha))
         object.__setattr__(self, "beta", Fraction(beta))
+        # every cache in the package is keyed on Params, so hash the two
+        # Fractions once; the value is the one the dataclass would compute
+        object.__setattr__(self, "_hash", hash((self.alpha, self.beta)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def shifted(self, d_alpha: int, d_beta: int) -> "Params":
         return Params(self.alpha + d_alpha, self.beta + d_beta)
@@ -206,10 +212,18 @@ def build_via_ttrr(n: int, params: Params) -> Poly:
     return cur
 
 
-# The polynomial caches are bounded so that a long-lived process stops
-# growing.  Each bound is at least twice the entries that one full run of any
-# workload in bench/ leaves (at most 6043 for hr_poly_robust and 107 for
-# build_via_ttrr), so those runs never evict.
+# Every cache in the package is bounded so that a long-lived process stops
+# growing.  One full run of each workload in bench/ (seeds 1-5, quad-circle
+# 1-3) left at most these entries with the bounds lifted: hr_poly_robust 6043,
+# build_via_ttrr 105, recurrence._c_vector 1900, _twisted_c_row 1732,
+# _twisted_e_row 1188, darboux.make_seed 262, xhr.x_poly 2946 and, in
+# quadrature, _node_geometry 153, _extremes_on_circle 5 and _roots_of_unity 1.
+# The polynomial, c-vector and quadrature bounds are at least twice that and
+# the twist-row bounds above it, so those runs never evict them.  The seed
+# and member bounds hold the working set of a few parameter pairs (one
+# verify-small pair uses 8 seeds and 90 members): a run that moves on to a
+# new pair never reads the old entries again, and on those runs the smaller
+# bounds lost no cache hit while keeping peak RSS 1-3 MB lower.
 @lru_cache(maxsize=16384)
 def hr_poly_robust(n: int, params: Params) -> Poly:
     """P_n via the hypergeometric sum, falling back to the recurrence route.
@@ -279,15 +293,21 @@ def inner_product(f, g, table: MomentTable) -> Fraction:
 
 
 def norm_ratio(n: int, params: Params) -> Fraction:
-    """h_n/h_0: the diagonal inner product value in units of the zeroth norm."""
-    a, b = params.alpha, params.beta
-    out = Fraction(1)
+    """h_n/h_0: the diagonal inner product value in units of the zeroth norm.
+
+    The product over k < n of (k+1)(alpha+beta+1+k) / ((alpha+1+k)(beta+1+k)),
+    built from integer running products and reduced once.
+    """
+    pa, qa = params.alpha.numerator, params.alpha.denominator
+    pb, qb = params.beta.numerator, params.beta.denominator
+    num = den = 1
     for k in range(n):
-        den = _require_nonzero(a + 1 + k, f"alpha+1+k at k={k}") * _require_nonzero(
-            b + 1 + k, f"beta+1+k at k={k}"
-        )
-        out *= (k + 1) * (a + b + 1 + k) / den
-    return out
+        # alpha+1+k = ua/qa, beta+1+k = ub/qb, alpha+beta+1+k = (...)/(qa qb)
+        ua = _require_nonzero(pa + (1 + k) * qa, f"alpha+1+k at k={k}")
+        ub = _require_nonzero(pb + (1 + k) * qb, f"beta+1+k at k={k}")
+        num *= (k + 1) * (pa * qb + pb * qa + (1 + k) * qa * qb)
+        den *= ua * ub
+    return Fraction(num, den)
 
 
 def dk_bk_sequence(k: int, n: int, params: Params) -> tuple:
@@ -317,27 +337,46 @@ def dk_bk_polys(k: int, n: int, params: Params) -> tuple:
     return ds[k], bs[k]
 
 
-def _twisted_c_table(n: int, j: int, params: Params) -> dict:
-    """C coefficients: P_m(alpha+t, beta-t) = P_m + sum_l C[(m,t)][l] P_{m-l}."""
-    table: dict = {}
-    for m in range(n - j + 1, n + 1):
-        if m < 0:
-            continue
-        table[(m, 0)] = {}
-    for t in range(1, j + 1):
-        for m in range(n - (j - t), n + 1):
-            if m < 0:
-                continue
-            shift_b = ttrr_b(m, params.shifted(t - 1, -(t - 1)))
-            prev = table.get((m, t - 1), {})
-            prev_down = table.get((m - 1, t - 1), {})
-            cur = {}
-            for l in range(1, min(t, m) + 1):
-                up = prev.get(l, Fraction(0))
-                down = Fraction(1) if l == 1 else prev_down.get(l - 1, Fraction(0))
-                cur[l] = up + shift_b * down
-            table[(m, t)] = cur
-    return table
+def _entry(row: tuple, l: int) -> Fraction:
+    """Coefficient l >= 1 of a twist row; zero past the row's end."""
+    return row[l - 1] if l <= len(row) else Fraction(0)
+
+
+# The twist rows depend on (m, t, params) only, so every (n, j) and every
+# identity of one parameter pair share them.
+@lru_cache(maxsize=2048)
+def _twisted_c_row(m: int, t: int, params: Params) -> tuple:
+    """(C^(1), ..., C^(min(t, m))) with P_m(alpha+t, beta-t) = P_m + sum_l C^(l) P_{m-l}.
+
+    Row (m, t), for m, t >= 1, combines rows (m, t-1) and (m-1, t-1) with b_m
+    at (alpha+t-1, beta-t+1); rows with m = 0 or t = 0 are empty.
+    `twisted_coeffs` fills the rows level by level, so the recursive calls
+    here are cache hits unless a row was evicted.
+    """
+    shift_b = ttrr_b(m, params.shifted(t - 1, -(t - 1)))
+    prev = _twisted_c_row(m, t - 1, params) if t > 1 else ()
+    prev_down = _twisted_c_row(m - 1, t - 1, params) if t > 1 and m > 1 else ()
+    row = []
+    for l in range(1, min(t, m) + 1):
+        down = Fraction(1) if l == 1 else _entry(prev_down, l - 1)
+        row.append(_entry(prev, l) + shift_b * down)
+    return tuple(row)
+
+
+@lru_cache(maxsize=2048)
+def _twisted_e_row(n: int, t: int, params: Params) -> tuple:
+    """(E^(1), ..., E^(t)) of the t-fold partner twist at index n, t >= 1.
+
+    The E recurrence keeps the first index fixed: at twist level t the new
+    term of E^(l) picks up b_{n-l+1} at parameters (beta-t, alpha+t).
+    """
+    prev = _twisted_e_row(n, t - 1, params) if t > 1 else ()
+    swapped = Params(params.beta - t, params.alpha + t)
+    row = []
+    for l in range(1, t + 1):
+        down = Fraction(1) if l == 1 else prev[l - 2]
+        row.append(_entry(prev, l) + ttrr_b(n - l + 1, swapped) * down)
+    return tuple(row)
 
 
 def twisted_coeffs(n: int, j: int, params: Params, side: str = "P") -> list:
@@ -345,27 +384,20 @@ def twisted_coeffs(n: int, j: int, params: Params, side: str = "P") -> list:
 
     side="P": C with P_n(z; alpha+j, beta-j) = P_n + sum C^(l) P_{n-l}.
     side="Q": E with Q_n(z) = Q_n(z; alpha+j, beta-j) + sum E^(l) Q_{n-l}(z; alpha+j, beta-j).
-    Returns [coef_1, ..., coef_j].
+    Returns [coef_1, ..., coef_j].  The rows are built twist level by twist
+    level (t ascending, then m ascending), so a parameter pole is always
+    reported at the same row.
     """
     if not 1 <= j <= n:
         raise ValueError("need 1 <= j <= n")
     if side == "P":
-        table = _twisted_c_table(n, j, params)[(n, j)]
-        return [table.get(l, Fraction(0)) for l in range(1, j + 1)]
+        for t in range(1, j + 1):
+            for m in range(n - j + t, n + 1):
+                _twisted_c_row(m, t, params)
+        return list(_twisted_c_row(n, j, params))
     if side != "Q":
         raise ValueError("side must be 'P' or 'Q'")
-    # E recurrence keeps the first index fixed: at twist level t the new term
-    # of E^(l) picks up b_{n-l+1} at parameters (beta-t, alpha+t).
-    cur = {0: Fraction(1)}
-    for t in range(1, j + 1):
-        swapped = Params(params.beta - t, params.alpha + t)
-        nxt = {0: Fraction(1)}
-        for l in range(1, t + 1):
-            up = cur.get(l, Fraction(0))
-            down = cur.get(l - 1, Fraction(0))
-            nxt[l] = up + ttrr_b(n - l + 1, swapped) * down
-        cur = nxt
-    return [cur.get(l, Fraction(0)) for l in range(1, j + 1)]
+    return list(_twisted_e_row(n, j, params))
 
 
 def expand_in_hr_basis(poly: Poly, params: Params) -> list:
@@ -557,13 +589,11 @@ def _check_ladder_raise(n, params):
 
 def _check_monomial_expansion(n, params):
     rhs = hr_poly_robust(n + 1, params)
+    signed_prod = Fraction(1)  # (-1)^(n-j) b_n b_{n-1} ... b_{j+1}
     for j in range(n, -1, -1):
-        prod = Fraction(1)
-        for l in range(n - j):
-            prod *= ttrr_b(n - l, params)
-        sign = 1 if (n - j) % 2 == 0 else -1
-        coef = sign * prod * (ttrr_d(j, params) - ttrr_b(j, params))
-        rhs = rhs + coef * hr_poly_robust(j, params)
+        d_j, b_j = ttrr_d(j, params), ttrr_b(j, params)
+        rhs = rhs + signed_prod * (d_j - b_j) * hr_poly_robust(j, params)
+        signed_prod *= -b_j
     return Poly.x() * hr_poly_robust(n, params) - rhs
 
 
@@ -593,12 +623,12 @@ def _check_twist_down(n, params):
 def _check_twist_down_iterated(n, params):
     down = params.shifted(-1, 1)
     rhs = hr_poly_robust(n, params)
+    # signed_prods[n - j] = (-1)^(n-j) b_n b_{n-1} ... b_{j+1} at `down`
+    signed_prods = [Fraction(1)]
+    for i in range(n, 0, -1):
+        signed_prods.append(-signed_prods[-1] * ttrr_b(i, down))
     for j in range(n):
-        prod = Fraction(1)
-        for l in range(n - j):
-            prod *= ttrr_b(n - l, down)
-        sign = 1 if (n - j) % 2 == 0 else -1
-        rhs = rhs + sign * prod * hr_poly_robust(j, params)
+        rhs = rhs + signed_prods[n - j] * hr_poly_robust(j, params)
     return hr_poly_robust(n, down) - rhs
 
 

@@ -37,7 +37,7 @@ from .hr_classical import (
     pochhammer,
     twisted_coeffs,
 )
-from .xhr import InadmissibleIndexError, XIndex, x_poly
+from .xhr import InadmissibleIndexError, XIndex, compact_darboux_sign, x_poly
 
 __all__ = [
     "CertificationError",
@@ -367,24 +367,24 @@ def certify(
     else:
         raise ValueError("mode must be 'thm12' or 'thm11'")
 
+    members = {}  # j -> member polynomial, shared by the left side and the window
+
+    def member(j):
+        if j not in members:
+            if j < 0:
+                members[j] = Poly((compact_darboux_sign(j0),))
+            else:
+                members[j] = x_poly(XIndex(j0, l0, j), params).poly
+        return members[j]
+
     q = q_poly(j0, l0, params)
     lhs = Poly.zero()
     for l, coef in enumerate(a):
-        member = XIndex(j0, l0, n - l)
-        if member.is_admissible:
-            lhs = lhs + coef * x_poly(member, params).poly
+        if XIndex(j0, l0, n - l).is_admissible:
+            lhs = lhs + coef * member(n - l)
         # type-1 member at n-l = l0 is identically zero and contributes nothing
     lhs = q * lhs
-
-    from .xhr import compact_darboux_sign
-
-    members = {}
-    for j in window:
-        if j < 0:
-            members[j] = Poly((compact_darboux_sign(j0),))
-        else:
-            members[j] = x_poly(XIndex(j0, l0, j), params).poly
-    b = _solve_b(lhs, members)
+    b = _solve_b(lhs, {j: member(j) for j in window})
 
     # cross-route: b_j = (sum_l a_l c_{n-l,j}) / xi_j wherever xi_j != 0
     for j, c_tilde in enumerate(_stacked_expansion(idx, a, params)):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .darboux import SeedType, make_seed
 from .exact_core import Poly
@@ -133,6 +134,9 @@ def _compact_form(j0: SeedType, l0: int, n: int, params: Params) -> Poly:
     return pref * inner
 
 
+# certify builds each window member once per (j0, l0, pair) through this
+# cache; consecutive n share all but one member of their windows
+@lru_cache(maxsize=256)
 def x_poly(idx: XIndex, params: Params) -> XPoly:
     """Exceptional polynomial from the compact form, with degree check.
 

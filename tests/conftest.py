@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from xlbp import darboux, hr_classical, quadrature, recurrence, xhr
 from xlbp.hr_classical import Params
 
 # Canonical generic parameter pairs used across the suite.  The integer pair
@@ -44,3 +45,37 @@ def pairs_for_recurrence(j0: int):
     """
     del j0
     return PAIRS_NEGATION_SAFE
+
+
+# Every lru_cache in the package; tests/test_source_rules.py checks this list
+# against the source.
+PACKAGE_CACHES = (
+    hr_classical.build_via_ttrr,
+    hr_classical.hr_poly_robust,
+    hr_classical._twisted_c_row,
+    hr_classical._twisted_e_row,
+    darboux.make_seed,
+    xhr.x_poly,
+    recurrence._c_vector,
+    quadrature._node_geometry,
+    quadrature._roots_of_unity,
+    quadrature._extremes_on_circle,
+)
+
+
+def clear_package_caches():
+    for cached in PACKAGE_CACHES:
+        cached.cache_clear()
+
+
+@pytest.fixture
+def fresh_caches():
+    """Empty every package cache before and after the test.
+
+    A test that monkeypatches a package function needs this: a value cached
+    before the patch would bypass the patched function, and a value cached
+    during the test would carry the fault into later tests.
+    """
+    clear_package_caches()
+    yield
+    clear_package_caches()

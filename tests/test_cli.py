@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 from xlbp import hr_classical
 from xlbp.cli import main
 
+from conftest import clear_package_caches
+
 
 PKG_ROOT = Path(__file__).resolve().parent.parent
 
@@ -52,10 +54,12 @@ THM11_CERTIFICATE_SHA256 = {
 LARGE_CERTIFICATE_SHA256 = "569dc3f7f558e53c2d424ad94a38a6dc994bf7dc97e13219d3ae45db751f054a"
 
 # verify --alpha 3/5 --beta 1/2 --max-n 8 --max-l0 2, by --suite: digests of
-# the reports printed before Poly and LaurentPoly became one class
+# the reports printed before Poly and LaurentPoly became one class, and for
+# xhr before the exceptional members were cached
 REPORT_SHA256 = {
     "identities": "ff4c1a6ecbec03cf9ec6adea972de1a646d29489ad847f35eb97bdddbc71afe5",
     "darboux": "19925d40ba4f3d5cb2f0777640d19cd960e448f225619174e46e2727fff0569d",
+    "xhr": "8e54efd61dd6d9d924a0cb75b6f85ca9ec30b8a963dfebf4f1747507b4e759c7",
     "recurrence": "cc9d38a66c874f27b2b08ee4e888562a30f011209f5ada0f0250bea020047baf",
 }
 
@@ -208,6 +212,31 @@ class TestVerify:
         assert proc.returncode == 0
         assert hashlib.sha256(proc.stdout.encode()).hexdigest() == REPORT_SHA256[suite]
 
+    @pytest.mark.usefixtures("fresh_caches")
+    @pytest.mark.parametrize("alpha, beta", [("3/5", "1/2"), ("1", "1/3")])
+    def test_reports_do_not_depend_on_cache_state(self, alpha, beta):
+        # the exact suites share cached twist rows, seeds and members; a
+        # report must read the same whether its suite runs on empty caches
+        # or on caches that every suite has filled
+        def report(suite, cold=False):
+            if cold:
+                clear_package_caches()
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(
+                    ["verify", "--suite", suite, "--alpha", alpha, "--beta", beta,
+                     "--max-n", "8", "--max-l0", "2"]
+                )
+            assert code == 0, suite
+            return out.getvalue().encode()
+
+        suites = ["identities", "darboux", "xhr", "recurrence"]
+        cold = {suite: report(suite, cold=True) for suite in suites}
+        warm = {suite: report(suite) for suite in reversed(suites)}
+        assert warm == cold
+        if (alpha, beta) == ("3/5", "1/2"):
+            assert {s: hashlib.sha256(r).hexdigest() for s, r in cold.items()} == REPORT_SHA256
+
     def test_skips_are_recorded(self, tmp_path):
         # (1,1) poles two identity checks; they must appear as skips
         out = tmp_path / "report.json"
@@ -265,6 +294,7 @@ class TestVerify:
         assert proc.returncode == 0, proc.stdout
         assert json.loads(proc.stdout)["summary"] == {"fail": 0, "pass": 2, "skipped": 0}
 
+    @pytest.mark.usefixtures("fresh_caches")
     def test_refuted_identity_exits_1_with_a_witness(self, monkeypatch):
         # a perturbed basis expansion refutes monic completion: the report
         # carries the difference as a witness, with no exception escaping

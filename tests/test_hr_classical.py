@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from xlbp.exact_core import Poly
@@ -323,6 +323,106 @@ class TestTwistedCoefficients:
             twisted_coeffs(3, 4, PAIR_A, "P")
         with pytest.raises(ValueError):
             twisted_coeffs(3, 0, PAIR_A, "P")
+
+
+def reference_twisted_coeffs(n, j, params, side):
+    """twisted_coeffs as first written: the whole table rebuilt on every call."""
+    if side == "P":
+        table = {}
+        for m in range(n - j + 1, n + 1):
+            if m < 0:
+                continue
+            table[(m, 0)] = {}
+        for t in range(1, j + 1):
+            for m in range(n - (j - t), n + 1):
+                if m < 0:
+                    continue
+                shift_b = ttrr_b(m, params.shifted(t - 1, -(t - 1)))
+                prev = table.get((m, t - 1), {})
+                prev_down = table.get((m - 1, t - 1), {})
+                cur = {}
+                for l in range(1, min(t, m) + 1):
+                    up = prev.get(l, Fraction(0))
+                    down = Fraction(1) if l == 1 else prev_down.get(l - 1, Fraction(0))
+                    cur[l] = up + shift_b * down
+                table[(m, t)] = cur
+        final = table[(n, j)]
+    else:
+        final = {0: Fraction(1)}
+        for t in range(1, j + 1):
+            swapped = Params(params.beta - t, params.alpha + t)
+            nxt = {0: Fraction(1)}
+            for l in range(1, t + 1):
+                up = final.get(l, Fraction(0))
+                down = final.get(l - 1, Fraction(0))
+                nxt[l] = up + ttrr_b(n - l + 1, swapped) * down
+            final = nxt
+    return [final.get(l, Fraction(0)) for l in range(1, j + 1)]
+
+
+def reference_norm_ratio(n, params):
+    """norm_ratio as first written, one Fraction product term by term."""
+    a, b = params.alpha, params.beta
+    out = Fraction(1)
+    for k in range(n):
+        if a + 1 + k == 0:
+            raise ParameterPoleError(f"alpha+1+k at k={k} = 0")
+        if b + 1 + k == 0:
+            raise ParameterPoleError(f"beta+1+k at k={k} = 0")
+        out *= (k + 1) * (a + b + 1 + k) / ((a + 1 + k) * (b + 1 + k))
+    return out
+
+
+def outcome(fn, *args):
+    """The value of fn(*args), or the message of the parameter pole it hits."""
+    try:
+        return fn(*args)
+    except ParameterPoleError as exc:
+        return f"pole: {exc}"
+
+
+# small denominators, with the integers (where ttrr_b has its poles) drawn often
+small_rationals = st.one_of(
+    st.integers(min_value=-6, max_value=3).map(Fraction),
+    st.fractions(min_value=-6, max_value=3, max_denominator=3),
+)
+
+
+class TestCachedRows:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        alpha=small_rationals,
+        beta=small_rationals,
+        calls=st.lists(
+            st.tuples(
+                st.integers(min_value=1, max_value=9),
+                st.integers(min_value=1, max_value=9),
+                st.sampled_from("PQ"),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    # at alpha = -3 the first twist level of (n, j) = (3, 2) has two poles:
+    # b_2 (2+alpha+1 = 0) and b_3 (3+alpha = 0); the first in row order wins
+    @example(alpha=Fraction(-3), beta=Fraction(1, 2), calls=[(3, 2, "P")])
+    @example(alpha=Fraction(-3), beta=Fraction(1, 2), calls=[(3, 1, "P"), (4, 3, "P"), (3, 2, "P")])
+    @example(alpha=Fraction(1, 2), beta=Fraction(-1), calls=[(2, 2, "Q"), (4, 3, "Q")])
+    def test_twist_rows_match_the_table_rebuilt_per_call(self, alpha, beta, calls):
+        # one example makes several calls, so later calls meet rows that
+        # earlier ones cached; a pole must still be reported at the same row
+        params = Params(alpha, beta)
+        for n, j, side in calls:
+            j = min(j, n)
+            want = outcome(reference_twisted_coeffs, n, j, params, side)
+            assert outcome(twisted_coeffs, n, j, params, side) == want, (n, j, side)
+
+    @settings(max_examples=100, deadline=None)
+    @given(alpha=small_rationals, beta=small_rationals, n=st.integers(min_value=0, max_value=9))
+    @example(alpha=Fraction(-3), beta=Fraction(-3), n=5)
+    def test_norm_ratio_matches_the_fraction_product(self, alpha, beta, n):
+        params = Params(alpha, beta)
+        assert outcome(norm_ratio, n, params) == outcome(reference_norm_ratio, n, params)
 
 
 class TestBasisExpansion:

@@ -45,6 +45,7 @@ def test_catalog_entry_on_supplementary_pair(tag):
         assert result.ok, (tag.value, n, str(result.witness))
 
 
+@pytest.mark.usefixtures("fresh_caches")
 def test_failure_returns_witness(monkeypatch):
     # a deliberately broken check must surface the difference polynomial
     from xlbp import hr_classical

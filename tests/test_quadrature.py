@@ -101,6 +101,7 @@ class TestClassical:
         assert res.error_estimate > 0
         assert res.num_points_used > 0
 
+    @pytest.mark.usefixtures("fresh_caches")
     def test_levels_evaluate_only_new_nodes(self, monkeypatch):
         # level k has 1 + 2^k (L + R) nodes for the level-0 walk lengths L
         # and R, so level k + 1 adds one node fewer than level k has
@@ -201,6 +202,7 @@ class TestExceptional:
                     deviation = abs(res.value - as_mpf(exact))
                 assert deviation <= res.error_estimate, (j0, n, m)
 
+    @pytest.mark.usefixtures("fresh_caches")
     def test_divergent_integral_is_refused_without_integrating(self, monkeypatch):
         # (2/5, -9/10), type 2, n = m = 0: exponent -1/2 - 1 = -3/2, and
         # neither polynomial vanishes at z = 1

@@ -7,6 +7,8 @@ from xlbp.darboux import make_seed, seed_theta, xi
 from xlbp.exact_core import Poly
 from xlbp.hr_classical import (
     Params,
+    _twisted_c_row,
+    _twisted_e_row,
     build_via_ttrr,
     hr_poly_robust,
     twisted_coeffs,
@@ -220,6 +222,7 @@ class TestCertify:
                     assert cert.a[0] == 1
 
     @pytest.mark.parametrize("j0", [1, 2, 3, 4])
+    @pytest.mark.usefixtures("fresh_caches")
     def test_closed_form_disagreeing_with_the_solver_is_refused(self, j0, monkeypatch):
         original = recurrence.a_coeffs_formula
 
@@ -385,7 +388,10 @@ class TestSerialisation:
         assert data["index"] == {"j0": 1, "l0": 1, "n": 5}
 
 
-@pytest.mark.parametrize("cached", [build_via_ttrr, hr_poly_robust, _c_vector])
+@pytest.mark.parametrize(
+    "cached",
+    [build_via_ttrr, hr_poly_robust, _c_vector, _twisted_c_row, _twisted_e_row, make_seed, x_poly],
+)
 def test_caches_are_bounded(cached):
     # an unbounded cache grows with every new parameter pair a long-lived
     # process sees

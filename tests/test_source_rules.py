@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+from conftest import PACKAGE_CACHES
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "xlbp"
 
 
@@ -77,3 +79,28 @@ def test_every_cache_is_bounded(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     offending = _unbounded_caches(tree)
     assert not offending, f"{path.name}: unbounded cache at lines {offending}"
+
+
+def _lru_cached_functions(tree) -> list:
+    """Names of the functions in a module that carry an `lru_cache` decorator."""
+    return [
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(
+            _is_name(dec.func if isinstance(dec, ast.Call) else dec, "lru_cache")
+            for dec in node.decorator_list
+        )
+    ]
+
+
+def test_fixture_clears_every_cache():
+    # the fresh_caches fixture can only protect a monkeypatching test from
+    # stale results if it knows every cache in the package
+    in_source = {
+        f"xlbp.{path.stem}.{name}"
+        for path in SRC.glob("*.py")
+        for name in _lru_cached_functions(ast.parse(path.read_text(), filename=str(path)))
+    }
+    in_fixture = {f"{fn.__module__}.{fn.__qualname__}" for fn in PACKAGE_CACHES}
+    assert in_fixture == in_source

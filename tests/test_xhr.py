@@ -64,6 +64,7 @@ class TestConstruction:
                     assert xp.poly.degree == idx.degree
                     assert xp.declared_degree == idx.degree
 
+    @pytest.mark.usefixtures("fresh_caches")
     def test_degree_drop_without_a_vanishing_factor_is_refused(self, monkeypatch):
         # every named leading factor is nonzero at PAIR_A, so a member of too
         # low a degree refutes the construction rather than marking a pole
