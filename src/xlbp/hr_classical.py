@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import lcm
+from operator import mul
 from typing import Union
 
 from .exact_core import Poly
@@ -214,16 +215,18 @@ def build_via_ttrr(n: int, params: Params) -> Poly:
 
 # Every cache in the package is bounded so that a long-lived process stops
 # growing.  One full run of each workload in bench/ (seeds 1-5, quad-circle
-# 1-3) left at most these entries with the bounds lifted: hr_poly_robust 6043,
-# build_via_ttrr 105, recurrence._c_vector 1900, _twisted_c_row 1732,
+# 1-3) left at most these entries with the bounds lifted: hr_poly_robust 5914
+# (verify-small; certify-sweep 1245), build_via_ttrr 10, _generating_terms
+# 2145 (certify-sweep), recurrence._c_vector 1900, _twisted_c_row 1732,
 # _twisted_e_row 1188, darboux.make_seed 262, xhr.x_poly 2946 and, in
 # quadrature, _node_geometry 153, _extremes_on_circle 5 and _roots_of_unity 1.
-# The polynomial, c-vector and quadrature bounds are at least twice that and
-# the twist-row bounds above it, so those runs never evict them.  The seed
-# and member bounds hold the working set of a few parameter pairs (one
-# verify-small pair uses 8 seeds and 90 members): a run that moves on to a
-# new pair never reads the old entries again, and on those runs the smaller
-# bounds lost no cache hit while keeping peak RSS 1-3 MB lower.
+# The polynomial, generating-term, c-vector and quadrature bounds are at
+# least twice that and the twist-row bounds above it, so those runs never
+# evict them.  The seed and member bounds hold the working set of a few
+# parameter pairs (one verify-small pair uses 8 seeds and 90 members): a run
+# that moves on to a new pair never reads the old entries again, and on those
+# runs the smaller bounds lost no cache hit while keeping peak RSS 1-3 MB
+# lower.
 @lru_cache(maxsize=16384)
 def hr_poly_robust(n: int, params: Params) -> Poly:
     """P_n via the hypergeometric sum, falling back to the recurrence route.
@@ -400,38 +403,61 @@ def twisted_coeffs(n: int, j: int, params: Params, side: str = "P") -> list:
     return list(_twisted_e_row(n, j, params))
 
 
-def expand_in_hr_basis(poly: Poly, params: Params) -> list:
-    """Coefficients e_j with poly = sum_j e_j P_j(z; params), exact.
+@lru_cache(maxsize=8192)
+def _generating_terms(k: int, params: Params) -> tuple:
+    """(A_k, w_k, lcm of A_0..A_k's numerators, lcm of w_0..w_k's denominators).
 
-    The P_j are monic of degree j under both constructors, so this is
-    back-substitution on a unit triangular change of basis: O(deg^2).  The
-    remainder is kept as integer numerators from z^0 over one denominator,
-    reduced whenever the denominator grows.
+    A_k = (alpha+1)_k/k! and w_k = (-beta)_k/k! are the z^k t^k and t^k
+    coefficients of (1-zt)^(-alpha-1) and (1-t)^beta.  Entry k extends entry
+    k-1 by one factor; `expand_in_hr_basis` fills the entries in ascending k,
+    so the recursive call is a cache hit unless the entry was evicted.  An
+    entry exists only while A_1..A_k are nonzero: a zero factor alpha+k is a
+    pole of the expansion, reported as the recurrence route reports it.
+    """
+    if k == 0:
+        return Fraction(1), Fraction(1), 1, 1
+    a_prev, w_prev, a_lcm, w_lcm = _generating_terms(k - 1, params)
+    up = _require_nonzero(
+        params.alpha + k, "alpha+1" if k == 1 else f"n+alpha+1 at n={k - 1}"
+    )
+    a_k = a_prev * up / k
+    w_k = w_prev * (k - 1 - params.beta) / k
+    return a_k, w_k, lcm(a_lcm, a_k.numerator), lcm(w_lcm, w_k.denominator)
+
+
+def expand_in_hr_basis(poly: Poly, params: Params) -> list:
+    """Coefficients e_k with poly = sum_k e_k P_k(z; params), exact.
+
+    The family has the generating function
+        sum_n A_n P_n(z) t^n = (1-zt)^(-alpha-1) (1-t)^(-beta),
+    A_n = (alpha+1)_n/n!, so A_n P_n = sum_{k<=n} A_k z^k (beta)_{n-k}/(n-k)!.
+    Multiplying by (1-t)^beta = sum_m w_m t^m, w_m = (-beta)_m/m!, inverts it:
+    A_k z^k = sum_{n<=k} w_{k-n} A_n P_n.  So poly = sum_n f_n z^n has
+        e_k = A_k sum_{n>=k} (f_n/A_n) w_{n-k},
+    and no basis polynomial is built (Andrews, Askey and Roy, *Special
+    Functions*, 1999, ch. 7).  Each inner sum is an integer dot product, with
+    f_n/A_n and w_m each over their least common denominator; each e_k is
+    reduced once.  The expansion needs A_n != 0 for n <= deg(poly), which is
+    exactly where P_0..P_deg exist.
     """
     if poly.is_zero:
         return []
-    rem, den = [0] * poly.min_exp + list(poly.numerators), poly.denominator
-    out = [Fraction(0)] * len(rem)
-    for j in range(poly.degree, -1, -1):
-        c = rem[j]
-        if not c:
-            continue
-        out[j] = Fraction(c, den)
-        p_j = hr_poly_robust(j, params)
-        # rem/den - (c/den) P_j, where P_j = nums/d with nums[j] = d
-        d = p_j.denominator
-        g = gcd(c, d)
-        scale, c = d // g, c // g
-        nums = p_j.numerators
-        if p_j.min_exp:
-            nums = (0,) * p_j.min_exp + nums
-        rem = [r * scale - c * v for r, v in zip(rem[:j], nums)]
-        den *= scale
-        if scale != 1:
-            h = gcd(den, *rem)
-            if h != 1:
-                den //= h
-                rem = [r // h for r in rem]
+    degree = poly.degree
+    terms = [_generating_terms(k, params) for k in range(degree + 1)]
+    _, _, a_lcm, w_lcm = terms[-1]
+    nums = [0] * poly.min_exp + list(poly.numerators)
+    # f_n/A_n = g[n] / (denominator a_lcm) and w_m = ws[m] / w_lcm
+    g = [f * a.denominator * (a_lcm // a.numerator) for f, (a, _, _, _) in zip(nums, terms)]
+    ws = []
+    for _, w, _, _ in terms:
+        if not w:
+            break  # (-beta)_m = 0 from here on
+        ws.append(w.numerator * (w_lcm // w.denominator))
+    den = poly.denominator * a_lcm * w_lcm
+    out = []
+    for k, (a, _, _, _) in enumerate(terms):
+        dot = sum(map(mul, g[k:], ws))
+        out.append(Fraction(a.numerator * dot, a.denominator * den))
     return out
 
 
@@ -706,9 +732,14 @@ def _check_monic_completion(n, params):
     b_next = _require_nonzero(ttrr_b(n + 1, params), "b_{n+1}")
     shift_c = ttrr_d(n, params) - ttrr_b(n, params)
     down = params.shifted(-1, 1)
+    # one sequence holds the connection polynomials of every k below.  Past
+    # the b_{n+1} check its only poles are those of d_{n+2}, d_{n+3} and
+    # d_{n+4} (alpha = -n-3, -n-4, -n-5), where the steps of the smaller k
+    # are still regular, so it reports the pole that building its prefixes
+    # k by k would report first
+    ds, bs = dk_bk_sequence(4, n, params)
     for k in range(0, 4):
         c_k = Poly((1,) * k + (1,)) if k else Poly.one()
-        ds, bs = dk_bk_sequence(k + 1, n, params)
         # write C_k over the family B_{j+1}/(b_{n+1} z), descending degree;
         # B_{j+1} has no constant term and leading term b_{n+1} z^{j+1}, so
         # each member is monic of degree j and the expansion always closes

@@ -54,6 +54,7 @@ PACKAGE_CACHES = (
     hr_classical.hr_poly_robust,
     hr_classical._twisted_c_row,
     hr_classical._twisted_e_row,
+    hr_classical._generating_terms,
     darboux.make_seed,
     xhr.x_poly,
     recurrence._c_vector,

@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xlbp import hr_classical
+from xlbp import hr_classical, recurrence
 from xlbp.cli import main
 
 from conftest import clear_package_caches
@@ -318,6 +319,27 @@ class TestVerify:
         ]
         assert all(c["witness"] for c in failed)
 
+    @pytest.mark.usefixtures("fresh_caches")
+    def test_perturbed_c_expansion_fails_every_certificate(self, monkeypatch):
+        perturb_c_expansion(monkeypatch)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(
+                [
+                    "verify", "--suite", "recurrence", "--alpha", "3/5", "--beta", "1/2",
+                    "--max-n", "5", "--max-l0", "1",
+                ]
+            )
+        assert code == 1
+        records = [
+            c for c in json.loads(out.getvalue())["checks"]
+            if c["check_id"].startswith("recurrence/certify/")
+        ]
+        assert len(records) == 12
+        for record in records:
+            assert record["status"] == "fail", record["check_id"]
+            assert re.match(C_FAULT_REASON, record["reason"]), record
+
     @pytest.mark.parametrize("alpha, beta", [("1", "1/3"), ("3/5", "2")])
     def test_eigenvalue_reading_passes_without_a_unique_solve(self, alpha, beta):
         # at these pairs the window rows of some type-3/4 instances have a
@@ -337,6 +359,26 @@ class TestVerify:
             record = checks[f"recurrence/eigenvalue-reading/j0={j0}"]
             assert record["status"] == "pass"
             assert record["inputs"]["matched"] == ["full"]
+
+
+def perturb_c_expansion(monkeypatch):
+    """Add 1 to c_{n,0} of every backward-image expansion certify makes.
+
+    recurrence imports expand_in_hr_basis by name, so the patch goes there;
+    the caller must clear the caches, or _c_vector serves unpatched rows.
+    """
+    original = recurrence.expand_in_hr_basis
+
+    def perturbed(poly, params):
+        coeffs = original(poly, params)
+        return [coeffs[0] + 1] + coeffs[1:]
+
+    monkeypatch.setattr(recurrence, "expand_in_hr_basis", perturbed)
+
+
+# how certify refuses wrong c coefficients: the solver's a disagrees with the
+# closed form, or the window and b rows rebuilt from c do not hold
+C_FAULT_REASON = "closed-form a disagrees with solver route|window-vanishing fails|b cross-route mismatch"
 
 
 class TestCertify:
@@ -396,6 +438,21 @@ class TestCertify:
         )
         assert proc.returncode == 0
         assert hashlib.sha256(proc.stdout.encode()).hexdigest() == LARGE_CERTIFICATE_SHA256
+
+    @pytest.mark.usefixtures("fresh_caches")
+    def test_perturbed_c_expansion_exits_1_without_traceback(self, monkeypatch):
+        perturb_c_expansion(monkeypatch)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(
+                [
+                    "certify", "--j0", "3", "--l0", "2", "--n", "12",
+                    "--alpha", "3/5", "--beta", "1/2",
+                ]
+            )
+        assert code == 1
+        assert re.match(f"certification failed: ({C_FAULT_REASON})", err.getvalue())
+        assert "Traceback" not in err.getvalue()
 
     def test_json_deterministic(self):
         args = (

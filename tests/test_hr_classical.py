@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -73,18 +74,31 @@ class TestConstructors:
             hr_poly(3, Params(Fraction(1, 2), 0))
 
     @pytest.mark.parametrize(
-        "alpha, beta, message",
+        "build, alpha, beta, message",
         [
-            (-3, Fraction(1, 2), "alpha+1+k at k=2 = 0"),
-            (Fraction(1, 2), -2, "1-beta-n+k at k=2 = 0"),
+            (hr_poly, -3, Fraction(1, 2), "alpha+1+k at k=2 = 0"),
+            (hr_poly, Fraction(1, 2), -2, "1-beta-n+k at k=2 = 0"),
             # both factors vanish: the alpha factor is checked first
-            (-3, -2, "alpha+1+k at k=2 = 0"),
+            (hr_poly, -3, -2, "alpha+1+k at k=2 = 0"),
+            # the recurrence route, which hr_poly_robust falls back to
+            (build_via_ttrr, -1, Fraction(1, 2), "alpha+1 = 0"),
+            (build_via_ttrr, -3, Fraction(1, 2), "n+alpha+1 at n=2 = 0"),
+            (build_via_ttrr, -5, -2, "n+alpha+1 at n=4 = 0"),
+            (hr_poly_robust, -3, -2, "n+alpha+1 at n=2 = 0"),
         ],
-        ids=["alpha-factor", "beta-factor", "both-factors"],
+        ids=[
+            "alpha-factor",
+            "beta-factor",
+            "both-factors",
+            "recurrence-alpha-plus-one",
+            "recurrence-d-coefficient",
+            "recurrence-last-step",
+            "robust-fallback",
+        ],
     )
-    def test_parameter_pole_message_pinned(self, alpha, beta, message):
+    def test_parameter_pole_message_pinned(self, build, alpha, beta, message):
         with pytest.raises(ParameterPoleError) as info:
-            hr_poly(5, Params(alpha, beta))
+            build(5, Params(alpha, beta))
         assert str(info.value) == message
 
     @settings(max_examples=40, deadline=None)
@@ -93,7 +107,8 @@ class TestConstructors:
         beta=st.fractions(min_value=-4, max_value=4, max_denominator=3),
     )
     def test_both_routes_are_monic_of_degree_n(self, alpha, beta):
-        # expand_in_hr_basis relies on this without checking it
+        # expand_in_hr_basis inverts a generating function whose members are
+        # these monic degree-n polynomials, and does not check that
         params = Params(alpha, beta)
         for n in range(9):
             for build in (hr_poly, build_via_ttrr, hr_poly_robust):
@@ -425,6 +440,38 @@ class TestCachedRows:
         assert outcome(norm_ratio, n, params) == outcome(reference_norm_ratio, n, params)
 
 
+def reference_expand_in_hr_basis(poly, params):
+    """expand_in_hr_basis before the closed form: back-substitution against P_deg..P_0.
+
+    The remainder is kept as integer numerators over one denominator.
+    """
+    if poly.is_zero:
+        return []
+    rem, den = [0] * poly.min_exp + list(poly.numerators), poly.denominator
+    out = [Fraction(0)] * len(rem)
+    for j in range(poly.degree, -1, -1):
+        c = rem[j]
+        if not c:
+            continue
+        out[j] = Fraction(c, den)
+        p_j = hr_poly_robust(j, params)
+        # rem/den - (c/den) P_j, where P_j = nums/d with nums[j] = d
+        d = p_j.denominator
+        g = gcd(c, d)
+        scale, c = d // g, c // g
+        nums = p_j.numerators
+        if p_j.min_exp:
+            nums = (0,) * p_j.min_exp + nums
+        rem = [r * scale - c * v for r, v in zip(rem[:j], nums)]
+        den *= scale
+        if scale != 1:
+            h = gcd(den, *rem)
+            if h != 1:
+                den //= h
+                rem = [r // h for r in rem]
+    return out
+
+
 class TestBasisExpansion:
     @settings(max_examples=30)
     @given(
@@ -441,6 +488,40 @@ class TestBasisExpansion:
         for j, e in enumerate(expansion):
             back = back + e * hr_poly(j, PAIR_A)
         assert back == poly
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        alpha=small_rationals,
+        beta=small_rationals,
+        coeffs=st.lists(
+            st.fractions(min_value=-9, max_value=9, max_denominator=5), min_size=1, max_size=31
+        ),
+        min_exp=st.sampled_from((0, 0, 0, 1, 4)),
+    )
+    # alpha = -1 poles from degree 1 on and alpha = -4 from degree 4 on, so
+    # the degree-3 example at alpha = -4 is regular
+    @example(alpha=Fraction(-1), beta=Fraction(1, 2), coeffs=[Fraction(0), Fraction(1)], min_exp=0)
+    @example(alpha=Fraction(-4), beta=Fraction(0), coeffs=[Fraction(1)] * 5, min_exp=0)
+    @example(alpha=Fraction(-4), beta=Fraction(2), coeffs=[Fraction(1)] * 4, min_exp=0)
+    def test_matches_back_substitution(self, alpha, beta, coeffs, min_exp):
+        # the closed form must give the values of the old route, and where
+        # that route met a pole, the same ParameterPoleError message
+        params = Params(alpha, beta)
+        poly = Poly(coeffs).shifted(min_exp)
+        want = outcome(reference_expand_in_hr_basis, poly, params)
+        assert outcome(expand_in_hr_basis, poly, params) == want
+
+    @pytest.mark.usefixtures("fresh_caches")
+    def test_builds_no_basis_polynomial(self):
+        # (7/3, -1) poles the hypergeometric sum from degree 2 on, so the old
+        # route built its basis through the recurrence fallback
+        params = Params(Fraction(7, 3), -1)
+        poly = Poly([Fraction(k + 1, 3) for k in range(40)])
+        before = (hr_poly_robust.cache_info().misses, build_via_ttrr.cache_info().misses)
+        expansion = expand_in_hr_basis(poly, params)
+        after = (hr_poly_robust.cache_info().misses, build_via_ttrr.cache_info().misses)
+        assert after == before
+        assert len(expansion) == 40 and expansion[-1] == Fraction(40, 3)
 
 
 class TestOperators:

@@ -7,6 +7,7 @@ from xlbp.darboux import make_seed, seed_theta, xi
 from xlbp.exact_core import Poly
 from xlbp.hr_classical import (
     Params,
+    _generating_terms,
     _twisted_c_row,
     _twisted_e_row,
     build_via_ttrr,
@@ -390,7 +391,16 @@ class TestSerialisation:
 
 @pytest.mark.parametrize(
     "cached",
-    [build_via_ttrr, hr_poly_robust, _c_vector, _twisted_c_row, _twisted_e_row, make_seed, x_poly],
+    [
+        build_via_ttrr,
+        hr_poly_robust,
+        _c_vector,
+        _twisted_c_row,
+        _twisted_e_row,
+        make_seed,
+        x_poly,
+        _generating_terms,
+    ],
 )
 def test_caches_are_bounded(cached):
     # an unbounded cache grows with every new parameter pair a long-lived
