@@ -28,12 +28,7 @@ from .hr_classical import (
     norm_ratio,
     verify_identity,
 )
-from .recurrence import (
-    CertificationError,
-    a_formula_in_window,
-    certify,
-    example_oracles,
-)
+from .recurrence import CertificationError, certify, example_oracles
 from .xhr import (
     InadmissibleIndexError,
     XIndex,
@@ -209,13 +204,13 @@ def _darboux_checks(params, j0s, max_n, max_l0):
                 )
             )
             for n in range(max_n + 1):
-                if j0 == 1 and n == l0:
+                if not XIndex(j0, l0, n).is_admissible:
                     checks.append(
                         (
-                            f"darboux/vanishing/j0=1/l0={l0}/n={n}",
+                            f"darboux/vanishing/j0={j0}/l0={l0}/n={n}",
                             {"j0": j0, "l0": l0, "n": n},
-                            lambda l0=l0, n=n: None
-                            if psi_hat(1, l0, n, params).is_zero
+                            lambda j0=j0, l0=l0, n=n: None
+                            if psi_hat(j0, l0, n, params).is_zero
                             else "expected the excluded member to vanish",
                         )
                     )
@@ -265,23 +260,6 @@ def _xhr_checks(params, j0s, max_n, max_l0):
                         construction,
                     )
                 )
-
-                def norms(idx=idx, j0=j0, l0=l0, n=n):
-                    from .darboux import seed_theta
-
-                    lhs = x_norm_ratio(idx, params)
-                    rhs = (seed_theta(j0, l0, params) - n) * (
-                        n + params.beta
-                    ) * norm_ratio(n, params)
-                    return None if lhs == rhs else [str(lhs), str(rhs)]
-
-                checks.append(
-                    (
-                        f"xhr/norm-theta/j0={j0}/l0={l0}/n={n}",
-                        {"j0": j0, "l0": l0, "n": n},
-                        norms,
-                    )
-                )
         if j0 == 4:
             for l0 in range(1, max_l0 + 1):
                 for n in range(max_n + 1):
@@ -312,21 +290,6 @@ def _recurrence_checks(params, j0s, max_n, max_l0):
                 checks.append(
                     (f"recurrence/certify/j0={j0}/l0={l0}/n={n}", inputs, cert_check)
                 )
-        if j0 in (3, 4) and max_n >= 2 * 1 + 1:
-            inputs = {
-                "j0": j0,
-                "l0": 1,
-                "note": "records which eigenvalue-ratio reading matches the solver",
-                "matched": [],
-            }
-
-            def reading(j0=j0, inputs=inputs):
-                if not a_formula_in_window(XIndex(j0, 1, min(max_n, 7)), params):
-                    return ["no eigenvalue reading matches the solver route"]
-                inputs["matched"] = ["full"]
-                return None
-
-            checks.append((f"recurrence/eigenvalue-reading/j0={j0}", inputs, reading))
         if max_n >= 5:
 
             def golden(j0=j0):

@@ -461,11 +461,15 @@ def expand_in_hr_basis(poly: Poly, params: Params) -> list:
     return out
 
 
+def _pearson_b1(params: Params) -> Poly:
+    """B1 = (1-beta) - (2+alpha)z: the weight's Pearson pair with A1 = z(1-z)."""
+    return Poly((1 - params.beta, -(2 + params.alpha)))
+
+
 def apply_l1(p: Poly, params: Params) -> Poly:
-    """z(1-z) p'' + (1-beta-(2+alpha)z) p'."""
-    a, b = params.alpha, params.beta
+    """z(1-z) p'' + B1 p', with B1 = (1-beta) - (2+alpha)z."""
     z = Poly.x()
-    return z * (1 - z) * p.derivative().derivative() + Poly((1 - b, -(2 + a))) * p.derivative()
+    return z * (1 - z) * p.derivative().derivative() + _pearson_b1(params) * p.derivative()
 
 
 def apply_l2(p: Poly, params: Params) -> Poly:
@@ -606,10 +610,9 @@ def _check_antiderivative(n, params):
 def _check_ladder_raise(n, params):
     # (A1 d/dz + B1) applied to the beta-fixed upshifted member raises the
     # index while twisting both parameters
-    a, b = params.alpha, params.beta
     p = hr_poly_robust(n, params.shifted(1, 0))
-    lhs = Poly((0, 1, -1)) * p.derivative() + Poly((1 - b, -(2 + a))) * p
-    rhs = (-(n + a + 2)) * hr_poly_robust(n + 1, params.shifted(1, -1))
+    lhs = Poly((0, 1, -1)) * p.derivative() + _pearson_b1(params) * p
+    rhs = (-(n + params.alpha + 2)) * hr_poly_robust(n + 1, params.shifted(1, -1))
     return lhs - rhs
 
 
@@ -770,10 +773,9 @@ def _check_pearson(n, params):
     #   z(1-z)A1' + A1(-beta(1-z) - (alpha+beta)z) - z(1-z)B1 = 0
     a, b = params.alpha, params.beta
     a1 = Poly((0, 1, -1))
-    b1 = Poly((1 - b, -(2 + a)))
     zz = Poly((0, 1, -1))
     log_w_cleared = Poly((-b, b - (a + b)))  # z(1-z) * w'/w
-    return zz * a1.derivative() + a1 * log_w_cleared - zz * b1
+    return zz * a1.derivative() + a1 * log_w_cleared - zz * _pearson_b1(params)
 
 
 def _check_ode(n, params):

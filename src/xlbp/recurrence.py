@@ -13,8 +13,10 @@ certification pipeline:
      coefficients: the members have distinct degrees, so back-substitution
      from the top degree down finds b, and what it leaves over is the
      residual, which must be the zero polynomial;
-  4. cross-derive b from the c coefficients through the backward eigenvalues
-     and require agreement.
+  4. cross-derive b_j = (sum_l a_l c_{n-l,j}) / xi_j from the c coefficients
+     through the backward eigenvalues xi_j and require agreement at every j;
+     b_j = 0 below the window, so this also holds a to the window-vanishing
+     rows where the solver found no unique a.
 
 A certificate is only produced when every step succeeds exactly; failures
 raise CertificationError rather than degrade.
@@ -142,8 +144,7 @@ def _c_row(j0: SeedType, l0: int, m: int, params: Params) -> tuple:
     reaches down to the type-1 member at m = l0, which vanishes identically;
     its expansion row is all zeros and its coefficient slot is unconstrained.
     """
-    j0 = SeedType(j0)
-    if j0 is SeedType.T1 and m == l0:
+    if not XIndex(j0, l0, m).is_admissible:
         return (Fraction(0),) * (m + l0 + 2)
     return _c_vector(j0, l0, m, params)
 
@@ -215,35 +216,19 @@ def a_coeffs_solver(idx: XIndex, params: Params) -> SolverOutcome:
     j0, l0, n = idx.j0, idx.l0, idx.n
     if n < 2 * l0 + 1:
         raise ValueError("solver route requires n >= 2*l0 + 1")
-    columns = []
-    degenerate = []
-    for l in range(l0 + 2):
-        if j0 is SeedType.T1 and n - l == l0:
-            degenerate.append(l)
-            columns.append(None)
-        else:
-            columns.append(_c_row(j0, l0, n - l, params))
-    active = [l for l in range(l0 + 2) if columns[l] is not None]
-    rows = []
-    for m in range(0, n - l0):
-        rows.append(
-            [(columns[l][m] if m < len(columns[l]) else Fraction(0)) for l in active]
-        )
+    active = [l for l in range(l0 + 2) if XIndex(j0, l0, n - l).is_admissible]
+    # member n-l has n-l+l0+2 > n-l0 coefficients, so every row index exists
+    columns = [_c_vector(j0, l0, n - l, params) for l in active]
+    rows = [[column[m] for column in columns] for m in range(n - l0)]
     solution = solve_exact(rows, [0] * len(rows))
     nullity = len(solution.nullspace)
     if nullity != 1 or solution.nullspace[0][0] == 0:
         return SolverOutcome(None, nullity)
     vec = solution.nullspace[0]
-    lead = vec[0]
-    normalised = [v / lead for v in vec]
-    out = [Fraction(0)] * (l0 + 2)
-    for pos, l in enumerate(active):
-        out[l] = normalised[pos]
-    if degenerate:
-        formula = a_coeffs_formula(idx, params)
-        for l in degenerate:
-            out[l] = formula[l]
-    return SolverOutcome(tuple(out), 1)
+    solved = {l: v / vec[0] for l, v in zip(active, vec)}
+    if len(solved) < l0 + 2:
+        solved = {**dict(enumerate(a_coeffs_formula(idx, params))), **solved}
+    return SolverOutcome(tuple(solved[l] for l in range(l0 + 2)), 1)
 
 
 @dataclass(frozen=True)
@@ -396,11 +381,6 @@ def certify(
                 )
             continue
         expected = b.get(j, Fraction(0))
-        if mode == "thm12" and j < n - l0:
-            if c_tilde != 0:
-                raise CertificationError(
-                    f"window-vanishing fails at j={j}", residual=None
-                )
         if c_tilde / xi_j != expected:
             raise CertificationError(
                 f"b cross-route mismatch at j={j}: {c_tilde / xi_j} != {expected}"

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .darboux import SeedType, make_seed
+from .darboux import SeedType, make_seed, seed_theta
 from .exact_core import Poly
 from .hr_classical import (
     CertificationError,
@@ -216,28 +216,19 @@ def darboux_route_poly(idx: XIndex, params: Params) -> Poly:
     return ph.require_polynomial()
 
 
-def _norm_prefactor(idx: XIndex, params: Params) -> Fraction:
-    n, l0 = idx.n, idx.l0
-    b = params.beta
-    if idx.j0 is SeedType.T1:
-        return -(n + b) * (n - l0)
-    if idx.j0 is SeedType.T2:
-        return -(n + b) * (n - l0 + params.alpha + b)
-    if idx.j0 is SeedType.T3:
-        return -(n + b) * (n + l0 + 1 + params.alpha + b)
-    return -(n + b) * Fraction(n + l0 + 1)
-
-
 def x_norm_ratio(idx: XIndex, params: Params) -> Fraction:
     """Diagonal norm of the family in units of the classical zeroth norm.
 
-    Equals the classical norm ratio times a quadratic prefactor in n; the
-    prefactor also equals (theta_seed - n)(n + beta), which the tests assert.
+    Equals the classical norm ratio times the quadratic prefactor
+    (theta_seed - n)(n + beta) in n; the quadrature suite checks the product
+    numerically.
     """
     idx.require_admissible()
     if idx.n < 0:
         raise InadmissibleIndexError("norms are defined for n >= 0 members")
-    return _norm_prefactor(idx, params) * norm_ratio(idx.n, params)
+    n = idx.n
+    theta = seed_theta(idx.j0, idx.l0, params)
+    return (theta - n) * (n + params.beta) * norm_ratio(n, params)
 
 
 def xp4_derivative_factor(l0: int, n: int, params: Params) -> bool:

@@ -55,13 +55,14 @@ THM11_CERTIFICATE_SHA256 = {
 LARGE_CERTIFICATE_SHA256 = "569dc3f7f558e53c2d424ad94a38a6dc994bf7dc97e13219d3ae45db751f054a"
 
 # verify --alpha 3/5 --beta 1/2 --max-n 8 --max-l0 2, by --suite: digests of
-# the reports printed before Poly and LaurentPoly became one class, and for
-# xhr before the exceptional members were cached
+# the reports printed before Poly and LaurentPoly became one class; xhr and
+# recurrence are those reports without the norm-theta and eigenvalue-reading
+# records, which could not fail unless another record failed with them
 REPORT_SHA256 = {
     "identities": "ff4c1a6ecbec03cf9ec6adea972de1a646d29489ad847f35eb97bdddbc71afe5",
     "darboux": "19925d40ba4f3d5cb2f0777640d19cd960e448f225619174e46e2727fff0569d",
-    "xhr": "8e54efd61dd6d9d924a0cb75b6f85ca9ec30b8a963dfebf4f1747507b4e759c7",
-    "recurrence": "cc9d38a66c874f27b2b08ee4e888562a30f011209f5ada0f0250bea020047baf",
+    "xhr": "6051bafc4fa79e7da7fcf5a92276d83606c7da5427a1d4ec7ae7afc600555009",
+    "recurrence": "41b0b8ec6de33deb942223c9da19f713a97c77fb41517a735fe302d7007502e5",
 }
 
 
@@ -344,7 +345,8 @@ class TestVerify:
     def test_eigenvalue_reading_passes_without_a_unique_solve(self, alpha, beta):
         # at these pairs the window rows of some type-3/4 instances have a
         # two-dimensional solution space, so there is no solver a to compare
-        # with; the reading check tests the closed form against the rows
+        # with; certify's b cross-route still tests the closed-form a, with
+        # its full eigenvalue ratio, against those rows
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             code = main(
@@ -355,10 +357,12 @@ class TestVerify:
             )
         assert code == 0
         checks = {c["check_id"]: c for c in json.loads(out.getvalue())["checks"]}
+        fallback_j0s = {("1", "1/3"): (4,), ("3/5", "2"): (3, 4)}[alpha, beta]
         for j0 in (3, 4):
-            record = checks[f"recurrence/eigenvalue-reading/j0={j0}"]
+            record = checks[f"recurrence/certify/j0={j0}/l0=1/n=7"]
             assert record["status"] == "pass"
-            assert record["inputs"]["matched"] == ["full"]
+            tags = record["inputs"]["certificate"]["method_tags"]
+            assert ("a-formula-fallback(nullspace-dim=2)" in tags) == (j0 in fallback_j0s)
 
 
 def perturb_c_expansion(monkeypatch):
@@ -377,8 +381,8 @@ def perturb_c_expansion(monkeypatch):
 
 
 # how certify refuses wrong c coefficients: the solver's a disagrees with the
-# closed form, or the window and b rows rebuilt from c do not hold
-C_FAULT_REASON = "closed-form a disagrees with solver route|window-vanishing fails|b cross-route mismatch"
+# closed form, or the b rebuilt from c, zero below the window, does not hold
+C_FAULT_REASON = "closed-form a disagrees with solver route|b cross-route mismatch"
 
 
 class TestCertify:

@@ -2,7 +2,6 @@ from fractions import Fraction
 
 import pytest
 
-from xlbp.darboux import seed_theta
 from xlbp.exact_core import Poly
 from xlbp import xhr
 from xlbp.hr_classical import CertificationError, Params, hr_poly_robust, norm_ratio
@@ -116,19 +115,26 @@ class TestNorms:
         with pytest.raises(InadmissibleIndexError):
             x_norm_ratio(XIndex(1, 2, 2), PAIR_A)
 
+    # the norm prefactor of each type written out in n, l0, alpha and beta,
+    # independently of the seed eigenvalue x_norm_ratio is built from
+    PREFACTORS = {
+        1: lambda n, l0, a, b: -(n + b) * (n - l0),
+        2: lambda n, l0, a, b: -(n + b) * (n - l0 + a + b),
+        3: lambda n, l0, a, b: -(n + b) * (n + l0 + 1 + a + b),
+        4: lambda n, l0, a, b: -(n + b) * (n + l0 + 1),
+    }
+
     @pytest.mark.parametrize("j0", [1, 2, 3, 4])
     def test_theta_identity(self, j0):
-        # the norm prefactor equals (theta_seed - n)(n + beta)
+        # x_norm_ratio's (theta_seed - n)(n + beta) equals the written-out table
         for params in pairs_for_type(j0):
             for l0 in (1, 2):
-                theta = seed_theta(j0, l0, params)
                 for n in range(0, 7):
                     idx = XIndex(j0, l0, n)
                     if not idx.is_admissible:
                         continue
-                    assert x_norm_ratio(idx, params) == (theta - n) * (
-                        n + params.beta
-                    ) * norm_ratio(n, params)
+                    prefactor = self.PREFACTORS[j0](n, l0, params.alpha, params.beta)
+                    assert x_norm_ratio(idx, params) == prefactor * norm_ratio(n, params)
 
 
 class TestType4DerivativeFactor:
