@@ -3,7 +3,7 @@ and machine certification of the associated recurrence relations.
 
 The package is organised bottom-up:
 
-  exact_core    rationals, one exact (Laurent) polynomial type, exact linear solves
+  exact_core    rationals, one exact (Laurent) polynomial type, exact nullspace
   hr_classical  the classical two-parameter family plus its identity catalog
   darboux       seed data and the backward operator for the four extensions
   xhr           exceptional families, partners, norms, structured weights
@@ -14,7 +14,6 @@ The package is organised bottom-up:
 
 from .exact_core import (
     Poly,
-    Rational,
     format_rational,
     parse_rational,
     solve_exact,
@@ -47,11 +46,9 @@ from .xhr import (
 )
 from .recurrence import (
     CertificationError,
-    CExpansion,
     RecurrenceCertificate,
     a_coeffs_formula,
     a_coeffs_solver,
-    c_expansion,
     certify,
     example_oracles,
     pi_factor,

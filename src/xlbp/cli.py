@@ -460,8 +460,7 @@ def cmd_verify(args) -> int:
 def cmd_certify(args) -> int:
     params = _parse_params(args)
     idx = XIndex(args.j0, args.l0, args.n)
-    mode = "thm12" if args.mode == "thm12" else "thm11"
-    cert = certify(idx, params, mode=mode, k=args.k)
+    cert = certify(idx, params, mode=args.mode, k=args.k)
     text = json.dumps(cert.to_json_dict(), sort_keys=True, indent=2) + "\n"
     _emit(text, args.out)
     return 0

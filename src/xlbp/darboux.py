@@ -73,10 +73,11 @@ class Seed:
         return self.p_poly
 
 
-def _reversal_prefactor(l0: int, params: Params) -> Fraction:
+def _reversal_prefactor(l0: int, params: Params, factor: str) -> Fraction:
+    """(beta)_l0 / (alpha+1)_l0; factor names alpha+1 at the caller's parameters."""
     den = pochhammer(params.alpha + 1, l0)
     if den == 0:
-        raise ParameterPoleError(f"(alpha+1)_{l0} = 0 in seed reversal")
+        raise ParameterPoleError(f"({factor})_{l0} = 0 in seed reversal")
     return pochhammer(params.beta, l0) / den
 
 
@@ -113,12 +114,13 @@ def make_seed(j0: SeedType, l0: int, params: Params) -> Seed:
         p_factor, q_factor = Poly((a + b,)), Poly((1, -1))
     elif j0 is SeedType.T3:
         # z^l0 P_l0(1/z; alpha, beta) rewritten as a plain polynomial
-        p = _reversal_prefactor(l0, params) * hr_poly_robust(
+        p = _reversal_prefactor(l0, params, "alpha+1") * hr_poly_robust(
             l0, Params(b - 1, a + 1)
         )
         p_factor, q_factor = Poly((1 + a,)), Poly((0, -1))
     else:
-        p = _reversal_prefactor(l0, params.negated()) * hr_poly_robust(
+        # at the negated pair alpha+1 reads 1-beta
+        p = _reversal_prefactor(l0, params.negated(), "1-beta") * hr_poly_robust(
             l0, Params(-a - 1, -b + 1)
         )
         p_factor, q_factor = Poly((-1 + b, 1 + a)), Poly((0, 1, -1))

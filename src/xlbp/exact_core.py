@@ -1,10 +1,10 @@
-"""Exact rational scalars, Laurent polynomials and linear solves.
+"""Exact rational scalars, Laurent polynomials and nullspaces.
 
 Everything in this module is exact: no operation ever rounds.  Scalars are
-`fractions.Fraction` (aliased `Rational`).  `Poly` is the one polynomial
-type: a Laurent polynomial sum_k c_k z^k over the rationals, of which the
-ordinary polynomials are the values with `min_exp >= 0`.  A value with a pole
-at 0 is built as `Poly(coeffs).shifted(-k)`.
+`fractions.Fraction`.  `Poly` is the one polynomial type: a Laurent
+polynomial sum_k c_k z^k over the rationals, of which the ordinary
+polynomials are the values with `min_exp >= 0`.  A value with a pole at 0 is
+built as `Poly(coeffs).shifted(-k)`.
 
 A `Poly` is stored fraction-free, as FLINT's fmpq_poly is: its lowest
 exponent `min_exp` and a tuple of integer numerators over one common integer
@@ -47,21 +47,16 @@ to a few hundred.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add, sub
 from typing import Iterable, Sequence, Union
 
-Rational = Fraction
-
 Scalar = Union[Fraction, int, str]
 
 __all__ = [
-    "Rational",
     "Poly",
     "LinearSolution",
-    "SolveStatus",
     "solve_exact",
     "parse_rational",
     "format_rational",
@@ -481,16 +476,8 @@ class Poly:
         return " + ".join(terms).replace("+ -", "- ") if terms else "0"
 
 
-class SolveStatus(Enum):
-    UNIQUE = "unique"
-    UNDERDETERMINED = "underdetermined"
-    INCONSISTENT = "inconsistent"
-
-
 @dataclass(frozen=True)
 class LinearSolution:
-    status: SolveStatus
-    solution: tuple | None
     nullspace: tuple
     rank: int
 
@@ -504,31 +491,27 @@ def _integer_row(values: Sequence[Scalar]) -> list:
     return [v // g for v in row] if g > 1 else row
 
 
-def solve_exact(matrix: Sequence[Sequence[Scalar]], rhs: Sequence[Scalar]) -> LinearSolution:
-    """The full exact solution set of matrix * x = rhs.
+def solve_exact(matrix: Sequence[Sequence[Scalar]]) -> LinearSolution:
+    """A basis of the nullspace of matrix, and its rank.
 
     Fraction-free elimination with content removal (Geddes, Czapor and
-    Labahn, Algorithms for Computer Algebra, ch. 9): each augmented row is
-    scaled to integers by the lcm of its denominators and divided by its
-    content; forward elimination replaces each row below the pivot row by
+    Labahn, Algorithms for Computer Algebra, ch. 9): each row is scaled to
+    integers by the lcm of its denominators and divided by its content;
+    forward elimination replaces each row below the pivot row by
     p*row - f*pivot_row, divided by its content again.  The pivot is the
     candidate with the smallest bit size, which keeps the integers small;
-    correctness does not depend on the choice.  The rows below the rank are
-    then zero on the left and are scanned for an inconsistent right side, and
-    only the rank rows (at most one per column) are back-substituted to the
-    reduced row echelon form in Fractions.  That form is unique, so the
-    result does not depend on the elimination order.
+    correctness does not depend on the choice.  Only the rank rows (at most
+    one per column) are back-substituted to the reduced row echelon form in
+    Fractions.  That form is unique, so the basis, one vector per free column
+    with a 1 there, does not depend on the elimination order.
 
-    Raises ValueError on a ragged matrix or when matrix and rhs differ in
-    length.
+    Raises ValueError on a ragged matrix.
     """
-    if len(matrix) != len(rhs):
-        raise ValueError("matrix/rhs size mismatch")
     if len({len(row) for row in matrix}) > 1:
         raise ValueError("ragged matrix")
-    rows = [_integer_row([*row, b]) for row, b in zip(matrix, rhs)]
+    rows = [_integer_row(row) for row in matrix]
     n_rows = len(rows)
-    n_cols = len(rows[0]) - 1 if rows else 0
+    n_cols = len(rows[0]) if rows else 0
 
     # forward elimination; the rows from r down are zero left of col
     pivot_cols: list[int] = []
@@ -561,22 +544,17 @@ def solve_exact(matrix: Sequence[Sequence[Scalar]], rhs: Sequence[Scalar]) -> Li
         pivot_cols.append(col)
         r += 1
 
-    rank = len(pivot_cols)
-    for i in range(rank, n_rows):
-        if rows[i][n_cols]:
-            return LinearSolution(SolveStatus.INCONSISTENT, None, (), rank)
-
     # back-substitution: reduced[i][c] is the reduced row echelon entry of
-    # rank row i at each free column c and at the right side c = n_cols
+    # rank row i at each free column c
+    rank = len(pivot_cols)
     pivots = set(pivot_cols)
     free_cols = [c for c in range(n_cols) if c not in pivots]
-    targets = free_cols + [n_cols]
     reduced: list = [None] * rank
     for i in range(rank - 1, -1, -1):
         row = rows[i]
         p = row[pivot_cols[i]]
         entries = {}
-        for c in targets:
+        for c in free_cols:
             acc = Fraction(row[c])
             for k in range(i + 1, rank):
                 v = row[pivot_cols[k]]
@@ -585,10 +563,6 @@ def solve_exact(matrix: Sequence[Sequence[Scalar]], rhs: Sequence[Scalar]) -> Li
             entries[c] = acc / p
         reduced[i] = entries
 
-    solution = [Fraction(0)] * n_cols
-    for i, col in enumerate(pivot_cols):
-        solution[col] = reduced[i][n_cols]
-
     basis = []
     for free in free_cols:
         vec = [Fraction(0)] * n_cols
@@ -596,6 +570,4 @@ def solve_exact(matrix: Sequence[Sequence[Scalar]], rhs: Sequence[Scalar]) -> Li
         for i, col in enumerate(pivot_cols):
             vec[col] = -reduced[i][free]
         basis.append(tuple(vec))
-
-    status = SolveStatus.UNIQUE if not free_cols else SolveStatus.UNDERDETERMINED
-    return LinearSolution(status, tuple(solution), tuple(basis), rank)
+    return LinearSolution(tuple(basis), rank)

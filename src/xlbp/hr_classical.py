@@ -40,7 +40,6 @@ __all__ = [
     "moments",
     "inner_product",
     "norm_ratio",
-    "dk_bk_polys",
     "dk_bk_sequence",
     "twisted_coeffs",
     "expand_in_hr_basis",
@@ -49,7 +48,6 @@ __all__ = [
     "IdentityTag",
     "IdentityResult",
     "verify_identity",
-    "identity_catalog",
 ]
 
 
@@ -332,12 +330,6 @@ def dk_bk_sequence(k: int, n: int, params: Params) -> tuple:
         bs.append(zd * bs[-1] + b_c * z * b_prev)
         d_prev, b_prev = ds[-2], bs[-2]
     return ds, bs
-
-
-def dk_bk_polys(k: int, n: int, params: Params) -> tuple:
-    """(D_k, B_k) such that P_{n+k+1} = D_k P_{n+1} + B_k P_n exactly."""
-    ds, bs = dk_bk_sequence(k, n, params)
-    return ds[k], bs[k]
 
 
 def _entry(row: tuple, l: int) -> Fraction:
@@ -832,7 +824,3 @@ def verify_identity(tag: IdentityTag, n: int, params: Params) -> IdentityResult:
     tag = IdentityTag(tag)
     return _result(tag, n, _CHECKS[tag](n, params))
 
-
-def identity_catalog() -> tuple:
-    """All identity tags, in catalog order."""
-    return tuple(IdentityTag)

@@ -39,23 +39,20 @@ from .hr_classical import (
     pochhammer,
     twisted_coeffs,
 )
-from .xhr import InadmissibleIndexError, XIndex, compact_darboux_sign, x_poly
+from .xhr import XIndex, compact_darboux_sign, x_poly
 
 __all__ = [
     "CertificationError",
-    "CExpansion",
     "RecurrenceCertificate",
     "SolverOutcome",
     "q_poly",
     "pi_factor",
-    "c_expansion",
     "a_coeffs_formula",
     "a_coeffs_solver",
     "certify",
     "example_oracles",
     "example_a_oracles",
     "example3_middle_coefficient_as_published",
-    "a_formula_in_window",
 ]
 
 
@@ -96,19 +93,6 @@ def pi_factor(j0: SeedType) -> Poly:
     }[SeedType(j0)]
 
 
-@dataclass(frozen=True)
-class CExpansion:
-    """Backward image of q * psi_hat expanded over {P_j(z; alpha+1, beta-1)}."""
-
-    index: XIndex
-    coefficients: tuple  # j -> coefficient, j = 0..n+l0+1
-
-    def coefficient(self, j: int) -> Fraction:
-        if 0 <= j < len(self.coefficients):
-            return self.coefficients[j]
-        return Fraction(0)
-
-
 # bounded like the polynomial caches in hr_classical: one full run of any
 # workload in bench/ leaves at most 1900 entries
 @lru_cache(maxsize=4096)
@@ -124,17 +108,6 @@ def _c_vector(j0: SeedType, l0: int, n: int, params: Params) -> tuple:
     coeffs = expand_in_hr_basis(image, params.shifted(1, -1))
     coeffs += [Fraction(0)] * (n + l0 + 2 - len(coeffs))
     return tuple(coeffs)
-
-
-def c_expansion(idx: XIndex, params: Params) -> CExpansion:
-    """Exact expansion coefficients c_{n,j}, j = 0..n+l0+1; top one nonzero."""
-    idx.require_admissible()
-    if idx.n < 0:
-        raise InadmissibleIndexError("expansions are defined for n >= 0 members")
-    coeffs = _c_vector(idx.j0, idx.l0, idx.n, params)
-    if coeffs[-1] == 0:
-        raise CertificationError("top expansion coefficient vanished")
-    return CExpansion(idx, coeffs)
 
 
 def _c_row(j0: SeedType, l0: int, m: int, params: Params) -> tuple:
@@ -182,17 +155,6 @@ def _stacked_expansion(idx: XIndex, a, params: Params) -> list:
     ]
 
 
-def a_formula_in_window(idx: XIndex, params: Params) -> bool:
-    """Whether the closed-form a satisfies sum_l a_l c_{n-l,m} = 0 for m < n-l0.
-
-    These are the window-vanishing rows the solver route solves.  Where they
-    have a one-dimensional solution space this is the same as comparing with
-    the solver's a; where they do not, it still tests the closed form.
-    """
-    stacked = _stacked_expansion(idx, a_coeffs_formula(idx, params), params)
-    return not any(stacked[: idx.n - idx.l0])
-
-
 @dataclass(frozen=True)
 class SolverOutcome:
     """Nullspace solve for the a coefficients: solution and space dimension."""
@@ -220,7 +182,7 @@ def a_coeffs_solver(idx: XIndex, params: Params) -> SolverOutcome:
     # member n-l has n-l+l0+2 > n-l0 coefficients, so every row index exists
     columns = [_c_vector(j0, l0, n - l, params) for l in active]
     rows = [[column[m] for column in columns] for m in range(n - l0)]
-    solution = solve_exact(rows, [0] * len(rows))
+    solution = solve_exact(rows)
     nullity = len(solution.nullspace)
     if nullity != 1 or solution.nullspace[0][0] == 0:
         return SolverOutcome(None, nullity)

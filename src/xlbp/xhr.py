@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .darboux import SeedType, make_seed, seed_theta
+from .darboux import SeedType, make_seed, psi_hat, seed_theta
 from .exact_core import Poly
 from .hr_classical import (
     CertificationError,
@@ -95,11 +95,10 @@ class XIndex:
 
 @dataclass(frozen=True)
 class XPoly:
-    """An exceptional polynomial together with its label and declared degree."""
+    """An exceptional polynomial together with its label."""
 
     index: XIndex
     poly: Poly
-    declared_degree: int
 
 
 def _compact_form(j0: SeedType, l0: int, n: int, params: Params) -> Poly:
@@ -162,7 +161,7 @@ def x_poly(idx: XIndex, params: Params) -> XPoly:
             f"degree mismatch for {idx}: declared {idx.degree}, actual {poly.degree}",
             residual=poly,
         )
-    return XPoly(idx, poly, idx.degree)
+    return XPoly(idx, poly)
 
 
 def _leading_factors(idx: XIndex, params: Params) -> tuple:
@@ -205,8 +204,6 @@ def darboux_route_poly(idx: XIndex, params: Params) -> Poly:
     Independent of the compact-form constructor; equals
     compact_darboux_sign(j0) * x_poly(idx).poly, which the tests assert.
     """
-    from .darboux import psi_hat  # local import avoids a module cycle
-
     idx.require_admissible()
     if idx.n < 0:
         raise InadmissibleIndexError("the added state is not a polynomial")

@@ -271,6 +271,24 @@ class TestVerify:
                 assert record["status"] == "skipped"
                 assert record["reason"].startswith(f"l0-n-alpha-beta = 0 at l0={l0}, n={n}")
 
+    @pytest.mark.parametrize(
+        "j0, alpha, beta, reason",
+        [(4, "3/5", "1", "(1-beta)_1 = 0 in seed reversal"),
+         (3, "-1", "1/2", "(alpha+1)_1 = 0 in seed reversal")],
+        ids=["type4", "type3"],
+    )
+    def test_seed_reversal_skip_names_the_vanishing_factor(self, j0, alpha, beta, reason):
+        # the type-4 seed reverses at the negated pair, where alpha+1 is 1-beta
+        proc = run_cli(
+            "verify", "--suite", "darboux", f"--alpha={alpha}", f"--beta={beta}",
+            "--j0", str(j0), "--max-n", "2", "--max-l0", "1",
+        )
+        assert proc.returncode == 0
+        checks = {c["check_id"]: c for c in json.loads(proc.stdout)["checks"]}
+        for n in range(3):
+            record = checks[f"darboux/backward-image/j0={j0}/l0=1/n={n}"]
+            assert (record["status"], record["reason"]) == ("skipped", reason)
+
     def test_verified_failure_exits_1(self, tmp_path):
         # (-1/2, -1/4) passes positivity, but the type-2 integrand behaves
         # like |1-z|^(-7/4) at z = 1, so the biorthogonality integral does

@@ -12,7 +12,6 @@ from xlbp.hr_classical import (
     apply_l1,
     apply_l2,
     build_via_ttrr,
-    dk_bk_polys,
     dk_bk_sequence,
     expand_in_hr_basis,
     hr_partner,
@@ -209,28 +208,28 @@ class TestInnerProducts:
 
 class TestConnectionPolynomials:
     def test_base_cases(self):
-        d0, b0 = dk_bk_polys(0, 3, PAIR_A)
-        assert d0 == Poly.one() and b0.is_zero
+        ds, bs = dk_bk_sequence(0, 3, PAIR_A)
+        assert ds[0] == Poly.one() and bs[0].is_zero
 
     def test_first_step_printed_forms(self, generic_params):
         n = 2
-        d1, b1 = dk_bk_polys(1, n, generic_params)
+        ds, bs = dk_bk_sequence(1, n, generic_params)
         d_c, b_c = ttrr_coeffs(n + 1, generic_params)
-        assert d1 == Poly((-d_c, 1))
-        assert b1 == Poly((0, b_c))
+        assert ds[1] == Poly((-d_c, 1))
+        assert bs[1] == Poly((0, b_c))
 
     def test_three_step_connection(self):
-        d3, b3 = dk_bk_polys(3, 2, PAIR_A)
+        ds, bs = dk_bk_sequence(3, 2, PAIR_A)
         lhs = hr_poly(6, PAIR_A)
-        rhs = d3 * hr_poly(3, PAIR_A) + b3 * hr_poly(2, PAIR_A)
+        rhs = ds[3] * hr_poly(3, PAIR_A) + bs[3] * hr_poly(2, PAIR_A)
         assert lhs == rhs
 
     def test_connection_identity_sweep(self, generic_params):
         for n in range(0, 4):
             for k in range(0, 5):
-                dk, bk = dk_bk_polys(k, n, generic_params)
+                ds, bs = dk_bk_sequence(k, n, generic_params)
                 lhs = hr_poly_robust(n + k + 1, generic_params)
-                rhs = dk * hr_poly_robust(n + 1, generic_params) + bk * hr_poly_robust(
+                rhs = ds[k] * hr_poly_robust(n + 1, generic_params) + bs[k] * hr_poly_robust(
                     n, generic_params
                 )
                 assert lhs == rhs, (n, k)
@@ -260,8 +259,8 @@ class TestConnectionPolynomials:
         n = 2
         b_next = ttrr_b(n + 1, generic_params)
         for k in range(1, 5):
-            _, bk = dk_bk_polys(k, n, generic_params)
-            rescaled = Poly(bk.coeffs[1:]) * (1 / b_next)
+            _, bs = dk_bk_sequence(k, n, generic_params)
+            rescaled = Poly(bs[k].coeffs[1:]) * (1 / b_next)
             assert rescaled.is_monic and rescaled.degree == k - 1
 
 

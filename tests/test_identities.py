@@ -5,7 +5,6 @@ import pytest
 from xlbp.hr_classical import (
     IdentityTag,
     ParameterPoleError,
-    identity_catalog,
     verify_identity,
 )
 
@@ -21,7 +20,7 @@ EXPECTED_SKIPS = {
 }
 
 
-@pytest.mark.parametrize("tag", identity_catalog(), ids=lambda t: t.value)
+@pytest.mark.parametrize("tag", tuple(IdentityTag), ids=lambda t: t.value)
 def test_catalog_entry(tag, generic_params):
     skipped = 0
     for n in range(0, 11):
@@ -36,7 +35,7 @@ def test_catalog_entry(tag, generic_params):
         assert skipped > 0
 
 
-@pytest.mark.parametrize("tag", identity_catalog(), ids=lambda t: t.value)
+@pytest.mark.parametrize("tag", tuple(IdentityTag), ids=lambda t: t.value)
 def test_catalog_entry_on_supplementary_pair(tag):
     # (5/2, 7/5) is regular for every identity, so together with the two
     # non-integer main pairs each tag is exercised at three or more pairs.

@@ -1,6 +1,7 @@
 """Rules on the package source itself, checked by parsing it."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -104,3 +105,34 @@ def test_fixture_clears_every_cache():
     }
     in_fixture = {f"{fn.__module__}.{fn.__qualname__}" for fn in PACKAGE_CACHES}
     assert in_fixture == in_source
+
+
+def _declared_all(tree) -> list:
+    """The literal list assigned to a module's `__all__`, or [] without one."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(_is_name(t, "__all__") for t in node.targets):
+            return list(ast.literal_eval(node.value))
+    return []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_exported_name_exists(path):
+    # a deleted function or class must take its `__all__` entry with it
+    module = importlib.import_module("xlbp" if path.stem == "__init__" else f"xlbp.{path.stem}")
+    exported = _declared_all(ast.parse(path.read_text(), filename=str(path)))
+    missing = [name for name in exported if not hasattr(module, name)]
+    assert not missing, f"{path.name}: __all__ names {missing}"
+
+
+def test_package_reexports_are_exported_by_their_modules():
+    # the package namespace offers nothing its own modules do not export
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    stray = [
+        f"{node.module}.{alias.name}"
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+        if not alias.name.startswith("_")
+        and alias.name not in _declared_all(ast.parse((SRC / f"{node.module}.py").read_text()))
+    ]
+    assert not stray, f"re-exported but not in the module's __all__: {stray}"

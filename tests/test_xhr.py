@@ -61,7 +61,6 @@ class TestConstruction:
                     xp = x_poly(idx, params)
                     assert xp.poly == sign * darboux_route_poly(idx, params)
                     assert xp.poly.degree == idx.degree
-                    assert xp.declared_degree == idx.degree
 
     @pytest.mark.usefixtures("fresh_caches")
     def test_degree_drop_without_a_vanishing_factor_is_refused(self, monkeypatch):
@@ -96,10 +95,7 @@ class TestPartner:
     def test_partner_degree_matches(self):
         for j0 in (1, 2, 3, 4):
             idx = XIndex(j0, 1, 2)
-            assert (
-                x_partner(idx, PAIR_A).declared_degree
-                == x_poly(idx, PAIR_A).declared_degree
-            )
+            assert x_partner(idx, PAIR_A).poly.degree == x_poly(idx, PAIR_A).poly.degree
 
     def test_explicit_plug_in(self):
         idx = XIndex(1, 1, 2)
