@@ -51,7 +51,6 @@ from .recurrence import (
     a_coeffs_solver,
     certify,
     example_oracles,
-    pi_factor,
     q_poly,
 )
 

@@ -483,8 +483,11 @@ class LinearSolution:
 
 
 def _integer_row(values: Sequence[Scalar]) -> list:
-    """values times the lcm of their denominators, divided by the content."""
-    fracs = [_coerce(v) for v in values]
+    """values times the lcm of their denominators, divided by the content.
+
+    ints and Fractions are read as they are; only other scalars are coerced.
+    """
+    fracs = [v if isinstance(v, (int, Fraction)) else _coerce(v) for v in values]
     den = lcm(*(q.denominator for q in fracs))
     row = [q.numerator * (den // q.denominator) for q in fracs]
     g = gcd(*row)

@@ -397,28 +397,36 @@ def twisted_coeffs(n: int, j: int, params: Params, side: str = "P") -> list:
 
 @lru_cache(maxsize=8192)
 def _generating_terms(k: int, params: Params) -> tuple:
-    """(A_k, w_k, lcm of A_0..A_k's numerators, lcm of w_0..w_k's denominators).
+    """(A_k, w_k, a_lcm, w_lcm, d_lcm) for the basis expansion.
 
     A_k = (alpha+1)_k/k! and w_k = (-beta)_k/k! are the z^k t^k and t^k
-    coefficients of (1-zt)^(-alpha-1) and (1-t)^beta.  Entry k extends entry
-    k-1 by one factor; `expand_in_hr_basis` fills the entries in ascending k,
-    so the recursive call is a cache hit unless the entry was evicted.  An
-    entry exists only while A_1..A_k are nonzero: a zero factor alpha+k is a
-    pole of the expansion, reported as the recurrence route reports it.
+    coefficients of (1-zt)^(-alpha-1) and (1-t)^beta.  a_lcm is the lcm of
+    A_0..A_k's numerators, w_lcm that of w_0..w_k's denominators and d_lcm
+    that of A_0..A_k's denominators.  Entry k extends entry k-1 by one
+    factor; `expand_in_hr_basis` fills the entries in ascending k, so the
+    recursive call is a cache hit unless the entry was evicted.  An entry
+    exists only while A_1..A_k are nonzero: a zero factor alpha+k is a pole
+    of the expansion, reported as the recurrence route reports it.
     """
     if k == 0:
-        return Fraction(1), Fraction(1), 1, 1
-    a_prev, w_prev, a_lcm, w_lcm = _generating_terms(k - 1, params)
+        return Fraction(1), Fraction(1), 1, 1, 1
+    a_prev, w_prev, a_lcm, w_lcm, d_lcm = _generating_terms(k - 1, params)
     up = _require_nonzero(
         params.alpha + k, "alpha+1" if k == 1 else f"n+alpha+1 at n={k - 1}"
     )
     a_k = a_prev * up / k
     w_k = w_prev * (k - 1 - params.beta) / k
-    return a_k, w_k, lcm(a_lcm, a_k.numerator), lcm(w_lcm, w_k.denominator)
+    return (
+        a_k,
+        w_k,
+        lcm(a_lcm, a_k.numerator),
+        lcm(w_lcm, w_k.denominator),
+        lcm(d_lcm, a_k.denominator),
+    )
 
 
-def expand_in_hr_basis(poly: Poly, params: Params) -> list:
-    """Coefficients e_k with poly = sum_k e_k P_k(z; params), exact.
+def expand_in_hr_basis(poly: Poly, params: Params) -> tuple:
+    """(numerators, denominator) with poly = sum_k numerators[k]/denominator P_k(z; params).
 
     The family has the generating function
         sum_n A_n P_n(z) t^n = (1-zt)^(-alpha-1) (1-t)^(-beta),
@@ -428,29 +436,32 @@ def expand_in_hr_basis(poly: Poly, params: Params) -> list:
         e_k = A_k sum_{n>=k} (f_n/A_n) w_{n-k},
     and no basis polynomial is built (Andrews, Askey and Roy, *Special
     Functions*, 1999, ch. 7).  Each inner sum is an integer dot product, with
-    f_n/A_n and w_m each over their least common denominator; each e_k is
-    reduced once.  The expansion needs A_n != 0 for n <= deg(poly), which is
-    exactly where P_0..P_deg exist.
+    f_n/A_n and w_m each over their least common denominator, and A_k is
+    taken over the lcm of the A denominators.  So every e_k is an integer
+    over the one denominator poly.denominator * a_lcm * w_lcm * d_lcm, which
+    is not reduced; no Fraction is built.  The zero polynomial gives ([], 1).
+    The expansion needs A_n != 0 for n <= deg(poly), which is exactly where
+    P_0..P_deg exist.
     """
     if poly.is_zero:
-        return []
+        return [], 1
     degree = poly.degree
     terms = [_generating_terms(k, params) for k in range(degree + 1)]
-    _, _, a_lcm, w_lcm = terms[-1]
+    _, _, a_lcm, w_lcm, d_lcm = terms[-1]
     nums = [0] * poly.min_exp + list(poly.numerators)
     # f_n/A_n = g[n] / (denominator a_lcm) and w_m = ws[m] / w_lcm
-    g = [f * a.denominator * (a_lcm // a.numerator) for f, (a, _, _, _) in zip(nums, terms)]
+    g = [f * a.denominator * (a_lcm // a.numerator) for f, (a, *_) in zip(nums, terms)]
     ws = []
-    for _, w, _, _ in terms:
+    for _, w, *_ in terms:
         if not w:
             break  # (-beta)_m = 0 from here on
         ws.append(w.numerator * (w_lcm // w.denominator))
-    den = poly.denominator * a_lcm * w_lcm
-    out = []
-    for k, (a, _, _, _) in enumerate(terms):
-        dot = sum(map(mul, g[k:], ws))
-        out.append(Fraction(a.numerator * dot, a.denominator * den))
-    return out
+    # A_k = (a.numerator * (d_lcm // a.denominator)) / d_lcm
+    out = [
+        a.numerator * (d_lcm // a.denominator) * sum(map(mul, g[k:], ws))
+        for k, (a, *_) in enumerate(terms)
+    ]
+    return out, poly.denominator * a_lcm * w_lcm * d_lcm
 
 
 def _pearson_b1(params: Params) -> Poly:
@@ -753,10 +764,8 @@ def _check_monic_completion(n, params):
         lhs = q_poly * hr_poly_robust(n + 1, params) + (
             b_next * shift_c
         ) * c_k * hr_poly_robust(n, down)
-        expansion = expand_in_hr_basis(lhs, params)
-        for j, e in enumerate(expansion):
-            if j <= n + 1 and e != 0:
-                diff_total = diff_total + Poly((e,)).shifted(j)
+        nums, den = expand_in_hr_basis(lhs, params)
+        diff_total = diff_total + Poly.from_numerators(nums[: n + 2], den)
     return diff_total
 
 

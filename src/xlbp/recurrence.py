@@ -6,9 +6,12 @@ window of 2l0+2 members, giving a relation with 3l0+4 distinct terms.  The
 certification pipeline:
 
   1. expand the backward image of q * (transformed eigenfunction) in the
-     classical basis at (alpha+1, beta-1)   -> c coefficients;
+     classical basis at (alpha+1, beta-1)   -> c coefficients, kept as
+     integer numerators over one denominator per member;
   2. solve the exact nullspace condition for the left-side a coefficients
-     (authoritative route), cross-checking the closed formula route;
+     (authoritative route) on the integer numerator columns, rescaling each
+     nullspace component by its column's denominator, and cross-check the
+     closed formula route;
   3. expand the left side over the window members for the right-side b
      coefficients: the members have distinct degrees, so back-substitution
      from the top degree down finds b, and what it leaves over is the
@@ -16,7 +19,9 @@ certification pipeline:
   4. cross-derive b_j = (sum_l a_l c_{n-l,j}) / xi_j from the c coefficients
      through the backward eigenvalues xi_j and require agreement at every j;
      b_j = 0 below the window, so this also holds a to the window-vanishing
-     rows where the solver found no unique a.
+     rows where the solver found no unique a.  The stacked sums are integers
+     over one denominator, and xi_j is read only where the sum or b_j is
+     nonzero: in the window, or at a failure.
 
 A certificate is only produced when every step succeeds exactly; failures
 raise CertificationError rather than degrade.
@@ -27,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .darboux import SeedType, backward_apply, psi_hat, xi
 from .exact_core import Poly, solve_exact
@@ -46,7 +52,6 @@ __all__ = [
     "RecurrenceCertificate",
     "SolverOutcome",
     "q_poly",
-    "pi_factor",
     "a_coeffs_formula",
     "a_coeffs_solver",
     "certify",
@@ -83,20 +88,11 @@ def q_poly(j0: SeedType, l0: int, params: Params) -> Poly:
     return (pref / (l0 + 1)) * (p - Poly((p.coeff(0),)))
 
 
-def pi_factor(j0: SeedType) -> Poly:
-    """The right companion factor z(1-z), z, 1-z, -1 for types 1-4."""
-    return {
-        SeedType.T1: Poly((0, 1, -1)),
-        SeedType.T2: Poly((0, 1)),
-        SeedType.T3: Poly((1, -1)),
-        SeedType.T4: Poly((-1,)),
-    }[SeedType(j0)]
-
-
 # bounded like the polynomial caches in hr_classical: one full run of any
 # workload in bench/ leaves at most 1900 entries
 @lru_cache(maxsize=4096)
 def _c_vector(j0: SeedType, l0: int, n: int, params: Params) -> tuple:
+    """(numerators, denominator) of c_{n,0..n+l0+1}, the backward image's expansion."""
     product = q_poly(j0, l0, params) * psi_hat(j0, l0, n, params)
     result = backward_apply(j0, l0, product, params)
     if not result.divisible:
@@ -105,9 +101,8 @@ def _c_vector(j0: SeedType, l0: int, n: int, params: Params) -> tuple:
             residual=result.remainder,
         )
     image = result.image.require_polynomial()
-    coeffs = expand_in_hr_basis(image, params.shifted(1, -1))
-    coeffs += [Fraction(0)] * (n + l0 + 2 - len(coeffs))
-    return tuple(coeffs)
+    nums, den = expand_in_hr_basis(image, params.shifted(1, -1))
+    return tuple(nums) + (0,) * (n + l0 + 2 - len(nums)), den
 
 
 def _c_row(j0: SeedType, l0: int, m: int, params: Params) -> tuple:
@@ -118,7 +113,7 @@ def _c_row(j0: SeedType, l0: int, m: int, params: Params) -> tuple:
     its expansion row is all zeros and its coefficient slot is unconstrained.
     """
     if not XIndex(j0, l0, m).is_admissible:
-        return (Fraction(0),) * (m + l0 + 2)
+        return (0,) * (m + l0 + 2), 1
     return _c_vector(j0, l0, m, params)
 
 
@@ -145,14 +140,24 @@ def a_coeffs_formula(idx: XIndex, params: Params) -> list:
     return out
 
 
-def _stacked_expansion(idx: XIndex, a, params: Params) -> list:
-    """sum_l a_l c_{n-l,m} for m = 0..n+l0+1: the left side's c-expansion."""
+def _stacked_expansion(idx: XIndex, a, params: Params) -> tuple:
+    """(sums, Q): sums[m]/Q = sum_l a_l c_{n-l,m} for m = 0..n+l0+1.
+
+    The left side's c-expansion in integers.  Row l is numerators over D_l,
+    so with s_l = a_l/D_l and Q the lcm of the s_l denominators each term is
+    one integer product of s_l*Q and a numerator.
+    """
     j0, l0, n = idx.j0, idx.l0, idx.n
     rows = [_c_row(j0, l0, n - l, params) for l in range(len(a))]
-    return [
-        sum((a[l] * row[m] for l, row in enumerate(rows) if m < len(row)), Fraction(0))
-        for m in range(n + l0 + 2)
-    ]
+    scaled = [Fraction(a_l, den) for a_l, (_, den) in zip(a, rows)]
+    q = lcm(*(s.denominator for s in scaled))
+    sums = [0] * (n + l0 + 2)
+    for s, (nums, _) in zip(scaled, rows):
+        if s:
+            weight = s.numerator * (q // s.denominator)
+            for m, v in enumerate(nums):
+                sums[m] += weight * v
+    return sums, q
 
 
 @dataclass(frozen=True)
@@ -167,9 +172,12 @@ def a_coeffs_solver(idx: XIndex, params: Params) -> SolverOutcome:
     """Left-side coefficients from the exact window-vanishing conditions.
 
     Stacks the conditions sum_l a_l c_{n-l,m} = 0 for 0 <= m <= n-l0-1 and
-    solves the homogeneous system over (a_0..a_{l0+1}) exactly.  A unique
-    normalised solution exists when the nullspace is one-dimensional with a
-    nonzero leading component.
+    solves the homogeneous system over (a_0..a_{l0+1}) exactly.  Column l
+    holds the integer numerators of c_{n-l}, which are D_l times the c
+    values; that scales nullspace component l by 1/D_l, so each component
+    is multiplied back by D_l before normalising.  A unique normalised
+    solution exists when the nullspace is one-dimensional with a nonzero
+    leading component.
 
     At n = 2*l0+1 for type 1 the last slot multiplies the identically-zero
     member; the solve runs on the remaining columns (where uniqueness is
@@ -181,12 +189,12 @@ def a_coeffs_solver(idx: XIndex, params: Params) -> SolverOutcome:
     active = [l for l in range(l0 + 2) if XIndex(j0, l0, n - l).is_admissible]
     # member n-l has n-l+l0+2 > n-l0 coefficients, so every row index exists
     columns = [_c_vector(j0, l0, n - l, params) for l in active]
-    rows = [[column[m] for column in columns] for m in range(n - l0)]
+    rows = [[nums[m] for nums, _ in columns] for m in range(n - l0)]
     solution = solve_exact(rows)
     nullity = len(solution.nullspace)
     if nullity != 1 or solution.nullspace[0][0] == 0:
         return SolverOutcome(None, nullity)
-    vec = solution.nullspace[0]
+    vec = [v * den for v, (_, den) in zip(solution.nullspace[0], columns)]
     solved = {l: v / vec[0] for l, v in zip(active, vec)}
     if len(solved) < l0 + 2:
         solved = {**dict(enumerate(a_coeffs_formula(idx, params))), **solved}
@@ -333,8 +341,16 @@ def certify(
     lhs = q * lhs
     b = _solve_b(lhs, {j: member(j) for j in window})
 
-    # cross-route: b_j = (sum_l a_l c_{n-l,j}) / xi_j wherever xi_j != 0
-    for j, c_tilde in enumerate(_stacked_expansion(idx, a, params)):
+    # cross-route: b_j = (sum_l a_l c_{n-l,j}) / xi_j wherever xi_j != 0.
+    # Where the stacked sum and b_j are both 0 the check passes whatever
+    # xi_j is, so xi_j and the Fraction are built only in the window or at
+    # a failure
+    sums, sums_den = _stacked_expansion(idx, a, params)
+    for j, dot in enumerate(sums):
+        expected = b.get(j, Fraction(0))
+        if not dot and not expected:
+            continue
+        c_tilde = Fraction(dot, sums_den)
         xi_j = xi(j0, l0, j, params)
         if xi_j == 0:
             if c_tilde != 0:
@@ -342,7 +358,6 @@ def certify(
                     f"stacked expansion does not vanish at excluded index j={j}"
                 )
             continue
-        expected = b.get(j, Fraction(0))
         if c_tilde / xi_j != expected:
             raise CertificationError(
                 f"b cross-route mismatch at j={j}: {c_tilde / xi_j} != {expected}"

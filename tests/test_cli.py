@@ -7,6 +7,7 @@ import json
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,8 @@ from hypothesis import strategies as st
 
 from xlbp import hr_classical, recurrence
 from xlbp.cli import main
+from xlbp.exact_core import Poly
+from xlbp.xhr import XIndex
 
 from conftest import clear_package_caches
 
@@ -321,8 +324,8 @@ class TestVerify:
         original = hr_classical.expand_in_hr_basis
 
         def perturbed(poly, params):
-            coeffs = original(poly, params)
-            return [coeffs[0] + 1] + coeffs[1:]
+            nums, den = original(poly, params)
+            return [nums[0] + den] + nums[1:], den
 
         monkeypatch.setattr(hr_classical, "expand_in_hr_basis", perturbed)
         out = io.StringIO()
@@ -383,8 +386,8 @@ class TestVerify:
             assert ("a-formula-fallback(nullspace-dim=2)" in tags) == (j0 in fallback_j0s)
 
 
-def perturb_c_expansion(monkeypatch):
-    """Add 1 to c_{n,0} of every backward-image expansion certify makes.
+def perturb_c_expansion(monkeypatch, index=0):
+    """Add 1 to c_{n,index} of every backward-image expansion certify makes.
 
     recurrence imports expand_in_hr_basis by name, so the patch goes there;
     the caller must clear the caches, or _c_vector serves unpatched rows.
@@ -392,10 +395,21 @@ def perturb_c_expansion(monkeypatch):
     original = recurrence.expand_in_hr_basis
 
     def perturbed(poly, params):
-        coeffs = original(poly, params)
-        return [coeffs[0] + 1] + coeffs[1:]
+        nums, den = original(poly, params)
+        nums = list(nums)
+        nums[index] += den
+        return nums, den
 
     monkeypatch.setattr(recurrence, "expand_in_hr_basis", perturbed)
+
+
+def certify_in_process(*argv):
+    """Exit code and stderr of `xlbp certify` run through cli.main; no traceback."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["certify", *argv])
+    assert "Traceback" not in err.getvalue()
+    return code, err.getvalue()
 
 
 # how certify refuses wrong c coefficients: the solver's a disagrees with the
@@ -475,6 +489,56 @@ class TestCertify:
         assert code == 1
         assert re.match(f"certification failed: ({C_FAULT_REASON})", err.getvalue())
         assert "Traceback" not in err.getvalue()
+
+    @pytest.mark.usefixtures("fresh_caches")
+    def test_stacked_expansion_nonzero_at_excluded_index_exits_1(self, monkeypatch):
+        # xi_{l0} = 0 for type 1, so b_{l0} is not read from the c route;
+        # adding 1 to every c_{m,l0} leaves the window rows without a
+        # nonzero solution (nullity 0), so certify falls back to the closed
+        # form and the cross-route meets the nonzero stacked sum at j = l0
+        perturb_c_expansion(monkeypatch, index=1)
+        code, err = certify_in_process(
+            "--j0", "1", "--l0", "1", "--n", "5", "--alpha", "1", "--beta", "1/2"
+        )
+        assert code == 1
+        assert err == (
+            "certification failed: stacked expansion does not vanish at excluded index j=1\n"
+        )
+
+    @pytest.mark.usefixtures("fresh_caches")
+    def test_cross_route_mismatch_message_pinned(self, monkeypatch):
+        # the top c entry of each member lies above the window-vanishing rows,
+        # so the solver's a still agrees with the closed form; the first
+        # perturbed stacked sum is at j = 5, the top of member n-2
+        perturb_c_expansion(monkeypatch, index=-1)
+        code, err = certify_in_process(
+            "--j0", "1", "--l0", "1", "--n", "5", "--alpha", "1", "--beta", "1/2"
+        )
+        assert code == 1
+        assert err == "certification failed: b cross-route mismatch at j=5: -199/1176 != -69/448\n"
+
+    @pytest.mark.usefixtures("fresh_caches")
+    def test_inconsistent_window_expansion_exits_1(self, monkeypatch):
+        # a constant added to the top window member X_{n+l0+1}, which is not
+        # on the left side: every window member has positive degree, so
+        # _solve_b's back-substitution leaves a nonzero residual
+        original = recurrence.x_poly
+        top = XIndex(2, 1, 7)
+
+        def perturbed(idx, params):
+            member = original(idx, params)
+            return replace(member, poly=member.poly + Poly.one()) if idx == top else member
+
+        monkeypatch.setattr(recurrence, "x_poly", perturbed)
+        code, err = certify_in_process(
+            "--j0", "2", "--l0", "1", "--n", "5", "--alpha", "3/5", "--beta", "1/2"
+        )
+        assert code == 1
+        first, second = err.splitlines()
+        assert first == (
+            "certification failed: window expansion is inconsistent: the relation fails"
+        )
+        assert second.startswith("residual coefficients: ['0', ")
 
     def test_json_deterministic(self):
         args = (

@@ -471,6 +471,14 @@ def reference_expand_in_hr_basis(poly, params):
     return out
 
 
+def expansion_values(poly, params):
+    """expand_in_hr_basis as Fractions, after checking its integer form."""
+    nums, den = expand_in_hr_basis(poly, params)
+    assert type(den) is int and den > 0
+    assert all(type(v) is int for v in nums)
+    return [Fraction(v, den) for v in nums]
+
+
 class TestBasisExpansion:
     @settings(max_examples=30)
     @given(
@@ -482,7 +490,7 @@ class TestBasisExpansion:
     )
     def test_round_trip(self, coeffs):
         poly = Poly(coeffs)
-        expansion = expand_in_hr_basis(poly, PAIR_A)
+        expansion = expansion_values(poly, PAIR_A)
         back = Poly.zero()
         for j, e in enumerate(expansion):
             back = back + e * hr_poly(j, PAIR_A)
@@ -502,13 +510,17 @@ class TestBasisExpansion:
     @example(alpha=Fraction(-1), beta=Fraction(1, 2), coeffs=[Fraction(0), Fraction(1)], min_exp=0)
     @example(alpha=Fraction(-4), beta=Fraction(0), coeffs=[Fraction(1)] * 5, min_exp=0)
     @example(alpha=Fraction(-4), beta=Fraction(2), coeffs=[Fraction(1)] * 4, min_exp=0)
+    @example(alpha=Fraction(3, 5), beta=Fraction(1, 2), coeffs=[Fraction(0)], min_exp=0)
+    @example(alpha=Fraction(-2), beta=Fraction(1, 3), coeffs=[Fraction(2, 3)] * 3, min_exp=1)
     def test_matches_back_substitution(self, alpha, beta, coeffs, min_exp):
-        # the closed form must give the values of the old route, and where
-        # that route met a pole, the same ParameterPoleError message
+        # each integer numerator over the one common denominator must give
+        # the value of the old route, and where that route met a pole, the
+        # same ParameterPoleError message; the zero polynomial expands to
+        # nothing
         params = Params(alpha, beta)
         poly = Poly(coeffs).shifted(min_exp)
         want = outcome(reference_expand_in_hr_basis, poly, params)
-        assert outcome(expand_in_hr_basis, poly, params) == want
+        assert outcome(expansion_values, poly, params) == want
 
     @pytest.mark.usefixtures("fresh_caches")
     def test_builds_no_basis_polynomial(self):
@@ -517,7 +529,7 @@ class TestBasisExpansion:
         params = Params(Fraction(7, 3), -1)
         poly = Poly([Fraction(k + 1, 3) for k in range(40)])
         before = (hr_poly_robust.cache_info().misses, build_via_ttrr.cache_info().misses)
-        expansion = expand_in_hr_basis(poly, params)
+        expansion = expansion_values(poly, params)
         after = (hr_poly_robust.cache_info().misses, build_via_ttrr.cache_info().misses)
         assert after == before
         assert len(expansion) == 40 and expansion[-1] == Fraction(40, 3)

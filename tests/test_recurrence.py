@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from xlbp import recurrence
-from xlbp.darboux import make_seed, seed_theta, xi
+from xlbp.darboux import backward_apply, make_seed, psi_hat, seed_theta, xi
 from xlbp.exact_core import Poly
 from xlbp.hr_classical import (
     Params,
@@ -26,12 +26,32 @@ from xlbp.recurrence import (
     example3_middle_coefficient_as_published,
     example_a_oracles,
     example_oracles,
-    pi_factor,
     q_poly,
 )
 from xlbp.xhr import XIndex, compact_darboux_sign, x_poly
 
 from conftest import PAIR_A, pairs_for_recurrence
+from test_hr_classical import reference_expand_in_hr_basis
+
+# the right companion factor of each type: z(1-z), z, 1-z, -1
+PI_FACTOR = {
+    1: Poly((0, 1, -1)),
+    2: Poly((0, 1)),
+    3: Poly((1, -1)),
+    4: Poly((-1,)),
+}
+
+
+def c_values(j0, l0, n, params):
+    """_c_row as Fractions: each numerator over the row's denominator."""
+    nums, den = _c_row(j0, l0, n, params)
+    return [Fraction(v, den) for v in nums]
+
+
+def stacked_window_rows(idx, a, params):
+    """The stacked sums sum_l a_l c_{n-l,m} on the window-vanishing rows m < n-l0."""
+    sums, _ = _stacked_expansion(idx, a, params)
+    return sums[: idx.n - idx.l0]
 
 
 def reduced_xi_reading(idx, params):
@@ -76,15 +96,9 @@ class TestQPoly:
 
 
 class TestPiFactor:
-    def test_printed_values(self):
-        assert pi_factor(1) == Poly((0, 1, -1))
-        assert pi_factor(2) == Poly((0, 1))
-        assert pi_factor(3) == Poly((1, -1))
-        assert pi_factor(4) == Poly((-1,))
-
     def test_type1_product_is_a1(self):
         q_factor = make_seed(1, 1, PAIR_A).Q_factor
-        assert q_factor * pi_factor(1) == Poly((0, 1, -1))  # z(1-z)
+        assert q_factor * PI_FACTOR[1] == Poly((0, 1, -1))  # z(1-z)
 
 
 class TestCExpansion:
@@ -95,27 +109,27 @@ class TestCExpansion:
                     idx = XIndex(j0, l0, n)
                     if not idx.is_admissible:
                         continue
-                    coeffs = _c_vector(j0, l0, n, negation_safe_params)
-                    assert len(coeffs) == n + l0 + 2
-                    assert coeffs[-1] != 0
+                    nums, den = _c_vector(j0, l0, n, negation_safe_params)
+                    assert len(nums) == n + l0 + 2
+                    assert nums[-1] != 0 and den > 0
 
     def test_inadmissible_rejected(self):
         # the excluded type-1 member vanishes, so the backward operator has
         # no input; its window row is zero instead
         with pytest.raises(ValueError, match="must be nonzero"):
             _c_vector(1, 1, 1, PAIR_A)
-        assert _c_row(1, 1, 1, PAIR_A) == (Fraction(0),) * 4
+        assert _c_row(1, 1, 1, PAIR_A) == ((0,) * 4, 1)
 
     def test_reconstruction(self):
         params = Params(1, 1)
         idx = XIndex(1, 1, 3)
         shifted = params.shifted(1, -1)
         recon = Poly.zero()
-        for j, c in enumerate(_c_vector(1, 1, 3, params)):
+        for j, c in enumerate(c_values(1, 1, 3, params)):
             recon = recon + c * hr_poly_robust(j, shifted)
         combo = xi(1, 1, 3, params) * q_poly(1, 1, params) * hr_poly_robust(
             3, shifted
-        ) + pi_factor(1) * x_poly(idx, params).poly
+        ) + PI_FACTOR[1] * x_poly(idx, params).poly
         assert recon == combo
 
     @pytest.mark.parametrize("j0", [1, 2, 3, 4])
@@ -130,12 +144,43 @@ class TestCExpansion:
                 if not idx.is_admissible:
                     continue
                 recon = Poly.zero()
-                for j, c in enumerate(_c_vector(j0, l0, n, params)):
+                for j, c in enumerate(c_values(j0, l0, n, params)):
                     recon = recon + c * hr_poly_robust(j, shifted)
                 combo = xi(j0, l0, n, params) * q_poly(j0, l0, params) * hr_poly_robust(
                     n, shifted
-                ) + pi_factor(j0) * x_poly(idx, params).poly
+                ) + PI_FACTOR[j0] * x_poly(idx, params).poly
                 assert recon == combo, (j0, l0, n)
+
+    @pytest.mark.parametrize("j0", [1, 2, 3, 4])
+    def test_matches_reference_expansion_of_the_backward_image(self, j0):
+        # the integer c-vector, read as Fractions, is the old back-substitution
+        # expansion of the backward image, zero-padded to n+l0+2 entries
+        for params in pairs_for_recurrence(j0):
+            shifted = params.shifted(1, -1)
+            for l0 in (1, 2):
+                for n in range(0, 2 * l0 + 6):
+                    if not XIndex(j0, l0, n).is_admissible:
+                        continue
+                    product = q_poly(j0, l0, params) * psi_hat(j0, l0, n, params)
+                    image = backward_apply(j0, l0, product, params).image
+                    want = reference_expand_in_hr_basis(image.require_polynomial(), shifted)
+                    want += [Fraction(0)] * (n + l0 + 2 - len(want))
+                    assert c_values(j0, l0, n, params) == want, (j0, l0, n)
+
+    def test_stacked_sums_are_integers_over_one_denominator(self):
+        # sums[m]/den is sum_l a_l c_{n-l,m}, formed from the Fraction rows
+        params = Params(Fraction(7, 3), Fraction(-1, 4))
+        for j0 in (1, 2, 3, 4):
+            idx = XIndex(j0, 2, 7)
+            a = [Fraction(1), Fraction(-2, 3), Fraction(5, 7), Fraction(0)]
+            sums, den = _stacked_expansion(idx, a, params)
+            assert all(type(v) is int for v in sums) and den > 0
+            rows = [c_values(j0, 2, idx.n - l, params) for l in range(len(a))]
+            want = [
+                sum((a_l * row[m] for a_l, row in zip(a, rows) if m < len(row)), Fraction(0))
+                for m in range(idx.n + idx.l0 + 2)
+            ]
+            assert [Fraction(v, den) for v in sums] == want, j0
 
 
 class TestACoefficients:
@@ -168,14 +213,12 @@ class TestACoefficients:
         # not reproduce the solver route
         for params in pairs_for_recurrence(j0):
             idx = XIndex(j0, 1, 5)
-            assert not any(
-                _stacked_expansion(idx, a_coeffs_formula(idx, params), params)[: idx.n - idx.l0]
-            )
+            assert not any(stacked_window_rows(idx, a_coeffs_formula(idx, params), params))
             solver = a_coeffs_solver(idx, params).a
             assert list(solver) == a_coeffs_formula(idx, params)
             reduced = reduced_xi_reading(idx, params)
             assert list(solver) != reduced
-            assert any(_stacked_expansion(idx, reduced, params)[: idx.n - idx.l0])
+            assert any(stacked_window_rows(idx, reduced, params))
 
     @pytest.mark.parametrize(
         "j0, params", [(4, Params(1, Fraction(1, 3))), (3, Params(Fraction(3, 5), 2))]
@@ -185,9 +228,7 @@ class TestACoefficients:
         # is no solver a to compare with; the closed form still lies in it
         idx = XIndex(j0, 1, 7)
         assert a_coeffs_solver(idx, params).nullity == 2
-        assert not any(
-            _stacked_expansion(idx, a_coeffs_formula(idx, params), params)[: idx.n - idx.l0]
-        )
+        assert not any(stacked_window_rows(idx, a_coeffs_formula(idx, params), params))
         assert "a-formula-fallback(nullspace-dim=2)" in certify(idx, params).method_tags
 
     def test_degenerate_slot_at_sharp_bound(self):
