@@ -14,6 +14,7 @@ import json
 import sys
 import time
 from fractions import Fraction
+from functools import lru_cache
 
 from . import __version__
 from .darboux import backward_apply, kernel_check, psi_hat, xi
@@ -471,6 +472,8 @@ def cmd_certify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+# parsing leaves no state in the parser, so one serves every call of main
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="xlbp",
@@ -530,8 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except CertificationError as exc:

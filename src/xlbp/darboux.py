@@ -127,6 +127,8 @@ def make_seed(j0: SeedType, l0: int, params: Params) -> Seed:
     return Seed(j0, l0, p, theta, p_factor, q_factor)
 
 
+# the darboux, xhr and recurrence suites of one pair ask for the same members
+@lru_cache(maxsize=256)
 def psi_hat(j0: SeedType, l0: int, n: int, params: Params) -> Poly:
     """Transformed eigenfunction for classical index n.
 

@@ -66,29 +66,42 @@ class CertificationError(RuntimeError):
         self.residual = residual
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Params:
-    """The rational parameter pair (alpha, beta) of the HR family."""
+    """The rational parameter pair (alpha, beta) of the HR family.
+
+    Every cache in the package is keyed on Params, so the hash is computed
+    once (the value the dataclass would compute) and equality compares the
+    four integers of the two reduced fractions.
+    """
 
     alpha: Fraction
     beta: Fraction
 
     def __init__(self, alpha, beta):  # noqa: D107 -- coerce to Fraction
-        object.__setattr__(self, "alpha", Fraction(alpha))
-        object.__setattr__(self, "beta", Fraction(beta))
-        # every cache in the package is keyed on Params, so hash the two
-        # Fractions once; the value is the one the dataclass would compute
-        object.__setattr__(self, "_hash", hash((self.alpha, self.beta)))
+        alpha, beta = Fraction(alpha), Fraction(beta)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(
+            self, "_key", (alpha.numerator, alpha.denominator, beta.numerator, beta.denominator)
+        )
+        object.__setattr__(self, "_hash", hash((alpha, beta)))
+
+    def __eq__(self, other):
+        if other.__class__ is not Params:
+            return NotImplemented
+        return self._key == other._key
 
     def __hash__(self) -> int:
         return self._hash
 
     def shifted(self, d_alpha: int, d_beta: int) -> "Params":
-        return Params(self.alpha + d_alpha, self.beta + d_beta)
+        """(alpha + d_alpha, beta + d_beta), one object per shift while it is cached."""
+        return _shifted_params(self, d_alpha, d_beta)
 
     def swapped(self) -> "Params":
-        """Partner parameters (beta, alpha)."""
-        return Params(self.beta, self.alpha)
+        """Partner parameters (beta, alpha), one object while it is cached."""
+        return _swapped_params(self)
 
     def negated(self) -> "Params":
         """(-beta, -alpha), as used by the type-2 and type-4 seed data."""
@@ -101,6 +114,19 @@ class Params:
 
     def __str__(self) -> str:
         return f"(alpha={self.alpha}, beta={self.beta})"
+
+
+# the twist rows, identities, partners and c-vectors of one pair ask for the
+# same few related pairs over and over; one object per pair lets the caches
+# keyed on it match by identity
+@lru_cache(maxsize=1024)
+def _shifted_params(params: Params, d_alpha: int, d_beta: int) -> Params:
+    return Params(params.alpha + d_alpha, params.beta + d_beta)
+
+
+@lru_cache(maxsize=1024)
+def _swapped_params(params: Params) -> Params:
+    return Params(params.beta, params.alpha)
 
 
 def pochhammer(x: Union[Fraction, int], n: int) -> Fraction:
@@ -120,6 +146,28 @@ def _require_nonzero(value: Fraction, factor: str) -> Fraction:
     return value
 
 
+# Every cache in the package is bounded so that a long-lived process stops
+# growing.  One full run of each workload in bench/ (seeds 1-5, quad-circle
+# 1-3) left at most these entries with the bounds lifted: hr_poly 6165
+# (verify-small; certify-sweep 1239), build_via_ttrr 10, ttrr_b 3635,
+# ttrr_d 444, _shifted_params 492, _swapped_params 289, _generating_terms
+# 2145 (certify-sweep), recurrence._c_vector 1900, _twisted_c_row 1732,
+# _twisted_e_row 1188, xhr.x_poly 2946, darboux.psi_hat 2358,
+# darboux.make_seed 262, recurrence.q_poly 262, moments 297,
+# cli.build_parser 1 and, in quadrature, _node_geometry 153,
+# _extremes_on_circle 5 and _roots_of_unity 1.  The polynomial, ttrr_d,
+# related-pair, generating-term, c-vector and quadrature bounds are at least
+# twice that and the twist-row bounds above it, so those runs never evict
+# them.  The seed, member, left-factor and moment bounds hold the working
+# set of a few parameter pairs (one verify-small pair uses 8 seeds, 90
+# members, 72 psi_hat values, 8 left factors and 9 moment tables, and
+# certify-sweep never reads a psi_hat value twice): a run that moves on to a
+# new pair never reads the old entries again, and on those runs the smaller
+# bounds lost no cache hit while keeping peak RSS lower.  ttrr_b holds about
+# 110 entries per verify-small pair; a bound that never evicts it made peak
+# RSS 0.4 MB higher and saved 92 misses in about 21,800 reads over
+# verify-small seeds 1-2 (integer shifts of two pairs can meet).
+@lru_cache(maxsize=16384)
 def hr_poly(n: int, params: Params) -> Poly:
     """P_n(z; alpha, beta) from the terminating hypergeometric sum.
 
@@ -133,13 +181,16 @@ def hr_poly(n: int, params: Params) -> Poly:
         raise ValueError("degree must be nonnegative")
     pa, qa = params.alpha.numerator, params.alpha.denominator
     pb, qb = params.beta.numerator, params.beta.denominator
+    # alpha+1+k and 1-beta-n+k each vanish for at most one k, and only at an
+    # integer parameter; hr_poly_robust meets these poles on every call, since
+    # a raise is not cached
+    if qa == 1 and 0 <= -pa - 1 < n:
+        raise ParameterPoleError(f"alpha+1+k at k={-pa - 1} = 0")
+    if qb == 1 and 0 <= pb + n - 1 < n:
+        raise ParameterPoleError(f"1-beta-n+k at k={pb + n - 1} = 0")
     # alpha+1+i = up[i]/qa and 1-beta-n+i = down[i]/qb
     up = [pa + (1 + i) * qa for i in range(n)]
     down = [(1 - n + i) * qb - pb for i in range(n)]
-    for k, v in enumerate(up):
-        _require_nonzero(v, f"alpha+1+k at k={k}")
-    for k, v in enumerate(down):
-        _require_nonzero(v, f"1-beta-n+k at k={k}")
     # term ratio c_{i+1}/c_i = ((i-n) up[i] qb) / (down[i] qa (i+1)), and c_n = 1, so
     # c_k = prod_{i<k} (i-n) up[i] qb * prod_{i>=k} down[i] qa (i+1) / prod_{i<n} (i-n) up[i] qb
     suffix = [1] * (n + 1)
@@ -159,6 +210,9 @@ def hr_partner(n: int, params: Params) -> Poly:
     return hr_poly(n, params.swapped())
 
 
+# the identities, twist rows and connection polynomials of one pair read the
+# same recurrence coefficients many times
+@lru_cache(maxsize=1024)
 def ttrr_d(n: int, params: Params) -> Fraction:
     """Recurrence coefficient d_n = -(n+beta)/(n+alpha+1)."""
     return -(n + params.beta) / _require_nonzero(
@@ -166,6 +220,7 @@ def ttrr_d(n: int, params: Params) -> Fraction:
     )
 
 
+@lru_cache(maxsize=2048)
 def ttrr_b(n: int, params: Params) -> Fraction:
     """Recurrence coefficient b_n = -n(n+alpha+beta)/((n+alpha)(n+alpha+1)).
 
@@ -211,28 +266,13 @@ def build_via_ttrr(n: int, params: Params) -> Poly:
     return cur
 
 
-# Every cache in the package is bounded so that a long-lived process stops
-# growing.  One full run of each workload in bench/ (seeds 1-5, quad-circle
-# 1-3) left at most these entries with the bounds lifted: hr_poly_robust 5914
-# (verify-small; certify-sweep 1245), build_via_ttrr 10, _generating_terms
-# 2145 (certify-sweep), recurrence._c_vector 1900, _twisted_c_row 1732,
-# _twisted_e_row 1188, darboux.make_seed 262, xhr.x_poly 2946 and, in
-# quadrature, _node_geometry 153, _extremes_on_circle 5 and _roots_of_unity 1.
-# The polynomial, generating-term, c-vector and quadrature bounds are at
-# least twice that and the twist-row bounds above it, so those runs never
-# evict them.  The seed and member bounds hold the working set of a few
-# parameter pairs (one verify-small pair uses 8 seeds and 90 members): a run
-# that moves on to a new pair never reads the old entries again, and on those
-# runs the smaller bounds lost no cache hit while keeping peak RSS 1-3 MB
-# lower.
-@lru_cache(maxsize=16384)
 def hr_poly_robust(n: int, params: Params) -> Poly:
     """P_n via the hypergeometric sum, falling back to the recurrence route.
 
     Twisted parameter sets such as (alpha+j, beta-j) can hit removable poles
     of the hypergeometric coefficients (integer beta) while the recurrence
-    route stays regular; identity checks use this constructor.  This is the
-    one cached constructor, so it also remembers its fallbacks.
+    route stays regular; identity checks use this constructor.  Both routes
+    are cached, so a fallback is built once.
     """
     try:
         return hr_poly(n, params)
@@ -262,6 +302,8 @@ class MomentTable:
         return self.values[k - self.k_min]
 
 
+# keyed on the exact range, so a range that reaches a pole raises every time
+@lru_cache(maxsize=64)
 def moments(params: Params, k_min: int, k_max: int) -> MomentTable:
     """Moment table on [k_min, k_max] from the two-sided ratio recurrence."""
     if k_min > 0 or k_max < 0:

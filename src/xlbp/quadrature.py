@@ -48,7 +48,7 @@ import mpmath as mp
 
 from .exact_core import Poly
 from .hr_classical import Params, hr_partner, hr_poly_robust
-from .xhr import XIndex, x_partner, x_poly, x_weight_factor
+from .xhr import WeightFactor, XIndex, x_partner, x_poly, x_weight_factor
 
 __all__ = [
     "QuadConfig",
@@ -254,6 +254,24 @@ def _extremes_on_circle(poly: Poly, prec):
         return min(mags), max(mags)
 
 
+def _ratio_on_circle(factor: WeightFactor):
+    """`factor.ratio_at` with its Fractions converted once, for one integral.
+
+    The Fractions are converted as mpmath converts them inside `ratio_at`,
+    and `_horner`'s first step is exact, so every value rounds as before.
+    """
+    constant = mp.mpmathify(factor.constant_ratio)
+    base = [mp.mpmathify(c) for c in factor.denominator_base.coeffs]
+    power, linear = factor.monomial_power, factor.linear_power
+
+    def ratio_at(z):
+        den = _horner(base, z)
+        value = constant * z**power / (den * den)
+        return value * (z - 1) if linear == 1 else value / (1 - z)
+
+    return ratio_at
+
+
 def _denominator_guard(base_poly):
     lo, hi = _extremes_on_circle(base_poly, mp.mp.prec)
     if lo < _GUARD_THRESHOLD * hi:
@@ -304,9 +322,10 @@ def exceptional_quad(
                 f"at z = 1, and the exponent is <= -1"
             )
         p_c, q_c = _mp_coeffs(p), _mp_coeffs(q)
+        ratio_at = _ratio_on_circle(factor)
 
         def term(z, zbar):
-            return factor.ratio_at(z) * _horner(p_c, z) * _horner(q_c, zbar)
+            return ratio_at(z) * _horner(p_c, z) * _horner(q_c, zbar)
 
         num, diffs, pts, err = _integrate_levels(term, params, cfg)
         den = _zeroth_moment(params)

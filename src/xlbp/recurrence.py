@@ -61,6 +61,8 @@ __all__ = [
 ]
 
 
+# every certificate and c-vector of one (j0, l0, pair) shares this factor
+@lru_cache(maxsize=64)
 def q_poly(j0: SeedType, l0: int, params: Params) -> Poly:
     """The fixed left factor: degree l0+1, divisible by z.
 
@@ -260,7 +262,7 @@ def _solve_b(lhs: Poly, members: dict) -> dict:
             b[j] = Fraction(0)
     if not rem.is_zero:
         raise CertificationError(
-            "window expansion is inconsistent: the relation fails", residual=lhs
+            "window expansion is inconsistent: the relation fails", residual=rem
         )
     return {j: b[j] for j in members}
 

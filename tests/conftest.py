@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from xlbp import darboux, hr_classical, quadrature, recurrence, xhr
+from xlbp import cli, darboux, hr_classical, quadrature, recurrence, xhr
 from xlbp.hr_classical import Params
 
 # Canonical generic parameter pairs used across the suite.  The integer pair
@@ -50,17 +50,25 @@ def pairs_for_recurrence(j0: int):
 # Every lru_cache in the package; tests/test_source_rules.py checks this list
 # against the source.
 PACKAGE_CACHES = (
+    hr_classical._shifted_params,
+    hr_classical._swapped_params,
+    hr_classical.ttrr_d,
+    hr_classical.ttrr_b,
+    hr_classical.hr_poly,
     hr_classical.build_via_ttrr,
-    hr_classical.hr_poly_robust,
+    hr_classical.moments,
     hr_classical._twisted_c_row,
     hr_classical._twisted_e_row,
     hr_classical._generating_terms,
     darboux.make_seed,
+    darboux.psi_hat,
     xhr.x_poly,
+    recurrence.q_poly,
     recurrence._c_vector,
     quadrature._node_geometry,
     quadrature._roots_of_unity,
     quadrature._extremes_on_circle,
+    cli.build_parser,
 )
 
 

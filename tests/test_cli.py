@@ -8,15 +8,19 @@ import re
 import subprocess
 import sys
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xlbp import hr_classical, recurrence
+from xlbp import cli, hr_classical, recurrence
 from xlbp.cli import main
+from xlbp.darboux import xi
 from xlbp.exact_core import Poly
+from xlbp.hr_classical import Params, hr_poly_robust
+from xlbp.recurrence import example_oracles
 from xlbp.xhr import XIndex
 
 from conftest import clear_package_caches
@@ -218,11 +222,14 @@ class TestVerify:
         assert hashlib.sha256(proc.stdout.encode()).hexdigest() == REPORT_SHA256[suite]
 
     @pytest.mark.usefixtures("fresh_caches")
-    @pytest.mark.parametrize("alpha, beta", [("3/5", "1/2"), ("1", "1/3")])
+    @pytest.mark.parametrize("alpha, beta", [("3/5", "1/2"), ("1", "1/3"), ("3/5", "1")])
     def test_reports_do_not_depend_on_cache_state(self, alpha, beta):
-        # the exact suites share cached twist rows, seeds and members; a
-        # report must read the same whether its suite runs on empty caches
-        # or on caches that every suite has filled
+        # the exact suites share cached twist rows, seeds, members, partners
+        # and moment tables; a report must read the same whether its suite
+        # runs on empty caches, on caches that every suite has filled, or on
+        # caches that the suites before it fill in a one-process verify run.
+        # At (3/5, 1) many records are skips (a pole at beta = 1), and a
+        # cached value must not turn one into a pass
         def report(suite, cold=False):
             if cold:
                 clear_package_caches()
@@ -239,8 +246,14 @@ class TestVerify:
         cold = {suite: report(suite, cold=True) for suite in suites}
         warm = {suite: report(suite) for suite in reversed(suites)}
         assert warm == cold
+        clear_package_caches()
+        in_order = {suite: report(suite) for suite in suites}
+        assert in_order == cold
         if (alpha, beta) == ("3/5", "1/2"):
             assert {s: hashlib.sha256(r).hexdigest() for s, r in cold.items()} == REPORT_SHA256
+        if (alpha, beta) == ("3/5", "1"):
+            skipped = {s: json.loads(r)["summary"]["skipped"] for s, r in cold.items()}
+            assert skipped == {"identities": 15, "darboux": 36, "xhr": 54, "recurrence": 33}
 
     def test_skips_are_recorded(self, tmp_path):
         # (1,1) poles two identity checks; they must appear as skips
@@ -342,6 +355,56 @@ class TestVerify:
         assert all(c["witness"] for c in failed)
 
     @pytest.mark.usefixtures("fresh_caches")
+    @pytest.mark.parametrize("fault", ["scaled", "constant"])
+    def test_refuted_backward_image_exits_1_with_a_witness(self, monkeypatch, fault):
+        # cli looks psi_hat up by name.  Doubling the member keeps it in the
+        # span, so the backward image is 2 xi P_n and the image law's witness
+        # is the difference xi P_n(.; alpha+1, beta-1).  Adding 1 adds the
+        # linear multiplier (1-beta-l0) + (l0-alpha-2) z to the numerator,
+        # which the degree-2 seed polynomial cannot divide, so the division's
+        # remainder is that multiplier
+        params = Params(Fraction(3, 5), Fraction(1, 2))
+        original = cli.psi_hat
+
+        def perturbed(j0, l0, n, pair):
+            member = original(j0, l0, n, pair)
+            if (j0, l0, n) != (1, 2, 4):
+                return member
+            return 2 * member if fault == "scaled" else member + Poly.one()
+
+        monkeypatch.setattr(cli, "psi_hat", perturbed)
+        code, report, err = verify_in_process("darboux", "--alpha", "3/5", "--beta", "1/2")
+        assert code == 1
+        assert "Traceback" not in err
+        failed = [c for c in report["checks"] if c["status"] == "fail"]
+        assert [c["check_id"] for c in failed] == ["darboux/backward-image/j0=1/l0=2/n=4"]
+        if fault == "scaled":
+            want = xi(1, 2, 4, params) * hr_poly_robust(4, params.shifted(1, -1))
+            assert failed[0]["witness"] == [str(c) for _, c in want.items()]
+        else:
+            assert failed[0]["witness"] == ["-3/2", "-3/5"]
+
+    @pytest.mark.usefixtures("fresh_caches")
+    def test_refuted_construction_exits_1_with_a_witness(self, monkeypatch):
+        # cli looks x_poly up by name; a constant added to one compact-form
+        # member leaves the Darboux route as it is, so the two routes differ
+        # by that constant
+        original = cli.x_poly
+        target = XIndex(3, 1, 4)
+
+        def perturbed(idx, params):
+            member = original(idx, params)
+            return replace(member, poly=member.poly + Poly.one()) if idx == target else member
+
+        monkeypatch.setattr(cli, "x_poly", perturbed)
+        code, report, err = verify_in_process("xhr", "--alpha", "3/5", "--beta", "1/2")
+        assert code == 1
+        assert "Traceback" not in err
+        failed = [c for c in report["checks"] if c["status"] == "fail"]
+        assert [c["check_id"] for c in failed] == ["xhr/construction/j0=3/l0=1/n=4"]
+        assert failed[0]["witness"] == ["1"]
+
+    @pytest.mark.usefixtures("fresh_caches")
     def test_perturbed_c_expansion_fails_every_certificate(self, monkeypatch):
         perturb_c_expansion(monkeypatch)
         out = io.StringIO()
@@ -401,6 +464,14 @@ def perturb_c_expansion(monkeypatch, index=0):
         return nums, den
 
     monkeypatch.setattr(recurrence, "expand_in_hr_basis", perturbed)
+
+
+def verify_in_process(suite, *argv):
+    """Exit code, parsed report and stderr of `xlbp verify` run through cli.main."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["verify", "--suite", suite, *argv])
+    return code, json.loads(out.getvalue()), err.getvalue()
 
 
 def certify_in_process(*argv):
@@ -521,7 +592,9 @@ class TestCertify:
     def test_inconsistent_window_expansion_exits_1(self, monkeypatch):
         # a constant added to the top window member X_{n+l0+1}, which is not
         # on the left side: every window member has positive degree, so
-        # _solve_b's back-substitution leaves a nonzero residual
+        # _solve_b's back-substitution leaves a nonzero residual.  The
+        # relation holds for the true members, so what is left over is the
+        # constant times -b_{n+l0+1}, the published b_7 = (4+a+b)/(2(6+a+b))
         original = recurrence.x_poly
         top = XIndex(2, 1, 7)
 
@@ -538,7 +611,8 @@ class TestCertify:
         assert first == (
             "certification failed: window expansion is inconsistent: the relation fails"
         )
-        assert second.startswith("residual coefficients: ['0', ")
+        assert second == "residual coefficients: ['-51/142']"
+        assert Fraction(-51, 142) == -example_oracles(2, Params(Fraction(3, 5), Fraction(1, 2)))[7]
 
     def test_json_deterministic(self):
         args = (

@@ -36,6 +36,48 @@ def test_pochhammer_values():
     assert pochhammer(Fraction(1, 2), 2) == Fraction(3, 4)  # (1/2)(3/2)
 
 
+class TestParams:
+    @pytest.mark.parametrize(
+        "alpha, beta",
+        [(3, -2), ("3", "-2"), (Fraction(6, 2), Fraction(-4, 2)), (Fraction(3), -2)],
+    )
+    def test_equal_pairs_compare_and_hash_equal(self, alpha, beta):
+        # every cache in the package is keyed on Params, so a pair must find
+        # its entries whichever way it was written
+        p, q = Params(alpha, beta), Params(3, -2)
+        assert p == q and not p != q
+        assert hash(p) == hash(q) == hash((Fraction(3), Fraction(-2)))
+        assert {p: 1}[q] == 1
+
+    @pytest.mark.parametrize(
+        "other",
+        [Params(-2, 3), Params(3, Fraction(-5, 2)), Params(Fraction(10, 3), -2),
+         (3, -2), (Fraction(3), Fraction(-2)), "3,-2", None, 3],
+        ids=repr,
+    )
+    def test_other_values_compare_unequal(self, other):
+        p = Params(3, -2)
+        assert p != other and other != p
+        assert not p == other
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        alpha=st.fractions(min_value=-5, max_value=5, max_denominator=7),
+        beta=st.fractions(min_value=-5, max_value=5, max_denominator=7),
+        d_alpha=st.integers(min_value=-3, max_value=3),
+        d_beta=st.integers(min_value=-3, max_value=3),
+    )
+    def test_related_pairs_are_the_pairs_they_name(self, alpha, beta, d_alpha, d_beta):
+        p = Params(alpha, beta)
+        want = Params(p.alpha + d_alpha, p.beta + d_beta)
+        for _ in range(2):  # built once, then served from the memo
+            got = p.shifted(d_alpha, d_beta)
+            assert got == want and hash(got) == hash(want)
+            assert (got.alpha, got.beta) == (alpha + d_alpha, beta + d_beta)
+            assert p.swapped() == Params(beta, alpha)
+            assert (p.swapped().alpha, p.swapped().beta) == (beta, alpha)
+
+
 class TestConstructors:
     def test_degree_zero(self, generic_params):
         assert hr_poly(0, generic_params) == Poly.one()
@@ -528,9 +570,9 @@ class TestBasisExpansion:
         # route built its basis through the recurrence fallback
         params = Params(Fraction(7, 3), -1)
         poly = Poly([Fraction(k + 1, 3) for k in range(40)])
-        before = (hr_poly_robust.cache_info().misses, build_via_ttrr.cache_info().misses)
+        before = (hr_poly.cache_info().misses, build_via_ttrr.cache_info().misses)
         expansion = expansion_values(poly, params)
-        after = (hr_poly_robust.cache_info().misses, build_via_ttrr.cache_info().misses)
+        after = (hr_poly.cache_info().misses, build_via_ttrr.cache_info().misses)
         assert after == before
         assert len(expansion) == 40 and expansion[-1] == Fraction(40, 3)
 

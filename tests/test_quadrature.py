@@ -237,6 +237,18 @@ class TestExceptional:
 
 
 class TestContourTable:
+    @pytest.mark.parametrize("j0", [1, 2, 3, 4])
+    @pytest.mark.parametrize("l0", [1, 3])
+    def test_converted_weight_ratio_is_bit_identical(self, j0, l0):
+        # the integrand converts the weight factor's Fractions once per
+        # integral; every value must round as ratio_at's implicit conversion
+        factor = quadrature.x_weight_factor(j0, l0, Params(Fraction(3, 5), Fraction(1, 2)))
+        with mp.workprec(CFG.precision_bits):
+            ratio_at = quadrature._ratio_on_circle(factor)
+            for y in (mp.mpf("0.001"), mp.mpf(1) / 3, mp.mpf(2), mp.pi - mp.mpf("1e-9")):
+                z = mp.expj(y)
+                assert ratio_at(z) == factor.ratio_at(z), y
+
     def test_integrals_are_bit_identical_to_the_untabulated_rule(self):
         text = "\n".join(map(str, pinned_integrals()))
         assert hashlib.sha256(text.encode()).hexdigest() == PINNED_SHA256
