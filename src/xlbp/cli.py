@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from fractions import Fraction
@@ -25,7 +26,6 @@ from .hr_classical import (
     Params,
     hr_partner,
     hr_poly,
-    hr_poly_robust,
     norm_ratio,
     verify_identity,
 )
@@ -221,7 +221,7 @@ def _darboux_checks(params, j0s, max_n, max_l0):
                     res = backward_apply(j0, l0, psi_hat(j0, l0, n, params), params)
                     if not res.divisible:
                         return [str(c) for _, c in res.remainder.items()]
-                    want = xi(j0, l0, n, params) * hr_poly_robust(n, shifted)
+                    want = xi(j0, l0, n, params) * hr_poly(n, shifted)
                     diff = res.image - want
                     return None if diff.is_zero else [str(c) for _, c in diff.items()]
 
@@ -533,6 +533,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse reads a lone "-1/4" as an option, so "--beta -1/4" becomes
+    # "--beta=-1/4", the spelling it accepts
+    for i in range(len(argv) - 1, 0, -1):
+        if re.fullmatch(r"-\d+/\d+", argv[i]) and re.fullmatch(r"--\w[\w-]*", argv[i - 1]):
+            argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -24,7 +24,7 @@ from .exact_core import Poly
 from .hr_classical import (
     ParameterPoleError,
     Params,
-    hr_poly_robust,
+    hr_poly,
     pochhammer,
 )
 
@@ -107,22 +107,18 @@ def make_seed(j0: SeedType, l0: int, params: Params) -> Seed:
     a, b = params.alpha, params.beta
     theta = seed_theta(j0, l0, params)
     if j0 is SeedType.T1:
-        p = hr_poly_robust(l0, params)
+        p = hr_poly(l0, params)
         p_factor, q_factor = Poly.zero(), Poly.one()
     elif j0 is SeedType.T2:
-        p = hr_poly_robust(l0, params.negated())
+        p = hr_poly(l0, params.negated())
         p_factor, q_factor = Poly((a + b,)), Poly((1, -1))
     elif j0 is SeedType.T3:
         # z^l0 P_l0(1/z; alpha, beta) rewritten as a plain polynomial
-        p = _reversal_prefactor(l0, params, "alpha+1") * hr_poly_robust(
-            l0, Params(b - 1, a + 1)
-        )
+        p = _reversal_prefactor(l0, params, "alpha+1") * hr_poly(l0, Params(b - 1, a + 1))
         p_factor, q_factor = Poly((1 + a,)), Poly((0, -1))
     else:
         # at the negated pair alpha+1 reads 1-beta
-        p = _reversal_prefactor(l0, params.negated(), "1-beta") * hr_poly_robust(
-            l0, Params(-a - 1, -b + 1)
-        )
+        p = _reversal_prefactor(l0, params.negated(), "1-beta") * hr_poly(l0, Params(-a - 1, -b + 1))
         p_factor, q_factor = Poly((-1 + b, 1 + a)), Poly((0, 1, -1))
     return Seed(j0, l0, p, theta, p_factor, q_factor)
 
@@ -142,7 +138,7 @@ def psi_hat(j0: SeedType, l0: int, n: int, params: Params) -> Poly:
         raise ValueError("n must be nonnegative")
     seed = make_seed(j0, l0, params)
     p = seed.p_laurent()
-    p_n = hr_poly_robust(n, params)
+    p_n = hr_poly(n, params)
     core = p * p_n.derivative() - p.derivative() * p_n
     out = seed.Q_factor * core - seed.P_factor * p * p_n
     if out.is_zero and seed.j0 is SeedType.T2 and l0 - n - params.alpha - params.beta == 0:

@@ -2,10 +2,11 @@
 
 The family P_n(z; alpha, beta) is a monic degree-n polynomial given by a
 terminating hypergeometric sum; Q_n swaps the two parameters.  This module
-provides two independent construction routes (hypergeometric sum and the
-three-term recurrence), exact moments of the unit-circle weight normalised so
-the zeroth moment is 1, exact inner products, parameter-twist expansions, and
-a catalog of verifiable polynomial identities.
+builds P_n from that sum's coefficient product, keeps the three-term
+recurrence as an independent second route, and provides exact moments of the
+unit-circle weight normalised so the zeroth moment is 1, exact inner
+products, parameter-twist expansions, and a catalog of verifiable polynomial
+identities.
 
 All identities are checked as exact polynomial (or Laurent polynomial)
 equalities after clearing denominators, so a passing check is a proof at the
@@ -32,7 +33,6 @@ __all__ = [
     "pochhammer",
     "hr_poly",
     "hr_partner",
-    "hr_poly_robust",
     "ttrr_coeffs",
     "ttrr_d",
     "ttrr_b",
@@ -54,7 +54,7 @@ __all__ = [
 class ParameterPoleError(ValueError):
     """A parameter combination makes a required denominator vanish.
 
-    The message names the offending factor, e.g. "alpha+1+k = 0 at k=3".
+    The message names the offending factor, e.g. "n+alpha+1 at n=3 = 0".
     """
 
 
@@ -149,8 +149,9 @@ def _require_nonzero(value: Fraction, factor: str) -> Fraction:
 # Every cache in the package is bounded so that a long-lived process stops
 # growing.  One full run of each workload in bench/ (seeds 1-5, quad-circle
 # 1-3) left at most these entries with the bounds lifted: hr_poly 6165
-# (verify-small; certify-sweep 1239), build_via_ttrr 10, ttrr_b 3635,
-# ttrr_d 444, _shifted_params 492, _swapped_params 289, _generating_terms
+# (verify-small; certify-sweep 1239; integer beta is not a pole of P_n, so
+# those members are cached there too), ttrr_b 3635, ttrr_d 444,
+# _shifted_params 492, _swapped_params 289, _generating_terms
 # 2145 (certify-sweep), recurrence._c_vector 1900, _twisted_c_row 1732,
 # _twisted_e_row 1188, xhr.x_poly 2946, darboux.psi_hat 2358,
 # darboux.make_seed 262, recurrence.q_poly 262, moments 297,
@@ -169,25 +170,24 @@ def _require_nonzero(value: Fraction, factor: str) -> Fraction:
 # verify-small seeds 1-2 (integer shifts of two pairs can meet).
 @lru_cache(maxsize=16384)
 def hr_poly(n: int, params: Params) -> Poly:
-    """P_n(z; alpha, beta) from the terminating hypergeometric sum.
+    """P_n(z; alpha, beta), monic of degree n.
 
-    Coefficient of z^k is ((beta)_n/(alpha+1)_n) * ((-n)_k (alpha+1)_k)
-    / ((1-beta-n)_k k!).  The result is monic of degree n, so coefficient k
-    is also the product over k <= i < n of the inverse term ratios
-    ((1-beta-n+i)(i+1)) / ((i-n)(alpha+1+i)); the numerators are built from
-    integer running products over one common denominator and reduced once.
+    The hypergeometric sum's z^k coefficient ((beta)_n/(alpha+1)_n)
+    ((-n)_k (alpha+1)_k) / ((1-beta-n)_k k!) is, as P_n is monic, the product
+    over k <= i < n of ((1-beta-n+i)(i+1)) / ((i-n)(alpha+1+i)), with no beta
+    in any denominator.  So the poles are alpha in {-n, ..., -1}, raised with
+    the recurrence route's message; integer beta is not a pole.  Numerators
+    are integer running products over one common denominator.
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
     pa, qa = params.alpha.numerator, params.alpha.denominator
     pb, qb = params.beta.numerator, params.beta.denominator
-    # alpha+1+k and 1-beta-n+k each vanish for at most one k, and only at an
-    # integer parameter; hr_poly_robust meets these poles on every call, since
-    # a raise is not cached
+    # alpha+1+i vanishes for at most one i, and only at an integer alpha
     if qa == 1 and 0 <= -pa - 1 < n:
-        raise ParameterPoleError(f"alpha+1+k at k={-pa - 1} = 0")
-    if qb == 1 and 0 <= pb + n - 1 < n:
-        raise ParameterPoleError(f"1-beta-n+k at k={pb + n - 1} = 0")
+        raise ParameterPoleError(
+            "alpha+1 = 0" if pa == -1 else f"n+alpha+1 at n={-pa - 1} = 0"
+        )
     # alpha+1+i = up[i]/qa and 1-beta-n+i = down[i]/qb
     up = [pa + (1 + i) * qa for i in range(n)]
     down = [(1 - n + i) * qb - pb for i in range(n)]
@@ -243,12 +243,12 @@ def ttrr_coeffs(n: int, params: Params) -> tuple:
     return ttrr_d(n, params), ttrr_b(n, params)
 
 
-@lru_cache(maxsize=512)
 def build_via_ttrr(n: int, params: Params) -> Poly:
     """P_n built from P_{k+1} = z(P_k + b_k P_{k-1}) - d_k P_k.
 
-    Independent of the hypergeometric route; the two must agree wherever both
-    are defined.
+    The independent reference route that the tests compare `hr_poly` with:
+    the two must agree in value, or raise the same pole message, at every
+    (n, alpha, beta).  The package itself builds P_n with `hr_poly` only.
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
@@ -264,20 +264,6 @@ def build_via_ttrr(n: int, params: Params) -> Poly:
         nxt = z * (cur + b_k * prev) - d_k * cur
         prev, cur = cur, nxt
     return cur
-
-
-def hr_poly_robust(n: int, params: Params) -> Poly:
-    """P_n via the hypergeometric sum, falling back to the recurrence route.
-
-    Twisted parameter sets such as (alpha+j, beta-j) can hit removable poles
-    of the hypergeometric coefficients (integer beta) while the recurrence
-    route stays regular; identity checks use this constructor.  Both routes
-    are cached, so a fallback is built once.
-    """
-    try:
-        return hr_poly(n, params)
-    except ParameterPoleError:
-        return build_via_ttrr(n, params)
 
 
 @dataclass(frozen=True)
@@ -581,13 +567,13 @@ def _check_reversal(n, params):
     pref = pochhammer(params.beta, n) / _require_nonzero(
         pochhammer(params.alpha + 1, n), "(alpha+1)_n"
     )
-    rhs = pref * hr_poly_robust(n, Params(params.beta - 1, params.alpha + 1))
+    rhs = pref * hr_poly(n, Params(params.beta - 1, params.alpha + 1))
     return lhs - rhs
 
 
 def _check_derivative(n, params):
-    lhs = hr_poly_robust(n, params).derivative()
-    rhs = n * hr_poly_robust(n - 1, params.shifted(1, 0)) if n >= 1 else Poly.zero()
+    lhs = hr_poly(n, params).derivative()
+    rhs = n * hr_poly(n - 1, params.shifted(1, 0)) if n >= 1 else Poly.zero()
     return lhs - rhs
 
 
@@ -597,8 +583,8 @@ def _check_log_derivative_swapped(n, params):
     if n < 1:
         return Poly.zero()
     fac = _require_nonzero(n - 1 + params.beta, "n-1+beta")
-    p_main = hr_poly_robust(n, Params(params.beta - 1, params.alpha + 1))
-    p_aux = hr_poly_robust(n - 1, Params(params.beta - 1, params.alpha + 2))
+    p_main = hr_poly(n, Params(params.beta - 1, params.alpha + 1))
+    p_aux = hr_poly(n - 1, Params(params.beta - 1, params.alpha + 2))
     lhs = fac * Poly.x() * p_main.derivative()
     rhs = n * (fac * p_main - (1 + params.alpha) * p_aux)
     return lhs - rhs
@@ -608,9 +594,9 @@ def _check_log_derivative_negated(n, params):
     # cleared by z^2 P_n(z;-a-1,1-b) P_n(1/z;-b,-a); all terms Laurent
     if n < 1:
         return Poly.zero()
-    p_neg = hr_poly_robust(n, Params(-params.alpha - 1, -params.beta + 1))
-    rev_n = hr_poly_robust(n, params.negated()).inverted()
-    rev_n1 = hr_poly_robust(n - 1, Params(-params.beta + 1, -params.alpha)).inverted()
+    p_neg = hr_poly(n, Params(-params.alpha - 1, -params.beta + 1))
+    rev_n = hr_poly(n, params.negated()).inverted()
+    rev_n1 = hr_poly(n - 1, Params(-params.beta + 1, -params.alpha)).inverted()
     z = Poly.x()
     lhs = z * z * p_neg.derivative() * rev_n
     rhs = n * (z * p_neg * rev_n - p_neg * rev_n1)
@@ -618,101 +604,101 @@ def _check_log_derivative_negated(n, params):
 
 
 def _check_monomial_shift(n, params):
-    lhs = Poly.x() * hr_poly_robust(n, params) - hr_poly_robust(n + 1, params)
+    lhs = Poly.x() * hr_poly(n, params) - hr_poly(n + 1, params)
     coef = ttrr_d(n, params) - ttrr_b(n, params)
-    rhs = coef * hr_poly_robust(n, params.shifted(-1, 1))
+    rhs = coef * hr_poly(n, params.shifted(-1, 1))
     return lhs - rhs
 
 
 def _check_derivative_downshift(n, params):
     if n < 1:
         return Poly.zero()
-    lhs = Poly((-1, 1)) * hr_poly_robust(n, params).derivative()
+    lhs = Poly((-1, 1)) * hr_poly(n, params).derivative()
     ratio = (n + params.alpha + params.beta) / _require_nonzero(
         n + params.alpha, "n+alpha"
     )
-    rhs = n * (hr_poly_robust(n, params) - ratio * hr_poly_robust(n - 1, params))
+    rhs = n * (hr_poly(n, params) - ratio * hr_poly(n - 1, params))
     return lhs - rhs
 
 
 def _check_shifted_downshift(n, params):
     if n < 1:
         return Poly.zero()
-    lhs = Poly((-1, 1)) * hr_poly_robust(n - 1, params.shifted(1, 0))
+    lhs = Poly((-1, 1)) * hr_poly(n - 1, params.shifted(1, 0))
     ratio = (n + params.alpha + params.beta) / _require_nonzero(
         n + params.alpha, "n+alpha"
     )
-    rhs = hr_poly_robust(n, params) - ratio * hr_poly_robust(n - 1, params)
+    rhs = hr_poly(n, params) - ratio * hr_poly(n - 1, params)
     return lhs - rhs
 
 
 def _check_antiderivative(n, params):
-    lhs = hr_poly_robust(n + 1, params.shifted(-1, 0)).derivative()
-    rhs = (n + 1) * hr_poly_robust(n, params)
+    lhs = hr_poly(n + 1, params.shifted(-1, 0)).derivative()
+    rhs = (n + 1) * hr_poly(n, params)
     return lhs - rhs
 
 
 def _check_ladder_raise(n, params):
     # (A1 d/dz + B1) applied to the beta-fixed upshifted member raises the
     # index while twisting both parameters
-    p = hr_poly_robust(n, params.shifted(1, 0))
+    p = hr_poly(n, params.shifted(1, 0))
     lhs = Poly((0, 1, -1)) * p.derivative() + _pearson_b1(params) * p
-    rhs = (-(n + params.alpha + 2)) * hr_poly_robust(n + 1, params.shifted(1, -1))
+    rhs = (-(n + params.alpha + 2)) * hr_poly(n + 1, params.shifted(1, -1))
     return lhs - rhs
 
 
 def _check_monomial_expansion(n, params):
-    rhs = hr_poly_robust(n + 1, params)
+    rhs = hr_poly(n + 1, params)
     signed_prod = Fraction(1)  # (-1)^(n-j) b_n b_{n-1} ... b_{j+1}
     for j in range(n, -1, -1):
         d_j, b_j = ttrr_d(j, params), ttrr_b(j, params)
-        rhs = rhs + signed_prod * (d_j - b_j) * hr_poly_robust(j, params)
+        rhs = rhs + signed_prod * (d_j - b_j) * hr_poly(j, params)
         signed_prod *= -b_j
-    return Poly.x() * hr_poly_robust(n, params) - rhs
+    return Poly.x() * hr_poly(n, params) - rhs
 
 
 def _check_twist_up(n, params):
-    lhs = hr_poly_robust(n, params.shifted(1, -1))
-    rhs = hr_poly_robust(n, params)
+    lhs = hr_poly(n, params.shifted(1, -1))
+    rhs = hr_poly(n, params)
     if n >= 1:
-        rhs = rhs + ttrr_b(n, params) * hr_poly_robust(n - 1, params)
+        rhs = rhs + ttrr_b(n, params) * hr_poly(n - 1, params)
     return lhs - rhs
 
 
 def _check_twist_up_times_z(n, params):
-    lhs = Poly.x() * hr_poly_robust(n, params.shifted(1, -1))
-    rhs = hr_poly_robust(n + 1, params) + ttrr_d(n, params) * hr_poly_robust(n, params)
+    lhs = Poly.x() * hr_poly(n, params.shifted(1, -1))
+    rhs = hr_poly(n + 1, params) + ttrr_d(n, params) * hr_poly(n, params)
     return lhs - rhs
 
 
 def _check_twist_down(n, params):
     down = params.shifted(-1, 1)
-    lhs = hr_poly_robust(n, params)
-    rhs = hr_poly_robust(n, down)
+    lhs = hr_poly(n, params)
+    rhs = hr_poly(n, down)
     if n >= 1:
-        rhs = rhs + ttrr_b(n, down) * hr_poly_robust(n - 1, down)
+        rhs = rhs + ttrr_b(n, down) * hr_poly(n - 1, down)
     return lhs - rhs
 
 
 def _check_twist_down_iterated(n, params):
     down = params.shifted(-1, 1)
-    rhs = hr_poly_robust(n, params)
+    rhs = hr_poly(n, params)
     # signed_prods[n - j] = (-1)^(n-j) b_n b_{n-1} ... b_{j+1} at `down`
     signed_prods = [Fraction(1)]
     for i in range(n, 0, -1):
         signed_prods.append(-signed_prods[-1] * ttrr_b(i, down))
     for j in range(n):
-        rhs = rhs + signed_prods[n - j] * hr_poly_robust(j, params)
-    return hr_poly_robust(n, down) - rhs
+        rhs = rhs + signed_prods[n - j] * hr_poly(j, params)
+    return hr_poly(n, down) - rhs
 
 
 def _check_partner_twist(n, params):
     lhs = hr_partner(n, params)
     up = params.shifted(1, -1)
-    rhs = hr_poly_robust(n, up.swapped())
+    rhs = hr_poly(n, up.swapped())
     if n >= 1:
         b_swap = ttrr_b(n, Params(params.beta - 1, params.alpha + 1))
-        rhs = rhs + b_swap * hr_poly_robust(n - 1, up.swapped())
+        rhs = rhs + b_swap * hr_poly(n - 1, up.swapped())
     return lhs - rhs
 
 
@@ -720,10 +706,10 @@ def _check_multi_twist_p(n, params):
     diff = Poly.zero()
     for j in range(1, n + 1):
         coeffs = twisted_coeffs(n, j, params, side="P")
-        rhs = hr_poly_robust(n, params)
+        rhs = hr_poly(n, params)
         for l, c in enumerate(coeffs, start=1):
-            rhs = rhs + c * hr_poly_robust(n - l, params)
-        diff = diff + (hr_poly_robust(n, params.shifted(j, -j)) - rhs)
+            rhs = rhs + c * hr_poly(n - l, params)
+        diff = diff + (hr_poly(n, params.shifted(j, -j)) - rhs)
     return diff
 
 
@@ -732,9 +718,9 @@ def _check_multi_twist_q(n, params):
     for j in range(1, n + 1):
         coeffs = twisted_coeffs(n, j, params, side="Q")
         twisted = params.shifted(j, -j).swapped()
-        rhs = hr_poly_robust(n, twisted)
+        rhs = hr_poly(n, twisted)
         for l, c in enumerate(coeffs, start=1):
-            rhs = rhs + c * hr_poly_robust(n - l, twisted)
+            rhs = rhs + c * hr_poly(n - l, twisted)
         diff = diff + (hr_partner(n, params) - rhs)
     return diff
 
@@ -749,8 +735,8 @@ def _check_span_coefficients(n, params):
         a = _span_a_vector(n, l0, params)
         lhs = Poly.zero()
         for l, c in enumerate(a):
-            lhs = lhs + c * hr_poly_robust(n - l, params)
-        diff = diff + (lhs - hr_poly_robust(n, params.shifted(l0 + 1, -(l0 + 1))))
+            lhs = lhs + c * hr_poly(n - l, params)
+        diff = diff + (lhs - hr_poly(n, params.shifted(l0 + 1, -(l0 + 1))))
     return diff
 
 
@@ -763,7 +749,7 @@ def _check_span_window(n, params):
         a = _span_a_vector(n, l0, params)
         lhs = Poly.zero()
         for l, c in enumerate(a):
-            lhs = lhs + c * hr_poly_robust(n - l, params)
+            lhs = lhs + c * hr_poly(n - l, params)
         lhs = q * lhs
         table = moments(params, -(n + l0 + 2), n + l0 + 2)
         for m in range(0, n - l0):
@@ -803,9 +789,7 @@ def _check_monic_completion(n, params):
         q_poly = ds[k + 1] + b_next * c_k
         for i in range(1, k + 1):
             q_poly = q_poly + cs[i] * ds[k + 1 - i]
-        lhs = q_poly * hr_poly_robust(n + 1, params) + (
-            b_next * shift_c
-        ) * c_k * hr_poly_robust(n, down)
+        lhs = q_poly * hr_poly(n + 1, params) + b_next * shift_c * c_k * hr_poly(n, down)
         nums, den = expand_in_hr_basis(lhs, params)
         diff_total = diff_total + Poly.from_numerators(nums[: n + 2], den)
     return diff_total
@@ -822,19 +806,19 @@ def _check_pearson(n, params):
 
 
 def _check_ode(n, params):
-    p = hr_poly_robust(n, params)
+    p = hr_poly(n, params)
     return apply_l1(p, params) - n * apply_l2(p, params)
 
 
 def _check_l1_shift(n, params):
-    lhs = apply_l1(hr_poly_robust(n, params), params)
-    rhs = (-n * (n + params.alpha + 1)) * hr_poly_robust(n, params.shifted(1, -1))
+    lhs = apply_l1(hr_poly(n, params), params)
+    rhs = (-n * (n + params.alpha + 1)) * hr_poly(n, params.shifted(1, -1))
     return lhs - rhs
 
 
 def _check_l2_shift(n, params):
-    lhs = apply_l2(hr_poly_robust(n, params), params)
-    rhs = (-(n + params.alpha + 1)) * hr_poly_robust(n, params.shifted(1, -1))
+    lhs = apply_l2(hr_poly(n, params), params)
+    rhs = (-(n + params.alpha + 1)) * hr_poly(n, params.shifted(1, -1))
     return lhs - rhs
 
 

@@ -47,7 +47,7 @@ from functools import lru_cache
 import mpmath as mp
 
 from .exact_core import Poly
-from .hr_classical import Params, hr_partner, hr_poly_robust
+from .hr_classical import Params, hr_partner, hr_poly
 from .xhr import WeightFactor, XIndex, x_partner, x_poly, x_weight_factor
 
 __all__ = [
@@ -229,7 +229,7 @@ def classical_quad(n: int, m: int, params: Params, cfg: QuadConfig | None = None
     if not params.is_positive:
         raise ValueError("positivity (alpha, beta, alpha+beta > -1) required")
     with mp.workprec(cfg.precision_bits):
-        p_c = _mp_coeffs(hr_poly_robust(n, params))
+        p_c = _mp_coeffs(hr_poly(n, params))
         q_c = _mp_coeffs(hr_partner(m, params))
         num, diffs, pts, err = _integrate_levels(
             lambda z, zbar: _horner(p_c, z) * _horner(q_c, zbar), params, cfg

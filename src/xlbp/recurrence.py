@@ -41,7 +41,7 @@ from .hr_classical import (
     ParameterPoleError,
     Params,
     expand_in_hr_basis,
-    hr_poly_robust,
+    hr_poly,
     pochhammer,
     twisted_coeffs,
 )
@@ -86,7 +86,7 @@ def q_poly(j0: SeedType, l0: int, params: Params) -> Poly:
         if den == 0:
             raise ParameterPoleError(f"(1-beta)_{l0} = 0")
         base, pref = Params(-a - 2, -b + 1), pochhammer(-a, l0) / den
-    p = hr_poly_robust(l0 + 1, base)
+    p = hr_poly(l0 + 1, base)
     return (pref / (l0 + 1)) * (p - Poly((p.coeff(0),)))
 
 

@@ -23,7 +23,7 @@ from .hr_classical import (
     CertificationError,
     ParameterPoleError,
     Params,
-    hr_poly_robust,
+    hr_poly,
     norm_ratio,
     pochhammer,
 )
@@ -104,32 +104,30 @@ class XPoly:
 def _compact_form(j0: SeedType, l0: int, n: int, params: Params) -> Poly:
     """Compact product form; may legitimately evaluate to zero at n = l0, type 1."""
     a, b = params.alpha, params.beta
-    p_n = hr_poly_robust(n, params)
-    p_n1 = hr_poly_robust(n - 1, params.shifted(1, 0)) if n >= 1 else Poly.zero()
+    p_n = hr_poly(n, params)
+    p_n1 = hr_poly(n - 1, params.shifted(1, 0)) if n >= 1 else Poly.zero()
     if j0 is SeedType.T1:
-        return n * hr_poly_robust(l0, params) * p_n1 - l0 * hr_poly_robust(
-            l0 - 1, params.shifted(1, 0)
-        ) * p_n
+        return n * hr_poly(l0, params) * p_n1 - l0 * hr_poly(l0 - 1, params.shifted(1, 0)) * p_n
     if j0 is SeedType.T2:
-        return Poly((1, -1)) * (n * hr_poly_robust(l0, params.negated()) * p_n1) + (
+        return Poly((1, -1)) * (n * hr_poly(l0, params.negated()) * p_n1) + (
             l0 - a - b
-        ) * hr_poly_robust(l0, Params(-b, -a - 1)) * p_n
+        ) * hr_poly(l0, Params(-b, -a - 1)) * p_n
     if j0 is SeedType.T3:
         den = pochhammer(a + 1, l0)
         if den == 0:
             raise ParameterPoleError(f"(alpha+1)_{l0} = 0")
         pref = pochhammer(b, l0) / den
-        inner = Poly.x() * (n * hr_poly_robust(l0, Params(b - 1, a + 1)) * p_n1) + (
+        inner = Poly.x() * (n * hr_poly(l0, Params(b - 1, a + 1)) * p_n1) + (
             a + 1
-        ) * hr_poly_robust(l0, Params(b - 1, a + 2)) * p_n
+        ) * hr_poly(l0, Params(b - 1, a + 2)) * p_n
         return pref * inner
     den = pochhammer(-b + 1, l0)
     if den == 0:
         raise ParameterPoleError(f"(1-beta)_{l0} = 0")
     pref = pochhammer(-a, l0) / den
     inner = Poly((0, -1, 1)) * (
-        n * hr_poly_robust(l0, Params(-a - 1, -b + 1)) * p_n1
-    ) + (a + 1) * hr_poly_robust(l0 + 1, Params(-a - 2, -b + 1)) * p_n
+        n * hr_poly(l0, Params(-a - 1, -b + 1)) * p_n1
+    ) + (a + 1) * hr_poly(l0 + 1, Params(-a - 2, -b + 1)) * p_n
     return pref * inner
 
 
@@ -242,7 +240,7 @@ def xp4_derivative_factor(l0: int, n: int, params: Params) -> bool:
         Fraction((n + l0 + 1) * 1)
         * (n + params.alpha + 1)
         * seed.p_poly
-        * hr_poly_robust(n, params.shifted(1, -1))
+        * hr_poly(n, params.shifted(1, -1))
     )
     return (lhs - rhs).is_zero
 
@@ -277,9 +275,7 @@ def x_weight_factor(j0: SeedType, l0: int, params: Params) -> WeightFactor:
         den = pochhammer(a + 1, l0)
         if den == 0:
             raise ParameterPoleError(f"(alpha+1)_{l0} = 0")
-        return WeightFactor(
-            pochhammer(b, l0) / den, l0, 1, hr_poly_robust(l0, params)
-        )
+        return WeightFactor(pochhammer(b, l0) / den, l0, 1, hr_poly(l0, params))
     if j0 is SeedType.T2:
         den = pochhammer(-b + 1, l0)
         if den == 0:
@@ -288,7 +284,7 @@ def x_weight_factor(j0: SeedType, l0: int, params: Params) -> WeightFactor:
             pochhammer(-a, l0) / den,
             l0 + 1,
             -1,
-            hr_poly_robust(l0, params.negated()),
+            hr_poly(l0, params.negated()),
         )
     if j0 is SeedType.T3:
         den = pochhammer(b, l0)
@@ -298,7 +294,7 @@ def x_weight_factor(j0: SeedType, l0: int, params: Params) -> WeightFactor:
             pochhammer(a + 1, l0) / den,
             l0,
             1,
-            hr_poly_robust(l0, Params(b - 1, a + 1)),
+            hr_poly(l0, Params(b - 1, a + 1)),
         )
     den = pochhammer(-a, l0)
     if den == 0:
@@ -307,5 +303,5 @@ def x_weight_factor(j0: SeedType, l0: int, params: Params) -> WeightFactor:
         pochhammer(-b + 1, l0) / den,
         l0 + 1,
         -1,
-        hr_poly_robust(l0, Params(-a - 1, -b + 1)),
+        hr_poly(l0, Params(-a - 1, -b + 1)),
     )

@@ -55,7 +55,6 @@ PACKAGE_CACHES = (
     hr_classical.ttrr_d,
     hr_classical.ttrr_b,
     hr_classical.hr_poly,
-    hr_classical.build_via_ttrr,
     hr_classical.moments,
     hr_classical._twisted_c_row,
     hr_classical._twisted_e_row,

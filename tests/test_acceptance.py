@@ -30,7 +30,6 @@ from xlbp.hr_classical import (
     Params,
     hr_partner,
     hr_poly,
-    hr_poly_robust,
     inner_product,
     moments,
     norm_ratio,
@@ -140,7 +139,7 @@ def test_criterion_3_backward_image_law():
                         continue
                     result = backward_apply(j0, l0, psi_hat(j0, l0, n, params), params)
                     assert result.divisible, (j0, l0, n, params)
-                    expected = xi(j0, l0, n, params) * hr_poly_robust(n, shifted)
+                    expected = xi(j0, l0, n, params) * hr_poly(n, shifted)
                     assert result.image == expected, (j0, l0, n, params)
                     checked += 1
     # the swapped-in pair is load-bearing: (1,1) genuinely poles types 2 and 4

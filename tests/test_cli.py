@@ -19,7 +19,7 @@ from xlbp import cli, hr_classical, recurrence
 from xlbp.cli import main
 from xlbp.darboux import xi
 from xlbp.exact_core import Poly
-from xlbp.hr_classical import Params, hr_poly_robust
+from xlbp.hr_classical import Params, hr_poly
 from xlbp.recurrence import example_oracles
 from xlbp.xhr import XIndex
 
@@ -143,6 +143,60 @@ class TestGen:
     def test_bad_flags_exit_2(self):
         proc = run_cli("gen", "--family", "nope", "--n", "1")
         assert proc.returncode == 2
+
+    def test_integer_beta_is_not_a_pole(self):
+        # P_3(z; 1/2, 0) = z^3: the hypergeometric form's 0/0 at beta = 0 is
+        # removable, and the recurrence route gives the same polynomial
+        proc = run_cli(
+            "gen", "--family", "hr", "--n", "3", "--alpha", "1/2", "--beta", "0",
+            "--format", "text",
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "P_3(z; alpha=1/2, beta=0) = z^3\n"
+
+    @pytest.mark.parametrize(
+        "spaced, joined",
+        [
+            (
+                ("gen", "--family", "hr", "--n", "3", "--alpha", "-2/3", "--beta", "-1/4"),
+                ("gen", "--family", "hr", "--n", "3", "--alpha=-2/3", "--beta=-1/4"),
+            ),
+            (
+                ("gen", "--family", "hr", "--beta", "-1/4", "--n", "3", "--alpha=-2/3"),
+                ("gen", "--family", "hr", "--beta=-1/4", "--n", "3", "--alpha=-2/3"),
+            ),
+            (
+                ("certify", "--j0", "1", "--l0", "1", "--n", "4", "--alpha", "-2/3", "--beta", "-1/4"),
+                ("certify", "--j0", "1", "--l0", "1", "--n", "4", "--alpha=-2/3", "--beta=-1/4"),
+            ),
+        ],
+        ids=["gen", "gen-mixed", "certify"],
+    )
+    def test_negative_rational_as_separate_argument(self, spaced, joined):
+        # argparse reads a lone "-1/4" as an option; the CLI takes it as the
+        # value of the option before it, exactly as it takes "--beta=-1/4"
+        outputs = []
+        for argv in (spaced, joined):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(list(argv)) == 0
+            outputs.append(out.getvalue())
+        assert outputs[0] == outputs[1] and outputs[0]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("gen", "--family", "hr", "--n", "3", "--alpha", "1", "--beta", "1", "-1/4"),
+            ("gen", "--family", "hr", "--n", "3", "--partner", "-1/4", "--alpha", "1", "--beta", "1"),
+        ],
+        ids=["no-option-before", "flag-before"],
+    )
+    def test_stray_negative_rational_exits_2(self, argv):
+        # only an option that takes a value can take a lone "-1/4"
+        with contextlib.redirect_stderr(io.StringIO()) as err, pytest.raises(SystemExit) as info:
+            main(list(argv))
+        assert info.value.code == 2
+        assert "error:" in err.getvalue()
 
 
 @pytest.mark.parametrize(
@@ -379,7 +433,7 @@ class TestVerify:
         failed = [c for c in report["checks"] if c["status"] == "fail"]
         assert [c["check_id"] for c in failed] == ["darboux/backward-image/j0=1/l0=2/n=4"]
         if fault == "scaled":
-            want = xi(1, 2, 4, params) * hr_poly_robust(4, params.shifted(1, -1))
+            want = xi(1, 2, 4, params) * hr_poly(4, params.shifted(1, -1))
             assert failed[0]["witness"] == [str(c) for _, c in want.items()]
         else:
             assert failed[0]["witness"] == ["-3/2", "-3/5"]
@@ -403,6 +457,79 @@ class TestVerify:
         failed = [c for c in report["checks"] if c["status"] == "fail"]
         assert [c["check_id"] for c in failed] == ["xhr/construction/j0=3/l0=1/n=4"]
         assert failed[0]["witness"] == ["1"]
+
+    @pytest.mark.usefixtures("fresh_caches")
+    def test_refuted_kernel_exits_1_with_a_reason(self, monkeypatch):
+        # cli looks kernel_check up by name; one refuted gauge relation is
+        # one failed record, whose witness says what failed
+        original = cli.kernel_check
+
+        def perturbed(j0, l0, params):
+            return False if (j0, l0) == (2, 1) else original(j0, l0, params)
+
+        monkeypatch.setattr(cli, "kernel_check", perturbed)
+        code, report, err = verify_in_process("darboux", "--alpha", "3/5", "--beta", "1/2", "--max-n", "2")
+        assert code == 1
+        assert "Traceback" not in err
+        failed = [c for c in report["checks"] if c["status"] == "fail"]
+        assert [c["check_id"] for c in failed] == ["darboux/kernel/j0=2/l0=1"]
+        assert failed[0]["witness"] == "kernel relation nonzero"
+
+    @pytest.mark.usefixtures("fresh_caches")
+    def test_refuted_derivative_factor_exits_1_with_a_reason(self, monkeypatch):
+        # cli looks xp4_derivative_factor up by name
+        original = cli.xp4_derivative_factor
+
+        def perturbed(l0, n, params):
+            return False if (l0, n) == (2, 3) else original(l0, n, params)
+
+        monkeypatch.setattr(cli, "xp4_derivative_factor", perturbed)
+        code, report, err = verify_in_process(
+            "xhr", "--alpha", "3/5", "--beta", "1/2", "--max-n", "4", "--j0", "4"
+        )
+        assert code == 1
+        assert "Traceback" not in err
+        failed = [c for c in report["checks"] if c["status"] == "fail"]
+        assert [c["check_id"] for c in failed] == ["xhr/derivative-factor/l0=2/n=3"]
+        assert failed[0]["witness"] == "factorisation failed"
+
+    @pytest.mark.usefixtures("fresh_caches")
+    def test_published_type3_sign_exits_1_with_a_witness(self, monkeypatch):
+        # cli looks example_oracles up by name.  Restoring the published sign
+        # of the type-3 middle coefficient (j = 5) makes the certificate
+        # disagree with the oracle there, and only there
+        original = cli.example_oracles
+
+        def published(j0, params):
+            want = original(j0, params)
+            return {j: -v if (j0, j) == (3, 5) else v for j, v in want.items()}
+
+        monkeypatch.setattr(cli, "example_oracles", published)
+        code, report, err = verify_in_process(
+            "recurrence", "--alpha", "3/5", "--beta", "1/2", "--max-n", "5", "--max-l0", "1"
+        )
+        assert code == 1
+        assert "Traceback" not in err
+        failed = [c for c in report["checks"] if c["status"] == "fail"]
+        assert [c["check_id"] for c in failed] == ["recurrence/golden-example/3"]
+        b5 = original(3, Params(Fraction(3, 5), Fraction(1, 2)))[5]
+        assert b5 != 0
+        assert failed[0]["witness"] == {"5": [str(b5), str(-b5)]}
+
+    @pytest.mark.parametrize(
+        "suite, summary",
+        [
+            # P_n(z; beta, alpha) at alpha = 0, the partner family, has no
+            # pole, so the classical integrals and the partner identities run
+            ("quadrature", {"fail": 0, "pass": 29, "skipped": 18}),
+            ("identities", {"fail": 0, "pass": 77, "skipped": 19}),
+        ],
+    )
+    def test_integer_alpha_zero_runs_the_partner_family(self, suite, summary):
+        code, report, err = verify_in_process(suite, "--alpha", "0", "--beta", "1/2", "--max-n", "3")
+        assert code == 0, err
+        assert report["summary"] == summary
+        assert not any("beta" in (c["reason"] or "") for c in report["checks"])
 
     @pytest.mark.usefixtures("fresh_caches")
     def test_perturbed_c_expansion_fails_every_certificate(self, monkeypatch):
@@ -652,15 +779,18 @@ def fuzz_argv(draw):
         suite = draw(st.sampled_from(("identities", "darboux", "xhr", "recurrence")))
         max_n = draw(st.integers(min_value=-1, max_value=5))
         argv = ["verify", "--suite", suite, "--max-n", str(max_n), "--max-l0", str(l0)]
-    return argv + [f"--alpha={draw(fuzz_rationals)}", f"--beta={draw(fuzz_rationals)}"]
+    alpha, beta = draw(fuzz_rationals), draw(fuzz_rationals)
+    if draw(st.booleans()):
+        return argv + ["--alpha", alpha, "--beta", beta]
+    return argv + [f"--alpha={alpha}", f"--beta={beta}"]
 
 
 @settings(max_examples=80, deadline=None)
 @given(argv=fuzz_argv())
 def test_exit_code_contract_holds_for_generated_input(argv):
     # 0 pass, 1 verified failure, 2 usage error or parameter pole; anything
-    # escaping main would print a traceback.  The parameters are passed as
-    # "--alpha=-1/2", since argparse takes a separate "-1/2" for an option
+    # escaping main would print a traceback.  The parameters are passed both
+    # as "--alpha=-1/2" and as "--alpha -1/2"
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -669,5 +799,6 @@ def test_exit_code_contract_holds_for_generated_input(argv):
             code = exc.code
     assert code in (0, 1, 2), (argv, code, err.getvalue())
     assert "Traceback" not in err.getvalue()
+    assert "expected one argument" not in err.getvalue(), argv
     if code == 0 and argv[0] == "verify":
         assert json.loads(out.getvalue())["checks"], argv

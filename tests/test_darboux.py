@@ -11,7 +11,7 @@ from xlbp.darboux import (
     xi,
 )
 from xlbp.exact_core import Poly
-from xlbp.hr_classical import ParameterPoleError, Params, hr_poly_robust
+from xlbp.hr_classical import ParameterPoleError, Params, hr_poly
 
 from conftest import PAIR_A, PAIR_B, pairs_for_type
 
@@ -86,7 +86,7 @@ class TestBackwardOperator:
                         continue
                     result = backward_apply(j0, l0, psi_hat(j0, l0, n, params), params)
                     assert result.divisible, (j0, l0, n, params)
-                    expected = xi(j0, l0, n, params) * hr_poly_robust(n, shifted)
+                    expected = xi(j0, l0, n, params) * hr_poly(n, shifted)
                     assert result.image == expected, (j0, l0, n, params)
 
     def test_type4_added_state_maps_to_zero(self):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from xlbp import hr_classical
 from xlbp.exact_core import Poly
 from xlbp.hr_classical import (
     ParameterPoleError,
@@ -16,7 +17,6 @@ from xlbp.hr_classical import (
     expand_in_hr_basis,
     hr_partner,
     hr_poly,
-    hr_poly_robust,
     inner_product,
     moments,
     norm_ratio,
@@ -78,6 +78,14 @@ class TestParams:
             assert (p.swapped().alpha, p.swapped().beta) == (beta, alpha)
 
 
+# the integers, where the hypergeometric form has its removable beta poles and
+# P_n its alpha poles, drawn often
+route_rationals = st.one_of(
+    st.integers(min_value=-6, max_value=6).map(Fraction),
+    st.fractions(min_value=-4, max_value=4, max_denominator=3),
+)
+
+
 class TestConstructors:
     def test_degree_zero(self, generic_params):
         assert hr_poly(0, generic_params) == Poly.one()
@@ -110,22 +118,21 @@ class TestConstructors:
     def test_parameter_pole_named(self):
         with pytest.raises(ParameterPoleError, match="alpha"):
             hr_poly(2, Params(-2, Fraction(1, 2)))
-        # integer beta inside the terminating range hits the lower denominator
-        with pytest.raises(ParameterPoleError, match="beta"):
-            hr_poly(3, Params(Fraction(1, 2), 0))
+        # integer beta inside the terminating range is a removable pole of
+        # the hypergeometric form only: P_3(z; 1/2, 0) = z^3 on both routes
+        params = Params(Fraction(1, 2), 0)
+        assert hr_poly(3, params) == build_via_ttrr(3, params) == Poly((0, 0, 0, 1))
 
     @pytest.mark.parametrize(
         "build, alpha, beta, message",
         [
-            (hr_poly, -3, Fraction(1, 2), "alpha+1+k at k=2 = 0"),
-            (hr_poly, Fraction(1, 2), -2, "1-beta-n+k at k=2 = 0"),
-            # both factors vanish: the alpha factor is checked first
-            (hr_poly, -3, -2, "alpha+1+k at k=2 = 0"),
-            # the recurrence route, which hr_poly_robust falls back to
+            (hr_poly, -3, Fraction(1, 2), "n+alpha+1 at n=2 = 0"),
+            (hr_poly, Fraction(1, 2), -2, None),
+            # both factors vanish: only the alpha factor is a pole of P_n
+            (hr_poly, -3, -2, "n+alpha+1 at n=2 = 0"),
             (build_via_ttrr, -1, Fraction(1, 2), "alpha+1 = 0"),
             (build_via_ttrr, -3, Fraction(1, 2), "n+alpha+1 at n=2 = 0"),
             (build_via_ttrr, -5, -2, "n+alpha+1 at n=4 = 0"),
-            (hr_poly_robust, -3, -2, "n+alpha+1 at n=2 = 0"),
         ],
         ids=[
             "alpha-factor",
@@ -134,35 +141,38 @@ class TestConstructors:
             "recurrence-alpha-plus-one",
             "recurrence-d-coefficient",
             "recurrence-last-step",
-            "robust-fallback",
         ],
     )
     def test_parameter_pole_message_pinned(self, build, alpha, beta, message):
+        params = Params(alpha, beta)
+        if message is None:
+            p = build(5, params)
+            assert p == build_via_ttrr(5, params) and p.is_monic and p.degree == 5
+            return
         with pytest.raises(ParameterPoleError) as info:
-            build(5, Params(alpha, beta))
+            build(5, params)
         assert str(info.value) == message
 
     @settings(max_examples=40, deadline=None)
-    @given(
-        alpha=st.fractions(min_value=-4, max_value=4, max_denominator=3),
-        beta=st.fractions(min_value=-4, max_value=4, max_denominator=3),
-    )
+    @given(alpha=route_rationals, beta=route_rationals)
+    @example(alpha=Fraction(1, 2), beta=Fraction(0))
+    @example(alpha=Fraction(-3), beta=Fraction(-2))
     def test_both_routes_are_monic_of_degree_n(self, alpha, beta):
         # expand_in_hr_basis inverts a generating function whose members are
-        # these monic degree-n polynomials, and does not check that
+        # these monic degree-n polynomials, and does not check that; the two
+        # routes agree in value or raise the same pole message, integer
+        # parameters included
         params = Params(alpha, beta)
         for n in range(9):
-            for build in (hr_poly, build_via_ttrr, hr_poly_robust):
-                try:
-                    p = build(n, params)
-                except ParameterPoleError:
-                    continue
-                assert p.degree == n and p.is_monic, (build.__name__, n)
+            got = outcome(hr_poly, n, params)
+            assert got == outcome(build_via_ttrr, n, params), n
+            if isinstance(got, Poly):
+                assert got.degree == n and got.is_monic, n
 
     def test_robust_falls_back_to_recurrence(self):
-        # (alpha+2, beta-2) at (1,1) poles hypergeometrically, not recursively
+        # (alpha+2, beta-2) at (1,1) poles the hypergeometric form, not P_4
         twisted = Params(3, -1)
-        p = hr_poly_robust(4, twisted)
+        p = hr_poly(4, twisted)
         assert p == build_via_ttrr(4, twisted)
         assert p.is_monic and p.degree == 4
 
@@ -270,8 +280,8 @@ class TestConnectionPolynomials:
         for n in range(0, 4):
             for k in range(0, 5):
                 ds, bs = dk_bk_sequence(k, n, generic_params)
-                lhs = hr_poly_robust(n + k + 1, generic_params)
-                rhs = ds[k] * hr_poly_robust(n + 1, generic_params) + bs[k] * hr_poly_robust(
+                lhs = hr_poly(n + k + 1, generic_params)
+                rhs = ds[k] * hr_poly(n + 1, generic_params) + bs[k] * hr_poly(
                     n, generic_params
                 )
                 assert lhs == rhs, (n, k)
@@ -361,17 +371,17 @@ class TestTwistedCoefficients:
         n = 6
         for j in range(1, n + 1):
             c = twisted_coeffs(n, j, params, "P")
-            lhs = hr_poly_robust(n, params.shifted(j, -j))
-            rhs = hr_poly_robust(n, params)
+            lhs = hr_poly(n, params.shifted(j, -j))
+            rhs = hr_poly(n, params)
             for l, coef in enumerate(c, start=1):
-                rhs = rhs + coef * hr_poly_robust(n - l, params)
+                rhs = rhs + coef * hr_poly(n - l, params)
             assert lhs == rhs, ("P", j)
 
             e = twisted_coeffs(n, j, params, "Q")
             twisted = params.shifted(j, -j).swapped()
-            rhs = hr_poly_robust(n, twisted)
+            rhs = hr_poly(n, twisted)
             for l, coef in enumerate(e, start=1):
-                rhs = rhs + coef * hr_poly_robust(n - l, twisted)
+                rhs = rhs + coef * hr_poly(n - l, twisted)
             assert hr_partner(n, params) == rhs, ("Q", j)
 
     def test_index_validation(self):
@@ -495,7 +505,7 @@ def reference_expand_in_hr_basis(poly, params):
         if not c:
             continue
         out[j] = Fraction(c, den)
-        p_j = hr_poly_robust(j, params)
+        p_j = hr_poly(j, params)
         # rem/den - (c/den) P_j, where P_j = nums/d with nums[j] = d
         d = p_j.denominator
         g = gcd(c, d)
@@ -565,15 +575,18 @@ class TestBasisExpansion:
         assert outcome(expansion_values, poly, params) == want
 
     @pytest.mark.usefixtures("fresh_caches")
-    def test_builds_no_basis_polynomial(self):
-        # (7/3, -1) poles the hypergeometric sum from degree 2 on, so the old
-        # route built its basis through the recurrence fallback
+    def test_builds_no_basis_polynomial(self, monkeypatch):
+        # at integer beta = -1 the hypergeometric form of P_n has removable
+        # poles from degree 2 on; the expansion builds no P_n on either route
+        def refuse(n, params):
+            raise AssertionError("the recurrence route was called")
+
+        monkeypatch.setattr(hr_classical, "build_via_ttrr", refuse)
         params = Params(Fraction(7, 3), -1)
         poly = Poly([Fraction(k + 1, 3) for k in range(40)])
-        before = (hr_poly.cache_info().misses, build_via_ttrr.cache_info().misses)
+        before = hr_poly.cache_info().misses
         expansion = expansion_values(poly, params)
-        after = (hr_poly.cache_info().misses, build_via_ttrr.cache_info().misses)
-        assert after == before
+        assert hr_poly.cache_info().misses == before
         assert len(expansion) == 40 and expansion[-1] == Fraction(40, 3)
 
 
@@ -582,10 +595,10 @@ class TestOperators:
         a = generic_params.alpha
         up = generic_params.shifted(1, -1)
         for n in range(7):
-            p = hr_poly_robust(n, generic_params)
-            assert apply_l1(p, generic_params) == (-n * (n + a + 1)) * hr_poly_robust(
+            p = hr_poly(n, generic_params)
+            assert apply_l1(p, generic_params) == (-n * (n + a + 1)) * hr_poly(
                 n, up
             )
-            assert apply_l2(p, generic_params) == (-(n + a + 1)) * hr_poly_robust(
+            assert apply_l2(p, generic_params) == (-(n + a + 1)) * hr_poly(
                 n, up
             )

@@ -5,7 +5,7 @@ import pytest
 from xlbp import recurrence
 from xlbp.darboux import backward_apply, make_seed, psi_hat, seed_theta, xi
 from xlbp.exact_core import Poly
-from xlbp.hr_classical import Params, hr_poly_robust, twisted_coeffs
+from xlbp.hr_classical import Params, hr_poly, twisted_coeffs
 from xlbp.recurrence import (
     CertificationError,
     _c_row,
@@ -118,8 +118,8 @@ class TestCExpansion:
         shifted = params.shifted(1, -1)
         recon = Poly.zero()
         for j, c in enumerate(c_values(1, 1, 3, params)):
-            recon = recon + c * hr_poly_robust(j, shifted)
-        combo = xi(1, 1, 3, params) * q_poly(1, 1, params) * hr_poly_robust(
+            recon = recon + c * hr_poly(j, shifted)
+        combo = xi(1, 1, 3, params) * q_poly(1, 1, params) * hr_poly(
             3, shifted
         ) + PI_FACTOR[1] * x_poly(idx, params).poly
         assert recon == combo
@@ -137,8 +137,8 @@ class TestCExpansion:
                     continue
                 recon = Poly.zero()
                 for j, c in enumerate(c_values(j0, l0, n, params)):
-                    recon = recon + c * hr_poly_robust(j, shifted)
-                combo = xi(j0, l0, n, params) * q_poly(j0, l0, params) * hr_poly_robust(
+                    recon = recon + c * hr_poly(j, shifted)
+                combo = xi(j0, l0, n, params) * q_poly(j0, l0, params) * hr_poly(
                     n, shifted
                 ) + PI_FACTOR[j0] * x_poly(idx, params).poly
                 assert recon == combo, (j0, l0, n)

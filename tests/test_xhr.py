@@ -4,7 +4,7 @@ import pytest
 
 from xlbp.exact_core import Poly
 from xlbp import xhr
-from xlbp.hr_classical import CertificationError, Params, hr_poly_robust, norm_ratio
+from xlbp.hr_classical import CertificationError, Params, hr_poly, norm_ratio
 from xlbp.xhr import (
     InadmissibleIndexError,
     XIndex,
@@ -153,11 +153,11 @@ class TestWeightFactors:
         factor = x_weight_factor(1, 2, PAIR_A)
         assert factor.monomial_power == 2
         assert factor.linear_power == 1
-        assert factor.denominator_base == hr_poly_robust(2, PAIR_A)
+        assert factor.denominator_base == hr_poly(2, PAIR_A)
 
     def test_type2_denominator(self):
         factor = x_weight_factor(2, 2, PAIR_A)
-        assert factor.denominator_base == hr_poly_robust(2, PAIR_A.negated())
+        assert factor.denominator_base == hr_poly(2, PAIR_A.negated())
         assert factor.linear_power == -1
         assert factor.monomial_power == 3
 
