@@ -1,10 +1,11 @@
 """Seed data and the backward operator for the four exceptional families.
 
 A seed is a gauge factor times a polynomial of degree l0; four gauge classes
-(types 1-4) are admissible.  For types 3 and 4 the seed polynomial naturally
-lives in 1/z, so the stored `p_poly` is the z^l0-rescaled true polynomial
-(obtained through the exact reversal identity), and the genuine Laurent object
-is recovered by shifting the exponent down by l0.
+(types 1-4) are admissible.  The polynomial is P_l0 at (alpha, beta) for types
+1 and 3 and at (-beta, -alpha) for types 2 and 4; types 3 and 4 take it in
+1/z, so the stored `p_poly` is its reversal z^l0 P_l0(1/z), and the genuine
+Laurent object is recovered by shifting the exponent down by l0.  A seed is
+therefore defined exactly where that P_l0 is.
 
 The backward operator sends a transformed eigenfunction to a classical
 polynomial with parameters shifted to (alpha+1, beta-1).  It is realised here
@@ -21,12 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exact_core import Poly
-from .hr_classical import (
-    ParameterPoleError,
-    Params,
-    hr_poly,
-    pochhammer,
-)
+from .hr_classical import ParameterPoleError, Params, hr_poly
 
 __all__ = [
     "SeedType",
@@ -54,9 +50,9 @@ class SeedType(IntEnum):
 class Seed:
     """Full table entry for one (type, l0) seed at concrete parameters.
 
-    `p_poly` is the seed polynomial itself for types 1 and 2; for types 3 and
-    4 it is z^l0 times the (1/z)-polynomial, i.e. always a true degree-l0
-    polynomial.
+    `p_poly` is P_l0 at (alpha, beta) for type 1 and at (-beta, -alpha) for
+    type 2; types 3 and 4 store the reversal z^l0 P_l0(1/z) of the type-1
+    and type-2 polynomial, a true polynomial of degree at most l0.
     """
 
     j0: SeedType
@@ -71,14 +67,6 @@ class Seed:
         if self.j0 in (SeedType.T3, SeedType.T4):
             return self.p_poly.shifted(-self.l0)
         return self.p_poly
-
-
-def _reversal_prefactor(l0: int, params: Params, factor: str) -> Fraction:
-    """(beta)_l0 / (alpha+1)_l0; factor names alpha+1 at the caller's parameters."""
-    den = pochhammer(params.alpha + 1, l0)
-    if den == 0:
-        raise ParameterPoleError(f"({factor})_{l0} = 0 in seed reversal")
-    return pochhammer(params.beta, l0) / den
 
 
 def seed_theta(j0: SeedType, l0: int, params: Params) -> Fraction:
@@ -104,21 +92,18 @@ def make_seed(j0: SeedType, l0: int, params: Params) -> Seed:
     j0 = SeedType(j0)
     if l0 < 1:
         raise ValueError("l0 must be a positive integer")
+    p = hr_poly(l0, params if j0 in (SeedType.T1, SeedType.T3) else params.negated())
+    if j0 in (SeedType.T3, SeedType.T4):
+        p = p.reversed(l0)
     a, b = params.alpha, params.beta
     theta = seed_theta(j0, l0, params)
     if j0 is SeedType.T1:
-        p = hr_poly(l0, params)
         p_factor, q_factor = Poly.zero(), Poly.one()
     elif j0 is SeedType.T2:
-        p = hr_poly(l0, params.negated())
         p_factor, q_factor = Poly((a + b,)), Poly((1, -1))
     elif j0 is SeedType.T3:
-        # z^l0 P_l0(1/z; alpha, beta) rewritten as a plain polynomial
-        p = _reversal_prefactor(l0, params, "alpha+1") * hr_poly(l0, Params(b - 1, a + 1))
         p_factor, q_factor = Poly((1 + a,)), Poly((0, -1))
     else:
-        # at the negated pair alpha+1 reads 1-beta
-        p = _reversal_prefactor(l0, params.negated(), "1-beta") * hr_poly(l0, Params(-a - 1, -b + 1))
         p_factor, q_factor = Poly((-1 + b, 1 + a)), Poly((0, 1, -1))
     return Seed(j0, l0, p, theta, p_factor, q_factor)
 
@@ -130,9 +115,10 @@ def psi_hat(j0: SeedType, l0: int, n: int, params: Params) -> Poly:
 
     For types 1 and 2 this is the exceptional polynomial itself; for types 3
     and 4 the exceptional polynomial is z^l0 times this value (which has a
-    pole of order at most l0 at the origin).  A type-2 member that vanishes
-    because its leading factor l0-n-alpha-beta does is a parameter pole, as
-    in `xhr.x_poly`.
+    pole of order at most l0 at the origin).  Only the excluded type-1 member
+    n = l0 vanishes identically; any other member that does is a parameter
+    pole, named by its leading factor l0-n-alpha-beta for type 2 as in
+    `xhr.x_poly`.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -141,10 +127,12 @@ def psi_hat(j0: SeedType, l0: int, n: int, params: Params) -> Poly:
     p_n = hr_poly(n, params)
     core = p * p_n.derivative() - p.derivative() * p_n
     out = seed.Q_factor * core - seed.P_factor * p * p_n
-    if out.is_zero and seed.j0 is SeedType.T2 and l0 - n - params.alpha - params.beta == 0:
-        raise ParameterPoleError(
-            f"l0-n-alpha-beta = 0 at l0={l0}, n={n}: the type-2 member vanishes"
-        )
+    if out.is_zero and not (seed.j0 is SeedType.T1 and n == l0):
+        if seed.j0 is SeedType.T2 and l0 - n - params.alpha - params.beta == 0:
+            raise ParameterPoleError(
+                f"l0-n-alpha-beta = 0 at l0={l0}, n={n}: the type-2 member vanishes"
+            )
+        raise ParameterPoleError(f"the type-{int(seed.j0)} member vanishes at l0={l0}, n={n}")
     return out
 
 

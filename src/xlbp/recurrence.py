@@ -34,15 +34,13 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .darboux import SeedType, backward_apply, psi_hat, xi
+from .darboux import SeedType, backward_apply, make_seed, psi_hat, xi
 from .exact_core import Poly, solve_exact
 from .hr_classical import (
     CertificationError,
     ParameterPoleError,
     Params,
     expand_in_hr_basis,
-    hr_poly,
-    pochhammer,
     twisted_coeffs,
 )
 from .xhr import XIndex, compact_darboux_sign, x_poly
@@ -64,30 +62,14 @@ __all__ = [
 # every certificate and c-vector of one (j0, l0, pair) shares this factor
 @lru_cache(maxsize=64)
 def q_poly(j0: SeedType, l0: int, params: Params) -> Poly:
-    """The fixed left factor: degree l0+1, divisible by z.
+    """The fixed left factor: degree l0+1 (less where the seed's drops), divisible by z.
 
-    Built as the antiderivative of the seed polynomial (rescaled seed for
-    types 3 and 4) with the constant chosen so q(0) = 0; its derivative
-    recovers the seed polynomial exactly, which the tests assert.
+    The antiderivative of the seed polynomial `make_seed(...).p_poly` (the
+    z^l0-rescaled one for types 3 and 4) with q(0) = 0, so it is defined
+    exactly where the seed is.
     """
-    j0 = SeedType(j0)
-    a, b = params.alpha, params.beta
-    if j0 is SeedType.T1:
-        base, pref = Params(a - 1, b), Fraction(1)
-    elif j0 is SeedType.T2:
-        base, pref = Params(-b - 1, -a), Fraction(1)
-    elif j0 is SeedType.T3:
-        den = pochhammer(a + 1, l0)
-        if den == 0:
-            raise ParameterPoleError(f"(alpha+1)_{l0} = 0")
-        base, pref = Params(b - 2, a + 1), pochhammer(b, l0) / den
-    else:
-        den = pochhammer(-b + 1, l0)
-        if den == 0:
-            raise ParameterPoleError(f"(1-beta)_{l0} = 0")
-        base, pref = Params(-a - 2, -b + 1), pochhammer(-a, l0) / den
-    p = hr_poly(l0 + 1, base)
-    return (pref / (l0 + 1)) * (p - Poly((p.coeff(0),)))
+    p = make_seed(j0, l0, params).p_poly
+    return Poly((0,) + tuple(c / (k + 1) for k, c in enumerate(p.coeffs)))
 
 
 # bounded like the polynomial caches in hr_classical: one full run of any

@@ -37,11 +37,12 @@ def pairs_for_type(j0: int):
 def pairs_for_recurrence(j0: int):
     """Three pairs valid for the full recurrence pipeline of the given type.
 
-    (1, 1) is excluded for every type: the type-3 left factor is built at
-    (beta-2, alpha+1) which poles there, and the moment functional at (1, 1)
-    has finite support, which collapses the window-vanishing conditions and
-    makes the solver-route a coefficients non-unique (the relation itself
-    still holds; see the degeneracy test in test_recurrence).
+    (1, 1) is excluded for every type: the type-2 and type-4 seeds are built
+    at (-beta, -alpha) = (-1, -1), which poles there, and the moment
+    functional at (1, 1) has finite support, which collapses the
+    window-vanishing conditions and makes the solver-route a coefficients
+    non-unique (the relation itself still holds; see the degeneracy test in
+    test_recurrence).
     """
     del j0
     return PAIRS_NEGATION_SAFE

@@ -11,11 +11,12 @@ from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xlbp import cli, hr_classical, recurrence
+from xlbp import cli, hr_classical, quadrature, recurrence
 from xlbp.cli import main
 from xlbp.darboux import xi
 from xlbp.exact_core import Poly
@@ -282,8 +283,9 @@ class TestVerify:
         # and moment tables; a report must read the same whether its suite
         # runs on empty caches, on caches that every suite has filled, or on
         # caches that the suites before it fill in a one-process verify run.
-        # At (3/5, 1) many records are skips (a pole at beta = 1), and a
-        # cached value must not turn one into a pass
+        # At (3/5, 1) many records are skips (types 2 and 4 build their seeds
+        # at (-beta, -alpha), which poles at beta = 1), and a cached value
+        # must not turn one into a pass
         def report(suite, cold=False):
             if cold:
                 clear_package_caches()
@@ -307,7 +309,7 @@ class TestVerify:
             assert {s: hashlib.sha256(r).hexdigest() for s, r in cold.items()} == REPORT_SHA256
         if (alpha, beta) == ("3/5", "1"):
             skipped = {s: json.loads(r)["summary"]["skipped"] for s, r in cold.items()}
-            assert skipped == {"identities": 15, "darboux": 36, "xhr": 54, "recurrence": 33}
+            assert skipped == {"identities": 15, "darboux": 36, "xhr": 54, "recurrence": 22}
 
     def test_skips_are_recorded(self, tmp_path):
         # (1,1) poles two identity checks; they must appear as skips
@@ -343,12 +345,12 @@ class TestVerify:
 
     @pytest.mark.parametrize(
         "j0, alpha, beta, reason",
-        [(4, "3/5", "1", "(1-beta)_1 = 0 in seed reversal"),
-         (3, "-1", "1/2", "(alpha+1)_1 = 0 in seed reversal")],
+        [(4, "3/5", "1", "alpha+1 = 0"), (3, "-1", "1/2", "alpha+1 = 0")],
         ids=["type4", "type3"],
     )
     def test_seed_reversal_skip_names_the_vanishing_factor(self, j0, alpha, beta, reason):
-        # the type-4 seed reverses at the negated pair, where alpha+1 is 1-beta
+        # a seed pole is a pole of P_l0, raised with hr_poly's message; the
+        # type-4 seed reverses P_l0 at the negated pair, where alpha+1 is 1-beta
         proc = run_cli(
             "verify", "--suite", "darboux", f"--alpha={alpha}", f"--beta={beta}",
             "--j0", str(j0), "--max-n", "2", "--max-l0", "1",
@@ -516,6 +518,61 @@ class TestVerify:
         assert b5 != 0
         assert failed[0]["witness"] == {"5": [str(b5), str(-b5)]}
 
+    @pytest.mark.usefixtures("fresh_caches")
+    def test_unmet_quadrature_tolerance_exits_1_with_a_witness(self, monkeypatch):
+        # the rule converges but its value is off by 1e-6, above the
+        # classical check's 1e-8 bar: a tolerance failure, not a divergence
+        original = quadrature.classical_quad
+
+        def perturbed(n, m, params, cfg=None):
+            res = original(n, m, params, cfg)
+            return replace(res, value=res.value + mpmath.mpf("1e-6")) if (n, m) == (1, 1) else res
+
+        monkeypatch.setattr(quadrature, "classical_quad", perturbed)
+        code, report, err = verify_in_process(
+            "quadrature", "--alpha", "3/5", "--beta", "1/2", "--max-n", "1", "--j0", "1"
+        )
+        assert code == 1
+        assert "Traceback" not in err
+        failed = [c for c in report["checks"] if c["status"] == "fail"]
+        assert [c["check_id"] for c in failed] == ["quadrature/classical/n=1/m=1"]
+        assert failed[0]["witness"][0].startswith("error 1.0")
+        assert report["summary"]["pass"] > 0
+
+    @pytest.mark.parametrize(
+        "suite, alpha, beta, check_id, reason",
+        [
+            # n+alpha+1 = 0 makes the type-3 member vanish at n = 1
+            ("darboux", "-2", "-1", "darboux/backward-image/j0=3/l0=1/n=1",
+             "the type-3 member vanishes at l0=1, n=1"),
+            ("recurrence", "-4", "-1", "recurrence/certify/j0=3/l0=1/n=3",
+             "the type-3 member vanishes at l0=1, n=3"),
+        ],
+    )
+    def test_vanishing_member_is_skipped(self, suite, alpha, beta, check_id, reason):
+        # a member other than the excluded type-1 one that vanishes is a
+        # parameter pole of that record, not a usage error of the whole run
+        code, report, err = verify_in_process(
+            suite, f"--alpha={alpha}", f"--beta={beta}", "--max-n", "6", "--max-l0", "2"
+        )
+        assert code == 0, err
+        checks = {c["check_id"]: c for c in report["checks"]}
+        assert (checks[check_id]["status"], checks[check_id]["reason"]) == ("skipped", reason)
+
+    def test_type4_seed_exists_where_the_reversal_identity_poles(self):
+        # at (1, 2/3) the seed is P_2(z; -2/3, -1) reversed; the reversal
+        # identity's pair (-2, 1/3) poles there, the seed does not
+        code, report, err = verify_in_process(
+            "darboux", "--alpha", "1", "--beta=2/3", "--j0", "4", "--max-n", "6", "--max-l0", "2"
+        )
+        assert code == 0, err
+        records = [
+            c for c in report["checks"]
+            if c["check_id"].startswith("darboux/backward-image/j0=4/l0=2/")
+        ]
+        assert len(records) == 7
+        assert all(c["status"] == "pass" for c in records)
+
     @pytest.mark.parametrize(
         "suite, summary",
         [
@@ -636,6 +693,23 @@ class TestCertify:
         data = json.loads(proc.stdout)
         assert len(data["a"]) + len(data["b"]) == 7
         assert data["residual_zero"] is True
+
+    @pytest.mark.parametrize("l0", [1, 2])
+    @pytest.mark.parametrize(
+        "j0, alpha, beta", [(1, "0", "1/2"), (2, "3/5", "0"), (3, "3/5", "1")]
+    )
+    def test_seed_defined_where_shifted_pairs_pole(self, j0, alpha, beta, l0):
+        # q is the antiderivative of the seed, so it exists wherever the seed
+        # does; a shifted pair of the hypergeometric form of q poles here
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main(
+                ["certify", "--j0", str(j0), "--l0", str(l0), "--n", str(2 * l0 + 3),
+                 f"--alpha={alpha}", f"--beta={beta}"]
+            )
+        assert code == 0, err.getvalue()
+        data = json.loads(out.getvalue())
+        assert len(data["a"]) + len(data["b"]) == 3 * l0 + 4
 
     def test_thm11_precondition_exits_2(self):
         proc = run_cli(

@@ -1,6 +1,9 @@
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xlbp.darboux import (
     backward_apply,
@@ -11,9 +14,32 @@ from xlbp.darboux import (
     xi,
 )
 from xlbp.exact_core import Poly
-from xlbp.hr_classical import ParameterPoleError, Params, hr_poly
+from xlbp.hr_classical import ParameterPoleError, Params, hr_poly, pochhammer
 
 from conftest import PAIR_A, PAIR_B, pairs_for_type
+
+# alpha and beta in {-4, -7/2, ..., 4}: every integer pole of P_l0 for l0 <= 3
+GRID = [Fraction(k, 2) for k in range(-8, 9)]
+half_integers = st.integers(min_value=-8, max_value=8).map(lambda k: Fraction(k, 2))
+
+
+def seed_base(j0, params):
+    """The pair at which the seed takes P_l0: (alpha, beta) or (-beta, -alpha)."""
+    return params if j0 in (1, 3) else params.negated()
+
+
+def reversal_identity_seed(j0, l0, params):
+    """Types 3, 4: z^l0 P_l0(1/z; a, b) = (b)_l0/(a+1)_l0 P_l0(z; b-1, a+1).
+
+    (a, b) is the seed's base pair; a vanishing (a+1)_l0 is a pole of this
+    form only.
+    """
+    base = seed_base(j0, params)
+    a, b = base.alpha, base.beta
+    den = pochhammer(a + 1, l0)
+    if den == 0:
+        raise ParameterPoleError(f"(alpha+1)_{l0} = 0 in seed reversal")
+    return pochhammer(b, l0) / den * hr_poly(l0, Params(b - 1, a + 1))
 
 
 class TestSeeds:
@@ -53,6 +79,46 @@ class TestSeeds:
         assert make_seed(4, 1, PAIR_A).P_factor == Poly((b - 1, a + 1))
         assert make_seed(4, 1, PAIR_A).Q_factor == Poly((0, 1, -1))
 
+    @pytest.mark.parametrize("j0", [3, 4])
+    def test_reversed_seed_matches_reversal_identity(self, j0):
+        # the seed is P_l0 reversed; the identity rebuilds it from P_l0 at
+        # (b-1, a+1), wherever both are defined
+        compared = 0
+        for alpha in GRID:
+            for beta in GRID:
+                params = Params(alpha, beta)
+                for l0 in (1, 2, 3):
+                    try:
+                        want = reversal_identity_seed(j0, l0, params)
+                        got = make_seed(j0, l0, params).p_poly
+                    except ParameterPoleError:
+                        continue
+                    assert got == want, (j0, l0, params)
+                    compared += 1
+        assert compared > 500
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        j0=st.integers(min_value=1, max_value=4),
+        l0=st.integers(min_value=1, max_value=3),
+        alpha=half_integers,
+        beta=half_integers,
+    )
+    def test_seed_poles_are_the_poles_of_p_l0(self, j0, l0, alpha, beta):
+        # make_seed raises exactly when P_l0 at its base pair does, with the
+        # same message: at an integer base alpha in {-l0, ..., -1}
+        params = Params(alpha, beta)
+        base = seed_base(j0, params)
+        try:
+            hr_poly(l0, base)
+        except ParameterPoleError as exc:
+            with pytest.raises(ParameterPoleError, match=f"^{re.escape(str(exc))}$"):
+                make_seed(j0, l0, params)
+            assert base.alpha.denominator == 1 and -l0 <= base.alpha <= -1
+        else:
+            assert make_seed(j0, l0, params).p_poly.degree <= l0
+            assert not (base.alpha.denominator == 1 and -l0 <= base.alpha <= -1)
+
     def test_seed_type_validation(self):
         with pytest.raises(ValueError):
             make_seed(5, 1, PAIR_A)
@@ -67,6 +133,15 @@ class TestPsiHat:
     def test_excluded_member_vanishes(self):
         for l0 in (1, 2, 3):
             assert psi_hat(1, l0, l0, PAIR_A).is_zero
+
+    @pytest.mark.parametrize(
+        "j0, l0, n, alpha, beta",
+        [(3, 1, 1, -2, -1), (4, 1, 0, -1, 2)],
+    )
+    def test_vanishing_member_is_a_pole(self, j0, l0, n, alpha, beta):
+        # only the excluded type-1 member may vanish; any other is a pole
+        with pytest.raises(ParameterPoleError, match=f"type-{j0} member vanishes"):
+            psi_hat(j0, l0, n, Params(alpha, beta))
 
     def test_pole_order_for_reversed_types(self):
         for j0 in (3, 4):

@@ -5,7 +5,7 @@ import pytest
 from xlbp import recurrence
 from xlbp.darboux import backward_apply, make_seed, psi_hat, seed_theta, xi
 from xlbp.exact_core import Poly
-from xlbp.hr_classical import Params, hr_poly, twisted_coeffs
+from xlbp.hr_classical import ParameterPoleError, Params, hr_poly, pochhammer, twisted_coeffs
 from xlbp.recurrence import (
     CertificationError,
     _c_row,
@@ -23,6 +23,7 @@ from xlbp.recurrence import (
 from xlbp.xhr import XIndex, compact_darboux_sign, x_poly
 
 from conftest import PACKAGE_CACHES, PAIR_A, pairs_for_recurrence
+from test_darboux import GRID, reversal_identity_seed, seed_base
 from test_hr_classical import reference_expand_in_hr_basis
 
 # the right companion factor of each type: z(1-z), z, 1-z, -1
@@ -60,6 +61,31 @@ def reduced_xi_reading(idx, params):
     ]
 
 
+def hypergeometric_q(j0, l0, params):
+    """q through the derivative identity P'_{m+1}(z; a-1, b) = (m+1) P_m(z; a, b).
+
+    Types 3 and 4 also take the reversal identity's prefactor and pair;
+    both forms pole where their shifted pairs do, as well as where q does.
+    """
+    a, b = params.alpha, params.beta
+    if j0 == 1:
+        base, pref = Params(a - 1, b), Fraction(1)
+    elif j0 == 2:
+        base, pref = Params(-b - 1, -a), Fraction(1)
+    elif j0 == 3:
+        den = pochhammer(a + 1, l0)
+        if den == 0:
+            raise ParameterPoleError(f"(alpha+1)_{l0} = 0")
+        base, pref = Params(b - 2, a + 1), pochhammer(b, l0) / den
+    else:
+        den = pochhammer(-b + 1, l0)
+        if den == 0:
+            raise ParameterPoleError(f"(1-beta)_{l0} = 0")
+        base, pref = Params(-a - 2, -b + 1), pochhammer(-a, l0) / den
+    p = hr_poly(l0 + 1, base)
+    return (pref / (l0 + 1)) * (p - Poly((p.coeff(0),)))
+
+
 class TestQPoly:
     def test_type1_printed_form(self, generic_params):
         a, b = generic_params.alpha, generic_params.beta
@@ -79,12 +105,38 @@ class TestQPoly:
 
     @pytest.mark.parametrize("j0", [1, 2, 3, 4])
     def test_derivative_recovers_seed(self, j0):
-        # q' equals the seed polynomial (z^l0-rescaled for types 3 and 4)
+        # q' equals the seed polynomial, for types 3 and 4 as the reversal
+        # identity builds it from P_l0 at another pair
         for params in pairs_for_recurrence(j0):
             for l0 in (1, 2, 3):
-                assert q_poly(j0, l0, params).derivative() == make_seed(
-                    j0, l0, params
-                ).p_poly
+                seed = (
+                    hr_poly(l0, seed_base(j0, params))
+                    if j0 in (1, 2)
+                    else reversal_identity_seed(j0, l0, params)
+                )
+                assert q_poly(j0, l0, params).derivative() == seed
+
+    @pytest.mark.parametrize("j0", [1, 2, 3, 4])
+    def test_matches_hypergeometric_antiderivative(self, j0):
+        # pref/(l0+1) (P_{l0+1}(base) - P_{l0+1}(base)(0)) at a shifted pair
+        # is q wherever that form is defined; where it poles, q exists anyway
+        compared = widened = 0
+        for alpha in GRID:
+            for beta in GRID:
+                params = Params(alpha, beta)
+                for l0 in (1, 2, 3):
+                    try:
+                        want = hypergeometric_q(j0, l0, params)
+                    except ParameterPoleError:
+                        try:
+                            q_poly(j0, l0, params)
+                            widened += 1
+                        except ParameterPoleError:
+                            pass
+                        continue
+                    assert q_poly(j0, l0, params) == want, (j0, l0, params)
+                    compared += 1
+        assert compared > 500 and widened > 0
 
 
 class TestPiFactor:
