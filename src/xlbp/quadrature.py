@@ -18,24 +18,57 @@ endpoint is computed directly, so the nodes near the branch point keep their
 full relative precision.  Level 0 takes t in steps of 1/2 outwards from 0, on
 each side until a term falls below 2^-prec times the sum of the term sizes so
 far or |t| reaches a cap; each later level halves the step and evaluates only
-the new odd nodes, reusing the previous sum.  A node's geometry (its circle
-point, 2 sin(y/2), y - pi and the Jacobian) depends only on t and the
-working precision, so it is computed once per precision and kept in a
-bounded table; each integrand pays only for the weight's powers and its own
-terms.
+the new odd nodes, reusing the previous sum.  A node's geometry depends only
+on t and the working precision prec, so it is computed once per precision
+and kept in a bounded table: z = e^{iy} as fixed-point integers at
+bits = prec + 32, and log s with s = 2 sin(y/2), y - pi and the Jacobian as
+mpf values at prec + 10 bits.
+
+The integrand is evaluated on integers.  With P = P'/d_P, Q = Q'/d_Q and the
+exceptional denominator B = B'/d_B over integer numerators, Horner's rule runs
+on the numerators at the fixed-point z, Q(1/z) is the conjugate of Q(z), and
+the exceptional term z^p P'(z) conj(Q'(z)) / B'(z)^2 is one Gaussian-integer
+division.  The rational constant left over (1/(d_P d_Q), times the weight
+ratio's constant and d_B^2 for an exceptional integral) is the integral's
+unit: the integer sums are multiplied by it once per level, so values, level
+differences and the tolerance test are on the scale of the integrand itself.
+The ratio's linear factor, (z - 1) or 1/(1 - z), is never evaluated near its
+zero or pole: since 1 - z = s e^{i(y - pi)/2}, it moves into the weight as
+-s e^{i(y-pi)/2} or s^-1 e^{-i(y-pi)/2}.  The weight, s^(alpha+beta+l)
+e^{i(y-pi)((alpha-beta)/2 + l/2)} for a linear power l (0 when there is no
+such factor), costs one exp and one cos_sin per node; its product with the
+term's real part and with the term's size |term| (an integer square root),
+and both running sums, are integers at 2^-bits.
 
 Values are divided by the closed-form zeroth moment
 Gamma(1+alpha+beta) / (Gamma(1+alpha) Gamma(1+beta)).  The error estimate is
 the last level difference, plus the outermost terms of level 0 (the
-truncation), plus the rounding bound N 2^-prec sum |terms| of a sum of N
-terms, all divided by that moment.  Taking the last level difference as the
-error of the finer level is the usual tanh-sinh heuristic, not a rigorous
-bound; one would need the integrand's strip of analyticity (Tanaka,
-Sugihara, Murota and Mori, 2009).  Before integrating an exceptional
-integrand, its exponent at z = 1 is computed exactly and a divergent integral
-is refused.  Working precision is configurable and defaults to well beyond
-double because the exceptional weights carry squared denominators that
-amplify cancellation.
+truncation), plus the rounding part, all divided by that moment.  The
+rounding part is the bound N 2^-prec sum |terms| for N points, which covers
+the weight's relative rounding, plus the fixed-point error: h sum_k W_k E_k,
+with W_k the node's weight and E_k the bound below on its term's error, plus
+two units of 2^-bits per node for the floors of the weighting.  For a
+polynomial with integer coefficients of absolute sum N and degree n, at a z
+within 2 units of the circle, Horner's rule with floored products is off by
+at most E = 3 n (N + 1) units; a floored product of two such values (absolute
+sums N_P, N_Q, errors E_P, E_Q) by at most E_P (N_Q + 1) + N_P E_Q + 2.  For
+the exceptional quotient, with E_X that bound for z^p P' conj(Q'),
+N_X = N_P N_Q, E_B the bound for B', L = |B'(z)|^2 - E_B (2 N_B + 1) 2^-bits
+a lower bound on |B'|^2 at both the computed and the true point, and 2 units
+for the final floors, the error is at most E_X / L + N_X E_B (2 N_B + 1) / L^2
++ 2 (in units, with L in real terms).  These bounds hold while n (N + 1) stays
+far below 2^bits, and they put the fixed-point error about 2^-30 below the
+working precision.  Taking the last level difference as the error of the
+finer level is the usual tanh-sinh heuristic, not a rigorous bound; one would
+need the integrand's strip of analyticity (Tanaka, Sugihara, Murota and Mori,
+2009).
+
+Before integrating an exceptional integrand, its exponent at z = 1 is
+computed exactly and a divergent integral is refused, and a denominator B
+that nearly vanishes on the circle (judged at 512 points with the same
+integer kernel) is refused.  Working precision is configurable and defaults
+to well beyond double because the exceptional weights carry squared
+denominators that amplify cancellation.
 """
 
 from __future__ import annotations
@@ -43,12 +76,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import isqrt
 
 import mpmath as mp
+from mpmath.libmp import from_rational, mpf_cos_sin, mpf_exp, mpf_mul, mpf_pos, to_fixed
 
 from .exact_core import Poly
 from .hr_classical import Params, hr_partner, hr_poly
-from .xhr import WeightFactor, XIndex, x_partner, x_poly, x_weight_factor
+from .xhr import XIndex, x_partner, x_poly, x_weight_factor
 
 __all__ = [
     "QuadConfig",
@@ -65,8 +100,12 @@ __all__ = [
 _H0 = 0.5
 _T_CAP = 8
 # nodes kept in the node table over all precisions: every node one integral
-# can reach at 7 levels, about 1.4 kB each at 128 bits
+# can reach at 7 levels, about 0.8 kB each at 128 bits
 _NODE_TABLE_SIZE = 1 + 2**7 * 2 * int(_T_CAP / _H0)
+# fractional bits of the fixed-point kernel beyond the working precision, and
+# extra bits of the weight's mpf steps
+_GUARD_BITS = 32
+_WEIGHT_BITS = 10
 # the denominator guard: points on the circle, and the smallest min/max ratio
 # of |denominator| it lets through
 _GUARD_SAMPLES = 512
@@ -133,85 +172,174 @@ def _zeroth_moment(params: Params) -> mp.mpf:
     return mp.gamma(1 + a + b) / (mp.gamma(1 + a) * mp.gamma(1 + b))
 
 
-def _mp_coeffs(poly):
-    return [_mpf(c) for c in poly.coeffs]
+def _fixed_point(x, bits):
+    """A complex x as the nearest integers to Re x 2^bits and Im x 2^bits."""
+    return tuple(to_fixed(part._mpf_, bits + 1) + 1 >> 1 for part in (mp.re(x), mp.im(x)))
 
 
-def _horner(coeffs, z):
-    """sum_k coeffs[k] z^k for nonempty coeffs, started at the leading coefficient."""
-    acc = coeffs[-1]
-    for c in coeffs[-2::-1]:
-        acc = acc * z + c
-    return acc
+def _shift(x: int, k: int) -> int:
+    """floor(x / 2^k) for an integer k of either sign."""
+    return x >> k if k >= 0 else x << -k
+
+
+def _dense(poly: Poly, power: int = 0) -> tuple:
+    """Integer numerators of z^power * poly from z^0 upward, over poly.denominator."""
+    return (0,) * (poly.min_exp + power) + poly.numerators
+
+
+def _norm(nums) -> int:
+    """Sum of absolute values: a bound on |sum_k nums[k] z^k| on the unit circle."""
+    return sum(map(abs, nums))
+
+
+def _evaluation_bound(nums) -> int:
+    """Bound, in units of 2^-bits, on the error of `_evaluate(nums, z, bits)` on the circle."""
+    return 3 * (len(nums) - 1) * (_norm(nums) + 1)
+
+
+def _evaluate(nums, z, bits):
+    """sum_k nums[k] z^k by Horner's rule at the fixed-point point z = (x, y).
+
+    Everything is an integer at 2^-bits, and each product is floored.
+    """
+    x, y = z
+    re, im = nums[-1] << bits, 0
+    for c in nums[-2::-1]:
+        re, im = (re * x - im * y >> bits) + (c << bits), re * y + im * x >> bits
+    return re, im
+
+
+def _product_kernel(p: Poly, q: Poly):
+    """make_term for P(z) Q(1/z), in units of 1/(d_P d_Q), with its error bound."""
+    pn, qn = _dense(p), _dense(q)
+    bound = _evaluation_bound(pn) * (_norm(qn) + 1) + _norm(pn) * _evaluation_bound(qn) + 2
+
+    def make_term(z, bits):
+        pr, pi = _evaluate(pn, z, bits)
+        qr, qi = _evaluate(qn, z, bits)
+        return pr * qr + pi * qi >> bits, pi * qr - pr * qi >> bits, bound
+
+    return make_term
+
+
+def _ratio_kernel(p: Poly, q: Poly, base: Poly, power: int):
+    """make_term for z^power P(z) Q(1/z) / B(z)^2 over the numerators of P, Q and B.
+
+    The error bound depends on |B'(z)|, so it is formed at each node.
+    """
+    numerator = _product_kernel(p.shifted(power), q)
+    bn = _dense(base)
+    # a bound on |z^power P'(z) Q'(1/z)| on the circle
+    magnitude = _norm(p.numerators) * _norm(q.numerators)
+    # |B'|^2 >= |B'(z)|^2 - spread 2^-bits at the true and the computed point
+    spread = _evaluation_bound(bn) * (2 * _norm(bn) + 1)
+
+    def make_term(z, bits):
+        xr, xi, bound = numerator(z, bits)
+        br, bi = _evaluate(bn, z, bits)
+        square = br * br + bi * bi
+        low = square - (spread << bits)
+        if low <= 0:
+            raise DenominatorNearZeroError("weight denominator vanishes at a quadrature node")
+        sr, si = br * br - bi * bi, 2 * br * bi
+        den = square * square
+        error = ((bound * low + (magnitude * spread << 2 * bits)) << 2 * bits) // (low * low) + 2
+        re = ((xr * sr + xi * si) << 2 * bits) // den
+        return re, ((xi * sr - xr * si) << 2 * bits) // den, error
+
+    return make_term
 
 
 @lru_cache(maxsize=_NODE_TABLE_SIZE)
 def _node_geometry(prec, level, i):
     """The weight-free part of tanh-sinh node t = i h0 / 2^level at `prec` bits.
 
-    Returns z = e^{iy}, its conjugate, 2 sin(y/2), y - pi, and the scale
-    dy/dt / (2 pi), doubled for the conjugate folded value.
+    Returns z = e^{iy} as a fixed-point pair at prec + _GUARD_BITS bits, and,
+    as raw mpf values at prec + _WEIGHT_BITS bits, log(2 sin(y/2)), y - pi and
+    the scale dy/dt / (2 pi), doubled for the conjugate folded value.
     """
-    with mp.workprec(prec):
+    bits, wp = prec + _GUARD_BITS, prec + _WEIGHT_BITS
+    with mp.workprec(bits + 10):
         t = mp.mpf(_H0) * i / 2**level
         e = mp.exp(-mp.pi * mp.sinh(abs(t)))
         d = mp.pi * e / (1 + e)  # distance from y to the endpoint t moves to
         y = d if t < 0 else mp.pi - d
-        z = mp.expj(y)
-        return z, mp.conj(z), 2 * mp.sin(y / 2), y - mp.pi, mp.pi * mp.cosh(t) * e / (1 + e) ** 2
+        return (
+            _fixed_point(mp.expj(y), bits),
+            mpf_pos(mp.log(2 * mp.sin(y / 2))._mpf_, wp),
+            mpf_pos((y - mp.pi)._mpf_, wp),
+            mpf_pos((mp.pi * mp.cosh(t) * e / (1 + e) ** 2)._mpf_, wp),
+        )
 
 
-def _integrate_levels(make_term, params, cfg):
-    """(1/2pi) * integral of term(x) w(x) dx over (0, 2pi) by nested tanh-sinh.
+def _integrate_levels(make_term, params, cfg, unit, linear=0):
+    """(1/2pi) * integral of unit * term(x) (1-z)^linear w(x) dx over (0, 2pi) by nested tanh-sinh.
 
-    `make_term(z, zbar)` supplies the weightless part of the integrand; its
-    value at (zbar, z) must be the conjugate of its value at (z, zbar), which
-    holds for every polynomial with rational coefficients.  Returns (value,
+    `make_term(z, bits)` takes a node's circle point as a fixed-point pair and
+    returns the weightless part of the integrand in units of `unit` as a
+    fixed-point pair at `bits`, with a bound on its error in units of
+    2^-bits; its conjugate is the value at the conjugate point, which holds
+    for every polynomial with rational coefficients.  `linear` is 0, or +-1
+    for the factor (1-z)^(+-1) that the weight takes over.  Returns (value,
     per-level differences, circle points evaluated, error estimate).
     """
     prec = mp.mp.prec
-    eps = mp.ldexp(1, -prec)
-    a, b = _mpf(params.alpha), _mpf(params.beta)
-    gamma, phase = a + b, (a - b) / 2
+    bits, wp = prec + _GUARD_BITS, prec + _WEIGHT_BITS
+    a, b = params.alpha, params.beta
+    power, turn = (
+        from_rational(v.numerator, v.denominator, wp)
+        for v in (Fraction(a + b + linear), Fraction(a - b + linear, 2))
+    )
 
     def node(level, i):
-        """Term of node t = i h0 / 2^level without the step h, and its size."""
-        z, zbar, s, y_minus_pi, scale = _node_geometry(prec, level, i)
-        # the weight of weight_on_circle at y, from the tabulated parts
-        value = s**gamma * mp.expj(y_minus_pi * phase) * make_term(z, zbar)
-        return scale * value.real, scale * abs(value)
+        """Term of node t = i h0 / 2^level without the step h, its size and its error bound."""
+        z, log_s, y_minus_pi, scale = _node_geometry(prec, level, i)
+        # the weight of weight_on_circle at y, times s^linear e^{i linear (y-pi)/2}
+        _, man, exp, _ = mpf_mul(scale, mpf_exp(mpf_mul(power, log_s, wp), wp), wp)
+        cos, sin = mpf_cos_sin(mpf_mul(turn, y_minus_pi, wp), wp)
+        re, im, error = make_term(z, bits)
+        real = (to_fixed(cos, wp) * re - to_fixed(sin, wp) * im) * man
+        return (
+            _shift(real, wp - exp),
+            _shift(isqrt(re * re + im * im) * man, -exp),
+            _shift(error * man, -exp) + 2,
+        )
 
-    h0 = h = mp.mpf(_H0)
-    total, size = node(0, 0)
+    total, size, fixed = node(0, 0)
     points = 2
     ends = []
     for side in (-1, 1):
         k = 0
         while True:
             k += 1
-            term, term_size = node(0, side * k)
+            term, term_size, term_fixed = node(0, side * k)
             total += term
             size += term_size
+            fixed += term_fixed
             points += 2
-            if term_size <= eps * size or k * h >= _T_CAP:
+            if term_size << prec <= size or k * _H0 >= _T_CAP:
                 break
         ends.append((k, term_size))
     (left, left_size), (right, right_size) = ends
 
-    value = h * total
+    # the value of one integer unit of the sums at level 0, step included
+    step = mp.ldexp(mp.mpf(_H0) * _mpf(unit), -bits)
+    truncation = abs(step) * (left_size + right_size)
+    value = step * total
     diffs = []
     for level in range(1, cfg.refinement_levels + 1):
-        h /= 2
+        step /= 2
+        previous = total
         for i in range(1 - 2**level * left, 2**level * right, 2):
-            term, term_size = node(level, i)
+            term, term_size, term_fixed = node(level, i)
             total += term
             size += term_size
+            fixed += term_fixed
             points += 2
-        previous, value = value, h * total
-        diffs.append(abs(value - previous))
+        value = step * total
+        diffs.append(abs(step * (total - 2 * previous)))
         if diffs[-1] <= cfg.tolerance * max(1, abs(value)):
-            truncation = h0 * (left_size + right_size)
-            rounding = eps * points * h * size
+            rounding = abs(step) * (mp.ldexp(points * size, -prec) + fixed)
             return value, diffs, points, diffs[-1] + truncation + rounding
     raise QuadratureConvergenceError(
         f"no convergence to {cfg.tolerance} within {cfg.refinement_levels} refinements "
@@ -229,10 +357,9 @@ def classical_quad(n: int, m: int, params: Params, cfg: QuadConfig | None = None
     if not params.is_positive:
         raise ValueError("positivity (alpha, beta, alpha+beta > -1) required")
     with mp.workprec(cfg.precision_bits):
-        p_c = _mp_coeffs(hr_poly(n, params))
-        q_c = _mp_coeffs(hr_partner(m, params))
+        p, q = hr_poly(n, params), hr_partner(m, params)
         num, diffs, pts, err = _integrate_levels(
-            lambda z, zbar: _horner(p_c, z) * _horner(q_c, zbar), params, cfg
+            _product_kernel(p, q), params, cfg, Fraction(1, p.denominator * q.denominator)
         )
         den = _zeroth_moment(params)
         return QuadResult(num / den, err / abs(den), pts, tuple(diffs))
@@ -240,36 +367,22 @@ def classical_quad(n: int, m: int, params: Params, cfg: QuadConfig | None = None
 
 @lru_cache(maxsize=4)
 def _roots_of_unity(prec):
-    """The guard's points e^{2 pi i k / _GUARD_SAMPLES} on the circle at `prec` bits."""
-    with mp.workprec(prec):
-        return tuple(mp.expj(2 * mp.pi * k / _GUARD_SAMPLES) for k in range(_GUARD_SAMPLES))
+    """The guard's points e^{2 pi i k / _GUARD_SAMPLES}, fixed point at prec + _GUARD_BITS bits."""
+    bits = prec + _GUARD_BITS
+    with mp.workprec(bits + 10):
+        turn = 2 * mp.pi / _GUARD_SAMPLES
+        return tuple(_fixed_point(mp.expj(turn * k), bits) for k in range(_GUARD_SAMPLES))
 
 
 @lru_cache(maxsize=256)
 def _extremes_on_circle(poly: Poly, prec):
     """(min, max) of |poly| over the guard's points on the circle, at `prec` bits."""
+    bits, nums = prec + _GUARD_BITS, _dense(poly)
+    values = (_evaluate(nums, z, bits) for z in _roots_of_unity(prec))
+    squares = [re * re + im * im for re, im in values]
     with mp.workprec(prec):
-        coeffs = _mp_coeffs(poly)
-        mags = [abs(_horner(coeffs, z)) for z in _roots_of_unity(prec)]
-        return min(mags), max(mags)
-
-
-def _ratio_on_circle(factor: WeightFactor):
-    """`factor.ratio_at` with its Fractions converted once, for one integral.
-
-    The Fractions are converted as mpmath converts them inside `ratio_at`,
-    and `_horner`'s first step is exact, so every value rounds as before.
-    """
-    constant = mp.mpmathify(factor.constant_ratio)
-    base = [mp.mpmathify(c) for c in factor.denominator_base.coeffs]
-    power, linear = factor.monomial_power, factor.linear_power
-
-    def ratio_at(z):
-        den = _horner(base, z)
-        value = constant * z**power / (den * den)
-        return value * (z - 1) if linear == 1 else value / (1 - z)
-
-    return ratio_at
+        unit = mp.ldexp(1, -bits) / poly.denominator
+        return mp.sqrt(min(squares)) * unit, mp.sqrt(max(squares)) * unit
 
 
 def _denominator_guard(base_poly):
@@ -309,24 +422,24 @@ def exceptional_quad(
     idx_m.require_admissible()
     with mp.workprec(cfg.precision_bits):
         factor = x_weight_factor(idx_n.j0, idx_n.l0, params)
-        _denominator_guard(factor.denominator_base)
+        base = factor.denominator_base
+        _denominator_guard(base)
         p = x_poly(idx_n, params).poly
         q = x_partner(idx_m, params).poly
+        linear = factor.linear_power
         # |1 - z|^exponent near z = 1, where the guard keeps the denominator nonzero
-        exponent = (
-            params.alpha + params.beta + factor.linear_power + _order_at_one(p) + _order_at_one(q)
-        )
+        exponent = params.alpha + params.beta + linear + _order_at_one(p) + _order_at_one(q)
         if exponent <= -1:
             raise QuadratureConvergenceError(
                 f"the integral diverges: the integrand behaves like |1-z|^({exponent}) "
                 f"at z = 1, and the exponent is <= -1"
             )
-        p_c, q_c = _mp_coeffs(p), _mp_coeffs(q)
-        ratio_at = _ratio_on_circle(factor)
-
-        def term(z, zbar):
-            return ratio_at(z) * _horner(p_c, z) * _horner(q_c, zbar)
-
-        num, diffs, pts, err = _integrate_levels(term, params, cfg)
+        # z - 1 = -(1 - z) and 1/(1 - z): the sign -linear stays in the unit
+        unit = -linear * factor.constant_ratio * Fraction(
+            base.denominator**2, p.denominator * q.denominator
+        )
+        num, diffs, pts, err = _integrate_levels(
+            _ratio_kernel(p, q, base, factor.monomial_power), params, cfg, unit, linear
+        )
         den = _zeroth_moment(params)
         return QuadResult(num / den, err / abs(den), pts, tuple(diffs))

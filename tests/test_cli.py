@@ -519,6 +519,34 @@ class TestVerify:
         assert failed[0]["witness"] == {"5": [str(b5), str(-b5)]}
 
     @pytest.mark.usefixtures("fresh_caches")
+    def test_golden_examples_reuse_their_certificates(self, monkeypatch):
+        # each golden example reads the certificate of (j0, 1, 5) that the
+        # certify record of the same run made; the published type-3 sign
+        # still fails against it
+        calls = []
+        certify, original = cli.certify, cli.example_oracles
+
+        def counting(idx, params, **kwargs):
+            calls.append((idx.j0, idx.l0, idx.n))
+            return certify(idx, params, **kwargs)
+
+        def published(j0, params):
+            want = original(j0, params)
+            return {j: -v if (j0, j) == (3, 5) else v for j, v in want.items()}
+
+        monkeypatch.setattr(cli, "certify", counting)
+        monkeypatch.setattr(cli, "example_oracles", published)
+        code, report, _ = verify_in_process(
+            "recurrence", "--alpha", "3/5", "--beta", "1/2", "--max-n", "8", "--max-l0", "2"
+        )
+        assert code == 1
+        certified = [c for c in report["checks"] if c["check_id"].startswith("recurrence/certify/")]
+        assert len(calls) == len(certified) == len(set(calls))
+        assert all((j0, 1, 5) in calls for j0 in range(1, 5))
+        failed = [c["check_id"] for c in report["checks"] if c["status"] == "fail"]
+        assert failed == ["recurrence/golden-example/3"]
+
+    @pytest.mark.usefixtures("fresh_caches")
     def test_unmet_quadrature_tolerance_exits_1_with_a_witness(self, monkeypatch):
         # the rule converges but its value is off by 1e-6, above the
         # classical check's 1e-8 bar: a tolerance failure, not a divergence

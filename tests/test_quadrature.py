@@ -22,9 +22,18 @@ POSITIVE = Params(1, Fraction(3, 2))
 SINGULAR = Params(Fraction(-1, 2), Fraction(-1, 4))
 CFG = QuadConfig(tolerance=1e-9, refinement_levels=7)
 
-# digest of `pinned_integrals()`, computed before the node geometry was
-# tabulated; a change to the rule's arithmetic changes it
-PINNED_SHA256 = "8058bb1b8c59983e034ceceeb3a2872d2909836f0fe8ea7b85b40be48a57dd1e"
+# digest of `pinned_integrals()` on the integer kernel; a change to the
+# rule's arithmetic changes it
+PINNED_SHA256 = "ade8dde212590063795cc3c06e7d0842ecfc6439b4e00695dc9670c2f53ad112"
+# (num_points_used, len(estimates)) of each pinned integral, as the rule
+# evaluated them on mpc values before the integer kernel: the kernel's unit
+# keeps every level difference and tolerance test on the same scale
+PINNED_WORK = (
+    [(242, 3)] * 9
+    + [(162, 2), (162, 2), (322, 3), (162, 2), (162, 2), (322, 3), (322, 3), (322, 3), (322, 3)]
+    + [(482, 4), (258, 3), (514, 4), (514, 4), (258, 3), (482, 4), (482, 4), (482, 4)]
+    + [(482, 4), (258, 3), (514, 4), (258, 3), (258, 3)]
+)
 
 
 def as_mpf(q: Fraction):
@@ -36,26 +45,37 @@ def rel_error(value, exact: Fraction):
     return abs(value) if e == 0 else abs(value - e) / abs(e)
 
 
-def pinned_integrals():
-    """Every field of a fixed set of classical and exceptional integrals, exactly.
+def pinned_results():
+    """A fixed set of classical and exceptional integrals, each with its exact value.
 
     The set: classical n, m <= 2 at POSITIVE and SINGULAR, and exceptional
-    types 1-4 (l0 = 1) at every admissible n, m <= 1 at POSITIVE.  Values
-    are written by repr at the working precision, which round-trips.
+    types 1-4 (l0 = 1) at every admissible n, m <= 1 at POSITIVE.
     """
-    results = [classical_quad(n, m, params, CFG) for params in (POSITIVE, SINGULAR)
-               for n in range(3) for m in range(3)]
+    results = [
+        (classical_quad(n, m, params, CFG), norm_ratio(n, params) if n == m else Fraction(0))
+        for params in (POSITIVE, SINGULAR)
+        for n in range(3)
+        for m in range(3)
+    ]
     results += [
-        exceptional_quad(XIndex(j0, 1, n), XIndex(j0, 1, m), POSITIVE, CFG)
+        (
+            exceptional_quad(XIndex(j0, 1, n), XIndex(j0, 1, m), POSITIVE, CFG),
+            x_norm_ratio(XIndex(j0, 1, n), POSITIVE) if n == m else Fraction(0),
+        )
         for j0 in range(1, 5)
         for n in range(2)
         for m in range(2)
         if XIndex(j0, 1, n).is_admissible and XIndex(j0, 1, m).is_admissible
     ]
+    return results
+
+
+def pinned_integrals(results):
+    """Every field of the pinned integrals, by repr at the working precision, which round-trips."""
     with mp.workprec(CFG.precision_bits):
         return [
             (repr(r.value), repr(r.error_estimate), r.num_points_used, [repr(e) for e in r.estimates])
-            for r in results
+            for r, _ in results
         ]
 
 
@@ -237,21 +257,17 @@ class TestExceptional:
 
 
 class TestContourTable:
-    @pytest.mark.parametrize("j0", [1, 2, 3, 4])
-    @pytest.mark.parametrize("l0", [1, 3])
-    def test_converted_weight_ratio_is_bit_identical(self, j0, l0):
-        # the integrand converts the weight factor's Fractions once per
-        # integral; every value must round as ratio_at's implicit conversion
-        factor = quadrature.x_weight_factor(j0, l0, Params(Fraction(3, 5), Fraction(1, 2)))
-        with mp.workprec(CFG.precision_bits):
-            ratio_at = quadrature._ratio_on_circle(factor)
-            for y in (mp.mpf("0.001"), mp.mpf(1) / 3, mp.mpf(2), mp.pi - mp.mpf("1e-9")):
-                z = mp.expj(y)
-                assert ratio_at(z) == factor.ratio_at(z), y
-
-    def test_integrals_are_bit_identical_to_the_untabulated_rule(self):
-        text = "\n".join(map(str, pinned_integrals()))
+    def test_integer_kernel_integrals_are_pinned(self):
+        results = pinned_results()
+        text = "\n".join(map(str, pinned_integrals(results)))
         assert hashlib.sha256(text.encode()).hexdigest() == PINNED_SHA256
+        for k, (res, exact) in enumerate(results):
+            with mp.workprec(128):
+                assert abs(res.value - as_mpf(exact)) <= res.error_estimate, k
+
+    def test_work_counts_are_pinned(self):
+        work = [(res.num_points_used, len(res.estimates)) for res, _ in pinned_results()]
+        assert work == PINNED_WORK
 
     def test_one_table_per_precision(self):
         # geometry filled at one precision must never serve another: each
@@ -280,3 +296,120 @@ class TestContourTable:
             cold.append(integrals(bits))
         assert warm == cold
         assert warm[0][0].value != warm[1][0].value
+
+
+# points of the unit circle with rational coordinates, and their conjugates
+RATIONAL_POINTS = [
+    (Fraction(a, c), Fraction(sign * b, c))
+    for a, b, c in ((3, 4, 5), (5, 12, 13), (8, 15, 17))
+    for sign in (1, -1)
+]
+
+
+def gaussian_mul(u, v):
+    return u[0] * v[0] - u[1] * v[1], u[0] * v[1] + u[1] * v[0]
+
+
+def gaussian_value(nums, z):
+    """sum_k nums[k] z^k exactly, for a Gaussian rational z."""
+    acc = (Fraction(0), Fraction(0))
+    for c in reversed(nums):
+        re, im = gaussian_mul(acc, z)
+        acc = (re + c, im)
+    return acc
+
+
+class TestIntegerKernel:
+    """The fixed-point kernel against exact evaluation at rational points of the circle.
+
+    Every term must lie within the kernel's own error bound of the exact
+    value, and that bound must sit below the working precision, relative to
+    the term's coefficient scale.
+    """
+
+    PREC = CFG.precision_bits
+
+    def check(self, make_term, exact_term, scale):
+        bits = self.PREC + quadrature._GUARD_BITS
+        for point in RATIONAL_POINTS:
+            z = tuple(round(c * 2**bits) for c in point)
+            re, im, error = make_term(z, bits)
+            want_re, want_im = (c * 2**bits for c in exact_term(point))
+            assert (re - want_re) ** 2 + (im - want_im) ** 2 <= error**2, point
+            # the fixed-point error is below 2^-prec of the term's scale
+            assert error <= scale(point) * 2 ** (bits - self.PREC), point
+
+    @pytest.mark.parametrize("n, m", [(0, 0), (1, 2), (3, 3), (4, 1)])
+    def test_classical_terms(self, n, m):
+        p = quadrature.hr_poly(n, POSITIVE)
+        q = quadrature.hr_partner(m, POSITIVE)
+        pn, qn = quadrature._dense(p), quadrature._dense(q)
+
+        def exact(z):
+            p_re, p_im = gaussian_value(pn, z)
+            q_re, q_im = gaussian_value(qn, z)
+            return gaussian_mul((p_re, p_im), (q_re, -q_im))
+
+        scale = quadrature._norm(pn) * quadrature._norm(qn)
+        self.check(quadrature._product_kernel(p, q), exact, lambda z: scale)
+
+    @pytest.mark.parametrize("j0, l0", [(1, 1), (2, 1), (3, 2), (4, 2)])
+    def test_exceptional_terms(self, j0, l0):
+        # (1, 3/2) poles the type-4 factor at l0 = 2
+        params = Params(Fraction(3, 5), Fraction(1, 2))
+        factor = quadrature.x_weight_factor(j0, l0, params)
+        base, power = factor.denominator_base, factor.monomial_power
+        p = quadrature.x_poly(XIndex(j0, l0, 3), params).poly
+        q = quadrature.x_partner(XIndex(j0, l0, 2), params).poly
+        pn, qn, bn = (quadrature._dense(f) for f in (p.shifted(power), q, base))
+
+        def exact(z):
+            p_re, p_im = gaussian_value(pn, z)
+            q_re, q_im = gaussian_value(qn, z)
+            x = gaussian_mul((p_re, p_im), (q_re, -q_im))
+            b = gaussian_value(bn, z)
+            s_re, s_im = gaussian_mul(b, b)
+            den = s_re**2 + s_im**2
+            re, im = gaussian_mul(x, (s_re, -s_im))
+            return re / den, im / den
+
+        def scale(z):
+            b_re, b_im = gaussian_value(bn, z)
+            return quadrature._norm(pn) * quadrature._norm(qn) / (b_re**2 + b_im**2)
+
+        self.check(quadrature._ratio_kernel(p, q, base, power), exact, scale)
+
+    def test_denominator_vanishing_at_a_node_is_refused(self):
+        # B = z^2 - 6/5 z + 1 vanishes at (3 +- 4i)/5, where no error bound holds
+        base = Poly((1, Fraction(-6, 5), 1))
+        make_term = quadrature._ratio_kernel(Poly((1,)), Poly((1,)), base, 1)
+        bits = self.PREC + quadrature._GUARD_BITS
+        z = tuple(round(c * 2**bits) for c in RATIONAL_POINTS[0])
+        with pytest.raises(DenominatorNearZeroError, match="at a quadrature node"):
+            make_term(z, bits)
+
+    @pytest.mark.usefixtures("fresh_caches")
+    def test_declared_error_enters_the_estimate(self, monkeypatch):
+        # a kernel error of one integrand unit at every node adds the
+        # integral of |w| to the estimate, in units of the zeroth moment
+        integrate = quadrature._integrate_levels
+
+        def inflated(make_term, params, cfg, unit, *rest):
+            one = -(-(2 ** (mp.mp.prec + quadrature._GUARD_BITS)) // abs(unit))
+
+            def term(z, bits):
+                re, im, error = make_term(z, bits)
+                return re, im, error + one
+
+            return integrate(term, params, cfg, unit, *rest)
+
+        plain = classical_quad(1, 1, POSITIVE, CFG)
+        monkeypatch.setattr(quadrature, "_integrate_levels", inflated)
+        res = classical_quad(1, 1, POSITIVE, CFG)
+        assert res.value == plain.value
+        with mp.workprec(CFG.precision_bits):
+            # (1/2pi) int |w| = Gamma(1+a+b) / Gamma(1+(a+b)/2)^2
+            gamma = as_mpf(POSITIVE.alpha + POSITIVE.beta)
+            abs_weight = mp.gamma(1 + gamma) / mp.gamma(1 + gamma / 2) ** 2
+            added = res.error_estimate - plain.error_estimate
+            assert abs(added - abs_weight / quadrature._zeroth_moment(POSITIVE)) < 1e-6
