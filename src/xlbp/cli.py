@@ -342,7 +342,7 @@ def _quadrature_checks(params, j0s, max_n):
             try:
                 return thunk()
             except quad.DenominatorNearZeroError as exc:
-                raise ParameterPoleError(f"denominator guard: {exc}") from exc
+                raise ParameterPoleError(str(exc)) from exc
             except quad.QuadratureConvergenceError as exc:
                 return [f"no convergence: {exc}"]
 

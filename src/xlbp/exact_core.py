@@ -58,6 +58,7 @@ __all__ = [
     "Poly",
     "LinearSolution",
     "solve_exact",
+    "unit_circle_roots",
     "parse_rational",
     "format_rational",
 ]
@@ -474,6 +475,50 @@ class Poly:
             else:
                 terms.append(f"{v}*{mono}")
         return " + ".join(terms).replace("+ -", "- ") if terms else "0"
+
+
+def _sturm_roots(nums, lo: int, hi: int) -> int:
+    """Distinct roots in (lo, hi) of sum_k nums[k] w^k, nonzero at both, by Sturm's theorem."""
+    seq = [nums, [k * v for k, v in enumerate(nums)][1:]]
+    while len(seq[-1]) > 1:
+        _, _, rem, den = _divmod(seq[-2], 1, seq[-1], 1)
+        rem, _ = _canonical(rem, den)
+        if not rem:
+            break
+        g = gcd(*rem)
+        seq.append([-v // g for v in rem])
+
+    def changes(x):
+        signs = [sum(c * x**k for k, c in enumerate(p)) > 0 for p in seq if p]
+        return sum(map(bool.__ne__, signs, signs[1:]))
+
+    return changes(lo) - changes(hi)
+
+
+def unit_circle_roots(poly: Poly) -> int:
+    """Number of distinct roots of a nonzero Laurent polynomial B on |z| = 1, exactly.
+
+    With b the numerators of B and c_k = sum_j b_j b_{j+k}, |B(z)|^2 on the
+    circle is T(w) = c_0 + sum_{k>=1} c_k V_k(w) at w = z + 1/z, where
+    V_k(z + 1/z) = z^k + z^-k: V_0 = 2, V_1 = w, V_k = w V_{k-1} - V_{k-2}.
+    The roots z = +-1 of B are the roots w = +-2 of T, tested and divided out;
+    each root of T in (-2, 2) is a pair of conjugate roots of B, counted by a
+    Sturm sequence (Basu, Pollack and Roy, Algorithms in Real Algebraic
+    Geometry, ch. 2)."""
+    b = poly.numerators
+    if not b:
+        raise ValueError("the zero polynomial vanishes on the whole circle")
+    w = Poly.x()
+    t, v_prev, v = Poly((sum(x * x for x in b),)), Poly((2,)), w
+    for k in range(1, len(b)):
+        t += sum(x * y for x, y in zip(b, b[k:])) * v
+        v_prev, v = v, w * v - v_prev
+    roots = 0
+    for end in (2, -2):
+        roots += not t(end)
+        while not t(end):
+            t = divmod(t, Poly((-end, 1)))[0]
+    return roots + 2 * _sturm_roots((0,) * t.min_exp + t.numerators, -2, 2)
 
 
 @dataclass(frozen=True)

@@ -155,9 +155,8 @@ def _require_nonzero(value: Fraction, factor: str) -> Fraction:
 # 2145 (certify-sweep), recurrence._c_vector 1900, _twisted_c_row 1732,
 # _twisted_e_row 1188, xhr.x_poly 2946, darboux.psi_hat 2358,
 # darboux.make_seed 262, recurrence.q_poly 262, moments 297,
-# cli.build_parser 1 and, in quadrature, _node_geometry 153,
-# _extremes_on_circle 5 and _roots_of_unity 1.  The polynomial, ttrr_d,
-# related-pair, generating-term, c-vector and quadrature bounds are at least
+# cli.build_parser 1 and quadrature._node_geometry 153.  The polynomial,
+# ttrr_d, related-pair, generating-term, c-vector and quadrature bounds are at least
 # twice that and the twist-row bounds above it, so those runs never evict
 # them.  The seed, member, left-factor and moment bounds hold the working
 # set of a few parameter pairs (one verify-small pair uses 8 seeds, 90

@@ -6,10 +6,12 @@ products and the only practical route to the exceptional biorthogonality
 integrals.
 
 Every integral is (1/2pi) times the integral over x = arg z in (0, 2pi) of a
-polynomial or rational integrand f(z, 1/z) against the weight w(e^{ix}).
-Folding x -> 2pi - x turns it into (1/2pi) times the integral over y in
-(0, pi) of f(y) w(y) + f(2pi - y) w(2pi - y), which puts the weight's
-algebraic branch point at z = 1 on the endpoint y = 0.  All coefficients are
+polynomial or rational integrand f(z, 1/z) against the weight
+w(e^{ix}) = (2 sin(x/2))^(alpha+beta) e^{i(x-pi)(alpha-beta)/2}, on the
+branches arg(-z) = x - pi and arg(1-z) = (x - pi)/2.  Folding x -> 2pi - x
+turns it into (1/2pi) times the integral over y in (0, pi) of
+f(y) w(y) + f(2pi - y) w(2pi - y), which puts the weight's algebraic
+branch point at z = 1 on the endpoint y = 0.  All coefficients are
 rational, so the two folded values are complex conjugates and one evaluation
 per node gives both.  The folded integral is evaluated by the tanh-sinh rule
 (Takahasi and Mori, 1974), y = pi / (1 + exp(-pi sinh t)), whose nodes crowd
@@ -63,12 +65,12 @@ finer level is the usual tanh-sinh heuristic, not a rigorous bound; one would
 need the integrand's strip of analyticity (Tanaka, Sugihara, Murota and Mori,
 2009).
 
-Before integrating an exceptional integrand, its exponent at z = 1 is
-computed exactly and a divergent integral is refused, and a denominator B
-that nearly vanishes on the circle (judged at 512 points with the same
-integer kernel) is refused.  Working precision is configurable and defaults
-to well beyond double because the exceptional weights carry squared
-denominators that amplify cancellation.
+Before integrating an exceptional integrand, its denominator B is refused
+exactly when it has a root on the circle (`exact_core.unit_circle_roots`),
+since the integral does not exist then, and its exponent at z = 1 is computed
+exactly and a divergent integral is refused.  Working precision is
+configurable and defaults to well beyond double because the exceptional
+weights carry squared denominators that amplify cancellation.
 """
 
 from __future__ import annotations
@@ -81,7 +83,7 @@ from math import isqrt
 import mpmath as mp
 from mpmath.libmp import from_rational, mpf_cos_sin, mpf_exp, mpf_mul, mpf_pos, to_fixed
 
-from .exact_core import Poly
+from .exact_core import Poly, unit_circle_roots
 from .hr_classical import Params, hr_partner, hr_poly
 from .xhr import XIndex, x_partner, x_poly, x_weight_factor
 
@@ -90,7 +92,6 @@ __all__ = [
     "QuadResult",
     "QuadratureConvergenceError",
     "DenominatorNearZeroError",
-    "weight_on_circle",
     "classical_quad",
     "exceptional_quad",
 ]
@@ -106,10 +107,6 @@ _NODE_TABLE_SIZE = 1 + 2**7 * 2 * int(_T_CAP / _H0)
 # extra bits of the weight's mpf steps
 _GUARD_BITS = 32
 _WEIGHT_BITS = 10
-# the denominator guard: points on the circle, and the smallest min/max ratio
-# of |denominator| it lets through
-_GUARD_SAMPLES = 512
-_GUARD_THRESHOLD = 1e-3
 
 
 class QuadratureConvergenceError(RuntimeError):
@@ -117,7 +114,7 @@ class QuadratureConvergenceError(RuntimeError):
 
 
 class DenominatorNearZeroError(RuntimeError):
-    """The exceptional weight's denominator nearly vanishes on the contour."""
+    """The weight denominator has a root on the circle, or is not bounded from 0 at a node."""
 
 
 @dataclass(frozen=True)
@@ -151,19 +148,6 @@ def _mpf(x) -> mp.mpf:
     if isinstance(x, Fraction):
         return mp.mpf(x.numerator) / mp.mpf(x.denominator)
     return mp.mpf(x)
-
-
-def weight_on_circle(x, params: Params):
-    """w(e^{ix}) for x in (0, 2pi) under the fixed branch choices.
-
-    The branches are arg z in (0, 2pi), with (-z)^(-beta) positive real at
-    arg z = pi, and arg(1-z) in (-pi, pi), with (1-z)^(alpha+beta) positive
-    real at arg(1-z) = 0.  With arg(-z) = x - pi and arg(1-z) = (x - pi)/2
-    both inside these ranges, the weight collapses to
-    (2 sin(x/2))^(alpha+beta) * exp(i (x-pi)(alpha-beta)/2).
-    """
-    a, b = _mpf(params.alpha), _mpf(params.beta)
-    return (2 * mp.sin(x / 2)) ** (a + b) * mp.expj((x - mp.pi) * ((a - b) / 2))
 
 
 def _zeroth_moment(params: Params) -> mp.mpf:
@@ -294,7 +278,7 @@ def _integrate_levels(make_term, params, cfg, unit, linear=0):
     def node(level, i):
         """Term of node t = i h0 / 2^level without the step h, its size and its error bound."""
         z, log_s, y_minus_pi, scale = _node_geometry(prec, level, i)
-        # the weight of weight_on_circle at y, times s^linear e^{i linear (y-pi)/2}
+        # the weight s^(alpha+beta) e^{i(y-pi)(alpha-beta)/2}, times s^linear e^{i linear (y-pi)/2}
         _, man, exp, _ = mpf_mul(scale, mpf_exp(mpf_mul(power, log_s, wp), wp), wp)
         cos, sin = mpf_cos_sin(mpf_mul(turn, y_minus_pi, wp), wp)
         re, im, error = make_term(z, bits)
@@ -365,35 +349,6 @@ def classical_quad(n: int, m: int, params: Params, cfg: QuadConfig | None = None
         return QuadResult(num / den, err / abs(den), pts, tuple(diffs))
 
 
-@lru_cache(maxsize=4)
-def _roots_of_unity(prec):
-    """The guard's points e^{2 pi i k / _GUARD_SAMPLES}, fixed point at prec + _GUARD_BITS bits."""
-    bits = prec + _GUARD_BITS
-    with mp.workprec(bits + 10):
-        turn = 2 * mp.pi / _GUARD_SAMPLES
-        return tuple(_fixed_point(mp.expj(turn * k), bits) for k in range(_GUARD_SAMPLES))
-
-
-@lru_cache(maxsize=256)
-def _extremes_on_circle(poly: Poly, prec):
-    """(min, max) of |poly| over the guard's points on the circle, at `prec` bits."""
-    bits, nums = prec + _GUARD_BITS, _dense(poly)
-    values = (_evaluate(nums, z, bits) for z in _roots_of_unity(prec))
-    squares = [re * re + im * im for re, im in values]
-    with mp.workprec(prec):
-        unit = mp.ldexp(1, -bits) / poly.denominator
-        return mp.sqrt(min(squares)) * unit, mp.sqrt(max(squares)) * unit
-
-
-def _denominator_guard(base_poly):
-    lo, hi = _extremes_on_circle(base_poly, mp.mp.prec)
-    if lo < _GUARD_THRESHOLD * hi:
-        raise DenominatorNearZeroError(
-            f"weight denominator nearly vanishes on the contour "
-            f"(min |p| = {mp.nstr(lo, 5)}, max |p| = {mp.nstr(hi, 5)})"
-        )
-
-
 def _order_at_one(poly: Poly) -> int:
     """Multiplicity of z = 1 as a root of a nonzero polynomial, exactly."""
     for order in range(poly.degree + 1):
@@ -409,9 +364,9 @@ def exceptional_quad(
     """Numeric exceptional biorthogonality integral in units of the zeroth moment.
 
     The exact counterpart is x_norm_ratio(idx_n) * delta_{nm}.  Refuses to
-    integrate when the squared denominator of the exceptional weight comes
-    close to zero on the contour, and when the integrand's exponent at z = 1
-    makes the integral diverge (both reported, not silently mis-integrated).
+    integrate when the squared denominator of the exceptional weight has a
+    root on the contour, and when the integrand's exponent at z = 1 makes the
+    integral diverge (both reported, not silently mis-integrated).
     """
     cfg = cfg or QuadConfig()
     if (idx_n.j0, idx_n.l0) != (idx_m.j0, idx_m.l0):
@@ -423,11 +378,15 @@ def exceptional_quad(
     with mp.workprec(cfg.precision_bits):
         factor = x_weight_factor(idx_n.j0, idx_n.l0, params)
         base = factor.denominator_base
-        _denominator_guard(base)
+        if roots := unit_circle_roots(base):
+            raise DenominatorNearZeroError(
+                f"the weight denominator has {roots} root{'s' * (roots > 1)} on |z| = 1: "
+                "the integral does not exist"
+            )
         p = x_poly(idx_n, params).poly
         q = x_partner(idx_m, params).poly
         linear = factor.linear_power
-        # |1 - z|^exponent near z = 1, where the guard keeps the denominator nonzero
+        # |1 - z|^exponent near z = 1, where the denominator has no root
         exponent = params.alpha + params.beta + linear + _order_at_one(p) + _order_at_one(q)
         if exponent <= -1:
             raise QuadratureConvergenceError(

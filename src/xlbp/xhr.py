@@ -137,9 +137,10 @@ def _compact_form(j0: SeedType, l0: int, n: int, params: Params) -> Poly:
 def x_poly(idx: XIndex, params: Params) -> XPoly:
     """Exceptional polynomial from the compact form, with degree check.
 
-    The added state of type 4 (n = -l0-1) is admissible as an index but is a
-    Laurent object, not a polynomial; it is handled only by the backward
-    operator's kernel and refused here.
+    A vanishing leading factor is refused by name, as a parameter pole, before
+    the compact form is built.  The added state of type 4 (n = -l0-1) is
+    admissible as an index but is a Laurent object, not a polynomial; it is
+    handled only by the backward operator's kernel and refused here.
     """
     idx.require_admissible()
     if idx.n < 0:
@@ -147,14 +148,14 @@ def x_poly(idx: XIndex, params: Params) -> XPoly:
             "the added state n = -l0-1 is not a polynomial; "
             "only the backward-operator kernel handles it"
         )
+    for factor, value in _leading_factors(idx, params):
+        if value == 0:
+            raise ParameterPoleError(
+                f"{factor} = 0 at l0={idx.l0}, n={idx.n}: "
+                f"the leading coefficient of the type-{int(idx.j0)} member vanishes"
+            )
     poly = _compact_form(idx.j0, idx.l0, idx.n, params)
     if poly.degree != idx.degree:
-        for factor, value in _leading_factors(idx, params):
-            if value == 0:
-                raise ParameterPoleError(
-                    f"{factor} = 0 at l0={idx.l0}, n={idx.n}: "
-                    f"the leading coefficient of the type-{int(idx.j0)} member vanishes"
-                )
         raise CertificationError(
             f"degree mismatch for {idx}: declared {idx.degree}, actual {poly.degree}",
             residual=poly,
@@ -259,12 +260,6 @@ class WeightFactor:
     monomial_power: int
     linear_power: int  # +1 or -1
     denominator_base: Poly  # the degree-l0 polynomial that gets squared
-
-    def ratio_at(self, z):
-        """Evaluate the ratio at a point (exact for Fraction, numeric otherwise)."""
-        den = self.denominator_base(z)
-        value = self.constant_ratio * z**self.monomial_power / (den * den)
-        return value * (z - 1) if self.linear_power == 1 else value / (1 - z)
 
 
 def x_weight_factor(j0: SeedType, l0: int, params: Params) -> WeightFactor:

@@ -66,8 +66,6 @@ PACKAGE_CACHES = (
     recurrence.q_poly,
     recurrence._c_vector,
     quadrature._node_geometry,
-    quadrature._roots_of_unity,
-    quadrature._extremes_on_circle,
     cli.build_parser,
 )
 

@@ -739,6 +739,17 @@ class TestCertify:
         data = json.loads(out.getvalue())
         assert len(data["a"]) + len(data["b"]) == 3 * l0 + 4
 
+    def test_vanishing_leading_factor_is_named(self):
+        # at alpha = 1 the type-4 leading factor (-alpha)_2 vanishes; the
+        # refusal names it, not a pole of a shifted pair in the compact form
+        proc = run_cli(
+            "certify",
+            "--j0", "4", "--l0", "2", "--n", "5", "--alpha", "1", "--beta", "1/2",
+        )
+        assert proc.returncode == 2
+        assert "(-alpha)_l0 = 0" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_thm11_precondition_exits_2(self):
         proc = run_cli(
             "certify",

@@ -11,6 +11,7 @@ from xlbp.exact_core import (
     format_rational,
     parse_rational,
     solve_exact,
+    unit_circle_roots,
 )
 
 rationals = st.fractions(
@@ -396,6 +397,59 @@ class TestLinearSolve:
         assert len(sol.nullspace) + sol.rank == n_cols
         for vec in sol.nullspace:
             assert all(sum(a * v for a, v in zip(row, vec)) == 0 for row in matrix)
+
+
+def circle_pair(a, b):
+    """z^2 - 2c z + 1 for c = (a^2 - b^2)/(a^2 + b^2), and its roots c +- i sqrt(1 - c^2)."""
+    c = Fraction(a * a - b * b, a * a + b * b)
+    return Poly((1, -2 * c, 1)), {(c, 1), (c, -1)}
+
+
+NEAR_ONE = [s * (1 + d) for s in (1, -1) for d in (Fraction(1, 10**6), Fraction(-1, 10**6))]
+# each factor with its roots on |z| = 1, keyed by (Re z, sign of Im z)
+circle_factors = st.one_of(
+    st.builds(circle_pair, st.integers(1, 12), st.integers(1, 12)),
+    st.sampled_from([1, -1]).map(lambda e: (Poly((-e, 1)), {(Fraction(e), 0)})),
+    st.one_of(
+        st.sampled_from(NEAR_ONE),
+        st.fractions(min_value=-5, max_value=5, max_denominator=30).filter(lambda r: abs(r) != 1),
+    ).map(lambda r: (Poly((-r, 1)), set())),
+)
+
+
+class TestUnitCircleRoots:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        parts=st.lists(st.tuples(circle_factors, st.integers(1, 2)), min_size=1, max_size=4),
+        scale=rationals.filter(bool),
+        shift=st.integers(min_value=-3, max_value=3),
+    )
+    def test_counts_distinct_known_roots(self, parts, scale, shift):
+        # repeated factors and shared roots count once; a constant factor
+        # and a power of z add none
+        poly, roots = Poly((scale,)).shifted(shift), set()
+        for (factor, factor_roots), multiplicity in parts:
+            for _ in range(multiplicity):
+                poly = poly * factor
+            roots |= factor_roots
+        assert unit_circle_roots(poly) == len(roots)
+
+    @pytest.mark.parametrize(
+        "coeffs, roots",
+        [
+            ((-1, 0, 0, 1), 3),  # z^3 - 1: the cube roots of unity
+            ((1, Fraction(-6, 5), 1), 2),  # (3 +- 4i)/5
+            ((1, Fraction(2, 7), 1), 2),
+            ((Fraction(-9999, 10000), 1), 0),
+            ((5,), 0),
+        ],
+    )
+    def test_examples(self, coeffs, roots):
+        assert unit_circle_roots(Poly(coeffs)) == roots
+
+    def test_zero_is_refused(self):
+        with pytest.raises(ValueError, match="zero polynomial"):
+            unit_circle_roots(Poly())
 
 
 class TestRationalText:

@@ -13,7 +13,6 @@ from xlbp.quadrature import (
     QuadratureConvergenceError,
     classical_quad,
     exceptional_quad,
-    weight_on_circle,
 )
 from xlbp.xhr import XIndex, x_norm_ratio
 
@@ -43,6 +42,19 @@ def as_mpf(q: Fraction):
 def rel_error(value, exact: Fraction):
     e = as_mpf(exact)
     return abs(value) if e == 0 else abs(value - e) / abs(e)
+
+
+def weight_on_circle(x, params: Params):
+    """w(e^{ix}) for x in (0, 2pi) under the fixed branch choices, as a reference.
+
+    The branches are arg z in (0, 2pi), with (-z)^(-beta) positive real at
+    arg z = pi, and arg(1-z) in (-pi, pi), with (1-z)^(alpha+beta) positive
+    real at arg(1-z) = 0.  With arg(-z) = x - pi and arg(1-z) = (x - pi)/2
+    both inside these ranges, the weight collapses to
+    (2 sin(x/2))^(alpha+beta) * exp(i (x-pi)(alpha-beta)/2).
+    """
+    a, b = as_mpf(Fraction(params.alpha)), as_mpf(Fraction(params.beta))
+    return (2 * mp.sin(x / 2)) ** (a + b) * mp.expj((x - mp.pi) * ((a - b) / 2))
 
 
 def pinned_results():
@@ -244,16 +256,44 @@ class TestExceptional:
         with pytest.raises(ValueError, match="family"):
             exceptional_quad(XIndex(1, 1, 0), XIndex(2, 1, 0), POSITIVE, CFG)
 
-    def test_denominator_guard(self):
-        # P_1 root at 0.9999 sits essentially on the contour; the second
-        # integral over the same denominator reuses the guard's extremes
-        risky = Params(0, Fraction(-9999, 10000))
-        quadrature._extremes_on_circle.cache_clear()
-        for _ in range(2):
-            with pytest.raises(DenominatorNearZeroError, match=r"min \|p\| = "):
-                exceptional_quad(XIndex(1, 1, 0), XIndex(1, 1, 0), risky, CFG)
-        info = quadrature._extremes_on_circle.cache_info()
-        assert (info.misses, info.hits) == (1, 1)
+    @pytest.mark.usefixtures("fresh_caches")
+    def test_denominator_root_on_circle_is_refused(self, monkeypatch):
+        # (-5/6, 1/6), l0 = 2: types 1 and 3 share B = z^2 + 2/7 z + 1, whose
+        # roots both lie on the circle, so the integral does not exist
+        def integrate(*args):
+            raise AssertionError("integrated over a pole on the contour")
+
+        monkeypatch.setattr(quadrature, "_integrate_levels", integrate)
+        params = Params(Fraction(-5, 6), Fraction(1, 6))
+        for j0 in (1, 3):
+            base = quadrature.x_weight_factor(j0, 2, params).denominator_base
+            assert base == Poly((1, Fraction(2, 7), 1))
+            with pytest.raises(DenominatorNearZeroError, match=r"has 2 roots on \|z\| = 1"):
+                exceptional_quad(XIndex(j0, 2, 0), XIndex(j0, 2, 0), params, CFG)
+
+    @pytest.mark.parametrize(
+        "alpha, beta, l0, j0",
+        [
+            # the root of B = z - 9999/10000 lies 1e-4 inside the circle
+            (0, Fraction(-9999, 10000), 1, 1),
+            # roots at |z| = 1.015
+            (Fraction(17, 6), Fraction(-4, 5), 2, 2),
+            (Fraction(17, 6), Fraction(-4, 5), 2, 4),
+            # roots at |z| = 0.984
+            (Fraction(-4, 5), Fraction(17, 6), 3, 2),
+            (Fraction(19, 5), Fraction(5, 2), 2, 2),
+        ],
+    )
+    def test_denominator_without_root_on_circle_is_integrated(self, alpha, beta, l0, j0):
+        # however close B comes to the circle, an integral over a denominator
+        # with no root on it exists and converges to the exact norm
+        params = Params(alpha, beta)
+        for n in range(3):
+            idx = XIndex(j0, l0, n)
+            if not idx.is_admissible:
+                continue
+            res = exceptional_quad(idx, idx, params, CFG)
+            assert rel_error(res.value, x_norm_ratio(idx, params)) < 1e-6, n
 
 
 class TestContourTable:
@@ -274,25 +314,16 @@ class TestContourTable:
         # warm result equals the one from cold tables at its precision
         def integrals(bits):
             cfg = QuadConfig(tolerance=1e-9, refinement_levels=7, precision_bits=bits)
-            # from points of another precision, this denominator's extremes
-            # at 96 bits come out different in the last bit
-            den = quadrature.x_weight_factor(1, 2, POSITIVE).denominator_base
             return (
                 classical_quad(2, 1, POSITIVE, cfg),
                 exceptional_quad(XIndex(1, 1, 2), XIndex(1, 1, 2), POSITIVE, cfg),
-                quadrature._extremes_on_circle(den, bits),
             )
 
-        def clear():
-            for table in (quadrature._node_geometry, quadrature._roots_of_unity,
-                          quadrature._extremes_on_circle):
-                table.cache_clear()
-
-        clear()
+        quadrature._node_geometry.cache_clear()
         warm = [integrals(bits) for bits in (128, 96, 128)]
         cold = []
         for bits in (128, 96, 128):
-            clear()
+            quadrature._node_geometry.cache_clear()
             cold.append(integrals(bits))
         assert warm == cold
         assert warm[0][0].value != warm[1][0].value

@@ -136,3 +136,49 @@ def test_package_reexports_are_exported_by_their_modules():
         and alias.name not in _declared_all(ast.parse((SRC / f"{node.module}.py").read_text()))
     ]
     assert not stray, f"re-exported but not in the module's __all__: {stray}"
+
+
+# README: the quadrature module holds the package's floating-point code
+EXACT_MODULES = ("exact_core", "hr_classical", "darboux", "xhr", "recurrence")
+
+
+def _floating_point(tree) -> list:
+    """Lines of an mpmath import, a float or complex literal, or a `float(` call."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+        else:
+            modules = []
+        if any(name.split(".")[0] == "mpmath" for name in modules):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float":
+            lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize(
+    "source, floating",
+    [
+        ("x = Fraction(1, 3)", False),
+        ("import fractions", False),
+        ("x = 1e-3", True),
+        ("x = 2j", True),
+        ("y = float(x)", True),
+        ("import mpmath as mp", True),
+        ("from mpmath.libmp import to_fixed", True),
+    ],
+)
+def test_floating_point_rule(source, floating):
+    assert bool(_floating_point(ast.parse(source))) == floating
+
+
+@pytest.mark.parametrize("name", EXACT_MODULES)
+def test_exact_modules_hold_no_floating_point(name):
+    path = SRC / f"{name}.py"
+    offending = _floating_point(ast.parse(path.read_text(), filename=str(path)))
+    assert not offending, f"{path.name}: floating point at lines {offending}"
