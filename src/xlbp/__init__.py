@@ -22,7 +22,6 @@ from .hr_classical import (
     IdentityTag,
     ParameterPoleError,
     Params,
-    build_via_ttrr,
     hr_partner,
     hr_poly,
     inner_product,
@@ -32,12 +31,11 @@ from .hr_classical import (
     ttrr_coeffs,
     verify_identity,
 )
-from .darboux import BackwardResult, Seed, SeedType, backward_apply, kernel_check, make_seed, psi_hat, xi
+from .darboux import Seed, SeedType, backward_apply, kernel_check, make_seed, psi_hat, xi
 from .xhr import (
     InadmissibleIndexError,
     WeightFactor,
     XIndex,
-    XPoly,
     x_norm_ratio,
     x_partner,
     x_poly,

@@ -27,7 +27,6 @@ from .hr_classical import ParameterPoleError, Params, hr_poly
 __all__ = [
     "SeedType",
     "Seed",
-    "BackwardResult",
     "make_seed",
     "seed_theta",
     "psi_hat",
@@ -58,7 +57,6 @@ class Seed:
     j0: SeedType
     l0: int
     p_poly: Poly
-    theta: Fraction
     P_factor: Poly
     Q_factor: Poly
 
@@ -96,7 +94,6 @@ def make_seed(j0: SeedType, l0: int, params: Params) -> Seed:
     if j0 in (SeedType.T3, SeedType.T4):
         p = p.reversed(l0)
     a, b = params.alpha, params.beta
-    theta = seed_theta(j0, l0, params)
     if j0 is SeedType.T1:
         p_factor, q_factor = Poly.zero(), Poly.one()
     elif j0 is SeedType.T2:
@@ -105,7 +102,7 @@ def make_seed(j0: SeedType, l0: int, params: Params) -> Seed:
         p_factor, q_factor = Poly((1 + a,)), Poly((0, -1))
     else:
         p_factor, q_factor = Poly((-1 + b, 1 + a)), Poly((0, 1, -1))
-    return Seed(j0, l0, p, theta, p_factor, q_factor)
+    return Seed(j0, l0, p, p_factor, q_factor)
 
 
 # the darboux, xhr and recurrence suites of one pair ask for the same members
@@ -136,15 +133,6 @@ def psi_hat(j0: SeedType, l0: int, n: int, params: Params) -> Poly:
     return out
 
 
-@dataclass(frozen=True)
-class BackwardResult:
-    """Outcome of the backward operator: quotient, divisibility, remainder."""
-
-    image: Poly
-    divisible: bool
-    remainder: Poly
-
-
 def _first_order_coefficient(j0: SeedType, l0: int, params: Params) -> Poly:
     """The linear multiplier of p in the backward operator's numerator."""
     a, b = params.alpha, params.beta
@@ -163,13 +151,14 @@ def _divisor(seed: Seed) -> Poly:
     return seed.Q_factor * seed.p_laurent()
 
 
-def backward_apply(j0: SeedType, l0: int, p: Poly, params: Params) -> BackwardResult:
-    """Apply the backward operator to a (Laurent) polynomial.
+def backward_apply(j0: SeedType, l0: int, p: Poly, params: Params) -> tuple:
+    """Apply the backward operator to a (Laurent) polynomial: (image, remainder).
 
-    Forms z(1-z) p' + (type-specific linear) p and divides exactly by the
-    type-specific left factor.  When the division leaves a remainder the input
-    is not in the transformed family's span; the remainder is returned rather
-    than raising.
+    Forms z(1-z) p' + (type-specific linear) p and divides it by the
+    type-specific left factor, returning `divmod`'s quotient and remainder.
+    The input is in the transformed family's span exactly when the remainder
+    is zero; a nonzero remainder is returned as the witness rather than
+    raised.
     """
     j0 = SeedType(j0)
     if p.is_zero:
@@ -177,8 +166,7 @@ def backward_apply(j0: SeedType, l0: int, p: Poly, params: Params) -> BackwardRe
     seed = make_seed(j0, l0, params)
     a1 = Poly((0, 1, -1))  # z(1-z)
     numerator = a1 * p.derivative() + _first_order_coefficient(j0, l0, params) * p
-    quotient, remainder = divmod(numerator, _divisor(seed))
-    return BackwardResult(quotient, remainder.is_zero, remainder)
+    return divmod(numerator, _divisor(seed))
 
 
 def xi(j0: SeedType, l0: int, n: int, params: Params) -> Fraction:

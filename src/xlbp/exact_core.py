@@ -336,10 +336,6 @@ class Poly:
             raise ValueError("zero polynomial has no leading coefficient")
         return Fraction(self._n[-1], self._d)
 
-    @property
-    def is_monic(self) -> bool:
-        return bool(self._n) and self._n[-1] == self._d
-
     def require_polynomial(self) -> "Poly":
         """self, once checked to have no pole at 0; ValueError otherwise."""
         if self._min < 0:

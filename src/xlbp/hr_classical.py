@@ -36,7 +36,6 @@ __all__ = [
     "ttrr_coeffs",
     "ttrr_d",
     "ttrr_b",
-    "build_via_ttrr",
     "moments",
     "inner_product",
     "norm_ratio",
@@ -46,7 +45,6 @@ __all__ = [
     "apply_l1",
     "apply_l2",
     "IdentityTag",
-    "IdentityResult",
     "verify_identity",
 ]
 
@@ -240,29 +238,6 @@ def ttrr_coeffs(n: int, params: Params) -> tuple:
     if n < 1:
         raise ValueError("recurrence coefficients are indexed from n = 1")
     return ttrr_d(n, params), ttrr_b(n, params)
-
-
-def build_via_ttrr(n: int, params: Params) -> Poly:
-    """P_n built from P_{k+1} = z(P_k + b_k P_{k-1}) - d_k P_k.
-
-    The independent reference route that the tests compare `hr_poly` with:
-    the two must agree in value, or raise the same pole message, at every
-    (n, alpha, beta).  The package itself builds P_n with `hr_poly` only.
-    """
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
-    if n == 0:
-        return Poly.one()
-    z = Poly.x()
-    prev = Poly.one()
-    cur = z + Poly(
-        (params.beta / _require_nonzero(params.alpha + 1, "alpha+1"),)
-    )
-    for k in range(1, n):
-        d_k, b_k = ttrr_coeffs(k, params)
-        nxt = z * (cur + b_k * prev) - d_k * cur
-        prev, cur = cur, nxt
-    return cur
 
 
 @dataclass(frozen=True)
@@ -541,26 +516,6 @@ class IdentityTag(str, Enum):
     L2_SHIFT = "l2-shift"
 
 
-@dataclass(frozen=True)
-class IdentityResult:
-    tag: IdentityTag
-    n: int
-    ok: bool
-    witness: object = None  # difference polynomial on failure
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def _result(tag, n, diff) -> IdentityResult:
-    if isinstance(diff, Poly):
-        ok = diff.is_zero
-    else:
-        ok = not any(d for d in diff)
-        diff = Poly(diff)
-    return IdentityResult(tag, n, ok, None if ok else diff)
-
-
 def _check_reversal(n, params):
     lhs = hr_poly(n, params).reversed(n)
     pref = pochhammer(params.beta, n) / _require_nonzero(
@@ -741,7 +696,8 @@ def _check_span_coefficients(n, params):
 
 def _check_span_window(n, params):
     # q of degree l0+1 with z | q, paired against the partner family through
-    # the moment functional: all components below the window must vanish.
+    # the moment functional: all components below the window must vanish, so
+    # they are the difference's coefficients
     bad = []
     for l0 in range(1, min(3, n - 1) + 1):
         q = Poly((0,) + (1,) * (l0 + 1))
@@ -753,7 +709,7 @@ def _check_span_window(n, params):
         table = moments(params, -(n + l0 + 2), n + l0 + 2)
         for m in range(0, n - l0):
             bad.append(inner_product(lhs, hr_partner(m, params), table))
-    return bad
+    return Poly(bad)
 
 
 def _check_monic_completion(n, params):
@@ -849,12 +805,14 @@ _CHECKS = {
 }
 
 
-def verify_identity(tag: IdentityTag, n: int, params: Params) -> IdentityResult:
+def verify_identity(tag: IdentityTag, n: int, params: Params) -> Poly | None:
     """Check one catalog identity at index n; both sides built independently.
 
-    Returns a result with the difference polynomial as witness on failure.
-    Raises ParameterPoleError when the identity touches a parameter pole.
+    Returns None when the identity holds and the nonzero difference (Laurent)
+    polynomial when it fails; span-window's difference is the polynomial whose
+    coefficients are its inner products, in order.  Raises ParameterPoleError
+    when the identity touches a parameter pole.
     """
-    tag = IdentityTag(tag)
-    return _result(tag, n, _CHECKS[tag](n, params))
+    diff = _CHECKS[IdentityTag(tag)](n, params)
+    return None if diff.is_zero else diff
 

@@ -20,11 +20,12 @@ endpoint is computed directly, so the nodes near the branch point keep their
 full relative precision.  Level 0 takes t in steps of 1/2 outwards from 0, on
 each side until a term falls below 2^-prec times the sum of the term sizes so
 far or |t| reaches a cap; each later level halves the step and evaluates only
-the new odd nodes, reusing the previous sum.  A node's geometry depends only
-on t and the working precision prec, so it is computed once per precision
-and kept in a bounded table: z = e^{iy} as fixed-point integers at
-bits = prec + 32, and log s with s = 2 sin(y/2), y - pi and the Jacobian as
-mpf values at prec + 10 bits.
+the new odd nodes, reusing the previous sum.  The working precision is fixed
+at prec = 128 bits, well beyond double, because the exceptional weights carry
+squared denominators that amplify cancellation.  A node's geometry therefore
+depends only on t, so it is computed once and kept in a bounded table:
+z = e^{iy} as fixed-point integers at bits = prec + 32, and log s with
+s = 2 sin(y/2), y - pi and the Jacobian as mpf values at prec + 10 bits.
 
 The integrand is evaluated on integers.  With P = P'/d_P, Q = Q'/d_Q and the
 exceptional denominator B = B'/d_B over integer numerators, Horner's rule runs
@@ -68,9 +69,7 @@ need the integrand's strip of analyticity (Tanaka, Sugihara, Murota and Mori,
 Before integrating an exceptional integrand, its denominator B is refused
 exactly when it has a root on the circle (`exact_core.unit_circle_roots`),
 since the integral does not exist then, and its exponent at z = 1 is computed
-exactly and a divergent integral is refused.  Working precision is
-configurable and defaults to well beyond double because the exceptional
-weights carry squared denominators that amplify cancellation.
+exactly and a divergent integral is refused with QuadratureDivergenceError.
 """
 
 from __future__ import annotations
@@ -91,17 +90,20 @@ __all__ = [
     "QuadConfig",
     "QuadResult",
     "QuadratureConvergenceError",
+    "QuadratureDivergenceError",
     "DenominatorNearZeroError",
     "classical_quad",
     "exceptional_quad",
 ]
 
+# working precision in bits
+_PREC = 128
 # level-0 step and the largest |t| any level reaches; at 128 bits the cap
 # leaves the left walk unfinished only for exponents at z = 1 within 0.02 of -1
 _H0 = 0.5
 _T_CAP = 8
-# nodes kept in the node table over all precisions: every node one integral
-# can reach at 7 levels, about 0.8 kB each at 128 bits
+# nodes kept in the node table: every node one integral can reach at 7
+# levels, about 0.8 kB each
 _NODE_TABLE_SIZE = 1 + 2**7 * 2 * int(_T_CAP / _H0)
 # fractional bits of the fixed-point kernel beyond the working precision, and
 # extra bits of the weight's mpf steps
@@ -110,7 +112,11 @@ _WEIGHT_BITS = 10
 
 
 class QuadratureConvergenceError(RuntimeError):
-    """The integral diverges, or the refinement budget ran out before the tolerance."""
+    """The refinement budget ran out before the tolerance, or the integral diverges."""
+
+
+class QuadratureDivergenceError(QuadratureConvergenceError):
+    """The integral does not exist: the integrand's exponent at z = 1 is <= -1."""
 
 
 class DenominatorNearZeroError(RuntimeError):
@@ -119,9 +125,10 @@ class DenominatorNearZeroError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadConfig:
+    """Refinement budget and convergence tolerance of one integral; the precision is `_PREC`."""
+
     refinement_levels: int = 6
     tolerance: float = 1e-9
-    precision_bits: int = 128
 
     def __post_init__(self):
         if self.tolerance <= 0:
@@ -235,14 +242,14 @@ def _ratio_kernel(p: Poly, q: Poly, base: Poly, power: int):
 
 
 @lru_cache(maxsize=_NODE_TABLE_SIZE)
-def _node_geometry(prec, level, i):
-    """The weight-free part of tanh-sinh node t = i h0 / 2^level at `prec` bits.
+def _node_geometry(level, i):
+    """The weight-free part of tanh-sinh node t = i h0 / 2^level.
 
-    Returns z = e^{iy} as a fixed-point pair at prec + _GUARD_BITS bits, and,
-    as raw mpf values at prec + _WEIGHT_BITS bits, log(2 sin(y/2)), y - pi and
-    the scale dy/dt / (2 pi), doubled for the conjugate folded value.
+    Returns z = e^{iy} as a fixed-point pair at _PREC + _GUARD_BITS bits, and,
+    as raw mpf values at _PREC + _WEIGHT_BITS bits, log(2 sin(y/2)), y - pi
+    and the scale dy/dt / (2 pi), doubled for the conjugate folded value.
     """
-    bits, wp = prec + _GUARD_BITS, prec + _WEIGHT_BITS
+    bits, wp = _PREC + _GUARD_BITS, _PREC + _WEIGHT_BITS
     with mp.workprec(bits + 10):
         t = mp.mpf(_H0) * i / 2**level
         e = mp.exp(-mp.pi * mp.sinh(abs(t)))
@@ -267,8 +274,7 @@ def _integrate_levels(make_term, params, cfg, unit, linear=0):
     for the factor (1-z)^(+-1) that the weight takes over.  Returns (value,
     per-level differences, circle points evaluated, error estimate).
     """
-    prec = mp.mp.prec
-    bits, wp = prec + _GUARD_BITS, prec + _WEIGHT_BITS
+    bits, wp = _PREC + _GUARD_BITS, _PREC + _WEIGHT_BITS
     a, b = params.alpha, params.beta
     power, turn = (
         from_rational(v.numerator, v.denominator, wp)
@@ -277,7 +283,7 @@ def _integrate_levels(make_term, params, cfg, unit, linear=0):
 
     def node(level, i):
         """Term of node t = i h0 / 2^level without the step h, its size and its error bound."""
-        z, log_s, y_minus_pi, scale = _node_geometry(prec, level, i)
+        z, log_s, y_minus_pi, scale = _node_geometry(level, i)
         # the weight s^(alpha+beta) e^{i(y-pi)(alpha-beta)/2}, times s^linear e^{i linear (y-pi)/2}
         _, man, exp, _ = mpf_mul(scale, mpf_exp(mpf_mul(power, log_s, wp), wp), wp)
         cos, sin = mpf_cos_sin(mpf_mul(turn, y_minus_pi, wp), wp)
@@ -301,7 +307,7 @@ def _integrate_levels(make_term, params, cfg, unit, linear=0):
             size += term_size
             fixed += term_fixed
             points += 2
-            if term_size << prec <= size or k * _H0 >= _T_CAP:
+            if term_size << _PREC <= size or k * _H0 >= _T_CAP:
                 break
         ends.append((k, term_size))
     (left, left_size), (right, right_size) = ends
@@ -323,7 +329,7 @@ def _integrate_levels(make_term, params, cfg, unit, linear=0):
         value = step * total
         diffs.append(abs(step * (total - 2 * previous)))
         if diffs[-1] <= cfg.tolerance * max(1, abs(value)):
-            rounding = abs(step) * (mp.ldexp(points * size, -prec) + fixed)
+            rounding = abs(step) * (mp.ldexp(points * size, -_PREC) + fixed)
             return value, diffs, points, diffs[-1] + truncation + rounding
     raise QuadratureConvergenceError(
         f"no convergence to {cfg.tolerance} within {cfg.refinement_levels} refinements "
@@ -340,7 +346,7 @@ def classical_quad(n: int, m: int, params: Params, cfg: QuadConfig | None = None
     cfg = cfg or QuadConfig()
     if not params.is_positive:
         raise ValueError("positivity (alpha, beta, alpha+beta > -1) required")
-    with mp.workprec(cfg.precision_bits):
+    with mp.workprec(_PREC):
         p, q = hr_poly(n, params), hr_partner(m, params)
         num, diffs, pts, err = _integrate_levels(
             _product_kernel(p, q), params, cfg, Fraction(1, p.denominator * q.denominator)
@@ -375,7 +381,7 @@ def exceptional_quad(
         raise ValueError("positivity (alpha, beta, alpha+beta > -1) required")
     idx_n.require_admissible()
     idx_m.require_admissible()
-    with mp.workprec(cfg.precision_bits):
+    with mp.workprec(_PREC):
         factor = x_weight_factor(idx_n.j0, idx_n.l0, params)
         base = factor.denominator_base
         if roots := unit_circle_roots(base):
@@ -383,13 +389,13 @@ def exceptional_quad(
                 f"the weight denominator has {roots} root{'s' * (roots > 1)} on |z| = 1: "
                 "the integral does not exist"
             )
-        p = x_poly(idx_n, params).poly
-        q = x_partner(idx_m, params).poly
+        p = x_poly(idx_n, params)
+        q = x_partner(idx_m, params)
         linear = factor.linear_power
         # |1 - z|^exponent near z = 1, where the denominator has no root
         exponent = params.alpha + params.beta + linear + _order_at_one(p) + _order_at_one(q)
         if exponent <= -1:
-            raise QuadratureConvergenceError(
+            raise QuadratureDivergenceError(
                 f"the integral diverges: the integrand behaves like |1-z|^({exponent}) "
                 f"at z = 1, and the exponent is <= -1"
             )

@@ -54,8 +54,6 @@ __all__ = [
     "a_coeffs_solver",
     "certify",
     "example_oracles",
-    "example_a_oracles",
-    "example3_middle_coefficient_as_published",
 ]
 
 
@@ -78,14 +76,13 @@ def q_poly(j0: SeedType, l0: int, params: Params) -> Poly:
 def _c_vector(j0: SeedType, l0: int, n: int, params: Params) -> tuple:
     """(numerators, denominator) of c_{n,0..n+l0+1}, the backward image's expansion."""
     product = q_poly(j0, l0, params) * psi_hat(j0, l0, n, params)
-    result = backward_apply(j0, l0, product, params)
-    if not result.divisible:
+    image, remainder = backward_apply(j0, l0, product, params)
+    if not remainder.is_zero:
         raise CertificationError(
             "backward image of q * psi_hat is not in the family span",
-            residual=result.remainder,
+            residual=remainder,
         )
-    image = result.image.require_polynomial()
-    nums, den = expand_in_hr_basis(image, params.shifted(1, -1))
+    nums, den = expand_in_hr_basis(image.require_polynomial(), params.shifted(1, -1))
     return tuple(nums) + (0,) * (n + l0 + 2 - len(nums)), den
 
 
@@ -313,7 +310,7 @@ def certify(
             if j < 0:
                 members[j] = Poly((compact_darboux_sign(j0),))
             else:
-                members[j] = x_poly(XIndex(j0, l0, j), params).poly
+                members[j] = x_poly(XIndex(j0, l0, j), params)
         return members[j]
 
     q = q_poly(j0, l0, params)
@@ -361,10 +358,6 @@ def certify(
     )
 
 
-def _fr(x) -> Fraction:
-    return Fraction(x)
-
-
 _EXAMPLE_B = {
     1: lambda a, b: {
         7: Fraction(1, 3),
@@ -387,7 +380,7 @@ _EXAMPLE_B = {
         # sign corrected relative to the published display: with the published
         # sign the relation itself fails (nonzero residual at every valid
         # parameter pair), while this value is pinned by two independent
-        # routes; see example3_middle_coefficient_as_published.
+        # routes, which the tests check.
         5: -(140 + 8 * b - 9 * b**2 - b**3 + 4 * a * (40 + 7 * b) + 2 * a**2 * (10 + b))
         / (2 * (1 + a) * (7 + a) * (8 + a)),
         4: 5 * (4 + b) * (5 + a + b) * (7 + a + b)
@@ -400,29 +393,6 @@ _EXAMPLE_B = {
         / (2 * (7 + a) * (8 + a) * (b - 1)),
         4: 35 * (4 + b) * (5 + a + b) / (6 * (5 + a) * (7 + a) * (8 + a)),
     },
-}
-
-_EXAMPLE_A = {
-    1: lambda a, b: [
-        _fr(1),
-        -10 * (5 + a + b) / ((5 + a) * (7 + a)),
-        20 * (4 + a + b) * (5 + a + b) / ((4 + a) * (5 + a) * (6 + a) * (7 + a)),
-    ],
-    2: lambda a, b: [
-        _fr(1),
-        -10 * (5 + a + b) / ((5 + a) * (7 + a)),
-        20 * (4 + a + b) * (5 + a + b) / ((4 + a) * (5 + a) * (6 + a) * (7 + a)),
-    ],
-    3: lambda a, b: [
-        _fr(1),
-        -10 * (5 + a + b) * (7 + a + b) / ((5 + a) * (8 + a) * (6 + a + b)),
-        20 * (4 + a + b) * (7 + a + b) / ((4 + a) * (5 + a) * (7 + a) * (8 + a)),
-    ],
-    4: lambda a, b: [
-        _fr(1),
-        -35 * (5 + a + b) / (3 * (5 + a) * (8 + a)),
-        28 * (4 + a + b) * (5 + a + b) / ((4 + a) * (5 + a) * (7 + a) * (8 + a)),
-    ],
 }
 
 
@@ -440,19 +410,3 @@ def example_oracles(example_id: int, params: Params) -> dict:
     a, b = params.alpha, params.beta
     values = _EXAMPLE_B[example_id](a, b)
     return {j: Fraction(v) for j, v in sorted(values.items(), reverse=True)}
-
-
-def example3_middle_coefficient_as_published(params: Params) -> Fraction:
-    """The type-3 reference case's j = 5 coefficient with its published sign.
-
-    Kept so the tests can show the published value violates the certified
-    relation while its negation satisfies it exactly.
-    """
-    return -example_oracles(3, params)[5]
-
-
-def example_a_oracles(example_id: int, params: Params) -> list:
-    """Golden left-side coefficients for the same reference cases."""
-    if example_id not in _EXAMPLE_A:
-        raise ValueError("example_id must be 1, 2, 3 or 4")
-    return [Fraction(v) for v in _EXAMPLE_A[example_id](params.alpha, params.beta)]

@@ -31,7 +31,6 @@ from .hr_classical import (
 __all__ = [
     "InadmissibleIndexError",
     "XIndex",
-    "XPoly",
     "WeightFactor",
     "x_poly",
     "x_partner",
@@ -93,14 +92,6 @@ class XIndex:
         )
 
 
-@dataclass(frozen=True)
-class XPoly:
-    """An exceptional polynomial together with its label."""
-
-    index: XIndex
-    poly: Poly
-
-
 def _compact_form(j0: SeedType, l0: int, n: int, params: Params) -> Poly:
     """Compact product form; may legitimately evaluate to zero at n = l0, type 1."""
     a, b = params.alpha, params.beta
@@ -134,7 +125,7 @@ def _compact_form(j0: SeedType, l0: int, n: int, params: Params) -> Poly:
 # certify builds each window member once per (j0, l0, pair) through this
 # cache; consecutive n share all but one member of their windows
 @lru_cache(maxsize=256)
-def x_poly(idx: XIndex, params: Params) -> XPoly:
+def x_poly(idx: XIndex, params: Params) -> Poly:
     """Exceptional polynomial from the compact form, with degree check.
 
     A vanishing leading factor is refused by name, as a parameter pole, before
@@ -160,7 +151,7 @@ def x_poly(idx: XIndex, params: Params) -> XPoly:
             f"degree mismatch for {idx}: declared {idx.degree}, actual {poly.degree}",
             residual=poly,
         )
-    return XPoly(idx, poly)
+    return poly
 
 
 def _leading_factors(idx: XIndex, params: Params) -> tuple:
@@ -180,7 +171,7 @@ def _leading_factors(idx: XIndex, params: Params) -> tuple:
     return (("(-alpha)_l0", pochhammer(-a, l0)), ("n+alpha+1", n + a + 1))
 
 
-def x_partner(idx: XIndex, params: Params) -> XPoly:
+def x_partner(idx: XIndex, params: Params) -> Poly:
     """Biorthogonal partner: the same constructor at (beta-1, alpha+1)."""
     return x_poly(idx, Params(params.beta - 1, params.alpha + 1))
 
@@ -201,7 +192,7 @@ def darboux_route_poly(idx: XIndex, params: Params) -> Poly:
     """z^l0-normalised transformed eigenfunction as a true polynomial.
 
     Independent of the compact-form constructor; equals
-    compact_darboux_sign(j0) * x_poly(idx).poly, which the tests assert.
+    compact_darboux_sign(j0) * x_poly(idx, params), which the tests assert.
     """
     idx.require_admissible()
     if idx.n < 0:
@@ -235,7 +226,7 @@ def xp4_derivative_factor(l0: int, n: int, params: Params) -> bool:
     comparison.
     """
     idx = XIndex(SeedType.T4, l0, n)
-    lhs = x_poly(idx, params).poly.derivative()
+    lhs = x_poly(idx, params).derivative()
     seed = make_seed(SeedType.T4, l0, params)
     rhs = (
         Fraction((n + l0 + 1) * 1)

@@ -1,0 +1,82 @@
+"""Reference routes that only the tests use: the package computes none of these.
+
+  build_via_ttrr   P_n from the three-term recurrence, the second route that
+                   `hr_poly` is compared with
+  is_monic         a nonzero polynomial with leading coefficient 1
+  example_a_oracles and example3_middle_coefficient_as_published
+                   the published left-side coefficients of the l0 = 1, n = 5
+                   reference cases, and the published (wrong) sign of the
+                   type-3 middle right-side coefficient
+"""
+
+from fractions import Fraction
+
+from xlbp.exact_core import Poly
+from xlbp.hr_classical import ParameterPoleError, Params, ttrr_coeffs
+from xlbp.recurrence import example_oracles
+
+
+def build_via_ttrr(n: int, params: Params) -> Poly:
+    """P_n built from P_{k+1} = z(P_k + b_k P_{k-1}) - d_k P_k.
+
+    Must agree with `hr_poly` in value, or raise the same pole message, at
+    every (n, alpha, beta).
+    """
+    if n < 0:
+        raise ValueError("degree must be nonnegative")
+    if n == 0:
+        return Poly.one()
+    if params.alpha + 1 == 0:
+        raise ParameterPoleError("alpha+1 = 0")
+    z = Poly.x()
+    prev = Poly.one()
+    cur = z + Poly((params.beta / (params.alpha + 1),))
+    for k in range(1, n):
+        d_k, b_k = ttrr_coeffs(k, params)
+        nxt = z * (cur + b_k * prev) - d_k * cur
+        prev, cur = cur, nxt
+    return cur
+
+
+def is_monic(p: Poly) -> bool:
+    return not p.is_zero and p.leading == 1
+
+
+_EXAMPLE_A = {
+    1: lambda a, b: [
+        Fraction(1),
+        -10 * (5 + a + b) / ((5 + a) * (7 + a)),
+        20 * (4 + a + b) * (5 + a + b) / ((4 + a) * (5 + a) * (6 + a) * (7 + a)),
+    ],
+    2: lambda a, b: [
+        Fraction(1),
+        -10 * (5 + a + b) / ((5 + a) * (7 + a)),
+        20 * (4 + a + b) * (5 + a + b) / ((4 + a) * (5 + a) * (6 + a) * (7 + a)),
+    ],
+    3: lambda a, b: [
+        Fraction(1),
+        -10 * (5 + a + b) * (7 + a + b) / ((5 + a) * (8 + a) * (6 + a + b)),
+        20 * (4 + a + b) * (7 + a + b) / ((4 + a) * (5 + a) * (7 + a) * (8 + a)),
+    ],
+    4: lambda a, b: [
+        Fraction(1),
+        -35 * (5 + a + b) / (3 * (5 + a) * (8 + a)),
+        28 * (4 + a + b) * (5 + a + b) / ((4 + a) * (5 + a) * (7 + a) * (8 + a)),
+    ],
+}
+
+
+def example_a_oracles(example_id: int, params: Params) -> list:
+    """Golden left-side coefficients for the reference cases (l0=1, n=5)."""
+    if example_id not in _EXAMPLE_A:
+        raise ValueError("example_id must be 1, 2, 3 or 4")
+    return [Fraction(v) for v in _EXAMPLE_A[example_id](params.alpha, params.beta)]
+
+
+def example3_middle_coefficient_as_published(params: Params) -> Fraction:
+    """The type-3 reference case's j = 5 coefficient with its published sign.
+
+    The published value violates the certified relation; its negation, which
+    `example_oracles` stores, satisfies it exactly.
+    """
+    return -example_oracles(3, params)[5]

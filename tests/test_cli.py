@@ -20,7 +20,7 @@ from xlbp import cli, hr_classical, quadrature, recurrence
 from xlbp.cli import main
 from xlbp.darboux import xi
 from xlbp.exact_core import Poly
-from xlbp.hr_classical import Params, hr_poly
+from xlbp.hr_classical import IdentityTag, Params, hr_poly
 from xlbp.recurrence import example_oracles
 from xlbp.xhr import XIndex
 
@@ -361,19 +361,23 @@ class TestVerify:
             record = checks[f"darboux/backward-image/j0={j0}/l0=1/n={n}"]
             assert (record["status"], record["reason"]) == ("skipped", reason)
 
-    def test_verified_failure_exits_1(self, tmp_path):
+    def test_divergent_integral_is_skipped(self, tmp_path):
         # (-1/2, -1/4) passes positivity, but the type-2 integrand behaves
         # like |1-z|^(-7/4) at z = 1, so the biorthogonality integral does
-        # not exist; the failed check must drive exit code 1
+        # not exist: nothing is refuted, so the check is skipped, as one over
+        # a weight denominator with a root on the circle is
         out = tmp_path / "report.json"
         proc = run_cli(
             "verify",
             "--suite", "quadrature", "--alpha=-1/2", "--beta=-1/4",
             "--max-n", "0", "--j0", "2", "--out", str(out),
         )
-        assert proc.returncode == 1
+        assert proc.returncode == 0
         report = json.loads(out.read_text())
-        assert report["summary"]["fail"] >= 1
+        assert report["summary"] == {"fail": 0, "pass": 1, "skipped": 1}
+        [record] = [c for c in report["checks"] if c["status"] == "skipped"]
+        assert record["check_id"] == "quadrature/exceptional/j0=2/n=0/m=0"
+        assert record["reason"].startswith("the integral diverges")
 
     def test_integrable_singular_weight_passes(self):
         # at the same pair the type-1 exponents at z = 1 are -3/4 and +1/4:
@@ -409,6 +413,36 @@ class TestVerify:
             f"identities/monic-completion/n={n}" for n in range(3)
         ]
         assert all(c["witness"] for c in failed)
+
+    @pytest.mark.usefixtures("fresh_caches")
+    def test_refuted_span_window_and_laurent_identity_exit_1_with_witnesses(self, monkeypatch):
+        # span-window's difference is the list of its inner products, written
+        # coefficient by coefficient: each inner product against Q_m is moved
+        # by m + 1, so n = 3 lists l0 = 1 (m = 0, 1), then l0 = 2 (m = 0).
+        # log-derivative-negated's difference is a Laurent polynomial, which
+        # has no coefficients from z^0 up and is written as its text
+        inner_product = hr_classical.inner_product
+        monkeypatch.setattr(
+            hr_classical,
+            "inner_product",
+            lambda f, g, table: inner_product(f, g, table) + g.degree + 1,
+        )
+        checks = dict(hr_classical._CHECKS)
+        negated = checks[IdentityTag.LOG_DERIVATIVE_NEGATED]
+        fault = Poly((1, Fraction(-2, 3))).shifted(-2)
+        checks[IdentityTag.LOG_DERIVATIVE_NEGATED] = lambda n, params: negated(n, params) + fault
+        monkeypatch.setattr(hr_classical, "_CHECKS", checks)
+        code, report, err = verify_in_process(
+            "identities", "--alpha", "3/5", "--beta", "1/2", "--max-n", "3"
+        )
+        assert code == 1
+        assert "Traceback" not in err
+        witnesses = {c["check_id"]: c["witness"] for c in report["checks"] if c["status"] == "fail"}
+        assert witnesses == {
+            "identities/span-window/n=2": ["1"],
+            "identities/span-window/n=3": ["1", "2", "1"],
+            **{f"identities/log-derivative-negated/n={n}": ["-2/3*z^-1 + z^-2"] for n in range(4)},
+        }
 
     @pytest.mark.usefixtures("fresh_caches")
     @pytest.mark.parametrize("fault", ["scaled", "constant"])
@@ -450,7 +484,7 @@ class TestVerify:
 
         def perturbed(idx, params):
             member = original(idx, params)
-            return replace(member, poly=member.poly + Poly.one()) if idx == target else member
+            return member + Poly.one() if idx == target else member
 
         monkeypatch.setattr(cli, "x_poly", perturbed)
         code, report, err = verify_in_process("xhr", "--alpha", "3/5", "--beta", "1/2")
@@ -840,7 +874,7 @@ class TestCertify:
 
         def perturbed(idx, params):
             member = original(idx, params)
-            return replace(member, poly=member.poly + Poly.one()) if idx == top else member
+            return member + Poly.one() if idx == top else member
 
         monkeypatch.setattr(recurrence, "x_poly", perturbed)
         code, err = certify_in_process(

@@ -2,6 +2,8 @@
 
 import pytest
 
+from xlbp import hr_classical
+from xlbp.exact_core import Poly
 from xlbp.hr_classical import (
     IdentityTag,
     ParameterPoleError,
@@ -30,7 +32,7 @@ def test_catalog_entry(tag, generic_params):
             assert (tag, generic_params) in EXPECTED_SKIPS, (tag, n, generic_params)
             skipped += 1
             continue
-        assert result.ok, (tag.value, n, str(result.witness))
+        assert result is None, (tag.value, n, str(result))
     if (tag, generic_params) in EXPECTED_SKIPS:
         assert skipped > 0
 
@@ -41,20 +43,28 @@ def test_catalog_entry_on_supplementary_pair(tag):
     # non-integer main pairs each tag is exercised at three or more pairs.
     for n in range(0, 11):
         result = verify_identity(tag, n, PAIR_D)
-        assert result.ok, (tag.value, n, str(result.witness))
+        assert result is None, (tag.value, n, str(result))
 
 
 @pytest.mark.usefixtures("fresh_caches")
 def test_failure_returns_witness(monkeypatch):
     # a deliberately broken check must surface the difference polynomial
-    from xlbp import hr_classical
-
     broken = dict(hr_classical._CHECKS)
     original = broken[IdentityTag.TWIST_UP]
-    broken[IdentityTag.TWIST_UP] = lambda n, p: original(n, p) + hr_classical.Poly(
-        (1,)
-    )
+    broken[IdentityTag.TWIST_UP] = lambda n, p: original(n, p) + Poly((1,))
     monkeypatch.setattr(hr_classical, "_CHECKS", broken)
     result = verify_identity(IdentityTag.TWIST_UP, 3, PAIRS_MAIN[0])
-    assert not result.ok
-    assert result.witness is not None and not result.witness.is_zero
+    assert result is not None and not result.is_zero
+
+
+@pytest.mark.usefixtures("fresh_caches")
+def test_failed_span_window_returns_its_inner_products(monkeypatch):
+    # span-window checks a list of inner products: each one against Q_m is
+    # moved by m + 1, and the difference holds them in the order the check
+    # forms them, l0 = 1, 2, 3 with m ascending
+    original = hr_classical.inner_product
+    monkeypatch.setattr(
+        hr_classical, "inner_product", lambda f, g, table: original(f, g, table) + g.degree + 1
+    )
+    diff = verify_identity(IdentityTag.SPAN_WINDOW, 4, PAIRS_MAIN[0])
+    assert diff == Poly((1, 2, 3, 1, 2, 1))

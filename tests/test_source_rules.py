@@ -182,3 +182,62 @@ def test_exact_modules_hold_no_floating_point(name):
     path = SRC / f"{name}.py"
     offending = _floating_point(ast.parse(path.read_text(), filename=str(path)))
     assert not offending, f"{path.name}: floating point at lines {offending}"
+
+
+# wrappers whose fields were the caller's own arguments or functions of one
+# another, a precision knob with one value in use, a seed field no caller
+# read, and routes that only the tests use (they live in tests/reference.py)
+REMOVED_NAMES = frozenset(
+    {
+        "XPoly",
+        "BackwardResult",
+        "IdentityResult",
+        "precision_bits",
+        "theta",
+        "build_via_ttrr",
+        "is_monic",
+        "example_a_oracles",
+        "_EXAMPLE_A",
+        "example3_middle_coefficient_as_published",
+    }
+)
+
+
+def _defined_names(tree) -> list:
+    """(line, name) of each class, function and method, and of each module- or class-level variable."""
+    found = []
+    scopes = [tree.body] + [node.body for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            found.append((node.lineno, node.name))
+    for body in scopes:
+        for node in body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            found += [(node.lineno, t.id) for t in targets if isinstance(t, ast.Name)]
+    return found
+
+
+@pytest.mark.parametrize(
+    "source, names",
+    [
+        ("class XPoly:\n    poly: int", ["XPoly", "poly"]),
+        ("def f(theta):\n    theta = 1\n    return theta", ["f"]),
+        ("_EXAMPLE_A = {}\nclass S:\n    def is_monic(self): pass", ["S", "is_monic", "_EXAMPLE_A"]),
+        ("p.is_monic\nseed_theta(1)", []),
+    ],
+    ids=["class-and-field", "locals-ignored", "variable-and-method", "uses-ignored"],
+)
+def test_defined_names_rule(source, names):
+    assert sorted(name for _, name in _defined_names(ast.parse(source))) == sorted(names)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_removed_names_stay_removed(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    offending = [(line, name) for line, name in _defined_names(tree) if name in REMOVED_NAMES]
+    assert not offending, f"{path.name}: {offending}"
