@@ -32,7 +32,6 @@ __all__ = [
     "psi_hat",
     "backward_apply",
     "xi",
-    "kernel_check",
 ]
 
 
@@ -173,24 +172,3 @@ def xi(j0: SeedType, l0: int, n: int, params: Params) -> Fraction:
     """Backward-image eigenvalue -(n - theta)(n + alpha + 1)."""
     return -(n - seed_theta(j0, l0, params)) * (n + params.alpha + 1)
 
-
-_KERNEL_EXPONENTS = {
-    # gauge (1-z)^c * z^d annihilated by the homogeneous backward relation
-    SeedType.T1: lambda l0, a, b: (-1 - a - b, -1 + b + l0),
-    SeedType.T2: lambda l0, a, b: (Fraction(0), -1 - a + l0),
-    SeedType.T3: lambda l0, a, b: (-1 - a - b, Fraction(-l0)),
-    SeedType.T4: lambda l0, a, b: (Fraction(0), Fraction(-l0)),
-}
-
-
-def kernel_check(j0: SeedType, l0: int, params: Params) -> bool:
-    """Verify the listed kernel gauge function annihilates the operator.
-
-    For gauge (1-z)^c z^d the logarithmic derivative is -c/(1-z) + d/z, so
-    after clearing by z(1-z) the homogeneous relation reads
-    -c z + d(1-z) + (linear coefficient) = 0 as a polynomial identity.
-    """
-    j0 = SeedType(j0)
-    c, d = _KERNEL_EXPONENTS[j0](l0, params.alpha, params.beta)
-    cleared = Poly((d, -c - d)) + _first_order_coefficient(j0, l0, params)
-    return cleared.is_zero

@@ -218,12 +218,12 @@ def x_norm_ratio(idx: XIndex, params: Params) -> Fraction:
     return (theta - n) * (n + params.beta) * norm_ratio(n, params)
 
 
-def xp4_derivative_factor(l0: int, n: int, params: Params) -> bool:
+def xp4_derivative_factor(l0: int, n: int, params: Params) -> Poly | None:
     """Common-factor law for type-4 derivatives.
 
     (P^(4,l0,n))' = (n+l0+1)(n+alpha+1) * [z^l0 p_l0] * P_n(z; alpha+1, beta-1)
     where z^l0 p_l0 is the rescaled seed polynomial.  Exact coefficientwise
-    comparison.
+    comparison: None when the law holds, else the nonzero residual lhs - rhs.
     """
     idx = XIndex(SeedType.T4, l0, n)
     lhs = x_poly(idx, params).derivative()
@@ -234,7 +234,8 @@ def xp4_derivative_factor(l0: int, n: int, params: Params) -> bool:
         * seed.p_poly
         * hr_poly(n, params.shifted(1, -1))
     )
-    return (lhs - rhs).is_zero
+    diff = lhs - rhs
+    return None if diff.is_zero else diff
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xlbp import cli, hr_classical, quadrature, recurrence
+from xlbp import cli, hr_classical, quadrature, recurrence, xhr
 from xlbp.cli import main
 from xlbp.darboux import xi
 from xlbp.exact_core import Poly
@@ -65,10 +65,15 @@ LARGE_CERTIFICATE_SHA256 = "569dc3f7f558e53c2d424ad94a38a6dc994bf7dc97e13219d3ae
 # verify --alpha 3/5 --beta 1/2 --max-n 8 --max-l0 2, by --suite: digests of
 # the reports printed before Poly and LaurentPoly became one class; xhr and
 # recurrence are those reports without the norm-theta and eigenvalue-reading
-# records, which could not fail unless another record failed with them
+# records, which could not fail unless another record failed with them.
+# identities and darboux are those reports without the records that could not
+# fail on their own, with the summary recounted: the twist-up, partner-twist
+# and span-coefficients identities (multi-twist-p and -q at one j), pearson
+# past n = 0 (it does not depend on n), the darboux kernel table (ell's own
+# coefficients rearranged) and darboux/vanishing (p P' - p' P with p = P)
 REPORT_SHA256 = {
-    "identities": "ff4c1a6ecbec03cf9ec6adea972de1a646d29489ad847f35eb97bdddbc71afe5",
-    "darboux": "19925d40ba4f3d5cb2f0777640d19cd960e448f225619174e46e2727fff0569d",
+    "identities": "69dcee8fc5fabfcd77a0e90498e5fe54ec4f4d6c8dabcd5b5fd6cc96350cc7ee",
+    "darboux": "e5ccc1213289f6f1d083806172fda9bf8482b3cdda1c79ca8c79d9a86f218e81",
     "xhr": "6051bafc4fa79e7da7fcf5a92276d83606c7da5427a1d4ec7ae7afc600555009",
     "recurrence": "41b0b8ec6de33deb942223c9da19f713a97c77fb41517a735fe302d7007502e5",
 }
@@ -445,34 +450,42 @@ class TestVerify:
         }
 
     @pytest.mark.usefixtures("fresh_caches")
-    @pytest.mark.parametrize("fault", ["scaled", "constant"])
+    @pytest.mark.parametrize("fault", ["scaled", "constant", "laurent"])
     def test_refuted_backward_image_exits_1_with_a_witness(self, monkeypatch, fault):
         # cli looks psi_hat up by name.  Doubling the member keeps it in the
         # span, so the backward image is 2 xi P_n and the image law's witness
         # is the difference xi P_n(.; alpha+1, beta-1).  Adding 1 adds the
         # linear multiplier (1-beta-l0) + (l0-alpha-2) z to the numerator,
         # which the degree-2 seed polynomial cannot divide, so the division's
-        # remainder is that multiplier
+        # remainder is that multiplier.  Adding z^-2 to a type-3 member leaves
+        # a remainder with a pole at 0, written as its text so that its
+        # exponent is kept
         params = Params(Fraction(3, 5), Fraction(1, 2))
         original = cli.psi_hat
+        index = (3, 1, 2) if fault == "laurent" else (1, 2, 4)
 
         def perturbed(j0, l0, n, pair):
             member = original(j0, l0, n, pair)
-            if (j0, l0, n) != (1, 2, 4):
+            if (j0, l0, n) != index:
                 return member
-            return 2 * member if fault == "scaled" else member + Poly.one()
+            if fault == "scaled":
+                return 2 * member
+            return member + (Poly.one().shifted(-2) if fault == "laurent" else Poly.one())
 
         monkeypatch.setattr(cli, "psi_hat", perturbed)
         code, report, err = verify_in_process("darboux", "--alpha", "3/5", "--beta", "1/2")
         assert code == 1
         assert "Traceback" not in err
         failed = [c for c in report["checks"] if c["status"] == "fail"]
-        assert [c["check_id"] for c in failed] == ["darboux/backward-image/j0=1/l0=2/n=4"]
+        assert [c["check_id"] for c in failed] == ["darboux/backward-image/j0=%d/l0=%d/n=%d" % index]
+        witness = failed[0]["witness"]
         if fault == "scaled":
             want = xi(1, 2, 4, params) * hr_poly(4, params.shifted(1, -1))
-            assert failed[0]["witness"] == [str(c) for _, c in want.items()]
+            assert Poly([Fraction(c) for c in witness]) == want
+        elif fault == "constant":
+            assert witness == ["-3/2", "-3/5"]
         else:
-            assert failed[0]["witness"] == ["-3/2", "-3/5"]
+            assert witness == ["63/25*z^-2"]
 
     @pytest.mark.usefixtures("fresh_caches")
     def test_refuted_construction_exits_1_with_a_witness(self, monkeypatch):
@@ -495,31 +508,18 @@ class TestVerify:
         assert failed[0]["witness"] == ["1"]
 
     @pytest.mark.usefixtures("fresh_caches")
-    def test_refuted_kernel_exits_1_with_a_reason(self, monkeypatch):
-        # cli looks kernel_check up by name; one refuted gauge relation is
-        # one failed record, whose witness says what failed
-        original = cli.kernel_check
-
-        def perturbed(j0, l0, params):
-            return False if (j0, l0) == (2, 1) else original(j0, l0, params)
-
-        monkeypatch.setattr(cli, "kernel_check", perturbed)
-        code, report, err = verify_in_process("darboux", "--alpha", "3/5", "--beta", "1/2", "--max-n", "2")
-        assert code == 1
-        assert "Traceback" not in err
-        failed = [c for c in report["checks"] if c["status"] == "fail"]
-        assert [c["check_id"] for c in failed] == ["darboux/kernel/j0=2/l0=1"]
-        assert failed[0]["witness"] == "kernel relation nonzero"
-
-    @pytest.mark.usefixtures("fresh_caches")
     def test_refuted_derivative_factor_exits_1_with_a_reason(self, monkeypatch):
-        # cli looks xp4_derivative_factor up by name
-        original = cli.xp4_derivative_factor
+        # xp4_derivative_factor looks x_poly up in xhr, the construction
+        # record in cli.  Adding z^2 to one type-4 member refutes only the
+        # derivative law, whose witness is its residual 2z, coefficient by
+        # coefficient from z^0
+        original = xhr.x_poly
 
-        def perturbed(l0, n, params):
-            return False if (l0, n) == (2, 3) else original(l0, n, params)
+        def perturbed(idx, params):
+            member = original(idx, params)
+            return member + Poly((0, 0, 1)) if (idx.j0, idx.l0, idx.n) == (4, 2, 3) else member
 
-        monkeypatch.setattr(cli, "xp4_derivative_factor", perturbed)
+        monkeypatch.setattr(xhr, "x_poly", perturbed)
         code, report, err = verify_in_process(
             "xhr", "--alpha", "3/5", "--beta", "1/2", "--max-n", "4", "--j0", "4"
         )
@@ -527,7 +527,7 @@ class TestVerify:
         assert "Traceback" not in err
         failed = [c for c in report["checks"] if c["status"] == "fail"]
         assert [c["check_id"] for c in failed] == ["xhr/derivative-factor/l0=2/n=3"]
-        assert failed[0]["witness"] == "factorisation failed"
+        assert failed[0]["witness"] == ["0", "2"]
 
     @pytest.mark.usefixtures("fresh_caches")
     def test_published_type3_sign_exits_1_with_a_witness(self, monkeypatch):
@@ -641,7 +641,7 @@ class TestVerify:
             # P_n(z; beta, alpha) at alpha = 0, the partner family, has no
             # pole, so the classical integrals and the partner identities run
             ("quadrature", {"fail": 0, "pass": 29, "skipped": 18}),
-            ("identities", {"fail": 0, "pass": 77, "skipped": 19}),
+            ("identities", {"fail": 0, "pass": 62, "skipped": 19}),
         ],
     )
     def test_integer_alpha_zero_runs_the_partner_family(self, suite, summary):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from xlbp.darboux import (
     backward_apply,
-    kernel_check,
     make_seed,
     psi_hat,
     seed_theta,
@@ -205,15 +204,3 @@ class TestEigenvalues:
             assert xi(1, l0, l0, PAIR_A) == 0
             assert psi_hat(1, l0, l0, PAIR_A).is_zero
 
-
-class TestKernel:
-    @pytest.mark.parametrize("j0", [1, 2, 3, 4])
-    def test_kernel_gauges_annihilate(self, j0):
-        for params in pairs_for_type(j0):
-            for l0 in (1, 2, 3):
-                assert kernel_check(j0, l0, params)
-
-    def test_kernel_specific_cases(self):
-        assert kernel_check(4, 7, PAIR_A)
-        assert kernel_check(2, 3, PAIR_B)
-        assert kernel_check(1, 2, PAIR_A)

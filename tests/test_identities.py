@@ -1,5 +1,7 @@
 """The identity catalog must hold exactly wherever its parameter preconditions do."""
 
+from fractions import Fraction
+
 import pytest
 
 from xlbp import hr_classical
@@ -7,6 +9,7 @@ from xlbp.exact_core import Poly
 from xlbp.hr_classical import (
     IdentityTag,
     ParameterPoleError,
+    hr_poly,
     verify_identity,
 )
 
@@ -50,11 +53,31 @@ def test_catalog_entry_on_supplementary_pair(tag):
 def test_failure_returns_witness(monkeypatch):
     # a deliberately broken check must surface the difference polynomial
     broken = dict(hr_classical._CHECKS)
-    original = broken[IdentityTag.TWIST_UP]
-    broken[IdentityTag.TWIST_UP] = lambda n, p: original(n, p) + Poly((1,))
+    original = broken[IdentityTag.TWIST_UP_TIMES_Z]
+    broken[IdentityTag.TWIST_UP_TIMES_Z] = lambda n, p: original(n, p) + Poly((1,))
     monkeypatch.setattr(hr_classical, "_CHECKS", broken)
-    result = verify_identity(IdentityTag.TWIST_UP, 3, PAIRS_MAIN[0])
+    result = verify_identity(IdentityTag.TWIST_UP_TIMES_Z, 3, PAIRS_MAIN[0])
     assert result is not None and not result.is_zero
+
+
+@pytest.mark.usefixtures("fresh_caches")
+def test_opposite_faults_at_two_twist_levels_do_not_cancel(monkeypatch):
+    # moving C^(1) of the 1-fold twist by +1/7 and of the 2-fold twist by
+    # -1/7 gives the two levels opposite differences -+1/7 P_3; a sum over
+    # the levels would read zero, the first failing level reads -1/7 P_3
+    original = hr_classical.twisted_coeffs
+    shift = {1: Fraction(1, 7), 2: Fraction(-1, 7)}
+
+    def perturbed(n, j, params, side="P"):
+        coeffs = original(n, j, params, side)
+        if n == 4 and side == "P" and j in shift:
+            coeffs = [coeffs[0] + shift[j]] + coeffs[1:]
+        return coeffs
+
+    monkeypatch.setattr(hr_classical, "twisted_coeffs", perturbed)
+    params = PAIRS_MAIN[0]
+    diff = verify_identity(IdentityTag.MULTI_TWIST_P, 4, params)
+    assert diff == Fraction(-1, 7) * hr_poly(3, params)
 
 
 @pytest.mark.usefixtures("fresh_caches")
