@@ -39,9 +39,14 @@ The ratio's linear factor, (z - 1) or 1/(1 - z), is never evaluated near its
 zero or pole: since 1 - z = s e^{i(y - pi)/2}, it moves into the weight as
 -s e^{i(y-pi)/2} or s^-1 e^{-i(y-pi)/2}.  The weight, s^(alpha+beta+l)
 e^{i(y-pi)((alpha-beta)/2 + l/2)} for a linear power l (0 when there is no
-such factor), costs one exp and one cos_sin per node; its product with the
-term's real part and with the term's size |term| (an integer square root),
-and both running sums, are integers at 2^-bits.
+such factor), is the product of two factors, each kept in a bounded table:
+the modulus s^(alpha+beta+l) times the node's scale, one exp per node keyed on
+the exact exponent alpha+beta+l, and the phase as fixed-point cos and sin,
+one cos_sin per node keyed on the exact turn (alpha-beta+l)/2.  So every
+integral at one (alpha, beta) and l shares both, and every integral at one
+alpha+beta+l shares the modulus.  The weight's product with the term's real
+part and with the term's size |term| (an integer square root), and both
+running sums, are integers at 2^-bits.
 
 Values are divided by the closed-form zeroth moment
 Gamma(1+alpha+beta) / (Gamma(1+alpha) Gamma(1+beta)).  The error estimate is
@@ -103,8 +108,12 @@ _PREC = 128
 _H0 = 0.5
 _T_CAP = 8
 # nodes kept in the node table: every node one integral can reach at 7
-# levels, about 0.8 kB each
+# levels, about 1 kB each with its key
 _NODE_TABLE_SIZE = 1 + 2**7 * 2 * int(_T_CAP / _H0)
+# weight factors kept per (exponent, node) and per (turn, node), about 0.3 kB
+# each; hr_classical's cache comment gives the sizes they are set against
+_MODULUS_TABLE_SIZE = 2048
+_PHASE_TABLE_SIZE = 8192
 # fractional bits of the fixed-point kernel beyond the working precision, and
 # extra bits of the weight's mpf steps
 _GUARD_BITS = 32
@@ -263,6 +272,34 @@ def _node_geometry(level, i):
         )
 
 
+# The two weight factors are keyed on a fraction in lowest terms as its
+# numerator and denominator: integer keys hash and compare in C, where a
+# Fraction key would cost two Python-level calls on every hit.
+@lru_cache(maxsize=_MODULUS_TABLE_SIZE)
+def _node_modulus(num, den, level, i):
+    """s^(num/den) times the scale of node (level, i), as the mantissa and exponent of an mpf.
+
+    The value is rounded to _PREC + _WEIGHT_BITS bits and is positive.
+    """
+    wp = _PREC + _WEIGHT_BITS
+    _, log_s, _, scale = _node_geometry(level, i)
+    power = from_rational(num, den, wp)
+    _, man, exp, _ = mpf_mul(scale, mpf_exp(mpf_mul(power, log_s, wp), wp), wp)
+    return man, exp
+
+
+@lru_cache(maxsize=_PHASE_TABLE_SIZE)
+def _node_phase(num, den, level, i):
+    """cos and sin of (num/den) (y - pi) at node (level, i), as integers at 2^-wp.
+
+    wp = _PREC + _WEIGHT_BITS, as for the modulus.
+    """
+    wp = _PREC + _WEIGHT_BITS
+    _, _, y_minus_pi, _ = _node_geometry(level, i)
+    angle = mpf_mul(from_rational(num, den, wp), y_minus_pi, wp)
+    return tuple(to_fixed(part, wp) for part in mpf_cos_sin(angle, wp))
+
+
 def _integrate_levels(make_term, params, cfg, unit, linear=0):
     """(1/2pi) * integral of unit * term(x) (1-z)^linear w(x) dx over (0, 2pi) by nested tanh-sinh.
 
@@ -276,19 +313,16 @@ def _integrate_levels(make_term, params, cfg, unit, linear=0):
     """
     bits, wp = _PREC + _GUARD_BITS, _PREC + _WEIGHT_BITS
     a, b = params.alpha, params.beta
-    power, turn = (
-        from_rational(v.numerator, v.denominator, wp)
-        for v in (Fraction(a + b + linear), Fraction(a - b + linear, 2))
-    )
+    # the weight s^(alpha+beta) e^{i(y-pi)(alpha-beta)/2}, times s^linear e^{i linear (y-pi)/2}
+    exponent = Fraction(a + b + linear).as_integer_ratio()
+    turn = Fraction(a - b + linear, 2).as_integer_ratio()
 
     def node(level, i):
         """Term of node t = i h0 / 2^level without the step h, its size and its error bound."""
-        z, log_s, y_minus_pi, scale = _node_geometry(level, i)
-        # the weight s^(alpha+beta) e^{i(y-pi)(alpha-beta)/2}, times s^linear e^{i linear (y-pi)/2}
-        _, man, exp, _ = mpf_mul(scale, mpf_exp(mpf_mul(power, log_s, wp), wp), wp)
-        cos, sin = mpf_cos_sin(mpf_mul(turn, y_minus_pi, wp), wp)
-        re, im, error = make_term(z, bits)
-        real = (to_fixed(cos, wp) * re - to_fixed(sin, wp) * im) * man
+        man, exp = _node_modulus(*exponent, level, i)
+        cos, sin = _node_phase(*turn, level, i)
+        re, im, error = make_term(_node_geometry(level, i)[0], bits)
+        real = (cos * re - sin * im) * man
         return (
             _shift(real, wp - exp),
             _shift(isqrt(re * re + im * im) * man, -exp),

@@ -66,6 +66,8 @@ PACKAGE_CACHES = (
     recurrence.q_poly,
     recurrence._c_vector,
     quadrature._node_geometry,
+    quadrature._node_modulus,
+    quadrature._node_phase,
     cli.build_parser,
 )
 

@@ -601,6 +601,41 @@ class TestVerify:
         assert failed[0]["witness"][0].startswith("error 1.0")
         assert report["summary"]["pass"] > 0
 
+    @pytest.mark.usefixtures("fresh_caches")
+    def test_unconverged_integral_exits_1_and_divergence_skips(self, monkeypatch):
+        # a rule that runs out of refinements has not met the tolerance, so
+        # the record fails; a divergent integral raised at the same place
+        # does not exist, so the record is skipped
+        def raising(error, message):
+            def integrate(*args):
+                raise error(message)
+
+            return integrate
+
+        argv = ("--alpha", "3/5", "--beta", "1/2", "--max-n", "0", "--j0", "1")
+        unconverged = raising(
+            quadrature.QuadratureConvergenceError, "no convergence to 1e-09 within 7 refinements"
+        )
+        monkeypatch.setattr(quadrature, "_integrate_levels", unconverged)
+        code, report, err = verify_in_process("quadrature", *argv)
+        assert code == 1
+        assert "Traceback" not in err
+        checks = {c["check_id"]: c for c in report["checks"]}
+        record = checks["quadrature/classical/n=0/m=0"]
+        assert record["status"] == "fail"
+        assert record["witness"][0].startswith("no convergence: ")
+        assert report["summary"]["pass"] == report["summary"]["skipped"] == 0
+
+        divergent = raising(quadrature.QuadratureDivergenceError, "the integral diverges")
+        monkeypatch.setattr(quadrature, "_integrate_levels", divergent)
+        code, report, err = verify_in_process("quadrature", *argv)
+        assert code == 0
+        assert "Traceback" not in err
+        checks = {c["check_id"]: c for c in report["checks"]}
+        record = checks["quadrature/classical/n=0/m=0"]
+        assert (record["status"], record["reason"]) == ("skipped", "the integral diverges")
+        assert report["summary"]["pass"] == report["summary"]["fail"] == 0
+
     @pytest.mark.parametrize(
         "suite, alpha, beta, check_id, reason",
         [

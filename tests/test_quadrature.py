@@ -35,6 +35,17 @@ PINNED_WORK = (
     + [(482, 4), (258, 3), (514, 4), (258, 3), (258, 3)]
 )
 
+# mp.nstr(value, 40) and mp.nstr(error_estimate, 10) of three integrals at
+# POSITIVE, as the rule computed them with one exp and one cos_sin per node
+# and integral: a classical integral (linear power 0) and exceptional ones
+# with linear power +1 (type 1) and -1 (type 2); the weight-factor tables
+# must not move a bit
+PINNED_VALUES = {
+    "classical n=m=2": ("0.6000000000000000000000000000000000048295", "1.672534768e-14"),
+    "type 1 n=m=2": ("-2.100000000000000000000000000000000249541", "1.215204832e-16"),
+    "type 2 n=m=1": ("-4.37500000000000000000059899800139333134", "1.37172096e-9"),
+}
+
 
 def as_mpf(q: Fraction):
     return mp.mpf(q.numerator) / mp.mpf(q.denominator)
@@ -309,6 +320,48 @@ class TestContourTable:
     def test_work_counts_are_pinned(self):
         work = [(res.num_points_used, len(res.estimates)) for res, _ in pinned_results()]
         assert work == PINNED_WORK
+
+    def test_values_are_pinned(self):
+        results = {
+            "classical n=m=2": classical_quad(2, 2, POSITIVE, CFG),
+            "type 1 n=m=2": exceptional_quad(XIndex(1, 1, 2), XIndex(1, 1, 2), POSITIVE, CFG),
+            "type 2 n=m=1": exceptional_quad(XIndex(2, 1, 1), XIndex(2, 1, 1), POSITIVE, CFG),
+        }
+        printed = {k: (mp.nstr(r.value, 40), mp.nstr(r.error_estimate, 10)) for k, r in results.items()}
+        assert printed == PINNED_VALUES
+
+
+def factor_misses():
+    return tuple(table.cache_info().misses for table in (quadrature._node_modulus, quadrature._node_phase))
+
+
+class TestWeightFactors:
+    """The node weight's modulus and phase tables change how often they are computed, not what."""
+
+    @pytest.mark.usefixtures("fresh_caches")
+    def test_results_do_not_depend_on_cache_state(self):
+        def integrals():
+            results = (
+                classical_quad(2, 1, POSITIVE, CFG),
+                # linear power -1: the turn and the exponent both differ from the classical ones
+                exceptional_quad(XIndex(2, 1, 1), XIndex(2, 1, 0), POSITIVE, CFG),
+            )
+            return [(r.value, r.error_estimate, r.estimates, r.num_points_used) for r in results]
+
+        cold = integrals()
+        # a pair with the same alpha + beta shares only the modulus
+        classical_quad(1, 1, Params(Fraction(3, 2), 1), CFG)
+        misses = factor_misses()
+        assert integrals() == cold
+        assert factor_misses() == misses
+
+    @pytest.mark.usefixtures("fresh_caches")
+    def test_integrals_at_one_pair_share_both_factors(self):
+        classical_quad(2, 2, POSITIVE, CFG)
+        misses = factor_misses()
+        assert min(misses) > 0
+        classical_quad(3, 0, POSITIVE, CFG)
+        assert factor_misses() == misses
 
 
 # points of the unit circle with rational coordinates, and their conjugates
