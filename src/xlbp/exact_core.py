@@ -174,33 +174,33 @@ def _divmod(a, ad: int, b, bd: int) -> tuple:
 
     Returns (quotient numerators, denominator, remainder numerators,
     denominator), not canonical.  The quotient of the integer division a / b
-    is built top down as numerators over one denominator `den`, which grows
-    only when a new quotient coefficient needs it; every quotient coefficient
-    is final once computed, so `den` stays, up to sign, the least common
-    denominator of the quotient found so far.
+    is built top down, each coefficient a reduced fraction found from the
+    len(b)-1 coefficients above it over their own lcm, so a coefficient
+    with a new denominator never rescales the others.  `den`, the lcm of the
+    quotient's denominators, is taken as they come, and the quotient is put
+    over it once at the end: O(1) big-integer operations per coefficient for
+    a fixed divisor length.
     """
     nb, nq = len(b), len(a) - len(b) + 1
-    lead = b[-1]
-    q = [0] * nq
+    lead, below = b[-1], b[-2::-1]
+    qn, qd = [0] * nq, [1] * nq
     den = 1
     for t in range(nq - 1, -1, -1):
-        # numerator over den of the remainder's coefficient at z^(t + nb - 1)
-        acc = a[t + nb - 1] * den - sum(
-            q[t + j] * b[nb - 1 - j] for j in range(1, min(nb, nq - t))
+        # the remainder's coefficient at z^(t + nb - 1), over the lcm w of
+        # the denominators of the quotient coefficients it reads
+        w = lcm(*qd[t + 1 : t + nb])
+        acc = a[t + nb - 1] * w - sum(
+            v * (w // d) * c for v, d, c in zip(qn[t + 1 : t + nb], qd[t + 1 : t + nb], below) if v
         )
         if not acc:
             continue
-        g = gcd(acc, lead)
-        acc, step = acc // g, lead // g
-        if step != 1:
-            q = [v * step for v in q]
-            den *= step
-            h = gcd(den, acc, *q)
-            if h != 1:
-                acc //= h
-                den //= h
-                q = [v // h for v in q]
-        q[t] = acc
+        d = w * lead
+        g = gcd(acc, d)
+        if d < 0:
+            g = -g
+        qn[t], qd[t] = acc // g, d // g
+        den = lcm(den, qd[t])
+    q = [v * (den // d) if v else 0 for v, d in zip(qn, qd)]
     rem = [
         a[p] * den - sum(q[t] * b[p - t] for t in range(max(0, p - nb + 1), min(p, nq - 1) + 1))
         for p in range(nb - 1)
@@ -520,7 +520,6 @@ def unit_circle_roots(poly: Poly) -> int:
 @dataclass(frozen=True)
 class LinearSolution:
     nullspace: tuple
-    rank: int
 
 
 def _integer_row(values: Sequence[Scalar]) -> list:
@@ -536,7 +535,7 @@ def _integer_row(values: Sequence[Scalar]) -> list:
 
 
 def solve_exact(matrix: Sequence[Sequence[Scalar]]) -> LinearSolution:
-    """A basis of the nullspace of matrix, and its rank.
+    """A basis of the nullspace of matrix.
 
     Fraction-free elimination with content removal (Geddes, Czapor and
     Labahn, Algorithms for Computer Algebra, ch. 9): each row is scaled to
@@ -614,4 +613,4 @@ def solve_exact(matrix: Sequence[Sequence[Scalar]]) -> LinearSolution:
         for i, col in enumerate(pivot_cols):
             vec[col] = -reduced[i][free]
         basis.append(tuple(vec))
-    return LinearSolution(tuple(basis), rank)
+    return LinearSolution(tuple(basis))

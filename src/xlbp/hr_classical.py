@@ -147,8 +147,9 @@ def _require_nonzero(value: Fraction, factor: str) -> Fraction:
 # Every cache in the package is bounded so that a long-lived process stops
 # growing.  One full run of each workload in bench/ (seeds 1-5, quad-circle
 # 1-3) left at most these entries with the bounds lifted: hr_poly 6165
-# (verify-small; certify-sweep 1239; integer beta is not a pole of P_n, so
-# those members are cached there too), ttrr_b 3635, ttrr_d 444,
+# (verify-small; certify-sweep 1573, of which about 340 are the window
+# members P_j(alpha+1, beta-1) of certify's residual; integer beta is not a
+# pole of P_n, so those members are cached there too), ttrr_b 3635, ttrr_d 444,
 # _shifted_params 492, _swapped_params 289, _generating_terms
 # 2145 (certify-sweep), recurrence._c_vector 1900, _twisted_c_row 1732,
 # _twisted_e_row 1188, xhr.x_poly 2946, darboux.psi_hat 2358,
@@ -295,6 +296,29 @@ def inner_product(f, g, table: MomentTable) -> Fraction:
     return total
 
 
+def _moment_weights(f: Poly, table: MomentTable, count: int) -> tuple:
+    """(weights, den): weights[j]/den = sum_i f_i value(i - j) for 0 <= j < count.
+
+    <w f, g-bar> = sum_j g_j weights[j]/den for a polynomial g of degree
+    below count, so one weighting of f serves every such g with one integer
+    dot product each (`_paired`).  The moments are put over one denominator.
+    """
+    scale = lcm(*(v.denominator for v in table.values))
+    mom = [v.numerator * (scale // v.denominator) for v in table.values]
+    lo = f.min_exp - table.k_min
+    if lo < count - 1 or f.degree - table.k_min >= len(mom):
+        raise ValueError("moment table does not cover the weights")
+    return [sum(map(mul, f.numerators, mom[lo - j :])) for j in range(count)], f.denominator * scale
+
+
+def _paired(weights: tuple, g: Poly) -> Fraction:
+    """<w f, g-bar> in units of the zeroth moment, from f's `_moment_weights`."""
+    nums, den = weights
+    if g.min_exp < 0 or g.degree >= len(nums):
+        raise ValueError("g lies outside the weighted range")
+    return Fraction(sum(map(mul, g.numerators, nums[g.min_exp :])), den * g.denominator)
+
+
 def norm_ratio(n: int, params: Params) -> Fraction:
     """h_n/h_0: the diagonal inner product value in units of the zeroth norm.
 
@@ -427,7 +451,7 @@ def _generating_terms(k: int, params: Params) -> tuple:
     )
 
 
-def expand_in_hr_basis(poly: Poly, params: Params) -> tuple:
+def expand_in_hr_basis(poly: Poly, params: Params, rows=None) -> tuple:
     """(numerators, denominator) with poly = sum_k numerators[k]/denominator P_k(z; params).
 
     The family has the generating function
@@ -444,6 +468,11 @@ def expand_in_hr_basis(poly: Poly, params: Params) -> tuple:
     is not reduced; no Fraction is built.  The zero polynomial gives ([], 1).
     The expansion needs A_n != 0 for n <= deg(poly), which is exactly where
     P_0..P_deg exist.
+
+    `rows`, if given, lists the indices k <= deg(poly) of the entries to
+    compute, and the numerators come back in that order over the same
+    denominator.  Each entry is one dot product, so a few rows of a degree-D
+    polynomial cost O(D) each instead of the O(D^2) of the whole expansion.
     """
     if poly.is_zero:
         return [], 1
@@ -459,10 +488,10 @@ def expand_in_hr_basis(poly: Poly, params: Params) -> tuple:
             break  # (-beta)_m = 0 from here on
         ws.append(w.numerator * (w_lcm // w.denominator))
     # A_k = (a.numerator * (d_lcm // a.denominator)) / d_lcm
-    out = [
-        a.numerator * (d_lcm // a.denominator) * sum(map(mul, g[k:], ws))
-        for k, (a, *_) in enumerate(terms)
-    ]
+    out = []
+    for k in range(degree + 1) if rows is None else rows:
+        a = terms[k][0]
+        out.append(a.numerator * (d_lcm // a.denominator) * sum(map(mul, g[k:], ws)))
     return out, poly.denominator * a_lcm * w_lcm * d_lcm
 
 
@@ -663,7 +692,8 @@ def _check_multi_twist_q(n, params):
 def _check_span_window(n, params):
     # q of degree l0+1 with z | q, paired against the partner family through
     # the moment functional: all components below the window must vanish, so
-    # they are the difference's coefficients
+    # they are the difference's coefficients.  lhs is weighted by the
+    # moments once per l0, and each partner is one dot product
     bad = []
     for l0 in range(1, min(3, n - 1) + 1):
         q = Poly((0,) + (1,) * (l0 + 1))
@@ -673,8 +703,9 @@ def _check_span_window(n, params):
             lhs = lhs + c * hr_poly(n - l, params)
         lhs = q * lhs
         table = moments(params, -(n + l0 + 2), n + l0 + 2)
+        weights = _moment_weights(lhs, table, n - l0)
         for m in range(0, n - l0):
-            bad.append(inner_product(lhs, hr_partner(m, params), table))
+            bad.append(_paired(weights, hr_partner(m, params)))
     return Poly(bad)
 
 

@@ -5,23 +5,32 @@ linear combination of consecutive family members re-expands inside a sliding
 window of 2l0+2 members, giving a relation with 3l0+4 distinct terms.  The
 certification pipeline:
 
-  1. expand the backward image of q * (transformed eigenfunction) in the
-     classical basis at (alpha+1, beta-1)   -> c coefficients, kept as
-     integer numerators over one denominator per member;
+  1. apply the backward operator to q * (transformed eigenfunction) of each
+     member m: the image I_m, whose coefficients c_{m,j} in the classical
+     basis at (alpha+1, beta-1) are integer numerators over one denominator
+     per member.  Only the rows certify reads are expanded: the bottom
+     l0+3 and those a window containing member m reaches;
   2. solve the exact nullspace condition for the left-side a coefficients
-     (authoritative route) on the integer numerator columns, rescaling each
-     nullspace component by its column's denominator, and cross-check the
-     closed formula route;
+     (authoritative route) on the integer numerator columns of the bottom
+     l0+3 window-vanishing rows, rescaling each nullspace component by its
+     column's denominator.  A one-dimensional solution there holds on every
+     other window-vanishing row exactly when one exact residual vanishes:
+     sum_l a_l I_{n-l} - sum_{j in window} e_j P_j(.; alpha+1, beta-1) with
+     e_j = sum_l a_l c_{n-l,j} is the stacked expansion below the window.
+     A rank-deficient block is solved again on every row from the full
+     expansions.  The closed formula route is cross-checked;
   3. expand the left side over the window members for the right-side b
      coefficients: the members have distinct degrees, so back-substitution
      from the top degree down finds b, and what it leaves over is the
      residual, which must be the zero polynomial;
-  4. cross-derive b_j = (sum_l a_l c_{n-l,j}) / xi_j from the c coefficients
-     through the backward eigenvalues xi_j and require agreement at every j;
-     b_j = 0 below the window, so this also holds a to the window-vanishing
-     rows where the solver found no unique a.  The stacked sums are integers
-     over one denominator, and xi_j is read only where the sum or b_j is
-     nonzero: in the window, or at a failure.
+  4. cross-derive b_j = e_j / xi_j through the backward eigenvalues xi_j
+     and require agreement at every j.  Below the window b_j = 0, and the
+     solver's a makes every stacked sum there zero, so only the window's
+     e_j are read.  Where the solver found no unique a, the closed-form a
+     is checked at every j on the full expansions, which holds it to the
+     window-vanishing rows.  The stacked sums are integers over one
+     denominator, and xi_j is read only where the sum or b_j is nonzero: in
+     the window, or at a failure.
 
 A certificate is only produced when every step succeeds exactly; failures
 raise CertificationError rather than degrade.
@@ -33,6 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from operator import add
 
 from .darboux import SeedType, backward_apply, make_seed, psi_hat, xi
 from .exact_core import Poly, solve_exact
@@ -41,6 +51,7 @@ from .hr_classical import (
     ParameterPoleError,
     Params,
     expand_in_hr_basis,
+    hr_poly,
     twisted_coeffs,
 )
 from .xhr import XIndex, compact_darboux_sign, x_poly
@@ -70,24 +81,49 @@ def q_poly(j0: SeedType, l0: int, params: Params) -> Poly:
     return Poly((0,) + tuple(c / (k + 1) for k, c in enumerate(p.coeffs)))
 
 
+def _block_rows(l0: int) -> int:
+    """How many bottom window-vanishing rows the solver tries first: l0 + 3.
+
+    l0 + 2 unknowns with a one-dimensional solution space need rank l0 + 1;
+    the bottom rows reach it within l0 + 2 rows except at non-generic
+    parameters, which the fallback to every row handles.
+    """
+    return l0 + 3
+
+
 # bounded like the polynomial caches in hr_classical: one full run of any
 # workload in bench/ leaves at most 1900 entries
 @lru_cache(maxsize=4096)
-def _c_vector(j0: SeedType, l0: int, n: int, params: Params) -> tuple:
-    """(numerators, denominator) of c_{n,0..n+l0+1}, the backward image's expansion."""
-    product = q_poly(j0, l0, params) * psi_hat(j0, l0, n, params)
+def _c_vector(j0: SeedType, l0: int, m: int, params: Params) -> tuple:
+    """(image, numerators, denominator) for member m: what certify reads of it.
+
+    image is the backward image of q * psi_hat_m, of degree at most m+l0+1, and
+    numerators[j]/denominator = c_{m,j} is its coefficient of
+    P_j(.; alpha+1, beta-1) for the bottom block rows j < l0+3 and the rows
+    j >= m-l0 that a window containing member m reaches; the other entries
+    are None, so reading one fails loudly.  Where the two ranges meet, every
+    entry is filled.
+    """
+    product = q_poly(j0, l0, params) * psi_hat(j0, l0, m, params)
     image, remainder = backward_apply(j0, l0, product, params)
     if not remainder.is_zero:
         raise CertificationError(
             "backward image of q * psi_hat is not in the family span",
             residual=remainder,
         )
-    nums, den = expand_in_hr_basis(image.require_polynomial(), params.shifted(1, -1))
-    return tuple(nums) + (0,) * (n + l0 + 2 - len(nums)), den
+    image = image.require_polynomial()
+    # the image has degree m+l0+1 unless a parameter value lowers it
+    top = image.degree
+    rows = sorted(set(range(min(_block_rows(l0), top + 1))) | set(range(max(0, m - l0), top + 1)))
+    values, den = expand_in_hr_basis(image, params.shifted(1, -1), rows)
+    nums = [None] * (top + 1) + [0] * (m + l0 + 1 - top)
+    for j, v in zip(rows, values):
+        nums[j] = v
+    return image, tuple(nums), den
 
 
 def _c_row(j0: SeedType, l0: int, m: int, params: Params) -> tuple:
-    """Expansion row for member m, where the excluded type-1 member is zero.
+    """(numerators, denominator) of the full expansion c_{m,0..m+l0+1} of member m.
 
     At the sharp lower bound n = 2*l0+1 the left side of the recurrence
     reaches down to the type-1 member at m = l0, which vanishes identically;
@@ -95,7 +131,9 @@ def _c_row(j0: SeedType, l0: int, m: int, params: Params) -> tuple:
     """
     if not XIndex(j0, l0, m).is_admissible:
         return (0,) * (m + l0 + 2), 1
-    return _c_vector(j0, l0, m, params)
+    image, _, den = _c_vector(j0, l0, m, params)
+    nums, _ = expand_in_hr_basis(image, params.shifted(1, -1))
+    return tuple(nums) + (0,) * (m + l0 + 2 - len(nums)), den
 
 
 def a_coeffs_formula(idx: XIndex, params: Params) -> list:
@@ -121,24 +159,72 @@ def a_coeffs_formula(idx: XIndex, params: Params) -> list:
     return out
 
 
-def _stacked_expansion(idx: XIndex, a, params: Params) -> tuple:
-    """(sums, Q): sums[m]/Q = sum_l a_l c_{n-l,m} for m = 0..n+l0+1.
+def _stacked_sums(rows, a, js) -> tuple:
+    """(sums, Q): sums[i]/Q = sum_l a_l c_{n-l,js[i]} for the expansion rows of members n-l.
 
-    The left side's c-expansion in integers.  Row l is numerators over D_l,
-    so with s_l = a_l/D_l and Q the lcm of the s_l denominators each term is
-    one integer product of s_l*Q and a numerator.
+    rows[l] is (numerators, denominator) of member n-l; entries past its top
+    are zero.  With s_l = a_l/D_l and Q the lcm of the s_l denominators each
+    term is one integer product of s_l*Q and a numerator.
     """
-    j0, l0, n = idx.j0, idx.l0, idx.n
-    rows = [_c_row(j0, l0, n - l, params) for l in range(len(a))]
     scaled = [Fraction(a_l, den) for a_l, (_, den) in zip(a, rows)]
     q = lcm(*(s.denominator for s in scaled))
-    sums = [0] * (n + l0 + 2)
+    sums = [0] * len(js)
     for s, (nums, _) in zip(scaled, rows):
         if s:
             weight = s.numerator * (q // s.denominator)
-            for m, v in enumerate(nums):
-                sums[m] += weight * v
+            for i, j in enumerate(js):
+                if j < len(nums):
+                    sums[i] += weight * nums[j]
     return sums, q
+
+
+def _stacked_expansion(idx: XIndex, a, params: Params) -> tuple:
+    """(sums, Q): sums[m]/Q = sum_l a_l c_{n-l,m} for m = 0..n+l0+1, from full expansions."""
+    j0, l0, n = idx.j0, idx.l0, idx.n
+    rows = [_c_row(j0, l0, n - l, params) for l in range(len(a))]
+    return _stacked_sums(rows, a, range(n + l0 + 2))
+
+
+def _window_sums(idx: XIndex, a, params: Params) -> tuple:
+    """(sums, Q): sums[i]/Q = sum_l a_l c_{n-l,n-l0+i} over the window, from the cached rows."""
+    j0, l0, n = idx.j0, idx.l0, idx.n
+    rows = [
+        _c_vector(j0, l0, n - l, params)[1:] if XIndex(j0, l0, n - l).is_admissible else ((), 1)
+        for l in range(len(a))
+    ]
+    return _stacked_sums(rows, a, range(n - l0, n + l0 + 2))
+
+
+def _below_window_vanishes(idx: XIndex, a, params: Params) -> bool:
+    """Whether sum_l a_l c_{n-l,j} = 0 at every row j < n-l0, from one exact residual.
+
+    With e_j the stacked sums on the window, sum_l a_l I_{n-l} minus
+    sum_{j in window} e_j P_j(.; alpha+1, beta-1) is the stacked expansion's
+    part below the window, so it is the zero polynomial exactly when every
+    sum there is zero (the P_j are independent).  The images I_{n-l} and the
+    P_j are accumulated as integer numerators over one common denominator.
+    """
+    j0, l0, n = idx.j0, idx.l0, idx.n
+    sums, q = _window_sums(idx, a, params)
+    shifted = params.shifted(1, -1)
+    terms = [
+        (Fraction(a_l), _c_vector(j0, l0, n - l, params)[0])
+        for l, a_l in enumerate(a)
+        if a_l and XIndex(j0, l0, n - l).is_admissible
+    ]
+    terms += [
+        (Fraction(-s, q), hr_poly(j, shifted))
+        for j, s in enumerate(sums, start=n - l0)
+        if s
+    ]
+    den = lcm(*(c.denominator * p.denominator for c, p in terms))
+    acc = [0] * (n + l0 + 2)
+    for c, p in terms:
+        weight = c.numerator * (den // (c.denominator * p.denominator))
+        lo = p.min_exp
+        hi = lo + len(p.numerators)
+        acc[lo:hi] = map(add, acc[lo:hi], map(weight.__mul__, p.numerators))
+    return not any(acc)
 
 
 @dataclass(frozen=True)
@@ -152,13 +238,19 @@ class SolverOutcome:
 def a_coeffs_solver(idx: XIndex, params: Params) -> SolverOutcome:
     """Left-side coefficients from the exact window-vanishing conditions.
 
-    Stacks the conditions sum_l a_l c_{n-l,m} = 0 for 0 <= m <= n-l0-1 and
-    solves the homogeneous system over (a_0..a_{l0+1}) exactly.  Column l
-    holds the integer numerators of c_{n-l}, which are D_l times the c
-    values; that scales nullspace component l by 1/D_l, so each component
-    is multiplied back by D_l before normalising.  A unique normalised
-    solution exists when the nullspace is one-dimensional with a nonzero
-    leading component.
+    The conditions are sum_l a_l c_{n-l,m} = 0 for 0 <= m <= n-l0-1, a
+    homogeneous system over (a_0..a_{l0+1}).  Column l holds the integer
+    numerators of c_{n-l}, which are D_l times the c values; that scales
+    nullspace component l by 1/D_l, so each component is multiplied back by
+    D_l before normalising.  A unique normalised solution exists when the
+    nullspace is one-dimensional with a nonzero leading component.
+
+    The solve runs on the bottom l0+3 rows first.  The full nullspace lies
+    in the block's, so a block of nullity 0 settles it; a block of nullity 1
+    is the full nullspace exactly when its vector passes every other row,
+    which one exact residual decides (`_below_window_vanishes`).  Only a
+    block of nullity 2 or more is solved again on every row, from the full
+    expansions.
 
     At n = 2*l0+1 for type 1 the last slot multiplies the identically-zero
     member; the solve runs on the remaining columns (where uniqueness is
@@ -169,14 +261,30 @@ def a_coeffs_solver(idx: XIndex, params: Params) -> SolverOutcome:
         raise ValueError("solver route requires n >= 2*l0 + 1")
     active = [l for l in range(l0 + 2) if XIndex(j0, l0, n - l).is_admissible]
     # member n-l has n-l+l0+2 > n-l0 coefficients, so every row index exists
-    columns = [_c_vector(j0, l0, n - l, params) for l in active]
-    rows = [[nums[m] for nums, _ in columns] for m in range(n - l0)]
-    solution = solve_exact(rows)
+    columns = [_c_vector(j0, l0, n - l, params)[1:] for l in active]
+    block = min(_block_rows(l0), n - l0)
+    solution = solve_exact([[nums[m] for nums, _ in columns] for m in range(block)])
+    if len(solution.nullspace) > 1 and block < n - l0:
+        columns = [_c_row(j0, l0, n - l, params) for l in active]
+        solution = solve_exact([[nums[m] for nums, _ in columns] for m in range(n - l0)])
+        block = n - l0
     nullity = len(solution.nullspace)
-    if nullity != 1 or solution.nullspace[0][0] == 0:
+    if nullity != 1:
         return SolverOutcome(None, nullity)
     vec = [v * den for v, (_, den) in zip(solution.nullspace[0], columns)]
-    solved = {l: v / vec[0] for l, v in zip(active, vec)}
+    if vec[0]:
+        vec = [v / vec[0] for v in vec]
+    if block < n - l0:
+        # the residual does not depend on the scale, and the normalised
+        # vector has the small entries
+        coeffs = [Fraction(0)] * (l0 + 2)
+        for l, v in zip(active, vec):
+            coeffs[l] = v
+        if not _below_window_vanishes(idx, coeffs, params):
+            return SolverOutcome(None, 0)
+    if vec[0] == 0:
+        return SolverOutcome(None, 1)
+    solved = dict(zip(active, vec))
     if len(solved) < l0 + 2:
         solved = {**dict(enumerate(a_coeffs_formula(idx, params))), **solved}
     return SolverOutcome(tuple(solved[l] for l in range(l0 + 2)), 1)
@@ -323,11 +431,18 @@ def certify(
     b = _solve_b(lhs, {j: member(j) for j in window})
 
     # cross-route: b_j = (sum_l a_l c_{n-l,j}) / xi_j wherever xi_j != 0.
-    # Where the stacked sum and b_j are both 0 the check passes whatever
-    # xi_j is, so xi_j and the Fraction are built only in the window or at
-    # a failure
-    sums, sums_den = _stacked_expansion(idx, a, params)
-    for j, dot in enumerate(sums):
+    # The solver's a satisfies every window-vanishing row, so below the
+    # window the stacked sums are zero and b_j = 0 there; only the window's
+    # sums are read.  Any other a is checked on the full expansions.  Where
+    # the stacked sum and b_j are both 0 the check passes whatever xi_j is,
+    # so xi_j and the Fraction are built only in the window or at a failure
+    if mode == "thm12" and outcome.a is not None:
+        sums, sums_den = _window_sums(idx, a, params)
+        first = n - l0
+    else:
+        sums, sums_den = _stacked_expansion(idx, a, params)
+        first = 0
+    for j, dot in enumerate(sums, start=first):
         expected = b.get(j, Fraction(0))
         if not dot and not expected:
             continue

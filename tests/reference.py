@@ -3,6 +3,8 @@
   build_via_ttrr   P_n from the three-term recurrence, the second route that
                    `hr_poly` is compared with
   is_monic         a nonzero polynomial with leading coefficient 1
+  long_division    quotient and remainder of two polynomials by Fraction
+                   long division, which `divmod` on `Poly` is compared with
   example_a_oracles and example3_middle_coefficient_as_published
                    the published left-side coefficients of the l0 = 1, n = 5
                    reference cases, and the published (wrong) sign of the
@@ -80,3 +82,22 @@ def example3_middle_coefficient_as_published(params: Params) -> Fraction:
     `example_oracles` stores, satisfies it exactly.
     """
     return -example_oracles(3, params)[5]
+
+
+def long_division(a: dict, a_lo: int, b: dict, b_lo: int) -> tuple:
+    """Long division of sum a[e] z^(e-a_lo) by sum b[e] z^(e-b_lo), both true polynomials.
+
+    a and b map exponents to nonzero Fractions.  Returns the quotient and
+    remainder as such dicts, shifted back by z^(a_lo-b_lo) and z^a_lo
+    respectively.
+    """
+    num = [a.get(a_lo + k, Fraction(0)) for k in range(max(a) - a_lo + 1)]
+    den = [b.get(b_lo + k, Fraction(0)) for k in range(max(b) - b_lo + 1)]
+    quot = {}
+    for i in range(len(num) - 1, len(den) - 2, -1):
+        c = num[i] / den[-1]
+        if c:
+            quot[a_lo - b_lo + i - len(den) + 1] = c
+        for j, v in enumerate(den):
+            num[i - len(den) + 1 + j] -= c * v
+    return quot, {a_lo + k: c for k, c in enumerate(num) if c}

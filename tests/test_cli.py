@@ -62,6 +62,14 @@ THM11_CERTIFICATE_SHA256 = {
 }
 LARGE_CERTIFICATE_SHA256 = "569dc3f7f558e53c2d424ad94a38a6dc994bf7dc97e13219d3ae45db751f054a"
 
+# certify --j0 J --l0 L --n N --alpha 3/5 --beta 1/2, by (J, L, N): digests of
+# the output of the full-expansion c-route the bottom-block solve replaced,
+# at degrees where the block is a small part of the window-vanishing rows
+DEEP_CERTIFICATE_SHA256 = {
+    (1, 1, 200): "608cb662eba5f61ba9a9122c2dd02073aa73c9e8d66ec7fce03d0d4c636d38d4",
+    (2, 3, 120): "2963ecc3f580fa845526aec21f8a29c23c7ffcf3d9cd299bc2181fd60f644288",
+}
+
 # verify --alpha 3/5 --beta 1/2 --max-n 8 --max-l0 2, by --suite: digests of
 # the reports printed before Poly and LaurentPoly became one class; xhr and
 # recurrence are those reports without the norm-theta and eigenvalue-reading
@@ -426,11 +434,9 @@ class TestVerify:
         # by m + 1, so n = 3 lists l0 = 1 (m = 0, 1), then l0 = 2 (m = 0).
         # log-derivative-negated's difference is a Laurent polynomial, which
         # has no coefficients from z^0 up and is written as its text
-        inner_product = hr_classical.inner_product
+        paired = hr_classical._paired
         monkeypatch.setattr(
-            hr_classical,
-            "inner_product",
-            lambda f, g, table: inner_product(f, g, table) + g.degree + 1,
+            hr_classical, "_paired", lambda weights, g: paired(weights, g) + g.degree + 1
         )
         checks = dict(hr_classical._CHECKS)
         negated = checks[IdentityTag.LOG_DERIVATIVE_NEGATED]
@@ -731,20 +737,23 @@ class TestVerify:
 
 
 def perturb_c_expansion(monkeypatch, index=0):
-    """Add 1 to c_{n,index} of every backward-image expansion certify makes.
+    """Add 1 to c_{m,index} of every member image certify makes.
 
-    recurrence imports expand_in_hr_basis by name, so the patch goes there;
-    the caller must clear the caches, or _c_vector serves unpatched rows.
+    The image of member m is backward_apply's quotient; adding
+    P_index(.; alpha+1, beta-1) to it (P_top for index -1, top its degree)
+    adds 1 to that coefficient of its expansion and changes no other, on
+    every route certify reads it by.  recurrence imports backward_apply by
+    name, so the patch goes there; the caller must clear the caches, or
+    _c_vector serves unpatched images.
     """
-    original = recurrence.expand_in_hr_basis
+    original = recurrence.backward_apply
 
-    def perturbed(poly, params):
-        nums, den = original(poly, params)
-        nums = list(nums)
-        nums[index] += den
-        return nums, den
+    def perturbed(j0, l0, p, params):
+        image, remainder = original(j0, l0, p, params)
+        k = image.degree if index == -1 else index
+        return image + hr_poly(k, params.shifted(1, -1)), remainder
 
-    monkeypatch.setattr(recurrence, "expand_in_hr_basis", perturbed)
+    monkeypatch.setattr(recurrence, "backward_apply", perturbed)
 
 
 def verify_in_process(suite, *argv):
@@ -855,6 +864,16 @@ class TestCertify:
         assert proc.returncode == 0
         assert hashlib.sha256(proc.stdout.encode()).hexdigest() == LARGE_CERTIFICATE_SHA256
 
+    @pytest.mark.parametrize("j0, l0, n", list(DEEP_CERTIFICATE_SHA256))
+    def test_deep_certificate_bytes_pinned(self, j0, l0, n):
+        proc = run_cli(
+            "certify",
+            "--j0", str(j0), "--l0", str(l0), "--n", str(n), "--alpha", "3/5", "--beta", "1/2",
+        )
+        assert proc.returncode == 0
+        digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
+        assert digest == DEEP_CERTIFICATE_SHA256[j0, l0, n]
+
     @pytest.mark.usefixtures("fresh_caches")
     def test_perturbed_c_expansion_exits_1_without_traceback(self, monkeypatch):
         perturb_c_expansion(monkeypatch)
@@ -884,6 +903,32 @@ class TestCertify:
         assert err == (
             "certification failed: stacked expansion does not vanish at excluded index j=1\n"
         )
+
+    @pytest.mark.usefixtures("fresh_caches")
+    @pytest.mark.parametrize(
+        "argv, index, message",
+        [
+            (
+                ("--j0", "3", "--l0", "2", "--n", "12", "--alpha", "3/5", "--beta", "1/2"),
+                6,
+                "b cross-route mismatch at j=6: -887642462975/29678398188816546 != 0",
+            ),
+            (
+                ("--j0", "1", "--l0", "1", "--n", "9", "--alpha", "1", "--beta", "1/2"),
+                5,
+                "b cross-route mismatch at j=5: -13/12320 != 0",
+            ),
+        ],
+    )
+    def test_fault_between_block_and_window_is_caught(self, monkeypatch, argv, index, message):
+        # row `index` lies above the l0+3 bottom rows the solver reads first
+        # and below the window, so only the residual sees it; its failure
+        # sends certify to the full expansions, which name the row as they
+        # did before the bottom-block solve
+        perturb_c_expansion(monkeypatch, index=index)
+        code, err = certify_in_process(*argv)
+        assert code == 1
+        assert err == f"certification failed: {message}\n"
 
     @pytest.mark.usefixtures("fresh_caches")
     def test_cross_route_mismatch_message_pinned(self, monkeypatch):

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from xlbp.exact_core import Poly
 from xlbp.hr_classical import (
     ParameterPoleError,
+    _moment_weights,
+    _paired,
     Params,
     apply_l1,
     apply_l2,
@@ -25,7 +27,7 @@ from xlbp.hr_classical import (
     twisted_coeffs,
 )
 
-from conftest import PAIR_A, PAIR_B
+from conftest import PAIR_A, PAIR_B, PAIRS_MAIN
 from reference import build_via_ttrr, is_monic
 
 
@@ -255,6 +257,25 @@ class TestInnerProducts:
         table = moments(PAIR_A, -2, 2)
         with pytest.raises(ValueError, match="range"):
             inner_product(hr_poly(3, PAIR_A), Poly.one(), table)
+        with pytest.raises(ValueError, match="does not cover"):
+            _moment_weights(Poly((0, 1)), table, 5)
+        with pytest.raises(ValueError, match="outside the weighted range"):
+            _paired(_moment_weights(Poly((0, 1)), table, 2), Poly((0, 0, 1)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        f=st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=6), max_size=6),
+        shift=st.integers(min_value=0, max_value=3),
+        g=st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=6), max_size=4),
+        params=st.sampled_from(PAIRS_MAIN),
+    )
+    def test_moment_weights_pair_as_inner_product(self, f, shift, g, params):
+        # span-window pairs one left side with many partners through its
+        # weights; each pairing is the inner product itself
+        left, right = Poly(f).shifted(shift), Poly(g)
+        table = moments(params, -5, 9)
+        weights = _moment_weights(left, table, 4)
+        assert _paired(weights, right) == inner_product(left, right, table)
 
 
 class TestConnectionPolynomials:

@@ -85,9 +85,9 @@ def test_failed_span_window_returns_its_inner_products(monkeypatch):
     # span-window checks a list of inner products: each one against Q_m is
     # moved by m + 1, and the difference holds them in the order the check
     # forms them, l0 = 1, 2, 3 with m ascending
-    original = hr_classical.inner_product
+    original = hr_classical._paired
     monkeypatch.setattr(
-        hr_classical, "inner_product", lambda f, g, table: original(f, g, table) + g.degree + 1
+        hr_classical, "_paired", lambda weights, g: original(weights, g) + g.degree + 1
     )
     diff = verify_identity(IdentityTag.SPAN_WINDOW, 4, PAIRS_MAIN[0])
     assert diff == Poly((1, 2, 3, 1, 2, 1))

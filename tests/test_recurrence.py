@@ -8,6 +8,7 @@ from xlbp.exact_core import Poly
 from xlbp.hr_classical import ParameterPoleError, Params, hr_poly, pochhammer, twisted_coeffs
 from xlbp.recurrence import (
     CertificationError,
+    _below_window_vanishes,
     _c_row,
     _c_vector,
     _solve_b,
@@ -38,6 +39,20 @@ def c_values(j0, l0, n, params):
     """_c_row as Fractions: each numerator over the row's denominator."""
     nums, den = _c_row(j0, l0, n, params)
     return [Fraction(v, den) for v in nums]
+
+
+def spy_solves(monkeypatch) -> list:
+    """Record (rows, nullity) of every solve_exact call the a-solver makes."""
+    solves = []
+    original = recurrence.solve_exact
+
+    def spy(matrix):
+        solution = original(matrix)
+        solves.append((len(matrix), len(solution.nullspace)))
+        return solution
+
+    monkeypatch.setattr(recurrence, "solve_exact", spy)
+    return solves
 
 
 def stacked_window_rows(idx, a, params):
@@ -152,9 +167,31 @@ class TestCExpansion:
                     idx = XIndex(j0, l0, n)
                     if not idx.is_admissible:
                         continue
-                    nums, den = _c_vector(j0, l0, n, negation_safe_params)
+                    _, nums, den = _c_vector(j0, l0, n, negation_safe_params)
                     assert len(nums) == n + l0 + 2
                     assert nums[-1] != 0 and den > 0
+
+    @pytest.mark.parametrize("j0", [1, 2, 3, 4])
+    def test_cached_entries_are_the_rows_certify_reads(self, j0):
+        # the bottom l0+3 rows and the rows from m-l0 up, as in the full
+        # expansion over the same denominator; the rows between are not
+        # computed, and the image is the polynomial the full row expands
+        params = pairs_for_recurrence(j0)[1]
+        shifted = params.shifted(1, -1)
+        for l0 in (1, 2):
+            for m in range(0, 16):
+                if not XIndex(j0, l0, m).is_admissible:
+                    continue
+                image, nums, den = _c_vector(j0, l0, m, params)
+                full, full_den = _c_row(j0, l0, m, params)
+                assert den == full_den
+                unread = set(range(l0 + 3, m - l0))
+                assert {j for j, v in enumerate(nums) if v is None} == unread, (l0, m)
+                assert all(v == full[j] for j, v in enumerate(nums) if j not in unread)
+                assert image == sum(
+                    (Fraction(v, den) * hr_poly(j, shifted) for j, v in enumerate(full)),
+                    Poly.zero(),
+                )
 
     def test_inadmissible_rejected(self):
         # the excluded type-1 member vanishes, so the backward operator has
@@ -264,15 +301,48 @@ class TestACoefficients:
             assert any(stacked_window_rows(idx, reduced, params))
 
     @pytest.mark.parametrize(
-        "j0, params", [(4, Params(1, Fraction(1, 3))), (3, Params(Fraction(3, 5), 2))]
+        "j0, params",
+        [(4, Params(1, Fraction(1, 3))), (3, Params(Fraction(3, 5), 2)), (1, Params(1, 1))],
     )
-    def test_window_membership_where_the_solver_is_not_unique(self, j0, params):
+    def test_window_membership_where_the_solver_is_not_unique(self, j0, params, monkeypatch):
         # the window rows have a two-dimensional solution space here, so there
-        # is no solver a to compare with; the closed form still lies in it
+        # is no solver a to compare with; the closed form still lies in it.
+        # The bottom block shows the deficiency first, and the solve is
+        # repeated on all six rows
         idx = XIndex(j0, 1, 7)
+        solves = spy_solves(monkeypatch)
         assert a_coeffs_solver(idx, params).nullity == 2
+        assert solves == [(4, 2), (6, 2)]
         assert not any(stacked_window_rows(idx, a_coeffs_formula(idx, params), params))
         assert "a-formula-fallback(nullspace-dim=2)" in certify(idx, params).method_tags
+
+    @pytest.mark.parametrize("j0", [1, 2, 3, 4])
+    def test_generic_solve_reads_only_the_bottom_block(self, j0, monkeypatch):
+        # one solve on l0+3 rows; the residual proves the rest
+        solves = spy_solves(monkeypatch)
+        for l0 in (1, 2):
+            for n in (2 * l0 + 1, 2 * l0 + 4, 2 * l0 + 9):
+                solves.clear()
+                outcome = a_coeffs_solver(XIndex(j0, l0, n), PAIR_A)
+                assert outcome.nullity == 1
+                assert solves == [(min(l0 + 3, n - l0), 1)], (l0, n)
+
+    @pytest.mark.parametrize("j0", [1, 2, 3, 4])
+    def test_residual_decides_the_rows_below_the_window(self, j0):
+        # zero exactly when every stacked sum below the window is: the closed
+        # form passes, a perturbed last entry and (types 3, 4) the reduced
+        # eigenvalue reading fail
+        for params in pairs_for_recurrence(j0):
+            for l0 in (1, 2):
+                idx = XIndex(j0, l0, 2 * l0 + 6)
+                formula = a_coeffs_formula(idx, params)
+                candidates = [formula, formula[:-1] + [formula[-1] + Fraction(1, 7)]]
+                if j0 in (3, 4):
+                    candidates.append(reduced_xi_reading(idx, params))
+                for a in candidates:
+                    below = not any(stacked_window_rows(idx, a, params))
+                    assert _below_window_vanishes(idx, a, params) == below
+                    assert below == (a is formula), (l0, params)
 
     def test_degenerate_slot_at_sharp_bound(self):
         # type 1 at n = 2 l0 + 1: the last slot multiplies the vanishing
