@@ -1,11 +1,12 @@
 """Command-line front door: generate polynomials, run suites, certify recurrences.
 
 Exit codes: 0 when everything requested passed, 1 when a verification or
-certification failed, 2 on usage errors, parameter poles or inadmissible
-indices.  Within a `verify` report, a check that meets a parameter pole or an
-integral that does not exist is skipped, not failed.  JSON output is
-byte-deterministic (sorted keys, canonical rational strings); wall-clock
-timings are opt-in via --timings because they would break determinism.
+certification failed, 2 on usage errors, parameter poles, inadmissible
+indices or output that cannot be written.  Within a `verify` report, a check
+that meets a parameter pole or an integral that does not exist is skipped,
+not failed.  JSON output is byte-deterministic (sorted keys, canonical
+rational strings); wall-clock timings are opt-in via --timings because they
+would break determinism.
 Checks run one after another, in report order.
 """
 
@@ -378,7 +379,8 @@ def _quadrature_checks(params, j0s, max_n):
 
 def cmd_verify(args) -> int:
     params = _parse_params(args)
-    j0s = args.j0 or [1, 2, 3, 4]
+    # a repeated --j0 runs its checks once
+    j0s = list(dict.fromkeys(args.j0)) if args.j0 else [1, 2, 3, 4]
     suites = (
         ["identities", "darboux", "xhr", "recurrence", "quadrature"]
         if args.suite == "all"
@@ -423,16 +425,13 @@ def cmd_verify(args) -> int:
         "summary": summary,
     }
     text = json.dumps(report, sort_keys=True, indent=2, default=str) + "\n"
+    _emit(text, args.out)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
         line = (
             f"{summary['pass']} passed, {summary['fail']} failed, "
             f"{summary['skipped']} skipped -> {args.out}\n"
         )
         sys.stdout.write(line)
-    else:
-        sys.stdout.write(text)
     return 0 if summary["fail"] == 0 else CHECK_FAILURE
 
 
@@ -531,7 +530,8 @@ def main(argv=None) -> int:
         if residual is not None:
             sys.stderr.write(f"residual coefficients: {residual}\n")
         return CHECK_FAILURE
-    except (ParameterPoleError, InadmissibleIndexError, ValueError) as exc:
+    except (ParameterPoleError, InadmissibleIndexError, ValueError, OSError) as exc:
+        # OSError: the --out file or stdout cannot be written
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_ERROR
 

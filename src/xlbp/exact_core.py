@@ -52,7 +52,7 @@ from math import gcd, lcm
 from operator import add, sub
 from typing import Iterable, Sequence, Union
 
-Scalar = Union[Fraction, int, str]
+Scalar = Union[Fraction, int]
 
 __all__ = [
     "Poly",
@@ -72,14 +72,6 @@ def parse_rational(text: str) -> Fraction:
 def format_rational(value: Fraction) -> str:
     """Canonical text form "p/q" (or "p" for integers)."""
     return str(Fraction(value))
-
-
-def _coerce(value: Scalar) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, str):
-        return parse_rational(value)
-    return Fraction(value)
 
 
 # -- integer kernel ----------------------------------------------------------
@@ -108,10 +100,10 @@ def _canonical(nums: list, den: int) -> tuple:
 
 
 def _from_scalars(values: Iterable[Scalar]) -> tuple:
-    """Numerators over the least common denominator of the given scalars."""
-    fracs = [_coerce(v) for v in values]
-    den = lcm(*(q.denominator for q in fracs))
-    return [q.numerator * (den // q.denominator) for q in fracs], den
+    """Numerators over the least common denominator of the given ints and Fractions."""
+    values = list(values)
+    den = lcm(*(q.denominator for q in values))
+    return [q.numerator * (den // q.denominator) for q in values], den
 
 
 def _add(a, ad: int, b, bd: int, shift: int, op) -> tuple:
@@ -523,13 +515,9 @@ class LinearSolution:
 
 
 def _integer_row(values: Sequence[Scalar]) -> list:
-    """values times the lcm of their denominators, divided by the content.
-
-    ints and Fractions are read as they are; only other scalars are coerced.
-    """
-    fracs = [v if isinstance(v, (int, Fraction)) else _coerce(v) for v in values]
-    den = lcm(*(q.denominator for q in fracs))
-    row = [q.numerator * (den // q.denominator) for q in fracs]
+    """values, ints and Fractions, times the lcm of their denominators, divided by the content."""
+    den = lcm(*(q.denominator for q in values))
+    row = [q.numerator * (den // q.denominator) for q in values]
     g = gcd(*row)
     return [v // g for v in row] if g > 1 else row
 

@@ -7,30 +7,28 @@ certification pipeline:
 
   1. apply the backward operator to q * (transformed eigenfunction) of each
      member m: the image I_m, whose coefficients c_{m,j} in the classical
-     basis at (alpha+1, beta-1) are integer numerators over one denominator
-     per member.  Only the rows certify reads are expanded: the bottom
-     l0+3 and those a window containing member m reaches;
+     basis P_j(.; alpha+1, beta-1) are integer numerators over one
+     denominator per member.  Only the bottom l0+3 rows are expanded;
   2. solve the exact nullspace condition for the left-side a coefficients
-     (authoritative route) on the integer numerator columns of the bottom
-     l0+3 window-vanishing rows, rescaling each nullspace component by its
-     column's denominator.  A one-dimensional solution there holds on every
-     other window-vanishing row exactly when one exact residual vanishes:
-     sum_l a_l I_{n-l} - sum_{j in window} e_j P_j(.; alpha+1, beta-1) with
-     e_j = sum_l a_l c_{n-l,j} is the stacked expansion below the window.
-     A rank-deficient block is solved again on every row from the full
-     expansions.  The closed formula route is cross-checked;
+     (authoritative route) on the integer numerator columns of those bottom
+     rows of the window-vanishing conditions, rescaling each nullspace
+     component by its column's denominator.  A rank-deficient block is
+     solved again on every row from the full expansions.  The closed
+     formula route is cross-checked;
   3. expand the left side over the window members for the right-side b
      coefficients: the members have distinct degrees, so back-substitution
      from the top degree down finds b, and what it leaves over is the
      residual, which must be the zero polynomial;
-  4. cross-derive b_j = e_j / xi_j through the backward eigenvalues xi_j
-     and require agreement at every j.  Below the window b_j = 0, and the
-     solver's a makes every stacked sum there zero, so only the window's
-     e_j are read.  Where the solver found no unique a, the closed-form a
-     is checked at every j on the full expansions, which holds it to the
-     window-vanishing rows.  The stacked sums are integers over one
-     denominator, and xi_j is read only where the sum or b_j is nonzero: in
-     the window, or at a failure.
+  4. apply the backward operator to the relation itself: with xi_j the
+     backward eigenvalues, the residual
+         R = sum_l a_l I_{n-l} - sum_{j in window, j >= 0} b_j xi_j P_j(.; alpha+1, beta-1)
+     must be the zero polynomial.  The P_j are independent, so R = 0 exactly
+     when e_j = sum_l a_l c_{n-l,j} equals b_j xi_j at every j: the b
+     cross-route e_j / xi_j = b_j where xi_j != 0, e_j = 0 where xi_j = 0,
+     and every window-vanishing row, so the a of step 2 holds on the rows it
+     was not solved on.  R is accumulated as integer numerators over one
+     denominator, in both modes; only a nonzero R is expanded, to name the
+     first j where the routes disagree.
 
 A certificate is only produced when every step succeeds exactly; failures
 raise CertificationError rather than degrade.
@@ -92,17 +90,17 @@ def _block_rows(l0: int) -> int:
 
 
 # bounded like the polynomial caches in hr_classical: one full run of any
-# workload in bench/ leaves at most 1900 entries
+# workload in bench/ leaves at most 1900 entries.  An entry is the image and
+# l0+3 expansion rows, so its size grows with m only through the image
 @lru_cache(maxsize=4096)
 def _c_vector(j0: SeedType, l0: int, m: int, params: Params) -> tuple:
     """(image, numerators, denominator) for member m: what certify reads of it.
 
-    image is the backward image of q * psi_hat_m, of degree at most m+l0+1, and
-    numerators[j]/denominator = c_{m,j} is its coefficient of
-    P_j(.; alpha+1, beta-1) for the bottom block rows j < l0+3 and the rows
-    j >= m-l0 that a window containing member m reaches; the other entries
-    are None, so reading one fails loudly.  Where the two ranges meet, every
-    entry is filled.
+    image is the backward image I_m of q * psi_hat_m, of degree at most
+    m+l0+1, and numerators[j]/denominator = c_{m,j} is its coefficient of
+    P_j(.; alpha+1, beta-1) for the bottom rows j < l0+3 that the solver
+    reads first (zero above the image's degree).  Certify reads the image
+    itself for the residual.
     """
     product = q_poly(j0, l0, params) * psi_hat(j0, l0, m, params)
     image, remainder = backward_apply(j0, l0, product, params)
@@ -112,14 +110,11 @@ def _c_vector(j0: SeedType, l0: int, m: int, params: Params) -> tuple:
             residual=remainder,
         )
     image = image.require_polynomial()
+    block = _block_rows(l0)
     # the image has degree m+l0+1 unless a parameter value lowers it
-    top = image.degree
-    rows = sorted(set(range(min(_block_rows(l0), top + 1))) | set(range(max(0, m - l0), top + 1)))
+    rows = range(min(block, image.degree + 1))
     values, den = expand_in_hr_basis(image, params.shifted(1, -1), rows)
-    nums = [None] * (top + 1) + [0] * (m + l0 + 1 - top)
-    for j, v in zip(rows, values):
-        nums[j] = v
-    return image, tuple(nums), den
+    return image, tuple(values) + (0,) * (block - len(values)), den
 
 
 def _c_row(j0: SeedType, l0: int, m: int, params: Params) -> tuple:
@@ -159,64 +154,23 @@ def a_coeffs_formula(idx: XIndex, params: Params) -> list:
     return out
 
 
-def _stacked_sums(rows, a, js) -> tuple:
-    """(sums, Q): sums[i]/Q = sum_l a_l c_{n-l,js[i]} for the expansion rows of members n-l.
+def _image_residual(idx: XIndex, a, weights: dict, params: Params) -> tuple:
+    """(numerators, Q): sum_l a_l I_{n-l} - sum_j weights[j] P_j(.; alpha+1, beta-1).
 
-    rows[l] is (numerators, denominator) of member n-l; entries past its top
-    are zero.  With s_l = a_l/D_l and Q the lcm of the s_l denominators each
-    term is one integer product of s_l*Q and a numerator.
-    """
-    scaled = [Fraction(a_l, den) for a_l, (_, den) in zip(a, rows)]
-    q = lcm(*(s.denominator for s in scaled))
-    sums = [0] * len(js)
-    for s, (nums, _) in zip(scaled, rows):
-        if s:
-            weight = s.numerator * (q // s.denominator)
-            for i, j in enumerate(js):
-                if j < len(nums):
-                    sums[i] += weight * nums[j]
-    return sums, q
-
-
-def _stacked_expansion(idx: XIndex, a, params: Params) -> tuple:
-    """(sums, Q): sums[m]/Q = sum_l a_l c_{n-l,m} for m = 0..n+l0+1, from full expansions."""
-    j0, l0, n = idx.j0, idx.l0, idx.n
-    rows = [_c_row(j0, l0, n - l, params) for l in range(len(a))]
-    return _stacked_sums(rows, a, range(n + l0 + 2))
-
-
-def _window_sums(idx: XIndex, a, params: Params) -> tuple:
-    """(sums, Q): sums[i]/Q = sum_l a_l c_{n-l,n-l0+i} over the window, from the cached rows."""
-    j0, l0, n = idx.j0, idx.l0, idx.n
-    rows = [
-        _c_vector(j0, l0, n - l, params)[1:] if XIndex(j0, l0, n - l).is_admissible else ((), 1)
-        for l in range(len(a))
-    ]
-    return _stacked_sums(rows, a, range(n - l0, n + l0 + 2))
-
-
-def _below_window_vanishes(idx: XIndex, a, params: Params) -> bool:
-    """Whether sum_l a_l c_{n-l,j} = 0 at every row j < n-l0, from one exact residual.
-
-    With e_j the stacked sums on the window, sum_l a_l I_{n-l} minus
-    sum_{j in window} e_j P_j(.; alpha+1, beta-1) is the stacked expansion's
-    part below the window, so it is the zero polynomial exactly when every
-    sum there is zero (the P_j are independent).  The images I_{n-l} and the
-    P_j are accumulated as integer numerators over one common denominator.
+    numerators[k]/Q is the z^k coefficient, k = 0..n+l0+1.  The images of
+    the members n-l and the P_j are accumulated as integer numerators over
+    the lcm Q of their coefficients' denominators; nothing is reduced, so R
+    is zero exactly when every numerator is.  The type-1 member at n-l = l0
+    vanishes and has no image; its slot contributes nothing.
     """
     j0, l0, n = idx.j0, idx.l0, idx.n
-    sums, q = _window_sums(idx, a, params)
     shifted = params.shifted(1, -1)
     terms = [
         (Fraction(a_l), _c_vector(j0, l0, n - l, params)[0])
         for l, a_l in enumerate(a)
         if a_l and XIndex(j0, l0, n - l).is_admissible
     ]
-    terms += [
-        (Fraction(-s, q), hr_poly(j, shifted))
-        for j, s in enumerate(sums, start=n - l0)
-        if s
-    ]
+    terms += [(-Fraction(w), hr_poly(j, shifted)) for j, w in weights.items() if w]
     den = lcm(*(c.denominator * p.denominator for c, p in terms))
     acc = [0] * (n + l0 + 2)
     for c, p in terms:
@@ -224,12 +178,17 @@ def _below_window_vanishes(idx: XIndex, a, params: Params) -> bool:
         lo = p.min_exp
         hi = lo + len(p.numerators)
         acc[lo:hi] = map(add, acc[lo:hi], map(weight.__mul__, p.numerators))
-    return not any(acc)
+    return acc, den
 
 
 @dataclass(frozen=True)
 class SolverOutcome:
-    """Nullspace solve for the a coefficients: solution and space dimension."""
+    """Nullspace solve for the a coefficients: solution and space dimension.
+
+    a and nullity are those of the rows solved: the bottom block, or every
+    window-vanishing row after a rank-deficient block.  A block's vector is
+    not checked on the other rows here; certify's residual proves it there.
+    """
 
     a: tuple | None
     nullity: int
@@ -246,11 +205,10 @@ def a_coeffs_solver(idx: XIndex, params: Params) -> SolverOutcome:
     nullspace is one-dimensional with a nonzero leading component.
 
     The solve runs on the bottom l0+3 rows first.  The full nullspace lies
-    in the block's, so a block of nullity 0 settles it; a block of nullity 1
-    is the full nullspace exactly when its vector passes every other row,
-    which one exact residual decides (`_below_window_vanishes`).  Only a
-    block of nullity 2 or more is solved again on every row, from the full
-    expansions.
+    in the block's, so a block of nullity 0 or 1 leaves at most its own
+    vector, which certify's residual then proves on every other row.  Only
+    a block of nullity 2 or more is solved again on every row, from the
+    full expansions.
 
     At n = 2*l0+1 for type 1 the last slot multiplies the identically-zero
     member; the solve runs on the remaining columns (where uniqueness is
@@ -260,31 +218,20 @@ def a_coeffs_solver(idx: XIndex, params: Params) -> SolverOutcome:
     if n < 2 * l0 + 1:
         raise ValueError("solver route requires n >= 2*l0 + 1")
     active = [l for l in range(l0 + 2) if XIndex(j0, l0, n - l).is_admissible]
-    # member n-l has n-l+l0+2 > n-l0 coefficients, so every row index exists
     columns = [_c_vector(j0, l0, n - l, params)[1:] for l in active]
     block = min(_block_rows(l0), n - l0)
     solution = solve_exact([[nums[m] for nums, _ in columns] for m in range(block)])
     if len(solution.nullspace) > 1 and block < n - l0:
+        # member n-l has n-l+l0+2 > n-l0 coefficients, so every row index exists
         columns = [_c_row(j0, l0, n - l, params) for l in active]
         solution = solve_exact([[nums[m] for nums, _ in columns] for m in range(n - l0)])
-        block = n - l0
     nullity = len(solution.nullspace)
     if nullity != 1:
         return SolverOutcome(None, nullity)
     vec = [v * den for v, (_, den) in zip(solution.nullspace[0], columns)]
-    if vec[0]:
-        vec = [v / vec[0] for v in vec]
-    if block < n - l0:
-        # the residual does not depend on the scale, and the normalised
-        # vector has the small entries
-        coeffs = [Fraction(0)] * (l0 + 2)
-        for l, v in zip(active, vec):
-            coeffs[l] = v
-        if not _below_window_vanishes(idx, coeffs, params):
-            return SolverOutcome(None, 0)
     if vec[0] == 0:
         return SolverOutcome(None, 1)
-    solved = dict(zip(active, vec))
+    solved = {l: v / vec[0] for l, v in zip(active, vec)}
     if len(solved) < l0 + 2:
         solved = {**dict(enumerate(a_coeffs_formula(idx, params))), **solved}
     return SolverOutcome(tuple(solved[l] for l in range(l0 + 2)), 1)
@@ -430,34 +377,25 @@ def certify(
     lhs = q * lhs
     b = _solve_b(lhs, {j: member(j) for j in window})
 
-    # cross-route: b_j = (sum_l a_l c_{n-l,j}) / xi_j wherever xi_j != 0.
-    # The solver's a satisfies every window-vanishing row, so below the
-    # window the stacked sums are zero and b_j = 0 there; only the window's
-    # sums are read.  Any other a is checked on the full expansions.  Where
-    # the stacked sum and b_j are both 0 the check passes whatever xi_j is,
-    # so xi_j and the Fraction are built only in the window or at a failure
-    if mode == "thm12" and outcome.a is not None:
-        sums, sums_den = _window_sums(idx, a, params)
-        first = n - l0
-    else:
-        sums, sums_den = _stacked_expansion(idx, a, params)
-        first = 0
-    for j, dot in enumerate(sums, start=first):
-        expected = b.get(j, Fraction(0))
-        if not dot and not expected:
-            continue
-        c_tilde = Fraction(dot, sums_den)
+    # cross-route: the backward operator maps the relation onto
+    # sum_l a_l I_{n-l} = sum_j b_j xi_j P_j(.; alpha+1, beta-1), so the
+    # residual R is zero exactly when b_j xi_j is the stacked expansion
+    # coefficient e_j at every j.  xi_j is read only where b_j != 0 or at a
+    # failure; only a failure expands R, to name its first nonzero row
+    weights = {j: v * xi(j0, l0, j, params) for j, v in b.items() if j >= 0 and v}
+    nums, den = _image_residual(idx, a, weights, params)
+    if any(nums):
+        residual = Poly.from_numerators(nums, den)
+        rows, rows_den = expand_in_hr_basis(residual, params.shifted(1, -1))
+        j = next(j for j, v in enumerate(rows) if v)
         xi_j = xi(j0, l0, j, params)
         if xi_j == 0:
-            if c_tilde != 0:
-                raise CertificationError(
-                    f"stacked expansion does not vanish at excluded index j={j}"
-                )
-            continue
-        if c_tilde / xi_j != expected:
-            raise CertificationError(
-                f"b cross-route mismatch at j={j}: {c_tilde / xi_j} != {expected}"
-            )
+            raise CertificationError(f"stacked expansion does not vanish at excluded index j={j}")
+        expected = b.get(j, Fraction(0))
+        c_tilde = Fraction(rows[j], rows_den) + expected * xi_j
+        raise CertificationError(
+            f"b cross-route mismatch at j={j}: {c_tilde / xi_j} != {expected}"
+        )
     tags.append("b-cross-route-agrees")
 
     return RecurrenceCertificate(

@@ -12,7 +12,8 @@ on failure, the stderr) of `certify` at six triples and two pairs.
 `--check` prints every pair and certify case whose record differs from
 tests/data/grid_manifest.json, with the check ids that fail now.  A change
 that alters a record rewrites the manifest in the same commit.  The full
-grid takes about 16 s; tests/test_grid_manifest.py re-runs a fixed subset.
+grid takes about 17 s on a shared 2-vCPU host; tests/test_grid_manifest.py
+re-runs a fixed subset.
 """
 
 from __future__ import annotations

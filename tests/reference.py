@@ -5,6 +5,10 @@
   is_monic         a nonzero polynomial with leading coefficient 1
   long_division    quotient and remainder of two polynomials by Fraction
                    long division, which `divmod` on `Poly` is compared with
+  stacked_expansion
+                   the coefficients sum_l a_l c_{n-l,m} of a left side's
+                   backward images, summed as Fractions over the full
+                   expansion rows, which certify's one residual replaces
   example_a_oracles and example3_middle_coefficient_as_published
                    the published left-side coefficients of the l0 = 1, n = 5
                    reference cases, and the published (wrong) sign of the
@@ -15,7 +19,7 @@ from fractions import Fraction
 
 from xlbp.exact_core import Poly
 from xlbp.hr_classical import ParameterPoleError, Params, ttrr_coeffs
-from xlbp.recurrence import example_oracles
+from xlbp.recurrence import _c_row, example_oracles
 
 
 def build_via_ttrr(n: int, params: Params) -> Poly:
@@ -101,3 +105,16 @@ def long_division(a: dict, a_lo: int, b: dict, b_lo: int) -> tuple:
         for j, v in enumerate(den):
             num[i - len(den) + 1 + j] -= c * v
     return quot, {a_lo + k: c for k, c in enumerate(num) if c}
+
+
+def stacked_expansion(idx, a, params: Params) -> list:
+    """sum_l a_l c_{n-l,m} for m = 0..n+l0+1, as Fractions from the full rows `_c_row`."""
+    j0, l0, n = idx.j0, idx.l0, idx.n
+    rows = [_c_row(j0, l0, n - l, params) for l in range(len(a))]
+    return [
+        sum(
+            (a_l * Fraction(nums[m], den) for a_l, (nums, den) in zip(a, rows) if m < len(nums)),
+            Fraction(0),
+        )
+        for m in range(n + l0 + 2)
+    ]

@@ -41,13 +41,7 @@ from xlbp.quadrature import (
     classical_quad,
     exceptional_quad,
 )
-from xlbp.recurrence import (
-    _stacked_expansion,
-    a_coeffs_formula,
-    a_coeffs_solver,
-    certify,
-    example_oracles,
-)
+from xlbp.recurrence import a_coeffs_formula, a_coeffs_solver, certify, example_oracles
 from xlbp.xhr import XIndex, x_norm_ratio, x_poly, xp4_derivative_factor
 
 from conftest import (
@@ -58,7 +52,11 @@ from conftest import (
     pairs_for_recurrence,
     pairs_for_type,
 )
-from reference import example3_middle_coefficient_as_published, example_a_oracles
+from reference import (
+    example3_middle_coefficient_as_published,
+    example_a_oracles,
+    stacked_expansion,
+)
 from test_recurrence import reduced_xi_reading
 
 PKG_ROOT = Path(__file__).resolve().parent.parent
@@ -232,7 +230,7 @@ def test_criterion_6_closed_form_cross_check():
     for j0 in (3, 4):
         for params in pairs_for_recurrence(j0):
             idx = XIndex(j0, 1, 7)
-            sums, _ = _stacked_expansion(idx, a_coeffs_formula(idx, params), params)
+            sums = stacked_expansion(idx, a_coeffs_formula(idx, params), params)
             assert not any(sums[: idx.n - idx.l0]), (j0, params)
             solver = list(a_coeffs_solver(idx, params).a)
             assert solver == a_coeffs_formula(idx, params), (j0, params)

@@ -237,6 +237,27 @@ def test_usage_errors_exit_2_without_traceback(argv):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gen", "--family", "hr", "--n", "3", "--alpha", "1", "--beta", "2"),
+        ("verify", "--suite", "identities", "--alpha", "1", "--beta", "2", "--max-n", "1"),
+        ("certify", "--j0", "1", "--l0", "1", "--n", "5", "--alpha", "1", "--beta", "1/2"),
+    ],
+    ids=["gen", "verify", "certify"],
+)
+def test_unwritable_out_exits_2(argv, tmp_path):
+    # exit 1 would read as a verified failure
+    out = tmp_path / "missing" / "out.json"
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main([*argv, "--out", str(out)])
+    assert code == 2
+    assert stderr.getvalue().startswith("error: ") and str(out) in stderr.getvalue()
+    assert stdout.getvalue() == ""
+    assert not out.parent.exists()
+
+
 class TestVerify:
     def test_identities_suite_passes(self, tmp_path):
         out = tmp_path / "report.json"
@@ -260,6 +281,16 @@ class TestVerify:
         second = run_cli(*args, "--out", str(tmp_path / "b.json"))
         assert first.returncode == 0 and second.returncode == 0
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+    def test_repeated_j0_runs_its_checks_once(self):
+        argv = ("--alpha", "3/5", "--beta", "1/2", "--max-n", "5", "--max-l0", "1")
+        _, once, _ = verify_in_process("recurrence", *argv, "--j0", "1", "--j0", "2")
+        _, repeated, _ = verify_in_process(
+            "recurrence", *argv, "--j0", "1", "--j0", "2", "--j0", "1", "--j0", "2"
+        )
+        ids = [c["check_id"] for c in repeated["checks"]]
+        assert len(ids) == len(set(ids))
+        assert repeated == once
 
     def test_every_check_appears_once(self, tmp_path):
         out = tmp_path / "report.json"
@@ -929,6 +960,37 @@ class TestCertify:
         code, err = certify_in_process(*argv)
         assert code == 1
         assert err == f"certification failed: {message}\n"
+
+    @pytest.mark.usefixtures("fresh_caches")
+    def test_thm11_cross_route_message_pinned(self, monkeypatch):
+        # thm11 has no solver: the first stacked sum the fault moves, at
+        # j = 2, disagrees with the b the window expansion found
+        perturb_c_expansion(monkeypatch, index=2)
+        code, err = certify_in_process(
+            "--j0", "1", "--l0", "1", "--n", "9", "--alpha", "1", "--beta", "1/2",
+            "--mode", "thm11", "--k", "3",
+        )
+        assert code == 1
+        assert err == (
+            "certification failed: b cross-route mismatch at j=2: "
+            "-3168210811/2890137600 != -278073211/2890137600\n"
+        )
+
+    @pytest.mark.usefixtures("fresh_caches")
+    def test_fallback_cross_route_message_pinned(self, monkeypatch):
+        # the window-vanishing rows have nullity 2 at this pair, and the top
+        # c entries lie above them, so the faulty certificate still takes
+        # the closed-form fallback; the first moved sum is the top, j = 7
+        perturb_c_expansion(monkeypatch, index=-1)
+        params = Params(1, Fraction(1, 3))
+        assert recurrence.a_coeffs_solver(XIndex(4, 1, 7), params).nullity == 2
+        code, err = certify_in_process(
+            "--j0", "4", "--l0", "1", "--n", "7", "--alpha", "1", "--beta", "1/3"
+        )
+        assert code == 1
+        assert err == (
+            "certification failed: b cross-route mismatch at j=7: -68567/41580 != -271/165\n"
+        )
 
     @pytest.mark.usefixtures("fresh_caches")
     def test_cross_route_mismatch_message_pinned(self, monkeypatch):

@@ -8,11 +8,10 @@ from xlbp.exact_core import Poly
 from xlbp.hr_classical import ParameterPoleError, Params, hr_poly, pochhammer, twisted_coeffs
 from xlbp.recurrence import (
     CertificationError,
-    _below_window_vanishes,
     _c_row,
     _c_vector,
+    _image_residual,
     _solve_b,
-    _stacked_expansion,
     a_coeffs_formula,
     a_coeffs_solver,
     certify,
@@ -22,7 +21,11 @@ from xlbp.recurrence import (
 from xlbp.xhr import XIndex, compact_darboux_sign, x_poly
 
 from conftest import PACKAGE_CACHES, PAIR_A, pairs_for_recurrence
-from reference import example3_middle_coefficient_as_published, example_a_oracles
+from reference import (
+    example3_middle_coefficient_as_published,
+    example_a_oracles,
+    stacked_expansion,
+)
 from test_darboux import GRID, reversal_identity_seed, seed_base
 from test_hr_classical import reference_expand_in_hr_basis
 
@@ -57,8 +60,7 @@ def spy_solves(monkeypatch) -> list:
 
 def stacked_window_rows(idx, a, params):
     """The stacked sums sum_l a_l c_{n-l,m} on the window-vanishing rows m < n-l0."""
-    sums, _ = _stacked_expansion(idx, a, params)
-    return sums[: idx.n - idx.l0]
+    return stacked_expansion(idx, a, params)[: idx.n - idx.l0]
 
 
 def reduced_xi_reading(idx, params):
@@ -167,15 +169,15 @@ class TestCExpansion:
                     idx = XIndex(j0, l0, n)
                     if not idx.is_admissible:
                         continue
-                    _, nums, den = _c_vector(j0, l0, n, negation_safe_params)
+                    nums, den = _c_row(j0, l0, n, negation_safe_params)
                     assert len(nums) == n + l0 + 2
                     assert nums[-1] != 0 and den > 0
 
     @pytest.mark.parametrize("j0", [1, 2, 3, 4])
     def test_cached_entries_are_the_rows_certify_reads(self, j0):
-        # the bottom l0+3 rows and the rows from m-l0 up, as in the full
-        # expansion over the same denominator; the rows between are not
-        # computed, and the image is the polynomial the full row expands
+        # the bottom l0+3 rows, as in the full expansion over the same
+        # denominator (zero above a low member's top), and the image the
+        # full row expands
         params = pairs_for_recurrence(j0)[1]
         shifted = params.shifted(1, -1)
         for l0 in (1, 2):
@@ -185,9 +187,7 @@ class TestCExpansion:
                 image, nums, den = _c_vector(j0, l0, m, params)
                 full, full_den = _c_row(j0, l0, m, params)
                 assert den == full_den
-                unread = set(range(l0 + 3, m - l0))
-                assert {j for j, v in enumerate(nums) if v is None} == unread, (l0, m)
-                assert all(v == full[j] for j, v in enumerate(nums) if j not in unread)
+                assert nums == (full + (0,) * (l0 + 3))[: l0 + 3], (l0, m)
                 assert image == sum(
                     (Fraction(v, den) * hr_poly(j, shifted) for j, v in enumerate(full)),
                     Poly.zero(),
@@ -247,20 +247,28 @@ class TestCExpansion:
                     want += [Fraction(0)] * (n + l0 + 2 - len(want))
                     assert c_values(j0, l0, n, params) == want, (j0, l0, n)
 
-    def test_stacked_sums_are_integers_over_one_denominator(self):
-        # sums[m]/den is sum_l a_l c_{n-l,m}, formed from the Fraction rows
+    def test_residual_is_integers_over_one_denominator(self):
+        # nums[k]/den is the z^k coefficient of sum_l a_l I_{n-l} - sum_j w_j P_j,
+        # and its expansion is the stacked sums less the weights
         params = Params(Fraction(7, 3), Fraction(-1, 4))
+        shifted = params.shifted(1, -1)
         for j0 in (1, 2, 3, 4):
             idx = XIndex(j0, 2, 7)
             a = [Fraction(1), Fraction(-2, 3), Fraction(5, 7), Fraction(0)]
-            sums, den = _stacked_expansion(idx, a, params)
-            assert all(type(v) is int for v in sums) and den > 0
-            rows = [c_values(j0, 2, idx.n - l, params) for l in range(len(a))]
-            want = [
-                sum((a_l * row[m] for a_l, row in zip(a, rows) if m < len(row)), Fraction(0))
-                for m in range(idx.n + idx.l0 + 2)
-            ]
-            assert [Fraction(v, den) for v in sums] == want, j0
+            weights = {3: Fraction(1, 2), 8: Fraction(-4, 9), 10: Fraction(0)}
+            nums, den = _image_residual(idx, a, weights, params)
+            assert all(type(v) is int for v in nums) and den > 0
+            assert len(nums) == idx.n + idx.l0 + 2
+            images = [_c_vector(j0, 2, idx.n - l, params)[0] for l in range(len(a))]
+            want = sum((a_l * image for a_l, image in zip(a, images)), Poly.zero()) - sum(
+                (w * hr_poly(j, shifted) for j, w in weights.items()), Poly.zero()
+            )
+            assert [Fraction(v, den) for v in nums] == list(want.coeffs) + [0] * (
+                len(nums) - len(want.coeffs)
+            ), j0
+            sums = stacked_expansion(idx, a, params)
+            expanded = reference_expand_in_hr_basis(want, shifted)
+            assert expanded == [s - weights.get(m, 0) for m, s in enumerate(sums)], j0
 
 
 class TestACoefficients:
@@ -329,7 +337,8 @@ class TestACoefficients:
 
     @pytest.mark.parametrize("j0", [1, 2, 3, 4])
     def test_residual_decides_the_rows_below_the_window(self, j0):
-        # zero exactly when every stacked sum below the window is: the closed
+        # with the window's stacked sums e_j as weights the residual is zero
+        # exactly when every stacked sum below the window is: the closed
         # form passes, a perturbed last entry and (types 3, 4) the reduced
         # eigenvalue reading fail
         for params in pairs_for_recurrence(j0):
@@ -340,8 +349,11 @@ class TestACoefficients:
                 if j0 in (3, 4):
                     candidates.append(reduced_xi_reading(idx, params))
                 for a in candidates:
-                    below = not any(stacked_window_rows(idx, a, params))
-                    assert _below_window_vanishes(idx, a, params) == below
+                    sums = stacked_expansion(idx, a, params)
+                    window = dict(enumerate(sums))
+                    below = not any(window.pop(j) for j in range(idx.n - l0))
+                    nums, _ = _image_residual(idx, a, window, params)
+                    assert (not any(nums)) == below
                     assert below == (a is formula), (l0, params)
 
     def test_degenerate_slot_at_sharp_bound(self):
@@ -392,6 +404,27 @@ class TestCertify:
         monkeypatch.setattr(recurrence, "a_coeffs_formula", perturbed)
         with pytest.raises(CertificationError, match="closed-form a disagrees"):
             certify(XIndex(j0, 1, 5), PAIR_A)
+
+    @pytest.mark.parametrize("j0", [1, 2, 3, 4])
+    @pytest.mark.usefixtures("fresh_caches")
+    def test_cross_route_expands_no_residual(self, j0, monkeypatch):
+        # a generic certificate expands each left-side member's image once,
+        # on its bottom l0+3 rows; the residual that proves the other rows
+        # and the b cross-route is not expanded
+        calls = []
+        original = recurrence.expand_in_hr_basis
+
+        def spy(poly, params, rows=None):
+            calls.append((poly, None if rows is None else list(rows)))
+            return original(poly, params, rows)
+
+        monkeypatch.setattr(recurrence, "expand_in_hr_basis", spy)
+        for l0 in (1, 2):
+            n = 2 * l0 + 4
+            calls.clear()
+            assert "a-solver" in certify(XIndex(j0, l0, n), PAIR_A).method_tags
+            images = [_c_vector(j0, l0, n - l, PAIR_A)[0] for l in range(l0 + 2)]
+            assert calls == [(image, list(range(l0 + 3))) for image in images], l0
 
     def test_certificate_recheck_is_independent(self):
         # re-multiply and subtract outside the certify pipeline

@@ -188,7 +188,9 @@ def test_exact_modules_hold_no_floating_point(name):
 # another, a precision knob with one value in use, a seed field no caller
 # read, routes that only the tests use (they live in tests/reference.py), and
 # checks that could not fail on their own: the darboux kernel table and the
-# identities that repeat multi-twist-p or -q at one twist level
+# identities that repeat multi-twist-p or -q at one twist level; and the
+# certify cross-route's separate stacked-sum paths, which one residual of
+# the backward images replaces
 REMOVED_NAMES = frozenset(
     {
         "XPoly",
@@ -209,6 +211,10 @@ REMOVED_NAMES = frozenset(
         "_check_twist_up",
         "_check_partner_twist",
         "_check_span_coefficients",
+        "_stacked_sums",
+        "_stacked_expansion",
+        "_window_sums",
+        "_below_window_vanishes",
     }
 )
 
