@@ -4,7 +4,9 @@ For every pair (alpha, beta) of {-4, -7/2, ..., 4}^2 it runs
 `verify --suite all --max-n 8 --max-l0 2` through `cli.main`, in one
 process, and records the exit code, the report's sha256 and its pass, fail
 and skipped counts.  It also records the exit code and stdout sha256 (and,
-on failure, the stderr) of `certify` at six triples and two pairs.
+on failure, the stderr) of `certify` at two pairs: in thm12 mode at six
+triples, and in thm11 mode at (j0, 2, 12) with k = 3 and (j0, 1, 6) with
+k = 4 for every j0.
 
     PYTHONPATH=src python tests/grid_manifest.py          # rewrite the manifest
     PYTHONPATH=src python tests/grid_manifest.py --check  # compare, exit 1 on a difference
@@ -36,16 +38,25 @@ PAIRS = [(alpha, beta) for alpha in GRID for beta in GRID]
 VERIFY_ARGS = ("verify", "--suite", "all", "--max-n", "8", "--max-l0", "2")
 
 CERTIFY_TRIPLES = ((1, 1, 5), (2, 1, 7), (3, 2, 9), (4, 2, 8), (4, 3, 12), (2, 2, 30))
+# thm11 cases: (j0, l0, n, k); the full window reaches down to j = 0, and for
+# type 4 to the added state
+THM11_CASES = tuple((j0, l0, n, k) for l0, n, k in ((2, 12, 3), (1, 6, 4)) for j0 in (1, 2, 3, 4))
 CERTIFY_PAIRS = ((Fraction(3, 5), Fraction(1, 2)), (Fraction(7, 3), Fraction(-1, 4)))
-CERTIFY_CASES = [(t, p) for p in CERTIFY_PAIRS for t in CERTIFY_TRIPLES]
+CERTIFY_CASES = [(t, p) for p in CERTIFY_PAIRS for t in CERTIFY_TRIPLES] + [
+    (t, p) for p in CERTIFY_PAIRS for t in THM11_CASES
+]
 
 
 def pair_key(alpha, beta) -> str:
     return f"{alpha} {beta}"
 
 
-def certify_key(triple, pair) -> str:
-    return "j0={} l0={} n={} @ {} {}".format(*triple, *pair)
+def certify_key(case, pair) -> str:
+    """A thm12 case is (j0, l0, n); a thm11 case adds k, which the key names."""
+    key = "j0={} l0={} n={}".format(*case[:3])
+    if len(case) == 4:
+        key += f" thm11 k={case[3]}"
+    return "{} @ {} {}".format(key, *pair)
 
 
 def _run(argv) -> tuple:
@@ -69,12 +80,13 @@ def verify_record(alpha, beta) -> tuple:
     return record, failing
 
 
-def certify_record(triple, pair) -> dict:
-    j0, l0, n = triple
+def certify_record(case, pair) -> dict:
+    j0, l0, n = case[:3]
     alpha, beta = pair
+    mode = ["--mode", "thm11", "--k", str(case[3])] if len(case) == 4 else []
     code, out, err = _run(
         ["certify", "--j0", str(j0), "--l0", str(l0), "--n", str(n),
-         f"--alpha={alpha}", f"--beta={beta}"]
+         f"--alpha={alpha}", f"--beta={beta}", *mode]
     )
     record = {"exit": code, "sha256": hashlib.sha256(out.encode()).hexdigest()}
     if code:
