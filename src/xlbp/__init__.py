@@ -24,7 +24,6 @@ from .hr_classical import (
     Params,
     hr_partner,
     hr_poly,
-    inner_product,
     moments,
     norm_ratio,
     pochhammer,

@@ -13,6 +13,7 @@ Checks run one after another, in report order.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import re
 import sys
@@ -377,6 +378,31 @@ def _quadrature_checks(params, j0s, max_n):
     return checks
 
 
+def _verify_report(args, params: Params, records: list) -> dict:
+    """The verify report over the run's records, without wall times unless --timings."""
+    if not args.timings:
+        for rec in records:
+            rec["time_s"] = None
+    summary = {
+        "pass": sum(1 for r in records if r["status"] == "pass"),
+        "fail": sum(1 for r in records if r["status"] == "fail"),
+        "skipped": sum(1 for r in records if r["status"] == "skipped"),
+    }
+    return {
+        "tool": "xlbp",
+        "tool_version": __version__,
+        "command": ["verify", "--suite", args.suite],
+        "params": {
+            "alpha": format_rational(params.alpha),
+            "beta": format_rational(params.beta),
+        },
+        "max_n": args.max_n,
+        "max_l0": args.max_l0,
+        "checks": records,
+        "summary": summary,
+    }
+
+
 def cmd_verify(args) -> int:
     params = _parse_params(args)
     # a repeated --j0 runs its checks once
@@ -401,31 +427,11 @@ def cmd_verify(args) -> int:
     if not checks:
         raise ValueError(f"--suite {args.suite} has no checks at --max-n {args.max_n}")
 
-    records = _run_checks(checks)
-    if not args.timings:
-        for rec in records:
-            rec["time_s"] = None
-
-    summary = {
-        "pass": sum(1 for r in records if r["status"] == "pass"),
-        "fail": sum(1 for r in records if r["status"] == "fail"),
-        "skipped": sum(1 for r in records if r["status"] == "skipped"),
-    }
-    report = {
-        "tool": "xlbp",
-        "tool_version": __version__,
-        "command": ["verify", "--suite", args.suite],
-        "params": {
-            "alpha": format_rational(params.alpha),
-            "beta": format_rational(params.beta),
-        },
-        "max_n": args.max_n,
-        "max_l0": args.max_l0,
-        "checks": records,
-        "summary": summary,
-    }
-    text = json.dumps(report, sort_keys=True, indent=2, default=str) + "\n"
-    _emit(text, args.out)
+    # --out is opened before any check runs, so an unwritable path fails at once
+    with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
+        report = _verify_report(args, params, _run_checks(checks))
+        fh.write(json.dumps(report, sort_keys=True, indent=2, default=str) + "\n")
+    summary = report["summary"]
     if args.out:
         line = (
             f"{summary['pass']} passed, {summary['fail']} failed, "

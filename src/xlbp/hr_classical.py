@@ -37,7 +37,6 @@ __all__ = [
     "ttrr_d",
     "ttrr_b",
     "moments",
-    "inner_product",
     "norm_ratio",
     "dk_bk_sequence",
     "twisted_coeffs",
@@ -250,19 +249,13 @@ class MomentTable:
 
     The transcendental common factor of the raw moments cancels from every
     biorthogonality statement, so storing the ratios keeps all inner products
-    rational.  Consecutive values obey value(k+1)(k+1+alpha) = value(k)(k-beta).
+    rational.  values[k - k_min] is moment k, and consecutive moments obey
+    m(k+1)(k+1+alpha) = m(k)(k-beta).
     """
 
     k_min: int
     k_max: int
     values: tuple
-
-    def value(self, k: int) -> Fraction:
-        if not self.k_min <= k <= self.k_max:
-            raise ValueError(
-                f"moment index {k} outside table range [{self.k_min}, {self.k_max}]"
-            )
-        return self.values[k - self.k_min]
 
 
 # keyed on the exact range, so a range that reaches a pole raises every time
@@ -277,27 +270,14 @@ def moments(params: Params, k_min: int, k_max: int) -> MomentTable:
         den = _require_nonzero(k + 1 + a, f"k+1+alpha at k={k}")
         vals[k + 1] = vals[k] * (k - b) / den
     for k in range(0, k_min, -1):
-        # forward relation solved backward: value(k-1)(k-1-beta) = value(k)(k+alpha)
+        # forward relation solved backward: m(k-1)(k-1-beta) = m(k)(k+alpha)
         den = _require_nonzero(k - 1 - b, f"k-beta at k={k - 1}")
         vals[k - 1] = vals[k] * (k + a) / den
     return MomentTable(k_min, k_max, tuple(vals[k] for k in range(k_min, k_max + 1)))
 
 
-def inner_product(f, g, table: MomentTable) -> Fraction:
-    """<w f, g-bar> in units of the zeroth moment.
-
-    Both arguments may have poles at 0.  Equals the sum over k of the z^k
-    coefficient of f(z) g(1/z) times the normalised moment value(k).
-    """
-    prod = f * g.inverted()
-    total = Fraction(0)
-    for e, v in prod.items():
-        total += v * table.value(e)
-    return total
-
-
 def _moment_weights(f: Poly, table: MomentTable, count: int) -> tuple:
-    """(weights, den): weights[j]/den = sum_i f_i value(i - j) for 0 <= j < count.
+    """(weights, den): weights[j]/den = sum_i f_i m(i - j) for 0 <= j < count, m the moments.
 
     <w f, g-bar> = sum_j g_j weights[j]/den for a polynomial g of degree
     below count, so one weighting of f serves every such g with one integer

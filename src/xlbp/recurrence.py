@@ -18,17 +18,21 @@ certification pipeline:
   3. expand the left side over the window members for the right-side b
      coefficients: the members have distinct degrees, so back-substitution
      from the top degree down finds b, and what it leaves over is the
-     residual, which must be the zero polynomial;
+     residual, which must be the zero polynomial.  The window is every
+     admissible index in its range, so the index set alone decides its
+     members; `xhr.x_poly` builds each, the type-4 added state included;
   4. apply the backward operator to the relation itself: with xi_j the
      backward eigenvalues, the residual
-         R = sum_l a_l I_{n-l} - sum_{j in window, j >= 0} b_j xi_j P_j(.; alpha+1, beta-1)
-     must be the zero polynomial.  The P_j are independent, so R = 0 exactly
-     when e_j = sum_l a_l c_{n-l,j} equals b_j xi_j at every j: the b
-     cross-route e_j / xi_j = b_j where xi_j != 0, e_j = 0 where xi_j = 0,
-     and every window-vanishing row, so the a of step 2 holds on the rows it
-     was not solved on.  R is accumulated as integer numerators over one
-     denominator, in both modes; only a nonzero R is expanded, to name the
-     first j where the routes disagree.
+         R = sum_l a_l I_{n-l} - sum_{j in window} b_j xi_j P_j(.; alpha+1, beta-1)
+     must be the zero polynomial (the type-4 added state j = -l0-1 is the
+     seed eigenvalue theta, so its xi_j is zero and its term drops).  The
+     P_j are independent, so R = 0 exactly when e_j = sum_l a_l c_{n-l,j}
+     equals b_j xi_j at every j: the b cross-route e_j / xi_j = b_j where
+     xi_j != 0, e_j = 0 where xi_j = 0, and every window-vanishing row, so
+     the a of step 2 holds on the rows it was not solved on.  R is
+     accumulated as integer numerators over one denominator, in both modes;
+     only a nonzero R is expanded, to name the first j where the routes
+     disagree.
 
 A certificate is only produced when every step succeeds exactly; failures
 raise CertificationError rather than degrade.
@@ -52,7 +56,7 @@ from .hr_classical import (
     hr_poly,
     twisted_coeffs,
 )
-from .xhr import XIndex, compact_darboux_sign, x_poly
+from .xhr import XIndex, x_poly
 
 __all__ = [
     "CertificationError",
@@ -118,14 +122,7 @@ def _c_vector(j0: SeedType, l0: int, m: int, params: Params) -> tuple:
 
 
 def _c_row(j0: SeedType, l0: int, m: int, params: Params) -> tuple:
-    """(numerators, denominator) of the full expansion c_{m,0..m+l0+1} of member m.
-
-    At the sharp lower bound n = 2*l0+1 the left side of the recurrence
-    reaches down to the type-1 member at m = l0, which vanishes identically;
-    its expansion row is all zeros and its coefficient slot is unconstrained.
-    """
-    if not XIndex(j0, l0, m).is_admissible:
-        return (0,) * (m + l0 + 2), 1
+    """(numerators, denominator) of the full expansion c_{m,0..m+l0+1} of member m."""
     image, _, den = _c_vector(j0, l0, m, params)
     nums, _ = expand_in_hr_basis(image, params.shifted(1, -1))
     return tuple(nums) + (0,) * (m + l0 + 2 - len(nums)), den
@@ -313,7 +310,10 @@ def certify(
     mode="thm12": the sharp window n-l0..n+l0+1 with solver-route a
     (cross-checked against the closed formulas); requires n >= 2*l0+1.
     mode="thm11": arbitrary left coefficients over l = 0..k (defaults to all
-    ones), right window 0..n+l0+1 skipping inadmissible indices; requires n >= k.
+    ones), right window -l0-1..n+l0+1; requires n >= k.
+    Both windows hold the admissible indices of their range and nothing
+    else, so the thm11 window starts at 0 for types 1-3 and at the added
+    state -l0-1 for type 4.
     """
     idx.require_admissible()
     j0, l0, n = idx.j0, idx.l0, idx.n
@@ -339,7 +339,7 @@ def certify(
             # member of the solution space and the cross-checks below still
             # verify it vanishes on the excluded window
             tags.append(f"a-formula-fallback(nullspace-dim={outcome.nullity})")
-        window = list(range(n - l0, n + l0 + 2))
+        lo = n - l0
     elif mode == "thm11":
         if k is None:
             raise ValueError("thm11 mode needs k")
@@ -349,40 +349,30 @@ def certify(
         if len(a) != k + 1 or a[0] != 1:
             raise ValueError("a vector must have length k+1 and a_0 = 1")
         tags.append(f"k={k}")
-        window = [j for j in range(0, n + l0 + 2) if XIndex(j0, l0, j).is_admissible]
-        if j0 is SeedType.T4:
-            # the added state belongs to the type-4 index set; normalised by
-            # z^l0 it is the constant member, and full-window expansions are
-            # generically inconsistent without it
-            window.insert(0, -l0 - 1)
+        lo = -l0 - 1
     else:
         raise ValueError("mode must be 'thm12' or 'thm11'")
-
-    members = {}  # j -> member polynomial, shared by the left side and the window
-
-    def member(j):
-        if j not in members:
-            if j < 0:
-                members[j] = Poly((compact_darboux_sign(j0),))
-            else:
-                members[j] = x_poly(XIndex(j0, l0, j), params)
-        return members[j]
+    window = [j for j in range(lo, n + l0 + 2) if XIndex(j0, l0, j).is_admissible]
 
     q = q_poly(j0, l0, params)
-    lhs = Poly.zero()
-    for l, coef in enumerate(a):
-        if XIndex(j0, l0, n - l).is_admissible:
-            lhs = lhs + coef * member(n - l)
-        # type-1 member at n-l = l0 is identically zero and contributes nothing
-    lhs = q * lhs
-    b = _solve_b(lhs, {j: member(j) for j in window})
+    # the type-1 member at n-l = l0 is identically zero and contributes nothing
+    left = [l for l in range(len(a)) if XIndex(j0, l0, n - l).is_admissible]
+    # each member once, the left side's first: the first parameter pole met
+    # names a skipped verify record
+    members = {
+        j: x_poly(XIndex(j0, l0, j), params)
+        for j in dict.fromkeys([n - l for l in left] + window)
+    }
+    lhs = q * sum((a[l] * members[n - l] for l in left), Poly.zero())
+    b = _solve_b(lhs, {j: members[j] for j in window})
 
     # cross-route: the backward operator maps the relation onto
     # sum_l a_l I_{n-l} = sum_j b_j xi_j P_j(.; alpha+1, beta-1), so the
     # residual R is zero exactly when b_j xi_j is the stacked expansion
     # coefficient e_j at every j.  xi_j is read only where b_j != 0 or at a
-    # failure; only a failure expands R, to name its first nonzero row
-    weights = {j: v * xi(j0, l0, j, params) for j, v in b.items() if j >= 0 and v}
+    # failure; only a failure expands R, to name its first nonzero row.  The
+    # type-4 added state sits at theta, so its weight is zero
+    weights = {j: v * xi(j0, l0, j, params) for j, v in b.items() if v}
     nums, den = _image_residual(idx, a, weights, params)
     if any(nums):
         residual = Poly.from_numerators(nums, den)

@@ -6,9 +6,14 @@ n + l0 - 1 for type 1 and n + l0 + 1 for type 4, so these families are not
 graded bases of all polynomials, which is what makes their recurrence
 relations nontrivial.
 
-Constructors use the compact product forms; the Darboux route in `darboux`
-provides an independent construction that the test suite cross-checks term by
-term.
+`XIndex.is_admissible` decides which members exist, and `x_poly` builds
+every one of them.  Constructors use the compact product forms; the Darboux
+route in `darboux` provides an independent construction that the test suite
+cross-checks term by term.  Type 4 also has the added state n = -l0-1, the
+constant member of degree 0 that closes its recurrences over the full
+window.  It has no compact form, so `x_poly` returns it directly; it has no
+Darboux route or exact norm yet, so `darboux_route_poly` and `x_norm_ratio`
+refuse it.
 """
 
 from __future__ import annotations
@@ -66,7 +71,8 @@ class XIndex:
         """Membership in the family's index set.
 
         Type 1 excludes n = l0 (the member degenerates to zero); types 2 and 3
-        admit all n >= 0; type 4 additionally admits the added state n = -l0-1.
+        admit all n >= 0; type 4 additionally admits the added state n = -l0-1,
+        the constant member.  `x_poly` builds every admissible index.
         """
         if self.j0 is SeedType.T1:
             return self.n >= 0 and self.n != self.l0
@@ -129,16 +135,13 @@ def x_poly(idx: XIndex, params: Params) -> Poly:
     """Exceptional polynomial from the compact form, with degree check.
 
     A vanishing leading factor is refused by name, as a parameter pole, before
-    the compact form is built.  The added state of type 4 (n = -l0-1) is
-    admissible as an index but is a Laurent object, not a polynomial; it is
-    handled only by the backward operator's kernel and refused here.
+    the compact form is built.  The added state of type 4 (n = -l0-1) has no
+    compact form: normalised by z^l0 it is the constant
+    compact_darboux_sign(4) = -1, of degree 0 = idx.degree.
     """
     idx.require_admissible()
     if idx.n < 0:
-        raise InadmissibleIndexError(
-            "the added state n = -l0-1 is not a polynomial; "
-            "only the backward-operator kernel handles it"
-        )
+        return Poly((compact_darboux_sign(idx.j0),))
     for factor, value in _leading_factors(idx, params):
         if value == 0:
             raise ParameterPoleError(

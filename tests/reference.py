@@ -2,6 +2,10 @@
 
   build_via_ttrr   P_n from the three-term recurrence, the second route that
                    `hr_poly` is compared with
+  moment_value and inner_product
+                   one normalised moment of a `moments` table, and the
+                   pairing <w f, g-bar> summed term by term, which the
+                   integer weighting `_moment_weights` is compared with
   is_monic         a nonzero polynomial with leading coefficient 1
   long_division    quotient and remainder of two polynomials by Fraction
                    long division, which `divmod` on `Poly` is compared with
@@ -20,6 +24,7 @@ from fractions import Fraction
 from xlbp.exact_core import Poly
 from xlbp.hr_classical import ParameterPoleError, Params, ttrr_coeffs
 from xlbp.recurrence import _c_row, example_oracles
+from xlbp.xhr import XIndex
 
 
 def build_via_ttrr(n: int, params: Params) -> Poly:
@@ -108,9 +113,16 @@ def long_division(a: dict, a_lo: int, b: dict, b_lo: int) -> tuple:
 
 
 def stacked_expansion(idx, a, params: Params) -> list:
-    """sum_l a_l c_{n-l,m} for m = 0..n+l0+1, as Fractions from the full rows `_c_row`."""
+    """sum_l a_l c_{n-l,m} for m = 0..n+l0+1, as Fractions from the full rows `_c_row`.
+
+    At n = 2*l0+1 the type-1 left side reaches down to the member n-l = l0,
+    which vanishes identically: its row is empty and its slot unconstrained.
+    """
     j0, l0, n = idx.j0, idx.l0, idx.n
-    rows = [_c_row(j0, l0, n - l, params) for l in range(len(a))]
+    rows = [
+        _c_row(j0, l0, n - l, params) if XIndex(j0, l0, n - l).is_admissible else ((), 1)
+        for l in range(len(a))
+    ]
     return [
         sum(
             (a_l * Fraction(nums[m], den) for a_l, (nums, den) in zip(a, rows) if m < len(nums)),
@@ -118,3 +130,19 @@ def stacked_expansion(idx, a, params: Params) -> list:
         )
         for m in range(n + l0 + 2)
     ]
+
+
+def moment_value(table, k: int) -> Fraction:
+    """Moment k of a `moments` table; an index outside its range is a ValueError."""
+    if not table.k_min <= k <= table.k_max:
+        raise ValueError(f"moment index {k} outside table range [{table.k_min}, {table.k_max}]")
+    return table.values[k - table.k_min]
+
+
+def inner_product(f, g, table) -> Fraction:
+    """<w f, g-bar> in units of the zeroth moment.
+
+    Both arguments may have poles at 0.  Equals the sum over k of the z^k
+    coefficient of f(z) g(1/z) times the normalised moment k.
+    """
+    return sum((v * moment_value(table, e) for e, v in (f * g.inverted()).items()), Fraction(0))

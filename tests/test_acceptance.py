@@ -30,7 +30,6 @@ from xlbp.hr_classical import (
     Params,
     hr_partner,
     hr_poly,
-    inner_product,
     moments,
     norm_ratio,
     verify_identity,
@@ -55,6 +54,7 @@ from conftest import (
 from reference import (
     example3_middle_coefficient_as_published,
     example_a_oracles,
+    inner_product,
     stacked_expansion,
 )
 from test_recurrence import reduced_xi_reading

@@ -108,6 +108,16 @@ class TestGen:
         assert data["degree"] == 2
         assert len(data["coefficients"]) == 3
 
+    def test_xhr_type4_added_state(self):
+        proc = run_cli(
+            "gen",
+            "--family", "xhr", "--j0", "4", "--l0", "1", "--n", "-2",
+            "--alpha", "3/5", "--beta", "1/2",
+        )
+        assert proc.returncode == 0
+        data = json.loads(proc.stdout)
+        assert data["degree"] == 0 and data["coefficients"] == ["-1"]
+
     def test_csv_format(self):
         proc = run_cli(
             "gen",
@@ -256,6 +266,21 @@ def test_unwritable_out_exits_2(argv, tmp_path):
     assert stderr.getvalue().startswith("error: ") and str(out) in stderr.getvalue()
     assert stdout.getvalue() == ""
     assert not out.parent.exists()
+
+
+def test_verify_unwritable_out_exits_before_any_check(tmp_path, monkeypatch):
+    # the whole suite would run first if --out were opened after the checks
+    def no_checks(checks):
+        raise AssertionError("checks ran before --out was opened")
+
+    monkeypatch.setattr(cli, "_run_checks", no_checks)
+    out = tmp_path / "missing" / "out.json"
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        code = main(["verify", "--suite", "all", "--alpha", "3/5", "--beta", "1/2",
+                     "--out", str(out)])
+    assert code == 2
+    assert stderr.getvalue().startswith("error: ") and str(out) in stderr.getvalue()
 
 
 class TestVerify:

@@ -17,6 +17,8 @@ from xlbp.quadrature import (
 )
 from xlbp.xhr import XIndex, x_norm_ratio
 
+from conftest import PAIR_A, PAIR_C
+
 POSITIVE = Params(1, Fraction(3, 2))
 # alpha + beta = -3/4: the type-2 and type-4 exponent at z = 1 is -7/4
 SINGULAR = Params(Fraction(-1, 2), Fraction(-1, 4))
@@ -245,6 +247,27 @@ class TestExceptional:
                 with mp.workprec(128):
                     deviation = abs(res.value - as_mpf(exact))
                 assert deviation <= res.error_estimate, (j0, n, m)
+
+    @pytest.mark.parametrize("params", [PAIR_A, PAIR_C], ids=["pair-a", "pair-c"])
+    @pytest.mark.parametrize("l0", [1, 2])
+    def test_type4_added_state_is_biorthogonal_to_the_members(self, l0, params):
+        # the added state n = -l0-1 is the constant member: against m = 0..2,
+        # in both orders, the integral vanishes within its estimate, and its
+        # own integral, a norm with no closed form yet, does not
+        added = XIndex(4, l0, -l0 - 1)
+        for m in range(3):
+            member = XIndex(4, l0, m)
+            for idx_n, idx_m in ((added, member), (member, added)):
+                res = exceptional_quad(idx_n, idx_m, params, CFG)
+                assert abs(res.value) <= res.error_estimate, (idx_n.n, idx_m.n)
+        norm = exceptional_quad(added, added, params, CFG)
+        assert abs(norm.value) > 1e3 * norm.error_estimate
+
+    def test_type4_added_state_norm_at_one_pair(self):
+        # read off the rule, not derived: -15/11 at (3/5, 1/2) with l0 = 1
+        res = exceptional_quad(XIndex(4, 1, -2), XIndex(4, 1, -2), PAIR_A, CFG)
+        with mp.workprec(128):
+            assert abs(res.value - as_mpf(Fraction(-15, 11))) <= res.error_estimate
 
     @pytest.mark.usefixtures("fresh_caches")
     def test_divergent_integral_is_refused_without_integrating(self, monkeypatch):

@@ -18,7 +18,7 @@ from xlbp.recurrence import (
     example_oracles,
     q_poly,
 )
-from xlbp.xhr import XIndex, compact_darboux_sign, x_poly
+from xlbp.xhr import XIndex, x_poly
 
 from conftest import PACKAGE_CACHES, PAIR_A, pairs_for_recurrence
 from reference import (
@@ -195,10 +195,12 @@ class TestCExpansion:
 
     def test_inadmissible_rejected(self):
         # the excluded type-1 member vanishes, so the backward operator has
-        # no input; its window row is zero instead
-        with pytest.raises(ValueError, match="must be nonzero"):
-            _c_vector(1, 1, 1, PAIR_A)
-        assert _c_row(1, 1, 1, PAIR_A) == ((0,) * 4, 1)
+        # no input and neither route expands it; the reference stacked
+        # expansion, which reaches it from n = 2*l0+1, reads its row as zero
+        for route in (_c_vector, _c_row):
+            with pytest.raises(ValueError, match="must be nonzero"):
+                route(1, 1, 1, PAIR_A)
+        assert stacked_expansion(XIndex(1, 1, 3), [0, 0, 1], PAIR_A) == [0] * 6
 
     def test_reconstruction(self):
         params = Params(1, 1)
@@ -480,11 +482,11 @@ class TestCertify:
 
 
 def _window_members(cert, params) -> dict:
-    """The certificate's window members, the type-4 added state as a constant."""
+    """The certificate's window members: every admissible index in its range."""
     j0, l0 = cert.index.j0, cert.index.l0
     lo, hi = cert.window
     return {
-        j: Poly((compact_darboux_sign(j0),)) if j < 0 else x_poly(XIndex(j0, l0, j), params)
+        j: x_poly(XIndex(j0, l0, j), params)
         for j in range(lo, hi + 1)
         if XIndex(j0, l0, j).is_admissible
     }

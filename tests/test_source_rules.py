@@ -215,6 +215,7 @@ REMOVED_NAMES = frozenset(
         "_stacked_expansion",
         "_window_sums",
         "_below_window_vanishes",
+        "inner_product",
     }
 )
 

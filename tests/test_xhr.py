@@ -17,7 +17,7 @@ from xlbp.xhr import (
     xp4_derivative_factor,
 )
 
-from conftest import PAIR_A, PAIR_B, pairs_for_type
+from conftest import PAIR_A, PAIR_B, PAIR_C, pairs_for_type
 
 
 def ratio_at(factor, z):
@@ -42,9 +42,21 @@ class TestIndexSets:
     def test_type4_added_state(self):
         assert XIndex(4, 2, -3).is_admissible
         assert not XIndex(4, 2, -2).is_admissible
-        # admissible as an index but refused as a polynomial
-        with pytest.raises(InadmissibleIndexError):
-            x_poly(XIndex(4, 2, -3), PAIR_A)
+        # a member like any other: the signed constant, of its index's
+        # degree, at any pair, and so is its partner
+        for params in (PAIR_A, PAIR_C):
+            for l0 in (1, 2, 3):
+                idx = XIndex(4, l0, -l0 - 1)
+                assert idx.degree == 0
+                assert x_poly(idx, params) == x_partner(idx, params) == Poly((-1,))
+
+    def test_type4_added_state_has_no_darboux_route_or_exact_norm(self):
+        # there is no polynomial Darboux route and no closed-form norm for it
+        idx = XIndex(4, 1, -2)
+        with pytest.raises(InadmissibleIndexError, match="not a polynomial"):
+            darboux_route_poly(idx, PAIR_A)
+        with pytest.raises(InadmissibleIndexError, match="n >= 0"):
+            x_norm_ratio(idx, PAIR_A)
 
     def test_degree_formula(self):
         assert XIndex(1, 1, 3).degree == 3
