@@ -516,8 +516,7 @@ class LinearSolution:
 
 def _integer_row(values: Sequence[Scalar]) -> list:
     """values, ints and Fractions, times the lcm of their denominators, divided by the content."""
-    den = lcm(*(q.denominator for q in values))
-    row = [q.numerator * (den // q.denominator) for q in values]
+    row, _ = _from_scalars(values)
     g = gcd(*row)
     return [v // g for v in row] if g > 1 else row
 

@@ -2,11 +2,12 @@
 
 The family P_n(z; alpha, beta) is a monic degree-n polynomial given by a
 terminating hypergeometric sum; Q_n swaps the two parameters.  This module
-builds P_n from that sum's coefficient product, keeps the three-term
-recurrence as an independent second route, and provides exact moments of the
-unit-circle weight normalised so the zeroth moment is 1, exact inner
-products, parameter-twist expansions, and a catalog of verifiable polynomial
-identities.
+builds P_n from that sum's coefficient product and provides the three-term
+recurrence coefficients, exact moments of the unit-circle weight normalised
+so the zeroth moment is 1, parameter-twist expansions, and a catalog of
+verifiable polynomial identities.  The second route to P_n through the
+recurrence and the term-by-term inner product are reference routes of the
+test suite (tests/reference.py).
 
 All identities are checked as exact polynomial (or Laurent polynomial)
 equalities after clearing denominators, so a passing check is a proof at the

@@ -71,10 +71,12 @@ finer level is the usual tanh-sinh heuristic, not a rigorous bound; one would
 need the integrand's strip of analyticity (Tanaka, Sugihara, Murota and Mori,
 2009).
 
-Before integrating an exceptional integrand, its denominator B is refused
-exactly when it has a root on the circle (`exact_core.unit_circle_roots`),
-since the integral does not exist then, and its exponent at z = 1 is computed
-exactly and a divergent integral is refused with QuadratureDivergenceError.
+An exceptional integral takes the weight ratio kappa z^m (z-1)^(+-1) / eta^2
+from `xhr.x_weight_factor`, so B is the seed polynomial eta.  Before
+integrating, B is refused exactly when it has a root on the circle
+(`exact_core.unit_circle_roots`), since the integral does not exist then, and
+the integrand's exponent at z = 1 is computed exactly and a divergent
+integral is refused with QuadratureDivergenceError.
 """
 
 from __future__ import annotations

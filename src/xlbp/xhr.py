@@ -14,6 +14,10 @@ constant member of degree 0 that closes its recurrences over the full
 window.  It has no compact form, so `x_poly` returns it directly; it has no
 Darboux route or exact norm yet, so `darboux_route_poly` and `x_norm_ratio`
 refuse it.
+
+The family's weight is the classical weight times kappa * z^m * (z-1)^(+-1)
+/ eta^2, with eta the seed polynomial of `make_seed` (`x_weight_factor`).
+The same kappa is the prefactor of the type-3 and type-4 compact forms.
 """
 
 from __future__ import annotations
@@ -109,19 +113,12 @@ def _compact_form(j0: SeedType, l0: int, n: int, params: Params) -> Poly:
         return Poly((1, -1)) * (n * hr_poly(l0, params.negated()) * p_n1) + (
             l0 - a - b
         ) * hr_poly(l0, Params(-b, -a - 1)) * p_n
+    pref = _kappa(j0, l0, params)
     if j0 is SeedType.T3:
-        den = pochhammer(a + 1, l0)
-        if den == 0:
-            raise ParameterPoleError(f"(alpha+1)_{l0} = 0")
-        pref = pochhammer(b, l0) / den
         inner = Poly.x() * (n * hr_poly(l0, Params(b - 1, a + 1)) * p_n1) + (
             a + 1
         ) * hr_poly(l0, Params(b - 1, a + 2)) * p_n
         return pref * inner
-    den = pochhammer(-b + 1, l0)
-    if den == 0:
-        raise ParameterPoleError(f"(1-beta)_{l0} = 0")
-    pref = pochhammer(-a, l0) / den
     inner = Poly((0, -1, 1)) * (
         n * hr_poly(l0, Params(-a - 1, -b + 1)) * p_n1
     ) + (a + 1) * hr_poly(l0 + 1, Params(-a - 2, -b + 1)) * p_n
@@ -232,7 +229,7 @@ def xp4_derivative_factor(l0: int, n: int, params: Params) -> Poly | None:
     lhs = x_poly(idx, params).derivative()
     seed = make_seed(SeedType.T4, l0, params)
     rhs = (
-        Fraction((n + l0 + 1) * 1)
+        (n + l0 + 1)
         * (n + params.alpha + 1)
         * seed.p_poly
         * hr_poly(n, params.shifted(1, -1))
@@ -245,53 +242,43 @@ def xp4_derivative_factor(l0: int, n: int, params: Params) -> Poly | None:
 class WeightFactor:
     """Structured form of (exceptional weight)/(classical weight).
 
-    ratio(z) = constant_ratio * z^monomial_power * linear / base(z)^2 where
-    linear is (z-1) when linear_power = +1 and 1/(1-z) when linear_power = -1.
-    Stored structurally so the exact modules never evaluate a weight; only the
-    quadrature module turns this into numbers.
+    ratio(z) = kappa * z^m * (z-1)^(+-1) / eta(z)^2: constant_ratio is kappa,
+    monomial_power is m, linear_power is +1 for (z-1) and -1 for 1/(1-z),
+    and denominator_base is the seed polynomial eta.  Stored structurally so
+    the exact modules never evaluate a weight; only the quadrature module
+    turns this into numbers.
     """
 
     constant_ratio: Fraction
     monomial_power: int
     linear_power: int  # +1 or -1
-    denominator_base: Poly  # the degree-l0 polynomial that gets squared
+    denominator_base: Poly  # the seed polynomial eta, of degree l0, squared
+
+
+def _kappa(j0: SeedType, l0: int, params: Params) -> Fraction:
+    """(beta)_l0/(alpha+1)_l0 for types 1 and 3, (-alpha)_l0/(1-beta)_l0 for types 2 and 4.
+
+    The weight's constant, and the prefactor of the type-3 and type-4 compact
+    forms.  A zero denominator is refused; types 3 and 4 refuse a zero
+    numerator first, where their reversed seed loses its degree.
+    """
+    a, b = params.alpha, params.beta
+    if j0 in (SeedType.T1, SeedType.T3):
+        num, den = ("beta", pochhammer(b, l0)), ("alpha+1", pochhammer(a + 1, l0))
+    else:
+        num, den = ("-alpha", pochhammer(-a, l0)), ("1-beta", pochhammer(1 - b, l0))
+    for name, value in ((num, den) if j0 in (SeedType.T3, SeedType.T4) else (den,)):
+        if value == 0:
+            raise ParameterPoleError(f"({name})_{l0} = 0")
+    return num[1] / den[1]
 
 
 def x_weight_factor(j0: SeedType, l0: int, params: Params) -> WeightFactor:
-    """Structured exceptional-to-classical weight ratio for (j0, l0)."""
+    """kappa * z^m * (z-1)^(+-1) / eta^2 for (j0, l0), eta = make_seed(j0, l0, params).p_poly.
+
+    Types 1 and 3 take m = l0 and (z-1); types 2 and 4 take m = l0+1 and
+    1/(1-z).  `_kappa` refuses a pole before the seed is built.
+    """
     j0 = SeedType(j0)
-    a, b = params.alpha, params.beta
-    if j0 is SeedType.T1:
-        den = pochhammer(a + 1, l0)
-        if den == 0:
-            raise ParameterPoleError(f"(alpha+1)_{l0} = 0")
-        return WeightFactor(pochhammer(b, l0) / den, l0, 1, hr_poly(l0, params))
-    if j0 is SeedType.T2:
-        den = pochhammer(-b + 1, l0)
-        if den == 0:
-            raise ParameterPoleError(f"(1-beta)_{l0} = 0")
-        return WeightFactor(
-            pochhammer(-a, l0) / den,
-            l0 + 1,
-            -1,
-            hr_poly(l0, params.negated()),
-        )
-    if j0 is SeedType.T3:
-        den = pochhammer(b, l0)
-        if den == 0:
-            raise ParameterPoleError(f"(beta)_{l0} = 0")
-        return WeightFactor(
-            pochhammer(a + 1, l0) / den,
-            l0,
-            1,
-            hr_poly(l0, Params(b - 1, a + 1)),
-        )
-    den = pochhammer(-a, l0)
-    if den == 0:
-        raise ParameterPoleError(f"(-alpha)_{l0} = 0")
-    return WeightFactor(
-        pochhammer(-b + 1, l0) / den,
-        l0 + 1,
-        -1,
-        hr_poly(l0, Params(-a - 1, -b + 1)),
-    )
+    m, linear = (l0, 1) if j0 in (SeedType.T1, SeedType.T3) else (l0 + 1, -1)
+    return WeightFactor(_kappa(j0, l0, params), m, linear, make_seed(j0, l0, params).p_poly)

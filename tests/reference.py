@@ -13,6 +13,11 @@
                    the coefficients sum_l a_l c_{n-l,m} of a left side's
                    backward images, summed as Fractions over the full
                    expansion rows, which certify's one residual replaces
+  weight_factor_by_type
+                   the exceptional-to-classical weight ratio written out per
+                   type, with a classical P_l0 as the squared base and a
+                   constant of its own, which `x_weight_factor`'s
+                   kappa z^m (z-1)^(+-1) / eta^2 is compared with
   example_a_oracles and example3_middle_coefficient_as_published
                    the published left-side coefficients of the l0 = 1, n = 5
                    reference cases, and the published (wrong) sign of the
@@ -22,9 +27,10 @@
 from fractions import Fraction
 
 from xlbp.exact_core import Poly
-from xlbp.hr_classical import ParameterPoleError, Params, ttrr_coeffs
+from xlbp.darboux import SeedType
+from xlbp.hr_classical import ParameterPoleError, Params, hr_poly, pochhammer, ttrr_coeffs
 from xlbp.recurrence import _c_row, example_oracles
-from xlbp.xhr import XIndex
+from xlbp.xhr import WeightFactor, XIndex
 
 
 def build_via_ttrr(n: int, params: Params) -> Poly:
@@ -130,6 +136,39 @@ def stacked_expansion(idx, a, params: Params) -> list:
         )
         for m in range(n + l0 + 2)
     ]
+
+
+def weight_factor_by_type(j0, l0: int, params: Params) -> WeightFactor:
+    """(exceptional weight)/(classical weight) for (j0, l0), one branch per type.
+
+    Types 1 and 2 square the seed polynomial P_l0 at (alpha, beta) and at
+    (-beta, -alpha); types 3 and 4 square P_l0 at (beta-1, alpha+1) and at
+    (-alpha-1, 1-beta) and take the reciprocal constants.  Each branch refuses
+    the zero denominator of its own constant.
+    """
+    j0 = SeedType(j0)
+    a, b = params.alpha, params.beta
+    if j0 is SeedType.T1:
+        den = pochhammer(a + 1, l0)
+        if den == 0:
+            raise ParameterPoleError(f"(alpha+1)_{l0} = 0")
+        return WeightFactor(pochhammer(b, l0) / den, l0, 1, hr_poly(l0, params))
+    if j0 is SeedType.T2:
+        den = pochhammer(-b + 1, l0)
+        if den == 0:
+            raise ParameterPoleError(f"(1-beta)_{l0} = 0")
+        return WeightFactor(pochhammer(-a, l0) / den, l0 + 1, -1, hr_poly(l0, params.negated()))
+    if j0 is SeedType.T3:
+        den = pochhammer(b, l0)
+        if den == 0:
+            raise ParameterPoleError(f"(beta)_{l0} = 0")
+        return WeightFactor(pochhammer(a + 1, l0) / den, l0, 1, hr_poly(l0, Params(b - 1, a + 1)))
+    den = pochhammer(-a, l0)
+    if den == 0:
+        raise ParameterPoleError(f"(-alpha)_{l0} = 0")
+    return WeightFactor(
+        pochhammer(-b + 1, l0) / den, l0 + 1, -1, hr_poly(l0, Params(-a - 1, -b + 1))
+    )
 
 
 def moment_value(table, k: int) -> Fraction:

@@ -54,6 +54,21 @@ class TestPolyBasics:
         assert p.reversed() == Poly((3, 2, 1))
         assert p.reversed(4) == Poly((0, 0, 3, 2, 1))
 
+    @pytest.mark.parametrize(
+        "poly, text",
+        [
+            (Poly((0, -1)), "-z"),
+            (Poly((1, -1, 0, -3)), "-3*z^3 - z + 1"),
+            (Poly((Fraction(-1, 2), Fraction(1, 2))), "1/2*z - 1/2"),
+            (Poly(), "0"),
+            (Poly((0, -1)).shifted(-3), "-z^-2"),
+            (laurent(-1, (1, Fraction(-1, 2))), "-1/2 + z^-1"),
+        ],
+    )
+    def test_str(self, poly, text):
+        # highest exponent first; a unit coefficient shows only its sign
+        assert str(poly) == text
+
 
 class TestDivision:
     def test_exact_quotient(self):

@@ -228,6 +228,20 @@ class TestMoments:
         with pytest.raises(ParameterPoleError):
             moments(Params(Fraction(1, 2), -1), -2, 2)
 
+    @pytest.mark.parametrize(
+        "params, k_min, k_max, message",
+        [
+            # forward fill: k+1+alpha = 0 at k = 1 for alpha = -2
+            (Params(-2, Fraction(1, 2)), 0, 3, "k+1+alpha at k=1 = 0"),
+            # backward fill: the step to k = -3 divides by k-beta = 0 for beta = -3
+            (Params(Fraction(1, 2), -3), -4, 0, "k-beta at k=-3 = 0"),
+        ],
+    )
+    def test_pole_message_pinned(self, params, k_min, k_max, message):
+        with pytest.raises(ParameterPoleError) as info:
+            moments(params, k_min, k_max)
+        assert str(info.value) == message
+
 
 class TestInnerProducts:
     def test_unit_pairing(self, generic_params):

@@ -18,6 +18,7 @@ from xlbp.quadrature import (
 from xlbp.xhr import XIndex, x_norm_ratio
 
 from conftest import PAIR_A, PAIR_C
+from reference import weight_factor_by_type
 
 POSITIVE = Params(1, Fraction(3, 2))
 # alpha + beta = -3/4: the type-2 and type-4 exponent at z = 1 is -7/4
@@ -329,6 +330,21 @@ class TestExceptional:
                 continue
             res = exceptional_quad(idx, idx, params, CFG)
             assert rel_error(res.value, x_norm_ratio(idx, params)) < 1e-6, n
+
+
+    def test_weight_factor_matches_the_reference_route(self, monkeypatch):
+        # the seed eta = kappa * (the reference's base) for types 3 and 4
+        # scales the kernel's integers, so values may differ in the last
+        # bits; the levels and nodes must not
+        cases = [(XIndex(j0, 1, 2), XIndex(j0, 1, 2), POSITIVE) for j0 in (1, 2, 3, 4)]
+        cases += [(XIndex(j0, 2, 1), XIndex(j0, 2, 0), PAIR_A) for j0 in (1, 2, 3, 4)]
+        ours = [exceptional_quad(n, m, params, CFG) for n, m, params in cases]
+        monkeypatch.setattr(quadrature, "x_weight_factor", weight_factor_by_type)
+        for (n, m, params), res in zip(cases, ours):
+            ref = exceptional_quad(n, m, params, CFG)
+            assert len(res.estimates) == len(ref.estimates), n
+            assert res.num_points_used == ref.num_points_used, n
+            assert abs(res.value - ref.value) <= mp.ldexp(max(1, abs(ref.value)), -100), n
 
 
 class TestContourTable:

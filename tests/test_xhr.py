@@ -2,9 +2,17 @@ from fractions import Fraction
 
 import pytest
 
+from xlbp.darboux import make_seed
 from xlbp.exact_core import Poly
 from xlbp import xhr
-from xlbp.hr_classical import CertificationError, Params, hr_poly, norm_ratio
+from xlbp.hr_classical import (
+    CertificationError,
+    ParameterPoleError,
+    Params,
+    hr_poly,
+    norm_ratio,
+    pochhammer,
+)
 from xlbp.xhr import (
     InadmissibleIndexError,
     XIndex,
@@ -17,7 +25,8 @@ from xlbp.xhr import (
     xp4_derivative_factor,
 )
 
-from conftest import PAIR_A, PAIR_B, PAIR_C, pairs_for_type
+from conftest import PAIR_A, PAIR_B, PAIR_C, PAIR_D, pairs_for_type
+from reference import weight_factor_by_type
 
 
 def ratio_at(factor, z):
@@ -193,11 +202,93 @@ class TestWeightFactors:
         assert ratio_at(factor, z) == expected
 
     def test_constant_prefactors_pair_up(self):
-        # types 1/3 and 2/4 carry reciprocal constant prefactors
+        # types 1/3 share kappa = (beta)_l0/(alpha+1)_l0, m = l0 and (z-1);
+        # types 2/4 share kappa = (-alpha)_l0/(1-beta)_l0, m = l0+1 and 1/(1-z)
+        a, b = PAIR_A.alpha, PAIR_A.beta
         for l0 in (1, 2):
             f1 = x_weight_factor(1, l0, PAIR_A)
             f3 = x_weight_factor(3, l0, PAIR_A)
-            assert f1.constant_ratio * f3.constant_ratio == 1
+            kappa = pochhammer(b, l0) / pochhammer(a + 1, l0)
+            assert f1.constant_ratio == f3.constant_ratio == kappa
+            assert (f1.monomial_power, f1.linear_power) == (l0, 1)
+            assert (f3.monomial_power, f3.linear_power) == (l0, 1)
             f2 = x_weight_factor(2, l0, PAIR_A)
             f4 = x_weight_factor(4, l0, PAIR_A)
-            assert f2.constant_ratio * f4.constant_ratio == 1
+            kappa = pochhammer(-a, l0) / pochhammer(1 - b, l0)
+            assert f2.constant_ratio == f4.constant_ratio == kappa
+            assert (f2.monomial_power, f2.linear_power) == (l0 + 1, -1)
+            assert (f4.monomial_power, f4.linear_power) == (l0 + 1, -1)
+
+    RATIO_PAIRS = (
+        PAIR_A,
+        PAIR_C,
+        PAIR_D,
+        Params(Fraction(1, 3), Fraction(2, 3)),
+        Params(Fraction(-1, 2), Fraction(-1, 4)),
+    )
+    RATIO_POINTS = (Fraction(2), Fraction(-3), Fraction(1, 7), Fraction(5, 3))
+
+    @pytest.mark.parametrize("j0", [1, 2, 3, 4])
+    def test_ratio_equals_the_reference_by_type(self, j0):
+        # kappa z^m (z-1)^(+-1) / eta^2 against the per-type classical base
+        # and reciprocal constant: for types 3 and 4 eta is kappa times that
+        # base (the reversal identity), so the ratios agree exactly
+        for params in self.RATIO_PAIRS:
+            for l0 in (1, 2, 3):
+                factor = x_weight_factor(j0, l0, params)
+                reference = weight_factor_by_type(j0, l0, params)
+                for z in self.RATIO_POINTS:
+                    if reference.denominator_base(z) == 0:
+                        # a pole of both ratios: at (-1/2, -1/4) the type-3
+                        # base P_1 at (beta-1, alpha+1) = (-5/4, 1/2) is z - 2
+                        assert factor.denominator_base(z) == 0, (params, l0, z)
+                        continue
+                    assert ratio_at(factor, z) == ratio_at(reference, z), (params, l0, z)
+
+    @pytest.mark.parametrize("j0", [1, 2, 3, 4])
+    def test_denominator_base_is_the_seed(self, j0):
+        for params in pairs_for_type(j0):
+            for l0 in (1, 2, 3):
+                factor = x_weight_factor(j0, l0, params)
+                assert factor.denominator_base is make_seed(j0, l0, params).p_poly
+
+    @pytest.mark.parametrize(
+        "j0, l0, alpha, beta, message",
+        [
+            (1, 2, -2, Fraction(1, 3), "(alpha+1)_2 = 0"),
+            (2, 1, Fraction(1, 2), 1, "(1-beta)_1 = 0"),
+            (3, 1, Fraction(1, 2), 0, "(beta)_1 = 0"),
+            (3, 2, -2, Fraction(1, 3), "(alpha+1)_2 = 0"),
+            (4, 1, 0, Fraction(1, 2), "(-alpha)_1 = 0"),
+            # both factors vanish: the numerator is refused first
+            (4, 1, 0, 1, "(-alpha)_1 = 0"),
+            (4, 1, Fraction(1, 2), 1, "(1-beta)_1 = 0"),
+        ],
+    )
+    def test_pole_message_pinned(self, j0, l0, alpha, beta, message):
+        with pytest.raises(ParameterPoleError) as info:
+            x_weight_factor(j0, l0, Params(alpha, beta))
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "j0, l0, alpha, beta, message",
+        [
+            (3, 2, -2, Fraction(1, 3), "(alpha+1)_2 = 0"),
+            (4, 1, Fraction(1, 2), 1, "(1-beta)_1 = 0"),
+        ],
+    )
+    def test_zero_denominator_refuses_the_family_too(self, j0, l0, alpha, beta, message):
+        # where a type-3 or type-4 weight is refused for its constant's
+        # denominator, the family's members are refused with the same message
+        with pytest.raises(ParameterPoleError) as info:
+            x_poly(XIndex(j0, l0, 0), Params(alpha, beta))
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("j0, alpha, beta", [(1, Fraction(1, 2), 0), (2, 0, Fraction(1, 2))])
+    def test_zero_constant_is_not_a_pole(self, j0, alpha, beta):
+        # types 1 and 2 refuse only a zero denominator; a zero numerator
+        # leaves the seed intact and the constant zero
+        params = Params(alpha, beta)
+        factor = x_weight_factor(j0, 1, params)
+        assert factor.constant_ratio == 0
+        assert factor.denominator_base is make_seed(j0, 1, params).p_poly
