@@ -155,19 +155,19 @@ def _require_nonzero(value: Fraction, factor: str) -> Fraction:
 # _twisted_e_row 1188, xhr.x_poly 2946, darboux.psi_hat 2358,
 # darboux.make_seed 262, recurrence.q_poly 262, moments 297,
 # cli.build_parser 1, and quadrature._node_geometry 153, _node_modulus 790
-# and _node_phase 3474 (quad-circle; `verify --suite quadrature` at
-# (3/5, 1/2) and (7/3, -1/4) left 281 and 129 node geometries, and 531 and
-# 371 entries in each weight factor).  The polynomial, ttrr_d, related-pair,
-# generating-term, c-vector and quadrature bounds are at least twice that and
-# the twist-row bounds above it, so those runs never evict them.  The seed,
-# member, left-factor and moment bounds hold the working set of a few
-# parameter pairs (one verify-small pair uses 8 seeds, 90 members, 72
-# psi_hat values, 8 left factors and 9 moment tables, and certify-sweep
-# never reads a psi_hat value twice): a run that moves on to a new pair
-# never reads the old entries again, and on those runs the smaller
-# bounds lost no cache hit while keeping peak RSS lower.  ttrr_b holds about
-# 110 entries per verify-small pair; a bound that never evicts it made peak
-# RSS 0.4 MB higher and saved 92 misses in about 21,800 reads over
+# and _node_phase 1507 (quad-circle, 1354 at seeds 1-2 and 1225 to 1635 over
+# seeds 11-20; `verify --suite quadrature` at (3/5, 1/2) and (7/3, -1/4) left
+# 281 and 129 node geometries, 531 and 371 moduli, and 410 and 250 phases).
+# The polynomial, ttrr_d, related-pair, generating-term, c-vector and
+# quadrature bounds are at least twice that and the twist-row bounds above it,
+# so those runs never evict them.  The seed, member, left-factor and moment
+# bounds hold the working set of a few parameter pairs (one verify-small pair
+# uses 8 seeds, 90 members, 72 psi_hat values, 8 left factors and 9 moment
+# tables, and certify-sweep never reads a psi_hat value twice): a run that
+# moves on to a new pair never reads the old entries again, and on those runs
+# the smaller bounds lost no cache hit while keeping peak RSS lower.  ttrr_b
+# holds about 110 entries per verify-small pair; a bound that never evicts it
+# made peak RSS 0.4 MB higher and saved 92 misses in about 21,800 reads over
 # verify-small seeds 1-2 (integer shifts of two pairs can meet).
 @lru_cache(maxsize=16384)
 def hr_poly(n: int, params: Params) -> Poly:

@@ -32,21 +32,28 @@ exceptional denominator B = B'/d_B over integer numerators, Horner's rule runs
 on the numerators at the fixed-point z, Q(1/z) is the conjugate of Q(z), and
 the exceptional term z^p P'(z) conj(Q'(z)) / B'(z)^2 is one Gaussian-integer
 division.  The rational constant left over (1/(d_P d_Q), times the weight
-ratio's constant and d_B^2 for an exceptional integral) is the integral's
-unit: the integer sums are multiplied by it once per level, so values, level
-differences and the tolerance test are on the scale of the integrand itself.
-The ratio's linear factor, (z - 1) or 1/(1 - z), is never evaluated near its
-zero or pole: since 1 - z = s e^{i(y - pi)/2}, it moves into the weight as
--s e^{i(y-pi)/2} or s^-1 e^{-i(y-pi)/2}.  The weight, s^(alpha+beta+l)
-e^{i(y-pi)((alpha-beta)/2 + l/2)} for a linear power l (0 when there is no
-such factor), is the product of two factors, each kept in a bounded table:
-the modulus s^(alpha+beta+l) times the node's scale, one exp per node keyed on
-the exact exponent alpha+beta+l, and the phase as fixed-point cos and sin,
-one cos_sin per node keyed on the exact turn (alpha-beta+l)/2.  So every
-integral at one (alpha, beta) and l shares both, and every integral at one
-alpha+beta+l shares the modulus.  The weight's product with the term's real
-part and with the term's size |term| (an integer square root), and both
-running sums, are integers at 2^-bits.
+ratio's constant and d_B^2 for an exceptional integral, times the sign of the
+weight's whole turns below) is the integral's unit: the integer sums are
+multiplied by it once per level, so values, level differences and the
+tolerance test are on the scale of the integrand itself.  The ratio's linear
+factor, (z - 1) or 1/(1 - z), is never evaluated near its zero or pole:
+since 1 - z = s e^{i(y - pi)/2}, it moves into the weight as -s e^{i(y-pi)/2}
+or s^-1 e^{-i(y-pi)/2}.  The weight is then
+s^(alpha+beta+l) e^{it(y-pi)} with the turn t = (alpha-beta+l)/2, for a
+linear power l (0 when there is no such factor).  Its whole turns leave it:
+with q = floor(t) and f = t - q in [0, 1), e^{i(y-pi)} = -z on the branch
+above gives e^{it(y-pi)} = (-1)^q z^q e^{if(y-pi)} exactly, so z^q joins the
+integrand as a monomial shift of P, or of Q when the integrand's total
+monomial power is negative (on the circle z^-k Q(1/z) is the conjugate of
+z^k Q(z)), and (-1)^q joins the unit.  What is left is the product of two
+factors, each kept in a bounded table: the modulus s^(alpha+beta+l) times
+the node's scale, one exp per node keyed on the exact exponent alpha+beta+l,
+and the phase e^{if(y-pi)} as fixed-point cos and sin, one cos_sin per node
+keyed on the exact fraction f.  So every integral at one alpha+beta+l shares
+the modulus, and those whose turns also differ by a whole number share the
+phase.  The weight's product with the term's real part and with the term's
+size |term| (an integer square root), and both running sums, are integers at
+2^-bits.
 
 Values are divided by the closed-form zeroth moment
 Gamma(1+alpha+beta) / (Gamma(1+alpha) Gamma(1+beta)).  The error estimate is
@@ -66,10 +73,14 @@ a lower bound on |B'|^2 at both the computed and the true point, and 2 units
 for the final floors, the error is at most E_X / L + N_X E_B (2 N_B + 1) / L^2
 + 2 (in units, with L in real terms).  These bounds hold while n (N + 1) stays
 far below 2^bits, and they put the fixed-point error about 2^-30 below the
-working precision.  Taking the last level difference as the error of the
-finer level is the usual tanh-sinh heuristic, not a rigorous bound; one would
-need the integrand's strip of analyticity (Tanaka, Sugihara, Murota and Mori,
-2009).
+working precision.  The whole turns leave both parts of the bound intact:
+the Horner bound counts the shifted, longer coefficient tuple, whose degree
+is the n above, and the fractional phase comes from the same cos_sin at the
+same precision as the whole turn's phase did, so the weight's rounding stays
+inside the N 2^-prec budget.  Taking the last level difference as the error
+of the finer level is the usual tanh-sinh heuristic, not a rigorous bound;
+one would need the integrand's strip of analyticity (Tanaka, Sugihara,
+Murota and Mori, 2009).
 
 An exceptional integral takes the weight ratio kappa z^m (z-1)^(+-1) / eta^2
 from `xhr.x_weight_factor`, so B is the seed polynomial eta.  Before
@@ -112,10 +123,11 @@ _T_CAP = 8
 # nodes kept in the node table: every node one integral can reach at 7
 # levels, about 1 kB each with its key
 _NODE_TABLE_SIZE = 1 + 2**7 * 2 * int(_T_CAP / _H0)
-# weight factors kept per (exponent, node) and per (turn, node), about 0.3 kB
-# each; hr_classical's cache comment gives the sizes they are set against
+# weight factors kept per (exponent, node) and per (fractional turn, node),
+# about 0.3 kB each; hr_classical's cache comment gives the sizes they are set
+# against
 _MODULUS_TABLE_SIZE = 2048
-_PHASE_TABLE_SIZE = 8192
+_PHASE_TABLE_SIZE = 4096
 # fractional bits of the fixed-point kernel beyond the working precision, and
 # extra bits of the weight's mpf steps
 _GUARD_BITS = 32
@@ -211,9 +223,13 @@ def _evaluate(nums, z, bits):
     return re, im
 
 
-def _product_kernel(p: Poly, q: Poly):
-    """make_term for P(z) Q(1/z), in units of 1/(d_P d_Q), with its error bound."""
-    pn, qn = _dense(p), _dense(q)
+def _product_kernel(p: Poly, q: Poly, power: int = 0):
+    """make_term for z^power P(z) Q(1/z), in units of 1/(d_P d_Q), with its error bound.
+
+    A negative power shifts Q instead of P: on the circle z^-k Q(1/z) is the
+    conjugate of z^k Q(z).
+    """
+    pn, qn = _dense(p, max(power, 0)), _dense(q, max(-power, 0))
     bound = _evaluation_bound(pn) * (_norm(qn) + 1) + _norm(pn) * _evaluation_bound(qn) + 2
 
     def make_term(z, bits):
@@ -227,9 +243,10 @@ def _product_kernel(p: Poly, q: Poly):
 def _ratio_kernel(p: Poly, q: Poly, base: Poly, power: int):
     """make_term for z^power P(z) Q(1/z) / B(z)^2 over the numerators of P, Q and B.
 
-    The error bound depends on |B'(z)|, so it is formed at each node.
+    The power may be negative, as in `_product_kernel`.  The error bound
+    depends on |B'(z)|, so it is formed at each node.
     """
-    numerator = _product_kernel(p.shifted(power), q)
+    numerator = _product_kernel(p, q, power)
     bn = _dense(base)
     # a bound on |z^power P'(z) Q'(1/z)| on the circle
     magnitude = _norm(p.numerators) * _norm(q.numerators)
@@ -294,7 +311,9 @@ def _node_modulus(num, den, level, i):
 def _node_phase(num, den, level, i):
     """cos and sin of (num/den) (y - pi) at node (level, i), as integers at 2^-wp.
 
-    wp = _PREC + _WEIGHT_BITS, as for the modulus.
+    num/den is the fractional part of a weight turn, in [0, 1); the whole
+    turns are in the integrand (`_split_turn`).  wp = _PREC + _WEIGHT_BITS,
+    as for the modulus.
     """
     wp = _PREC + _WEIGHT_BITS
     _, _, y_minus_pi, _ = _node_geometry(level, i)
@@ -302,27 +321,38 @@ def _node_phase(num, den, level, i):
     return tuple(to_fixed(part, wp) for part in mpf_cos_sin(angle, wp))
 
 
+def _split_turn(params: Params, linear: int = 0) -> tuple:
+    """The weight's turn (alpha - beta + linear)/2 as whole turns q and a fraction in [0, 1).
+
+    Since e^{i(y-pi)} = -z, e^{i turn (y-pi)} = (-1)^q z^q e^{i (turn-q)(y-pi)}
+    exactly.
+    """
+    return divmod(Fraction(params.alpha - params.beta + linear, 2), 1)
+
+
 def _integrate_levels(make_term, params, cfg, unit, linear=0):
-    """(1/2pi) * integral of unit * term(x) (1-z)^linear w(x) dx over (0, 2pi) by nested tanh-sinh.
+    """(1/2pi) * integral of unit * term(x) (1-z)^linear (-z)^-q w(x) over (0, 2pi) by tanh-sinh.
 
     `make_term(z, bits)` takes a node's circle point as a fixed-point pair and
     returns the weightless part of the integrand in units of `unit` as a
     fixed-point pair at `bits`, with a bound on its error in units of
     2^-bits; its conjugate is the value at the conjugate point, which holds
     for every polynomial with rational coefficients.  `linear` is 0, or +-1
-    for the factor (1-z)^(+-1) that the weight takes over.  Returns (value,
-    per-level differences, circle points evaluated, error estimate).
+    for the factor (1-z)^(+-1) that the weight takes over.  The weight's q
+    whole turns (`_split_turn`) are the caller's: z^q belongs in the term and
+    (-1)^q in `unit`.  Returns (value, per-level differences, circle points
+    evaluated, error estimate).
     """
     bits, wp = _PREC + _GUARD_BITS, _PREC + _WEIGHT_BITS
-    a, b = params.alpha, params.beta
-    # the weight s^(alpha+beta) e^{i(y-pi)(alpha-beta)/2}, times s^linear e^{i linear (y-pi)/2}
-    exponent = Fraction(a + b + linear).as_integer_ratio()
-    turn = Fraction(a - b + linear, 2).as_integer_ratio()
+    # the weight s^(alpha+beta) e^{i(y-pi)(alpha-beta)/2}, times s^linear
+    # e^{i linear (y-pi)/2}, less its whole turns
+    exponent = Fraction(params.alpha + params.beta + linear).as_integer_ratio()
+    fraction = _split_turn(params, linear)[1].as_integer_ratio()
 
     def node(level, i):
         """Term of node t = i h0 / 2^level without the step h, its size and its error bound."""
         man, exp = _node_modulus(*exponent, level, i)
-        cos, sin = _node_phase(*turn, level, i)
+        cos, sin = _node_phase(*fraction, level, i)
         re, im, error = make_term(_node_geometry(level, i)[0], bits)
         real = (cos * re - sin * im) * man
         return (
@@ -384,8 +414,12 @@ def classical_quad(n: int, m: int, params: Params, cfg: QuadConfig | None = None
         raise ValueError("positivity (alpha, beta, alpha+beta > -1) required")
     with mp.workprec(_PREC):
         p, q = hr_poly(n, params), hr_partner(m, params)
+        whole, _ = _split_turn(params)
         num, diffs, pts, err = _integrate_levels(
-            _product_kernel(p, q), params, cfg, Fraction(1, p.denominator * q.denominator)
+            _product_kernel(p, q, whole),
+            params,
+            cfg,
+            Fraction((-1) ** (whole % 2), p.denominator * q.denominator),
         )
         den = _zeroth_moment(params)
         return QuadResult(num / den, err / abs(den), pts, tuple(diffs))
@@ -435,12 +469,14 @@ def exceptional_quad(
                 f"the integral diverges: the integrand behaves like |1-z|^({exponent}) "
                 f"at z = 1, and the exponent is <= -1"
             )
-        # z - 1 = -(1 - z) and 1/(1 - z): the sign -linear stays in the unit
-        unit = -linear * factor.constant_ratio * Fraction(
+        whole, _ = _split_turn(params, linear)
+        # z - 1 = -(1 - z) and 1/(1 - z): the sign -linear stays in the unit,
+        # as does the sign of the whole turns
+        unit = -linear * (-1) ** (whole % 2) * factor.constant_ratio * Fraction(
             base.denominator**2, p.denominator * q.denominator
         )
         num, diffs, pts, err = _integrate_levels(
-            _ratio_kernel(p, q, base, factor.monomial_power), params, cfg, unit, linear
+            _ratio_kernel(p, q, base, factor.monomial_power + whole), params, cfg, unit, linear
         )
         den = _zeroth_moment(params)
         return QuadResult(num / den, err / abs(den), pts, tuple(diffs))

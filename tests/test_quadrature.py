@@ -27,7 +27,7 @@ CFG = QuadConfig(tolerance=1e-9, refinement_levels=7)
 
 # digest of `pinned_integrals()` on the integer kernel; a change to the
 # rule's arithmetic changes it
-PINNED_SHA256 = "ade8dde212590063795cc3c06e7d0842ecfc6439b4e00695dc9670c2f53ad112"
+PINNED_SHA256 = "5401521a572a86948c5fcfa072a0ba5038c66b6a45045f7376d416c7551d70f2"
 # (num_points_used, len(estimates)) of each pinned integral, as the rule
 # evaluated them on mpc values before the integer kernel: the kernel's unit
 # keeps every level difference and tolerance test on the same scale
@@ -210,6 +210,16 @@ class TestClassical:
         with pytest.raises(QuadratureConvergenceError):
             classical_quad(4, 4, POSITIVE, tiny)
 
+    def test_truncation_enters_the_estimate(self):
+        # the exponent at z = 1 is -0.999, so the level-0 walk towards it
+        # stops at the cap _T_CAP with a large outermost term; the value is
+        # about 0.0086 off, and the last level difference alone would
+        # estimate about 0.0006 of it
+        near_pole = Params(Fraction(-1, 2), Fraction(-499, 1000))
+        res = classical_quad(0, 0, near_pole, QuadConfig(tolerance=1e-3, refinement_levels=7))
+        with mp.workprec(128):
+            assert abs(res.value - 1) <= res.error_estimate
+
 
 class TestExceptional:
     @pytest.mark.parametrize("j0", [1, 2, 3, 4])
@@ -347,6 +357,51 @@ class TestExceptional:
             assert abs(res.value - ref.value) <= mp.ldexp(max(1, abs(ref.value)), -100), n
 
 
+# (params, j0 or None for a classical integral, n, m, the weight's whole
+# turns q, num_points_used): the work counts are those the rule had while the
+# phase carried the whole turns, so moving them into the integrand changes no
+# level and no node
+WHOLE_TURN_CASES = [
+    (Params(3, Fraction(1, 2)), None, 2, 2, 1, 242),
+    (Params(3, Fraction(1, 2)), 1, 2, 2, 1, 226),
+    (Params(Fraction(1, 2), 4), None, 2, 2, -2, 450),
+    (Params(Fraction(1, 2), 4), None, 2, 1, -2, 226),
+    (Params(Fraction(1, 2), 4), 1, 2, 2, -2, 226),
+    (Params(Fraction(1, 2), 4), 2, 1, 1, -3, 242),
+    (Params(Fraction(1, 2), Fraction(11, 2)), 2, 1, 1, -3, 226),
+    (Params(Fraction(1, 2), Fraction(11, 2)), 2, 1, 0, -3, 226),
+]
+
+
+class TestWholeTurns:
+    """The weight's whole turns (-z)^q are in the integrand, for q of either sign."""
+
+    @pytest.mark.parametrize("params, j0, n, m, whole, points", WHOLE_TURN_CASES)
+    def test_value_within_estimate(self, params, j0, n, m, whole, points):
+        if j0 is None:
+            linear = 0
+            res = classical_quad(n, m, params, CFG)
+            exact = norm_ratio(n, params) if n == m else Fraction(0)
+        else:
+            linear = quadrature.x_weight_factor(j0, 1, params).linear_power
+            idx_n, idx_m = XIndex(j0, 1, n), XIndex(j0, 1, m)
+            res = exceptional_quad(idx_n, idx_m, params, CFG)
+            exact = x_norm_ratio(idx_n, params) if n == m else Fraction(0)
+        assert quadrature._split_turn(params, linear)[0] == whole
+        assert res.num_points_used == points
+        with mp.workprec(128):
+            assert abs(res.value - as_mpf(exact)) <= res.error_estimate
+
+    def test_negative_total_power_shifts_the_partner(self):
+        # type 2, l0 = 1 at (1/2, 11/2): the turn -3 is whole, and with the
+        # weight ratio's z^2 the integrand's monomial power is -1
+        params = Params(Fraction(1, 2), Fraction(11, 2))
+        factor = quadrature.x_weight_factor(2, 1, params)
+        whole, fraction = quadrature._split_turn(params, factor.linear_power)
+        assert (whole, fraction) == (-3, 0)
+        assert factor.monomial_power + whole == -1
+
+
 class TestContourTable:
     def test_integer_kernel_integrals_are_pinned(self):
         results = pinned_results()
@@ -402,6 +457,15 @@ class TestWeightFactors:
         classical_quad(3, 0, POSITIVE, CFG)
         assert factor_misses() == misses
 
+    @pytest.mark.usefixtures("fresh_caches")
+    def test_turns_a_whole_turn_apart_share_both_factors(self):
+        # (1, 3/2) and (2, 1/2) share alpha + beta, and their turns -1/4 and
+        # 3/4 share the fraction 3/4
+        classical_quad(2, 2, Params(1, Fraction(3, 2)), CFG)
+        misses = factor_misses()
+        classical_quad(2, 2, Params(2, Fraction(1, 2)), CFG)
+        assert factor_misses() == misses
+
 
 # points of the unit circle with rational coordinates, and their conjugates
 RATIONAL_POINTS = [
@@ -413,6 +477,18 @@ RATIONAL_POINTS = [
 
 def gaussian_mul(u, v):
     return u[0] * v[0] - u[1] * v[1], u[0] * v[1] + u[1] * v[0]
+
+
+def gaussian_conj(u):
+    return u[0], -u[1]
+
+
+def gaussian_monomial(z, power):
+    """z^power for a Gaussian rational z on the unit circle, where 1/z = conj(z)."""
+    acc = (Fraction(1), Fraction(0))
+    for _ in range(abs(power)):
+        acc = gaussian_mul(acc, z if power > 0 else gaussian_conj(z))
+    return acc
 
 
 def gaussian_value(nums, z):
@@ -444,34 +520,30 @@ class TestIntegerKernel:
             # the fixed-point error is below 2^-prec of the term's scale
             assert error <= scale(point) * 2 ** (bits - self.PREC), point
 
-    @pytest.mark.parametrize("n, m", [(0, 0), (1, 2), (3, 3), (4, 1)])
-    def test_classical_terms(self, n, m):
+    def check_product(self, n, m, power=0):
         p = quadrature.hr_poly(n, POSITIVE)
         q = quadrature.hr_partner(m, POSITIVE)
         pn, qn = quadrature._dense(p), quadrature._dense(q)
 
         def exact(z):
-            p_re, p_im = gaussian_value(pn, z)
-            q_re, q_im = gaussian_value(qn, z)
-            return gaussian_mul((p_re, p_im), (q_re, -q_im))
+            x = gaussian_mul(gaussian_value(pn, z), gaussian_conj(gaussian_value(qn, z)))
+            return gaussian_mul(x, gaussian_monomial(z, power))
 
         scale = quadrature._norm(pn) * quadrature._norm(qn)
-        self.check(quadrature._product_kernel(p, q), exact, lambda z: scale)
+        self.check(quadrature._product_kernel(p, q, power), exact, lambda z: scale)
 
-    @pytest.mark.parametrize("j0, l0", [(1, 1), (2, 1), (3, 2), (4, 2)])
-    def test_exceptional_terms(self, j0, l0):
+    def check_ratio(self, j0, l0, shift=0):
         # (1, 3/2) poles the type-4 factor at l0 = 2
         params = Params(Fraction(3, 5), Fraction(1, 2))
         factor = quadrature.x_weight_factor(j0, l0, params)
-        base, power = factor.denominator_base, factor.monomial_power
+        base, power = factor.denominator_base, factor.monomial_power + shift
         p = quadrature.x_poly(XIndex(j0, l0, 3), params)
         q = quadrature.x_partner(XIndex(j0, l0, 2), params)
-        pn, qn, bn = (quadrature._dense(f) for f in (p.shifted(power), q, base))
+        pn, qn, bn = (quadrature._dense(f) for f in (p, q, base))
 
         def exact(z):
-            p_re, p_im = gaussian_value(pn, z)
-            q_re, q_im = gaussian_value(qn, z)
-            x = gaussian_mul((p_re, p_im), (q_re, -q_im))
+            x = gaussian_mul(gaussian_value(pn, z), gaussian_conj(gaussian_value(qn, z)))
+            x = gaussian_mul(x, gaussian_monomial(z, power))
             b = gaussian_value(bn, z)
             s_re, s_im = gaussian_mul(b, b)
             den = s_re**2 + s_im**2
@@ -483,6 +555,23 @@ class TestIntegerKernel:
             return quadrature._norm(pn) * quadrature._norm(qn) / (b_re**2 + b_im**2)
 
         self.check(quadrature._ratio_kernel(p, q, base, power), exact, scale)
+
+    @pytest.mark.parametrize("n, m", [(0, 0), (1, 2), (3, 3), (4, 1)])
+    def test_classical_terms(self, n, m):
+        self.check_product(n, m)
+
+    @pytest.mark.parametrize("j0, l0", [(1, 1), (2, 1), (3, 2), (4, 2)])
+    def test_exceptional_terms(self, j0, l0):
+        self.check_ratio(j0, l0)
+
+    @pytest.mark.parametrize("power", [-2, 1])
+    def test_shifted_classical_terms(self, power):
+        # a negative power shifts the partner: z^-k Q(1/z) = conj(z^k Q(z))
+        self.check_product(3, 2, power)
+
+    def test_negative_power_exceptional_terms(self):
+        # type 2's z^2 times z^-3, as for three negative whole turns
+        self.check_ratio(2, 1, -3)
 
     def test_denominator_vanishing_at_a_node_is_refused(self):
         # B = z^2 - 6/5 z + 1 vanishes at (3 +- 4i)/5, where no error bound holds
