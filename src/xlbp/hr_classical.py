@@ -154,10 +154,11 @@ def _require_nonzero(value: Fraction, factor: str) -> Fraction:
 # 2145 (certify-sweep), recurrence._c_vector 1900, _twisted_c_row 1732,
 # _twisted_e_row 1188, xhr.x_poly 2946, darboux.psi_hat 2358,
 # darboux.make_seed 262, recurrence.q_poly 262, moments 297,
-# cli.build_parser 1, and quadrature._node_geometry 153, _node_modulus 790
-# and _node_phase 1507 (quad-circle, 1354 at seeds 1-2 and 1225 to 1635 over
-# seeds 11-20; `verify --suite quadrature` at (3/5, 1/2) and (7/3, -1/4) left
-# 281 and 129 node geometries, 531 and 371 moduli, and 410 and 250 phases).
+# cli.build_parser 1, and quadrature._node_geometry 113, _node_modulus 558
+# and _node_phase 1051 (quad-circle, 938 at seeds 1-2, and 857 to 1131 over
+# seeds 11-20, where seed 14 also reached 193 geometries and 638 moduli;
+# `verify --suite quadrature` at (3/5, 1/2) and (7/3, -1/4) left 193 and 89
+# node geometries, 363 and 251 moduli, and 282 and 170 phases).
 # The polynomial, ttrr_d, related-pair, generating-term, c-vector and
 # quadrature bounds are at least twice that and the twist-row bounds above it,
 # so those runs never evict them.  The seed, member, left-factor and moment

@@ -18,14 +18,18 @@ per node gives both.  The folded integral is evaluated by the tanh-sinh rule
 double-exponentially into both endpoints; the distance from a node to its
 endpoint is computed directly, so the nodes near the branch point keep their
 full relative precision.  Level 0 takes t in steps of 1/2 outwards from 0, on
-each side until a term falls below 2^-prec times the sum of the term sizes so
-far or |t| reaches a cap; each later level halves the step and evaluates only
-the new odd nodes, reusing the previous sum.  The working precision is fixed
-at prec = 128 bits, well beyond double, because the exceptional weights carry
-squared denominators that amplify cancellation.  A node's geometry therefore
-depends only on t, so it is computed once and kept in a bounded table:
-z = e^{iy} as fixed-point integers at bits = prec + 32, and log s with
-s = 2 sin(y/2), y - pi and the Jacobian as mpf values at prec + 10 bits.
+each side until a term falls below 2^-cut times the sum of the term sizes so
+far or |t| reaches a cap, where cut = ceil(-log2 tolerance) + 10 bits, at
+most prec: further terms would refine digits that the tolerance test never
+reads (Bailey, Jeyabalan and Li, 2005, truncate the rule at the target
+accuracy likewise).  Each later level halves the step over the same t-range
+and evaluates only the new odd nodes, reusing the previous sum.  The working
+precision is fixed at prec = 128 bits, well beyond double, because the
+exceptional weights carry squared denominators that amplify cancellation.
+A node's geometry therefore depends only on t, so it is computed once and
+kept in a bounded table: z = e^{iy} as fixed-point integers at
+bits = prec + 32, and log s with s = 2 sin(y/2), y - pi and the Jacobian as
+mpf values at prec + 10 bits.
 
 The integrand is evaluated on integers.  With P = P'/d_P, Q = Q'/d_Q and the
 exceptional denominator B = B'/d_B over integer numerators, Horner's rule runs
@@ -58,7 +62,10 @@ size |term| (an integer square root), and both running sums, are integers at
 Values are divided by the closed-form zeroth moment
 Gamma(1+alpha+beta) / (Gamma(1+alpha) Gamma(1+beta)).  The error estimate is
 the last level difference, plus the outermost terms of level 0 (the
-truncation), plus the rounding part, all divided by that moment.  The
+truncation), plus the rounding part, all divided by that moment.  A level
+converges when its difference plus the truncation is at most the tolerance
+times max(1, |value|), both before that division, so a converged integral's
+estimate meets the tolerance up to the rounding part.  The
 rounding part is the bound N 2^-prec sum |terms| for N points, which covers
 the weight's relative rounding, plus the fixed-point error: h sum_k W_k E_k,
 with W_k the node's weight and E_k the bound below on its term's error, plus
@@ -95,7 +102,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import ceil, isqrt, log2
 
 import mpmath as mp
 from mpmath.libmp import from_rational, mpf_cos_sin, mpf_exp, mpf_mul, mpf_pos, to_fixed
@@ -116,8 +123,9 @@ __all__ = [
 
 # working precision in bits
 _PREC = 128
-# level-0 step and the largest |t| any level reaches; at 128 bits the cap
-# leaves the left walk unfinished only for exponents at z = 1 within 0.02 of -1
+# level-0 step and the largest |t| any level reaches; with the walk cut at
+# 128 bits the cap leaves the left walk unfinished only for exponents at z = 1
+# within 0.02 of -1, and with a 40-bit cut within 0.006
 _H0 = 0.5
 _T_CAP = 8
 # nodes kept in the node table: every node one integral can reach at 7
@@ -128,6 +136,8 @@ _NODE_TABLE_SIZE = 1 + 2**7 * 2 * int(_T_CAP / _H0)
 # against
 _MODULUS_TABLE_SIZE = 2048
 _PHASE_TABLE_SIZE = 4096
+# bits by which the level-0 walk's cut lies below the tolerance
+_CUT_GUARD_BITS = 10
 # fractional bits of the fixed-point kernel beyond the working precision, and
 # extra bits of the weight's mpf steps
 _GUARD_BITS = 32
@@ -148,7 +158,12 @@ class DenominatorNearZeroError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadConfig:
-    """Refinement budget and convergence tolerance of one integral; the precision is `_PREC`."""
+    """Refinement budget and convergence tolerance of one integral; the precision is `_PREC`.
+
+    The tolerance bounds the last level difference plus the truncation,
+    relative to the value where that exceeds 1, and it also sets how far the
+    level-0 walk goes: a term 10 bits below it ends each side.
+    """
 
     refinement_levels: int = 6
     tolerance: float = 1e-9
@@ -164,7 +179,8 @@ class QuadConfig:
 class QuadResult:
     """Converged value with its error estimate.
 
-    `estimates` holds the difference between consecutive levels, and
+    `estimates` holds the difference between consecutive levels, divided by
+    |zeroth moment| as `value` and `error_estimate` are, and
     `num_points_used` counts the circle points evaluated (two per node).
     """
 
@@ -361,6 +377,8 @@ def _integrate_levels(make_term, params, cfg, unit, linear=0):
             _shift(error * man, -exp) + 2,
         )
 
+    # the walk's relative cut in bits, a shift of 0 to _PREC
+    cut = min(max(ceil(-log2(cfg.tolerance)) + _CUT_GUARD_BITS, 0), _PREC)
     total, size, fixed = node(0, 0)
     points = 2
     ends = []
@@ -373,7 +391,7 @@ def _integrate_levels(make_term, params, cfg, unit, linear=0):
             size += term_size
             fixed += term_fixed
             points += 2
-            if term_size << _PREC <= size or k * _H0 >= _T_CAP:
+            if term_size << cut <= size or k * _H0 >= _T_CAP:
                 break
         ends.append((k, term_size))
     (left, left_size), (right, right_size) = ends
@@ -394,13 +412,20 @@ def _integrate_levels(make_term, params, cfg, unit, linear=0):
             points += 2
         value = step * total
         diffs.append(abs(step * (total - 2 * previous)))
-        if diffs[-1] <= cfg.tolerance * max(1, abs(value)):
+        if diffs[-1] + truncation <= cfg.tolerance * max(1, abs(value)):
             rounding = abs(step) * (mp.ldexp(points * size, -_PREC) + fixed)
             return value, diffs, points, diffs[-1] + truncation + rounding
     raise QuadratureConvergenceError(
         f"no convergence to {cfg.tolerance} within {cfg.refinement_levels} refinements "
-        f"(last difference {mp.nstr(diffs[-1], 5)})"
+        f"(last difference {mp.nstr(diffs[-1], 5)}, truncation {mp.nstr(truncation, 5)})"
     )
+
+
+def _normalised(params: Params, value, diffs, points, estimate) -> QuadResult:
+    """The result of `_integrate_levels` divided by the zeroth moment, differences included."""
+    moment = _zeroth_moment(params)
+    scale = abs(moment)
+    return QuadResult(value / moment, estimate / scale, points, tuple(d / scale for d in diffs))
 
 
 def classical_quad(n: int, m: int, params: Params, cfg: QuadConfig | None = None) -> QuadResult:
@@ -415,14 +440,15 @@ def classical_quad(n: int, m: int, params: Params, cfg: QuadConfig | None = None
     with mp.workprec(_PREC):
         p, q = hr_poly(n, params), hr_partner(m, params)
         whole, _ = _split_turn(params)
-        num, diffs, pts, err = _integrate_levels(
-            _product_kernel(p, q, whole),
+        return _normalised(
             params,
-            cfg,
-            Fraction((-1) ** (whole % 2), p.denominator * q.denominator),
+            *_integrate_levels(
+                _product_kernel(p, q, whole),
+                params,
+                cfg,
+                Fraction((-1) ** (whole % 2), p.denominator * q.denominator),
+            ),
         )
-        den = _zeroth_moment(params)
-        return QuadResult(num / den, err / abs(den), pts, tuple(diffs))
 
 
 def _order_at_one(poly: Poly) -> int:
@@ -475,8 +501,9 @@ def exceptional_quad(
         unit = -linear * (-1) ** (whole % 2) * factor.constant_ratio * Fraction(
             base.denominator**2, p.denominator * q.denominator
         )
-        num, diffs, pts, err = _integrate_levels(
-            _ratio_kernel(p, q, base, factor.monomial_power + whole), params, cfg, unit, linear
+        return _normalised(
+            params,
+            *_integrate_levels(
+                _ratio_kernel(p, q, base, factor.monomial_power + whole), params, cfg, unit, linear
+            ),
         )
-        den = _zeroth_moment(params)
-        return QuadResult(num / den, err / abs(den), pts, tuple(diffs))

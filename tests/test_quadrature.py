@@ -27,26 +27,26 @@ CFG = QuadConfig(tolerance=1e-9, refinement_levels=7)
 
 # digest of `pinned_integrals()` on the integer kernel; a change to the
 # rule's arithmetic changes it
-PINNED_SHA256 = "5401521a572a86948c5fcfa072a0ba5038c66b6a45045f7376d416c7551d70f2"
-# (num_points_used, len(estimates)) of each pinned integral, as the rule
-# evaluated them on mpc values before the integer kernel: the kernel's unit
-# keeps every level difference and tolerance test on the same scale
+PINNED_SHA256 = "3fd43f1cec99203db804eb7b3c76cd5138a1463adcdd61061d2b0a9f1d4b205f"
+# (num_points_used, len(estimates)) of each pinned integral with the level-0
+# walk cut 10 bits below the tolerance; a walk cut at the working precision
+# has the same level counts and 9678 points in all, against 6846 here
 PINNED_WORK = (
-    [(242, 3)] * 9
-    + [(162, 2), (162, 2), (322, 3), (162, 2), (162, 2), (322, 3), (322, 3), (322, 3), (322, 3)]
-    + [(482, 4), (258, 3), (514, 4), (514, 4), (258, 3), (482, 4), (482, 4), (482, 4)]
-    + [(482, 4), (258, 3), (514, 4), (258, 3), (258, 3)]
+    [(162, 3)] * 9
+    + [(122, 2), (122, 2), (242, 3), (122, 2), (122, 2), (242, 3), (242, 3), (242, 3), (242, 3)]
+    + [(354, 4), (178, 3), (386, 4), (354, 4), (178, 3), (354, 4), (354, 4), (322, 4)]
+    + [(322, 4), (178, 3), (354, 4), (178, 3), (178, 3)]
 )
 
 # mp.nstr(value, 40) and mp.nstr(error_estimate, 10) of three integrals at
-# POSITIVE, as the rule computed them with one exp and one cos_sin per node
-# and integral: a classical integral (linear power 0) and exceptional ones
-# with linear power +1 (type 1) and -1 (type 2); the weight-factor tables
-# must not move a bit
+# POSITIVE: a classical integral (linear power 0) and exceptional ones with
+# linear power +1 (type 1) and -1 (type 2); the weight-factor tables must not
+# move a bit.  The walk's cut at the tolerance leaves the values about 1e-14
+# off, inside their estimates
 PINNED_VALUES = {
-    "classical n=m=2": ("0.6000000000000000000000000000000000048295", "1.672534768e-14"),
-    "type 1 n=m=2": ("-2.100000000000000000000000000000000249541", "1.215204832e-16"),
-    "type 2 n=m=1": ("-4.37500000000000000000059899800139333134", "1.37172096e-9"),
+    "classical n=m=2": ("0.5999999999999937928586642336115213230556", "3.380814676e-13"),
+    "type 1 n=m=2": ("-2.100000000000000000000050635345000468257", "1.215555389e-16"),
+    "type 2 n=m=1": ("-4.374999999999941026724141562686883774069", "1.374675904e-9"),
 }
 
 
@@ -172,6 +172,19 @@ class TestClassical:
         res = classical_quad(2, 2, POSITIVE, CFG)
         assert res.num_points_used == 2 * calls[-1]
 
+    def test_walk_follows_the_tolerance(self, monkeypatch):
+        # the level-0 walk stops 10 bits below the tolerance, so a looser
+        # tolerance walks no further, and both stop short of a walk cut at
+        # the working precision, which needs no more levels
+        loose, tight = (
+            classical_quad(1, 1, POSITIVE, QuadConfig(tolerance=tol, refinement_levels=7))
+            for tol in (1e-7, 1e-9)
+        )
+        monkeypatch.setattr(quadrature, "_CUT_GUARD_BITS", quadrature._PREC)
+        full = classical_quad(1, 1, POSITIVE, QuadConfig(tolerance=1e-9, refinement_levels=7))
+        assert loose.num_points_used <= tight.num_points_used < full.num_points_used
+        assert len(tight.estimates) == len(full.estimates)
+
     def test_positivity_required(self):
         with pytest.raises(ValueError, match="positivity"):
             classical_quad(0, 0, Params(-2, 1), CFG)
@@ -212,11 +225,12 @@ class TestClassical:
 
     def test_truncation_enters_the_estimate(self):
         # the exponent at z = 1 is -0.999, so the level-0 walk towards it
-        # stops at the cap _T_CAP with a large outermost term; the value is
-        # about 0.0086 off, and the last level difference alone would
-        # estimate about 0.0006 of it
+        # stops at the cap _T_CAP with a large outermost term, about 0.02 of
+        # the value; the level differences alone fall below 1e-3 of it
         near_pole = Params(Fraction(-1, 2), Fraction(-499, 1000))
-        res = classical_quad(0, 0, near_pole, QuadConfig(tolerance=1e-3, refinement_levels=7))
+        with pytest.raises(QuadratureConvergenceError, match=r"last difference .*, truncation "):
+            classical_quad(0, 0, near_pole, QuadConfig(tolerance=1e-3, refinement_levels=7))
+        res = classical_quad(0, 0, near_pole, QuadConfig(tolerance=0.05, refinement_levels=7))
         with mp.workprec(128):
             assert abs(res.value - 1) <= res.error_estimate
 
@@ -358,39 +372,57 @@ class TestExceptional:
 
 
 # (params, j0 or None for a classical integral, n, m, the weight's whole
-# turns q, num_points_used): the work counts are those the rule had while the
-# phase carried the whole turns, so moving them into the integrand changes no
-# level and no node
+# turns q, num_points_used of a walk cut at the working precision, and of the
+# walk cut 10 bits below the tolerance): the first count is the one the rule
+# had while the phase carried the whole turns, so moving them into the
+# integrand changes no level and no node
 WHOLE_TURN_CASES = [
-    (Params(3, Fraction(1, 2)), None, 2, 2, 1, 242),
-    (Params(3, Fraction(1, 2)), 1, 2, 2, 1, 226),
-    (Params(Fraction(1, 2), 4), None, 2, 2, -2, 450),
-    (Params(Fraction(1, 2), 4), None, 2, 1, -2, 226),
-    (Params(Fraction(1, 2), 4), 1, 2, 2, -2, 226),
-    (Params(Fraction(1, 2), 4), 2, 1, 1, -3, 242),
-    (Params(Fraction(1, 2), Fraction(11, 2)), 2, 1, 1, -3, 226),
-    (Params(Fraction(1, 2), Fraction(11, 2)), 2, 1, 0, -3, 226),
+    (Params(3, Fraction(1, 2)), None, 2, 2, 1, 242, 162),
+    (Params(3, Fraction(1, 2)), 1, 2, 2, 1, 226, 146),
+    (Params(Fraction(1, 2), 4), None, 2, 2, -2, 450, 290),
+    (Params(Fraction(1, 2), 4), None, 2, 1, -2, 226, 146),
+    (Params(Fraction(1, 2), 4), 1, 2, 2, -2, 226, 146),
+    (Params(Fraction(1, 2), 4), 2, 1, 1, -3, 242, 162),
+    (Params(Fraction(1, 2), Fraction(11, 2)), 2, 1, 1, -3, 226, 146),
+    (Params(Fraction(1, 2), Fraction(11, 2)), 2, 1, 0, -3, 226, 146),
+]
+# a case is named by its inputs and the full walk's count, which the node rule
+# fixes; the tolerance walk's count moves with the cut and stays out of the id
+WHOLE_TURN_IDS = [
+    f"params{k}-{j0}-{n}-{m}-{whole}-{full}"
+    for k, (_, j0, n, m, whole, full, _) in enumerate(WHOLE_TURN_CASES)
 ]
 
 
 class TestWholeTurns:
     """The weight's whole turns (-z)^q are in the integrand, for q of either sign."""
 
-    @pytest.mark.parametrize("params, j0, n, m, whole, points", WHOLE_TURN_CASES)
-    def test_value_within_estimate(self, params, j0, n, m, whole, points):
+    @pytest.mark.parametrize(
+        "params, j0, n, m, whole, full_points, points", WHOLE_TURN_CASES, ids=WHOLE_TURN_IDS
+    )
+    def test_value_within_estimate(
+        self, monkeypatch, params, j0, n, m, whole, full_points, points
+    ):
+        def integral():
+            if j0 is None:
+                return classical_quad(n, m, params, CFG)
+            return exceptional_quad(XIndex(j0, 1, n), XIndex(j0, 1, m), params, CFG)
+
         if j0 is None:
             linear = 0
-            res = classical_quad(n, m, params, CFG)
             exact = norm_ratio(n, params) if n == m else Fraction(0)
         else:
             linear = quadrature.x_weight_factor(j0, 1, params).linear_power
-            idx_n, idx_m = XIndex(j0, 1, n), XIndex(j0, 1, m)
-            res = exceptional_quad(idx_n, idx_m, params, CFG)
-            exact = x_norm_ratio(idx_n, params) if n == m else Fraction(0)
+            exact = x_norm_ratio(XIndex(j0, 1, n), params) if n == m else Fraction(0)
         assert quadrature._split_turn(params, linear)[0] == whole
+        res = integral()
         assert res.num_points_used == points
         with mp.workprec(128):
             assert abs(res.value - as_mpf(exact)) <= res.error_estimate
+        monkeypatch.setattr(quadrature, "_CUT_GUARD_BITS", quadrature._PREC)
+        full = integral()
+        assert full.num_points_used == full_points
+        assert len(full.estimates) == len(res.estimates)
 
     def test_negative_total_power_shifts_the_partner(self):
         # type 2, l0 = 1 at (1/2, 11/2): the turn -3 is whole, and with the
