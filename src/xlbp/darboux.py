@@ -51,6 +51,8 @@ class Seed:
     `p_poly` is P_l0 at (alpha, beta) for type 1 and at (-beta, -alpha) for
     type 2; types 3 and 4 store the reversal z^l0 P_l0(1/z) of the type-1
     and type-2 polynomial, a true polynomial of degree at most l0.
+    `darboux_pair` is (Q p, -Q p' - P p), with p = `p_poly` shifted down by l0
+    for types 3 and 4: `psi_hat` is A P_n' + B P_n, `backward_apply` divides by A.
     """
 
     j0: SeedType
@@ -58,12 +60,7 @@ class Seed:
     p_poly: Poly
     P_factor: Poly
     Q_factor: Poly
-
-    def p_laurent(self) -> Poly:
-        """The seed polynomial part as it enters the operator calculus."""
-        if self.j0 in (SeedType.T3, SeedType.T4):
-            return self.p_poly.shifted(-self.l0)
-        return self.p_poly
+    darboux_pair: tuple
 
 
 def seed_theta(j0: SeedType, l0: int, params: Params) -> Fraction:
@@ -72,11 +69,11 @@ def seed_theta(j0: SeedType, l0: int, params: Params) -> Fraction:
     Defined for every parameter pair, unlike the seed polynomial itself.
     """
     j0 = SeedType(j0)
-    if j0 is SeedType.T1:
+    if j0 == SeedType.T1:
         return Fraction(l0)
-    if j0 is SeedType.T4:
+    if j0 == SeedType.T4:
         return Fraction(-l0 - 1)
-    if j0 is SeedType.T2:
+    if j0 == SeedType.T2:
         return l0 - params.alpha - params.beta
     return -l0 - 1 - params.alpha - params.beta
 
@@ -89,25 +86,27 @@ def make_seed(j0: SeedType, l0: int, params: Params) -> Seed:
     j0 = SeedType(j0)
     if l0 < 1:
         raise ValueError("l0 must be a positive integer")
-    p = hr_poly(l0, params if j0 in (SeedType.T1, SeedType.T3) else params.negated())
+    laurent = p = hr_poly(l0, params if j0 in (SeedType.T1, SeedType.T3) else params.negated())
     if j0 in (SeedType.T3, SeedType.T4):
         p = p.reversed(l0)
+        laurent = p.shifted(-l0)
     a, b = params.alpha, params.beta
-    if j0 is SeedType.T1:
+    if j0 == SeedType.T1:
         p_factor, q_factor = Poly.zero(), Poly.one()
-    elif j0 is SeedType.T2:
+    elif j0 == SeedType.T2:
         p_factor, q_factor = Poly((a + b,)), Poly((1, -1))
-    elif j0 is SeedType.T3:
+    elif j0 == SeedType.T3:
         p_factor, q_factor = Poly((1 + a,)), Poly((0, -1))
     else:
         p_factor, q_factor = Poly((-1 + b, 1 + a)), Poly((0, 1, -1))
-    return Seed(j0, l0, p, p_factor, q_factor)
+    pair = (q_factor * laurent, -q_factor * laurent.derivative() - p_factor * laurent)
+    return Seed(j0, l0, p, p_factor, q_factor, pair)
 
 
 # the darboux, xhr and recurrence suites of one pair ask for the same members
 @lru_cache(maxsize=256)
 def psi_hat(j0: SeedType, l0: int, n: int, params: Params) -> Poly:
-    """Transformed eigenfunction for classical index n.
+    """Transformed eigenfunction A P_n' + B P_n, (A, B) the seed's `darboux_pair`.
 
     For types 1 and 2 this is the exceptional polynomial itself; for types 3
     and 4 the exceptional polynomial is z^l0 times this value (which has a
@@ -119,12 +118,11 @@ def psi_hat(j0: SeedType, l0: int, n: int, params: Params) -> Poly:
     if n < 0:
         raise ValueError("n must be nonnegative")
     seed = make_seed(j0, l0, params)
-    p = seed.p_laurent()
     p_n = hr_poly(n, params)
-    core = p * p_n.derivative() - p.derivative() * p_n
-    out = seed.Q_factor * core - seed.P_factor * p * p_n
-    if out.is_zero and not (seed.j0 is SeedType.T1 and n == l0):
-        if seed.j0 is SeedType.T2 and l0 - n - params.alpha - params.beta == 0:
+    left, right = seed.darboux_pair
+    out = left * p_n.derivative() + right * p_n
+    if out.is_zero and not (seed.j0 == SeedType.T1 and n == l0):
+        if seed.j0 == SeedType.T2 and l0 - n - params.alpha - params.beta == 0:
             raise ParameterPoleError(
                 f"l0-n-alpha-beta = 0 at l0={l0}, n={n}: the type-2 member vanishes"
             )
@@ -135,26 +133,20 @@ def psi_hat(j0: SeedType, l0: int, n: int, params: Params) -> Poly:
 def _first_order_coefficient(j0: SeedType, l0: int, params: Params) -> Poly:
     """The linear multiplier of p in the backward operator's numerator."""
     a, b = params.alpha, params.beta
-    if j0 is SeedType.T1:
+    if j0 == SeedType.T1:
         return Poly((1 - b - l0, l0 - a - 2))
-    if j0 is SeedType.T2:
+    if j0 == SeedType.T2:
         return Poly((1 + a - l0, l0 - a - 1))
-    if j0 is SeedType.T3:
+    if j0 == SeedType.T3:
         return Poly((l0, -(l0 + a + b + 1)))
     return Poly((l0, -l0))
-
-
-def _divisor(seed: Seed) -> Poly:
-    # Q_factor * p for every type; for type 3 this is -z * p, where the sign
-    # matters for the image to land on xi_n * P_n(.; alpha+1, beta-1).
-    return seed.Q_factor * seed.p_laurent()
 
 
 def backward_apply(j0: SeedType, l0: int, p: Poly, params: Params) -> tuple:
     """Apply the backward operator to a (Laurent) polynomial: (image, remainder).
 
     Forms z(1-z) p' + (type-specific linear) p and divides it by the
-    type-specific left factor, returning `divmod`'s quotient and remainder.
+    A of the seed's `darboux_pair`, returning `divmod`'s quotient and remainder.
     The input is in the transformed family's span exactly when the remainder
     is zero; a nonzero remainder is returned as the witness rather than
     raised.
@@ -162,10 +154,12 @@ def backward_apply(j0: SeedType, l0: int, p: Poly, params: Params) -> tuple:
     j0 = SeedType(j0)
     if p.is_zero:
         raise ValueError("backward operator input must be nonzero")
-    seed = make_seed(j0, l0, params)
+    # the pair's A = Q p; for type 3 this is -z p, where the sign matters
+    # for the image to land on xi_n * P_n(.; alpha+1, beta-1)
+    divisor = make_seed(j0, l0, params).darboux_pair[0]
     a1 = Poly((0, 1, -1))  # z(1-z)
     numerator = a1 * p.derivative() + _first_order_coefficient(j0, l0, params) * p
-    return divmod(numerator, _divisor(seed))
+    return divmod(numerator, divisor)
 
 
 def xi(j0: SeedType, l0: int, n: int, params: Params) -> Fraction:

@@ -146,14 +146,14 @@ def _require_nonzero(value: Fraction, factor: str) -> Fraction:
 
 # Every cache in the package is bounded so that a long-lived process stops
 # growing.  One full run of each workload in bench/ (seeds 1-5, quad-circle
-# 1-3) left at most these entries with the bounds lifted: hr_poly 6165
-# (verify-small; certify-sweep 1573, of which about 340 are the window
+# 1-3) left at most these entries with the bounds lifted: hr_poly 6068
+# (verify-small; certify-sweep 1158, of which about 410 are the window
 # members P_j(alpha+1, beta-1) of certify's residual; integer beta is not a
-# pole of P_n, so those members are cached there too), ttrr_b 3635, ttrr_d 444,
+# pole of P_n, so those members are cached there too), ttrr_b 3621, ttrr_d 429,
 # _shifted_params 492, _swapped_params 289, _generating_terms
-# 2145 (certify-sweep), recurrence._c_vector 1900, _twisted_c_row 1732,
-# _twisted_e_row 1188, xhr.x_poly 2946, darboux.psi_hat 2358,
-# darboux.make_seed 262, recurrence.q_poly 262, moments 297,
+# 2145 (certify-sweep), recurrence._c_vector 1914, _twisted_c_row 1732,
+# _twisted_e_row 1188, xhr.x_poly 2946, darboux.psi_hat 2310,
+# darboux.make_seed 264, xhr._member_pair 262, recurrence.q_poly 264, moments 297,
 # cli.build_parser 1, and quadrature._node_geometry 113, _node_modulus 558
 # and _node_phase 1051 (quad-circle, 938 at seeds 1-2, and 857 to 1131 over
 # seeds 11-20, where seed 14 also reached 193 geometries and 638 moduli;
@@ -161,12 +161,13 @@ def _require_nonzero(value: Fraction, factor: str) -> Fraction:
 # node geometries, 363 and 251 moduli, and 282 and 170 phases).
 # The polynomial, ttrr_d, related-pair, generating-term, c-vector and
 # quadrature bounds are at least twice that and the twist-row bounds above it,
-# so those runs never evict them.  The seed, member, left-factor and moment
-# bounds hold the working set of a few parameter pairs (one verify-small pair
-# uses 8 seeds, 90 members, 72 psi_hat values, 8 left factors and 9 moment
-# tables, and certify-sweep never reads a psi_hat value twice): a run that
-# moves on to a new pair never reads the old entries again, and on those runs
-# the smaller bounds lost no cache hit while keeping peak RSS lower.  ttrr_b
+# so those runs never evict them.  The seed, member-pair, member, left-factor
+# and moment bounds hold the working set of a few parameter pairs (one
+# verify-small pair uses 8 seeds, 8 member pairs, 90 members, 72 psi_hat
+# values, 8 left factors and 9 moment tables, and certify-sweep never reads a
+# psi_hat value twice): a run that moves on to a new pair never reads the old
+# entries again, and on those runs the smaller bounds lost no cache hit while
+# keeping peak RSS lower.  ttrr_b
 # holds about 110 entries per verify-small pair; a bound that never evicts it
 # made peak RSS 0.4 MB higher and saved 92 misses in about 21,800 reads over
 # verify-small seeds 1-2 (integer shifts of two pairs can meet).

@@ -94,7 +94,7 @@ def _block_rows(l0: int) -> int:
 
 
 # bounded like the polynomial caches in hr_classical: one full run of any
-# workload in bench/ leaves at most 1900 entries.  An entry is the image and
+# workload in bench/ leaves at most 1914 entries.  An entry is the image and
 # l0+3 expansion rows, so its size grows with m only through the image
 @lru_cache(maxsize=4096)
 def _c_vector(j0: SeedType, l0: int, m: int, params: Params) -> tuple:

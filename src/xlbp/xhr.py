@@ -7,17 +7,18 @@ graded bases of all polynomials, which is what makes their recurrence
 relations nontrivial.
 
 `XIndex.is_admissible` decides which members exist, and `x_poly` builds
-every one of them.  Constructors use the compact product forms; the Darboux
-route in `darboux` provides an independent construction that the test suite
-cross-checks term by term.  Type 4 also has the added state n = -l0-1, the
-constant member of degree 0 that closes its recurrences over the full
-window.  It has no compact form, so `x_poly` returns it directly; it has no
-Darboux route or exact norm yet, so `darboux_route_poly` and `x_norm_ratio`
-refuse it.
+every one of them as X_n = A P_n' + B P_n, from one classical polynomial and
+the compact pair (A, B) of `_member_pair`, which does not depend on n.  The
+seed's Darboux pair in `darboux` gives the same members up to a sign and z^l0
+(`darboux_route_poly`), and the test suite cross-checks the two pairs.  Type 4
+also has the added state n = -l0-1, the constant member of degree 0 that
+closes its recurrences over the full window.  It has no pair form, so
+`x_poly` returns it directly; it has no Darboux route or exact norm yet, so
+`darboux_route_poly` and `x_norm_ratio` refuse it.
 
 The family's weight is the classical weight times kappa * z^m * (z-1)^(+-1)
 / eta^2, with eta the seed polynomial of `make_seed` (`x_weight_factor`).
-The same kappa is the prefactor of the type-3 and type-4 compact forms.
+The same kappa is the prefactor of the type-3 and type-4 compact pairs.
 """
 
 from __future__ import annotations
@@ -78,9 +79,9 @@ class XIndex:
         admit all n >= 0; type 4 additionally admits the added state n = -l0-1,
         the constant member.  `x_poly` builds every admissible index.
         """
-        if self.j0 is SeedType.T1:
+        if self.j0 == SeedType.T1:
             return self.n >= 0 and self.n != self.l0
-        if self.j0 is SeedType.T4:
+        if self.j0 == SeedType.T4:
             return self.n >= 0 or self.n == -self.l0 - 1
         return self.n >= 0
 
@@ -97,43 +98,44 @@ class XIndex:
         return (
             self.n
             + self.l0
-            - (1 if self.j0 is SeedType.T1 else 0)
-            + (1 if self.j0 is SeedType.T4 else 0)
+            - (1 if self.j0 == SeedType.T1 else 0)
+            + (1 if self.j0 == SeedType.T4 else 0)
         )
 
 
-def _compact_form(j0: SeedType, l0: int, n: int, params: Params) -> Poly:
-    """Compact product form; may legitimately evaluate to zero at n = l0, type 1."""
+# keyed and bounded like make_seed; the counts are in hr_classical's cache comment
+@lru_cache(maxsize=256)
+def _member_pair(j0: SeedType, l0: int, params: Params) -> tuple:
+    """The n-free pair (A, B) of the compact form X_n = A * P_n' + B * P_n.
+
+    Type 1 is (P_l0, -P_l0'), the seed's own Darboux pair.  Types 2-4 are
+    built from classical polynomials at derived pairs and the prefactor
+    `_kappa`, independently of the seed data of `make_seed`.
+    """
     a, b = params.alpha, params.beta
-    p_n = hr_poly(n, params)
-    p_n1 = hr_poly(n - 1, params.shifted(1, 0)) if n >= 1 else Poly.zero()
-    if j0 is SeedType.T1:
-        return n * hr_poly(l0, params) * p_n1 - l0 * hr_poly(l0 - 1, params.shifted(1, 0)) * p_n
-    if j0 is SeedType.T2:
-        return Poly((1, -1)) * (n * hr_poly(l0, params.negated()) * p_n1) + (
-            l0 - a - b
-        ) * hr_poly(l0, Params(-b, -a - 1)) * p_n
+    if j0 == SeedType.T1:
+        p_l0 = hr_poly(l0, params)
+        return p_l0, -p_l0.derivative()
+    if j0 == SeedType.T2:
+        left = Poly((1, -1)) * hr_poly(l0, params.negated())
+        return left, (l0 - a - b) * hr_poly(l0, Params(-b, -a - 1))
     pref = _kappa(j0, l0, params)
-    if j0 is SeedType.T3:
-        inner = Poly.x() * (n * hr_poly(l0, Params(b - 1, a + 1)) * p_n1) + (
-            a + 1
-        ) * hr_poly(l0, Params(b - 1, a + 2)) * p_n
-        return pref * inner
-    inner = Poly((0, -1, 1)) * (
-        n * hr_poly(l0, Params(-a - 1, -b + 1)) * p_n1
-    ) + (a + 1) * hr_poly(l0 + 1, Params(-a - 2, -b + 1)) * p_n
-    return pref * inner
+    if j0 == SeedType.T3:
+        left = pref * Poly.x() * hr_poly(l0, Params(b - 1, a + 1))
+        return left, pref * (a + 1) * hr_poly(l0, Params(b - 1, a + 2))
+    left = pref * Poly((0, -1, 1)) * hr_poly(l0, Params(-a - 1, -b + 1))
+    return left, pref * (a + 1) * hr_poly(l0 + 1, Params(-a - 2, -b + 1))
 
 
 # certify builds each window member once per (j0, l0, pair) through this
 # cache; consecutive n share all but one member of their windows
 @lru_cache(maxsize=256)
 def x_poly(idx: XIndex, params: Params) -> Poly:
-    """Exceptional polynomial from the compact form, with degree check.
+    """Exceptional polynomial A P_n' + B P_n from the compact pair, with degree check.
 
     A vanishing leading factor is refused by name, as a parameter pole, before
-    the compact form is built.  The added state of type 4 (n = -l0-1) has no
-    compact form: normalised by z^l0 it is the constant
+    the member is built.  The added state of type 4 (n = -l0-1) has no
+    pair form: normalised by z^l0 it is the constant
     compact_darboux_sign(4) = -1, of degree 0 = idx.degree.
     """
     idx.require_admissible()
@@ -145,7 +147,10 @@ def x_poly(idx: XIndex, params: Params) -> Poly:
                 f"{factor} = 0 at l0={idx.l0}, n={idx.n}: "
                 f"the leading coefficient of the type-{int(idx.j0)} member vanishes"
             )
-    poly = _compact_form(idx.j0, idx.l0, idx.n, params)
+    # P_n first: where it has a pole, its message names the member's index
+    p_n = hr_poly(idx.n, params)
+    left, right = _member_pair(idx.j0, idx.l0, params)
+    poly = left * p_n.derivative() + right * p_n
     if poly.degree != idx.degree:
         raise CertificationError(
             f"degree mismatch for {idx}: declared {idx.degree}, actual {poly.degree}",
@@ -155,18 +160,18 @@ def x_poly(idx: XIndex, params: Params) -> Poly:
 
 
 def _leading_factors(idx: XIndex, params: Params) -> tuple:
-    """Named factors whose product is the compact form's z^degree coefficient.
+    """Named factors whose product is the member's z^degree coefficient.
 
-    Every classical factor in the compact products is monic, so the leading
+    A and B are built from monic classical polynomials, so the leading
     coefficient is the prefactor times the leading terms' linear combination.
     """
     n, l0 = idx.n, idx.l0
     a, b = params.alpha, params.beta
-    if idx.j0 is SeedType.T1:
+    if idx.j0 == SeedType.T1:
         return (("n-l0", n - l0),)
-    if idx.j0 is SeedType.T2:
+    if idx.j0 == SeedType.T2:
         return (("l0-n-alpha-beta", l0 - n - a - b),)
-    if idx.j0 is SeedType.T3:
+    if idx.j0 == SeedType.T3:
         return (("(beta)_l0", pochhammer(b, l0)), ("n+alpha+1", n + a + 1))
     return (("(-alpha)_l0", pochhammer(-a, l0)), ("n+alpha+1", n + a + 1))
 
@@ -177,10 +182,10 @@ def x_partner(idx: XIndex, params: Params) -> Poly:
 
 
 def compact_darboux_sign(j0: SeedType) -> int:
-    """Sign relating the compact form to the raw transformed eigenfunction.
+    """Sign relating the compact pair to the seed's Darboux pair.
 
-    The compact products equal the transformed eigenfunction (times z^l0 for
-    types 3 and 4) up to a type-dependent sign: +1 for types 1 and 2, -1 for
+    The compact pair equals the Darboux pair (times z^l0 for types 3
+    and 4) up to a type-dependent sign: +1 for types 1 and 2, -1 for
     types 3 and 4.  The minus trace back to the -z factor in the type-3/4
     gauges; the type-4 derivative factorisation and the backward-image law
     each pin one side, which fixes the signs empirically.
@@ -191,7 +196,7 @@ def compact_darboux_sign(j0: SeedType) -> int:
 def darboux_route_poly(idx: XIndex, params: Params) -> Poly:
     """z^l0-normalised transformed eigenfunction as a true polynomial.
 
-    Independent of the compact-form constructor; equals
+    Built from the seed's Darboux pair, not the compact pair; equals
     compact_darboux_sign(j0) * x_poly(idx, params), which the tests assert.
     """
     idx.require_admissible()
@@ -259,7 +264,7 @@ def _kappa(j0: SeedType, l0: int, params: Params) -> Fraction:
     """(beta)_l0/(alpha+1)_l0 for types 1 and 3, (-alpha)_l0/(1-beta)_l0 for types 2 and 4.
 
     The weight's constant, and the prefactor of the type-3 and type-4 compact
-    forms.  A zero denominator is refused; types 3 and 4 refuse a zero
+    pairs.  A zero denominator is refused; types 3 and 4 refuse a zero
     numerator first, where their reversed seed loses its degree.
     """
     a, b = params.alpha, params.beta

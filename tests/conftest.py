@@ -62,6 +62,7 @@ PACKAGE_CACHES = (
     hr_classical._generating_terms,
     darboux.make_seed,
     darboux.psi_hat,
+    xhr._member_pair,
     xhr.x_poly,
     recurrence.q_poly,
     recurrence._c_vector,

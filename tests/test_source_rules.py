@@ -184,13 +184,57 @@ def test_exact_modules_hold_no_floating_point(name):
     assert not offending, f"{path.name}: floating point at lines {offending}"
 
 
+def _seed_type_identity_tests(tree) -> list:
+    """Lines of an `is` or `is not` comparison with a `SeedType` attribute on either side."""
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Compare):
+            continue
+        operands = [node.left, *node.comparators]
+        for op, left, right in zip(node.ops, operands, operands[1:]):
+            if isinstance(op, (ast.Is, ast.IsNot)) and any(
+                isinstance(side, ast.Attribute) and _is_name(side.value, "SeedType")
+                for side in (left, right)
+            ):
+                lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize(
+    "source, identity",
+    [
+        ("j0 is SeedType.T1", True),
+        ("j0 is not SeedType.T4", True),
+        ("SeedType.T2 is seed.j0", True),
+        ("j0 is darboux.SeedType.T3", True),
+        ("0 < j0 is SeedType.T1", True),
+        ("j0 == SeedType.T1", False),
+        ("j0 in (SeedType.T3, SeedType.T4)", False),
+        ("j0 is None", False),
+    ],
+)
+def test_seed_type_identity_rule(source, identity):
+    assert bool(_seed_type_identity_tests(ast.parse(source))) == identity
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_seed_type_is_compared_by_value(path):
+    # SeedType is an IntEnum: a plain int equals its member but is not it, so
+    # an identity test sends a plain-int j0 down another type's branch, and
+    # a cache that keys both alike keeps that branch's value for the member
+    tree = ast.parse(path.read_text(), filename=str(path))
+    offending = _seed_type_identity_tests(tree)
+    assert not offending, f"{path.name}: identity test against SeedType at lines {offending}"
+
+
 # wrappers whose fields were the caller's own arguments or functions of one
 # another, a precision knob with one value in use, a seed field no caller
 # read, routes that only the tests use (they live in tests/reference.py), and
 # checks that could not fail on their own: the darboux kernel table and the
 # identities that repeat multi-twist-p or -q at one twist level; and the
 # certify cross-route's separate stacked-sum paths, which one residual of
-# the backward images replaces
+# the backward images replaces; and the per-n compact form and backward
+# divisor, which the n-free member and Darboux pairs replace
 REMOVED_NAMES = frozenset(
     {
         "XPoly",
@@ -216,6 +260,9 @@ REMOVED_NAMES = frozenset(
         "_window_sums",
         "_below_window_vanishes",
         "inner_product",
+        "_compact_form",
+        "_divisor",
+        "p_laurent",
     }
 )
 

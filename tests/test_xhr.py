@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from xlbp.darboux import make_seed
+from xlbp import darboux
+from xlbp.darboux import SeedType, make_seed
 from xlbp.exact_core import Poly
 from xlbp import xhr
 from xlbp.hr_classical import (
@@ -25,7 +26,9 @@ from xlbp.xhr import (
     xp4_derivative_factor,
 )
 
-from conftest import PAIR_A, PAIR_B, PAIR_C, PAIR_D, pairs_for_type
+from xlbp.recurrence import q_poly
+
+from conftest import PAIR_A, PAIR_B, PAIR_C, PAIR_D, clear_package_caches, pairs_for_type
 from reference import weight_factor_by_type
 
 
@@ -82,6 +85,11 @@ class TestConstruction:
         sign = compact_darboux_sign(j0)
         for params in pairs_for_type(j0):
             for l0 in (1, 2, 3):
+                # the pairs themselves, with no n: compact = sign * z^s * Darboux
+                shift = l0 if j0 in (3, 4) else 0
+                darboux_pair = make_seed(j0, l0, params).darboux_pair
+                expected = tuple(sign * part.shifted(shift) for part in darboux_pair)
+                assert xhr._member_pair(j0, l0, params) == expected, (l0, params)
                 for n in range(0, 9):
                     idx = XIndex(j0, l0, n)
                     if not idx.is_admissible:
@@ -93,17 +101,38 @@ class TestConstruction:
     @pytest.mark.usefixtures("fresh_caches")
     def test_degree_drop_without_a_vanishing_factor_is_refused(self, monkeypatch):
         # every named leading factor is nonzero at PAIR_A, so a member of too
-        # low a degree refutes the construction rather than marking a pole
-        original = xhr._compact_form
+        # low a degree refutes the construction rather than marking a pole;
+        # a pair that lost the top terms of both A and B builds one
+        original = xhr._member_pair
 
-        def truncated(j0, l0, n, params):
-            poly = original(j0, l0, n, params)
-            return poly - Poly((poly.leading,)).shifted(poly.degree)
+        def truncated(j0, l0, params):
+            return tuple(
+                part - Poly((part.leading,)).shifted(part.degree)
+                for part in original(j0, l0, params)
+            )
 
-        monkeypatch.setattr(xhr, "_compact_form", truncated)
+        monkeypatch.setattr(xhr, "_member_pair", truncated)
         with pytest.raises(CertificationError, match="degree mismatch") as err:
             x_poly(XIndex(2, 1, 3), PAIR_A)
         assert err.value.residual.degree < 4
+
+    @pytest.mark.usefixtures("fresh_caches")
+    @pytest.mark.parametrize("j0", [1, 2, 3, 4])
+    def test_a_member_takes_one_classical_build(self, j0, monkeypatch):
+        # X_n = A P_n' + B P_n: the member needs P_n and no P_(n-1)(alpha+1,
+        # beta); at (alpha, beta) only type 1's pair reads P_l0
+        for l0 in (1, 2, 3):
+            calls = []
+
+            def recording(n, params):
+                calls.append((n, params))
+                return hr_poly(n, params)
+
+            monkeypatch.setattr(xhr, "hr_poly", recording)
+            x_poly(XIndex(j0, l0, 40), PAIR_A)
+            assert not [n for n, params in calls if params == PAIR_A.shifted(1, 0)]
+            at_pair = sorted(n for n, params in calls if params == PAIR_A)
+            assert at_pair == ([l0, 40] if j0 == 1 else [40]), (l0, calls)
 
     def test_sign_convention(self):
         assert compact_darboux_sign(1) == 1
@@ -284,6 +313,14 @@ class TestWeightFactors:
             x_poly(XIndex(j0, l0, 0), Params(alpha, beta))
         assert str(info.value) == message
 
+    def test_a_pole_of_p_n_is_named_before_the_pair(self):
+        # x_poly builds P_n before the pair: at alpha = -2 a type-3 member
+        # with n >= 1 is refused for P_n's pole, not for kappa's, so the
+        # grid manifest's skip reasons keep naming the member's index
+        with pytest.raises(ParameterPoleError) as info:
+            x_poly(XIndex(3, 2, 3), Params(-2, Fraction(1, 3)))
+        assert str(info.value) == "n+alpha+1 at n=1 = 0"
+
     @pytest.mark.parametrize("j0, alpha, beta", [(1, Fraction(1, 2), 0), (2, 0, Fraction(1, 2))])
     def test_zero_constant_is_not_a_pole(self, j0, alpha, beta):
         # types 1 and 2 refuse only a zero denominator; a zero numerator
@@ -292,3 +329,34 @@ class TestWeightFactors:
         factor = x_weight_factor(j0, 1, params)
         assert factor.constant_ratio == 0
         assert factor.denominator_base is make_seed(j0, 1, params).p_poly
+
+
+# every helper that branches on the seed type, called as f(j0)
+PER_TYPE_HELPERS = {
+    "seed_theta": lambda j0: darboux.seed_theta(j0, 2, PAIR_A),
+    "make_seed": lambda j0: make_seed(j0, 2, PAIR_A),
+    "psi_hat": lambda j0: darboux.psi_hat(j0, 2, 3, PAIR_A),
+    "_first_order_coefficient": lambda j0: darboux._first_order_coefficient(j0, 2, PAIR_A),
+    "backward_apply": lambda j0: darboux.backward_apply(j0, 2, Poly((1, 2, 3)), PAIR_A),
+    "xi": lambda j0: darboux.xi(j0, 2, 3, PAIR_A),
+    "_member_pair": lambda j0: xhr._member_pair(j0, 2, PAIR_A),
+    "_kappa": lambda j0: xhr._kappa(j0, 2, PAIR_A),
+    "compact_darboux_sign": compact_darboux_sign,
+    "x_weight_factor": lambda j0: x_weight_factor(j0, 2, PAIR_A),
+    "q_poly": lambda j0: q_poly(j0, 2, PAIR_A),
+}
+
+
+@pytest.mark.usefixtures("fresh_caches")
+@pytest.mark.parametrize("name", sorted(PER_TYPE_HELPERS))
+@pytest.mark.parametrize("j0", [1, 2, 3, 4])
+def test_plain_int_seed_type_matches_the_member(name, j0):
+    # a plain int hashes and compares like its SeedType member, so the two
+    # share cache entries: whichever comes first must not fill the entry
+    # with another type's value
+    helper = PER_TYPE_HELPERS[name]
+    values = []
+    for first, second in ((j0, SeedType(j0)), (SeedType(j0), j0)):
+        clear_package_caches()
+        values += [helper(first), helper(second)]
+    assert values == [values[0]] * 4
