@@ -51,16 +51,15 @@ class Seed:
     `p_poly` is P_l0 at (alpha, beta) for type 1 and at (-beta, -alpha) for
     type 2; types 3 and 4 store the reversal z^l0 P_l0(1/z) of the type-1
     and type-2 polynomial, a true polynomial of degree at most l0.
-    `darboux_pair` is (Q p, -Q p' - P p), with p = `p_poly` shifted down by l0
-    for types 3 and 4: `psi_hat` is A P_n' + B P_n, `backward_apply` divides by A.
+    `darboux_pair` is (Q p, -Q p' - P p), with P and Q the type's gauge
+    factors and p = `p_poly` shifted down by l0 for types 3 and 4:
+    `psi_hat` is A P_n' + B P_n, `backward_apply` divides by A.
     """
 
     j0: SeedType
     l0: int
     p_poly: Poly
-    P_factor: Poly
-    Q_factor: Poly
-    darboux_pair: tuple
+    darboux_pair: tuple[Poly, Poly]
 
 
 def seed_theta(j0: SeedType, l0: int, params: Params) -> Fraction:
@@ -100,7 +99,7 @@ def make_seed(j0: SeedType, l0: int, params: Params) -> Seed:
     else:
         p_factor, q_factor = Poly((-1 + b, 1 + a)), Poly((0, 1, -1))
     pair = (q_factor * laurent, -q_factor * laurent.derivative() - p_factor * laurent)
-    return Seed(j0, l0, p, p_factor, q_factor, pair)
+    return Seed(j0, l0, p, pair)
 
 
 # the darboux, xhr and recurrence suites of one pair ask for the same members

@@ -108,14 +108,14 @@ class XIndex:
 def _member_pair(j0: SeedType, l0: int, params: Params) -> tuple:
     """The n-free pair (A, B) of the compact form X_n = A * P_n' + B * P_n.
 
-    Type 1 is (P_l0, -P_l0'), the seed's own Darboux pair.  Types 2-4 are
-    built from classical polynomials at derived pairs and the prefactor
-    `_kappa`, independently of the seed data of `make_seed`.
+    Built from classical polynomials at derived pairs and the prefactor
+    `_kappa`, independently of the seed data of `make_seed`: type 1's B is
+    -l0 P_(l0-1)(alpha+1, beta), where the Darboux pair has -P_l0'.
     """
     a, b = params.alpha, params.beta
     if j0 == SeedType.T1:
         p_l0 = hr_poly(l0, params)
-        return p_l0, -p_l0.derivative()
+        return p_l0, -l0 * hr_poly(l0 - 1, params.shifted(1, 0))
     if j0 == SeedType.T2:
         left = Poly((1, -1)) * hr_poly(l0, params.negated())
         return left, (l0 - a - b) * hr_poly(l0, Params(-b, -a - 1))

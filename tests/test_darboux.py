@@ -47,7 +47,7 @@ class TestSeeds:
         a, b = PAIR_A.alpha, PAIR_A.beta
         assert seed.p_poly == Poly((b / (a + 1), 1))
         assert seed_theta(1, 1, PAIR_A) == 1
-        assert seed.P_factor.is_zero and seed.Q_factor == Poly.one()
+        assert seed.darboux_pair == (seed.p_poly, -seed.p_poly.derivative())
 
     def test_type4_theta(self):
         assert seed_theta(4, 1, PAIR_A) == -2
@@ -72,11 +72,19 @@ class TestSeeds:
                 assert make_seed(j0, l0, params).p_poly.degree == l0
 
     def test_factor_tables(self):
+        # the Darboux pair is (Q p, -Q p' - P p) with the gauge table's
+        # P and Q, p the seed polynomial in z (type 2) or 1/z (types 3, 4)
         a, b = PAIR_A.alpha, PAIR_A.beta
-        assert make_seed(2, 1, PAIR_A).P_factor == Poly((a + b,))
-        assert make_seed(3, 1, PAIR_A).Q_factor == Poly((0, -1))
-        assert make_seed(4, 1, PAIR_A).P_factor == Poly((b - 1, a + 1))
-        assert make_seed(4, 1, PAIR_A).Q_factor == Poly((0, 1, -1))
+        table = {
+            2: (Poly((a + b,)), Poly((1, -1))),
+            3: (Poly((1 + a,)), Poly((0, -1))),
+            4: (Poly((b - 1, a + 1)), Poly((0, 1, -1))),
+        }
+        for j0, (p_factor, q_factor) in table.items():
+            seed = make_seed(j0, 1, PAIR_A)
+            p = seed.p_poly if j0 == 2 else seed.p_poly.shifted(-1)
+            want = (q_factor * p, -q_factor * p.derivative() - p_factor * p)
+            assert seed.darboux_pair == want, j0
 
     @pytest.mark.parametrize("j0", [3, 4])
     def test_reversed_seed_matches_reversal_identity(self, j0):

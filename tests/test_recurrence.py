@@ -157,7 +157,10 @@ class TestQPoly:
 
 class TestPiFactor:
     def test_type1_product_is_a1(self):
-        q_factor = make_seed(1, 1, PAIR_A).Q_factor
+        # the type-1 Darboux pair's A is Q p, so Q = A / p
+        seed = make_seed(1, 1, PAIR_A)
+        q_factor, remainder = divmod(seed.darboux_pair[0], seed.p_poly)
+        assert remainder.is_zero
         assert q_factor * PI_FACTOR[1] == Poly((0, 1, -1))  # z(1-z)
 
 

@@ -233,8 +233,9 @@ def test_seed_type_is_compared_by_value(path):
 # checks that could not fail on their own: the darboux kernel table and the
 # identities that repeat multi-twist-p or -q at one twist level; and the
 # certify cross-route's separate stacked-sum paths, which one residual of
-# the backward images replaces; and the per-n compact form and backward
-# divisor, which the n-free member and Darboux pairs replace
+# the backward images replaces; and the per-n compact form, the backward
+# divisor and the seed's gauge-factor fields, which the n-free member and
+# Darboux pairs replace
 REMOVED_NAMES = frozenset(
     {
         "XPoly",
@@ -263,6 +264,8 @@ REMOVED_NAMES = frozenset(
         "_compact_form",
         "_divisor",
         "p_laurent",
+        "P_factor",
+        "Q_factor",
     }
 )
 

@@ -120,7 +120,8 @@ class TestConstruction:
     @pytest.mark.parametrize("j0", [1, 2, 3, 4])
     def test_a_member_takes_one_classical_build(self, j0, monkeypatch):
         # X_n = A P_n' + B P_n: the member needs P_n and no P_(n-1)(alpha+1,
-        # beta); at (alpha, beta) only type 1's pair reads P_l0
+        # beta); only type 1's pair reads the seed degrees, P_l0 at (alpha,
+        # beta) and P_(l0-1) at (alpha+1, beta)
         for l0 in (1, 2, 3):
             calls = []
 
@@ -130,7 +131,8 @@ class TestConstruction:
 
             monkeypatch.setattr(xhr, "hr_poly", recording)
             x_poly(XIndex(j0, l0, 40), PAIR_A)
-            assert not [n for n, params in calls if params == PAIR_A.shifted(1, 0)]
+            shifted = [n for n, params in calls if params == PAIR_A.shifted(1, 0)]
+            assert shifted == ([l0 - 1] if j0 == 1 else []), (l0, calls)
             at_pair = sorted(n for n, params in calls if params == PAIR_A)
             assert at_pair == ([l0, 40] if j0 == 1 else [40]), (l0, calls)
 
