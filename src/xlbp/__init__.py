@@ -39,7 +39,6 @@ from .xhr import (
     x_partner,
     x_poly,
     x_weight_factor,
-    xp4_derivative_factor,
 )
 from .recurrence import (
     CertificationError,

@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import __version__
-from .darboux import backward_apply, psi_hat, xi
+from .darboux import _first_order_coefficient, make_seed, seed_theta
 from .exact_core import Poly, format_rational, parse_rational
 from .hr_classical import (
     IdentityTag,
@@ -31,18 +31,18 @@ from .hr_classical import (
     hr_partner,
     hr_poly,
     norm_ratio,
+    pair_derivative,
     verify_identity,
 )
 from .recurrence import CertificationError, certify, example_oracles
 from .xhr import (
     InadmissibleIndexError,
     XIndex,
+    _member_pair,
     compact_darboux_sign,
-    darboux_route_poly,
     x_norm_ratio,
     x_partner,
     x_poly,
-    xp4_derivative_factor,
 )
 
 USAGE_ERROR = 2
@@ -170,7 +170,7 @@ def _run_checks(checks):
 
 def _witness_or_none(diff):
     """None for a holding identity; else its difference's coefficients, or its text if Laurent."""
-    if diff is None:
+    if diff is None or diff.is_zero:
         return None
     return _residual_strings(diff) or [str(diff)]
 
@@ -192,66 +192,91 @@ def _identity_checks(params, max_n):
     return checks
 
 
-def _darboux_checks(params, j0s, max_n, max_l0):
+# the laws of an n-free pair are linear in n, so n = 0 and 1 prove them for
+# every n; the record names the per-n identities that carry them to members
+_FOR_EVERY_N = {"checked_at_n": [0, 1], "relies_on": ["ode", "l2-shift"]}
+
+
+def _for_every_n(pair, params, residuals):
+    """None if residuals(n, U, V) vanish at n = 0 and 1, else {"n", "U", "V"} at the first miss."""
+    for n in _FOR_EVERY_N["checked_at_n"]:
+        du, dv = residuals(n, *pair_derivative(*pair, n, params))
+        if not (du.is_zero and dv.is_zero):
+            return {"n": n, "U": _witness_or_none(du), "V": _witness_or_none(dv)}
+    return None
+
+
+def _backward_image_law(j0, l0, params):
+    """z(1-z)F' + ell F = (n-theta) A L2 P_n for F = A P_n' + B P_n, (A, B) the Darboux pair.
+
+    By l2-shift the right side is A xi_n P_n(alpha+1, beta-1), so the backward
+    operator's division by A leaves xi_n P_n(alpha+1, beta-1) and no remainder.
+    """
+    a, b = pair = make_seed(j0, l0, params).darboux_pair
+    ell = _first_order_coefficient(j0, l0, params)
+    theta = seed_theta(j0, l0, params)
+    return _for_every_n(pair, params, lambda n, u, v: (
+        u + ell * a - (n - theta) * Poly((1, -1)) * a,
+        v + ell * b + (n - theta) * (params.alpha + 1) * a,
+    ))
+
+
+def _derivative_factor_law(l0, params):
+    """X_n' = (n+l0+1)(n+alpha+1) p P_n(alpha+1, beta-1) for type 4, p the seed's `p_poly`.
+
+    Times z(1-z) and by l2-shift, the compact pair's U is -(n+l0+1) p z(1-z)^2
+    and its V is (n+l0+1)(alpha+1) p z(1-z).
+    """
+    pz = make_seed(4, l0, params).p_poly * Poly((0, 1, -1))
+    return _for_every_n(_member_pair(4, l0, params), params, lambda n, u, v: (
+        u + (n + l0 + 1) * pz * Poly((1, -1)),
+        v - (n + l0 + 1) * (params.alpha + 1) * pz,
+    ))
+
+
+def _construction_law(j0, l0, params):
+    """None when the compact pair is sign * z^shift times the Darboux pair, else {"A", "B"}."""
+    sign, shift = compact_darboux_sign(j0), (l0 if j0 in (3, 4) else 0)
+    darboux_pair = make_seed(j0, l0, params).darboux_pair
+    witness = {
+        name: _witness_or_none(part - sign * other.shifted(shift))
+        for name, part, other in zip("AB", _member_pair(j0, l0, params), darboux_pair)
+    }
+    return witness if any(witness.values()) else None
+
+
+def _darboux_checks(params, j0s, max_l0):
+    return [
+        (
+            f"darboux/backward-image/j0={j0}/l0={l0}",
+            {"j0": j0, "l0": l0, **_FOR_EVERY_N},
+            lambda j0=j0, l0=l0: _backward_image_law(j0, l0, params),
+        )
+        for j0 in j0s
+        for l0 in range(1, max_l0 + 1)
+    ]
+
+
+def _xhr_checks(params, j0s, max_l0):
     checks = []
-    shifted = params.shifted(1, -1)
     for j0 in j0s:
-        for l0 in range(1, max_l0 + 1):
-            for n in range(max_n + 1):
-                if not XIndex(j0, l0, n).is_admissible:
-                    continue
-
-                def image_law(j0=j0, l0=l0, n=n):
-                    image, remainder = backward_apply(j0, l0, psi_hat(j0, l0, n, params), params)
-                    if not remainder.is_zero:
-                        return _witness_or_none(remainder)
-                    diff = image - xi(j0, l0, n, params) * hr_poly(n, shifted)
-                    return None if diff.is_zero else _witness_or_none(diff)
-
-                checks.append(
-                    (
-                        f"darboux/backward-image/j0={j0}/l0={l0}/n={n}",
-                        {"j0": j0, "l0": l0, "n": n},
-                        image_law,
-                    )
-                )
-    return checks
-
-
-def _xhr_checks(params, j0s, max_n, max_l0):
-    checks = []
-    for j0 in j0s:
-        for l0 in range(1, max_l0 + 1):
-            for n in range(max_n + 1):
-                idx = XIndex(j0, l0, n)
-                if not idx.is_admissible:
-                    continue
-
-                def construction(idx=idx, j0=j0):
-                    poly = x_poly(idx, params)
-                    other = compact_darboux_sign(j0) * darboux_route_poly(idx, params)
-                    diff = poly - other
-                    return None if diff.is_zero else _poly_strings(diff)
-
-                checks.append(
-                    (
-                        f"xhr/construction/j0={j0}/l0={l0}/n={n}",
-                        {"j0": j0, "l0": l0, "n": n},
-                        construction,
-                    )
-                )
+        checks += [
+            (
+                f"xhr/construction/j0={j0}/l0={l0}",
+                {"j0": j0, "l0": l0, "relies_on": []},
+                lambda j0=j0, l0=l0: _construction_law(j0, l0, params),
+            )
+            for l0 in range(1, max_l0 + 1)
+        ]
         if j0 == 4:
-            for l0 in range(1, max_l0 + 1):
-                for n in range(max_n + 1):
-                    checks.append(
-                        (
-                            f"xhr/derivative-factor/l0={l0}/n={n}",
-                            {"j0": 4, "l0": l0, "n": n},
-                            lambda l0=l0, n=n: _witness_or_none(
-                                xp4_derivative_factor(l0, n, params)
-                            ),
-                        )
-                    )
+            checks += [
+                (
+                    f"xhr/derivative-factor/l0={l0}",
+                    {"j0": 4, "l0": l0, **_FOR_EVERY_N},
+                    lambda l0=l0: _derivative_factor_law(l0, params),
+                )
+                for l0 in range(1, max_l0 + 1)
+            ]
     return checks
 
 
@@ -417,9 +442,9 @@ def cmd_verify(args) -> int:
         if suite == "identities":
             checks += _identity_checks(params, args.max_n)
         elif suite == "darboux":
-            checks += _darboux_checks(params, j0s, args.max_n, args.max_l0)
+            checks += _darboux_checks(params, j0s, args.max_l0)
         elif suite == "xhr":
-            checks += _xhr_checks(params, j0s, args.max_n, args.max_l0)
+            checks += _xhr_checks(params, j0s, args.max_l0)
         elif suite == "recurrence":
             checks += _recurrence_checks(params, j0s, args.max_n, args.max_l0)
         elif suite == "quadrature":

@@ -77,8 +77,8 @@ def seed_theta(j0: SeedType, l0: int, params: Params) -> Fraction:
     return -l0 - 1 - params.alpha - params.beta
 
 
-# psi_hat, backward_apply and xp4_derivative_factor ask for the same few
-# seeds over and over within one parameter pair
+# psi_hat, backward_apply and the darboux and xhr records ask for the same
+# few seeds over and over within one parameter pair
 @lru_cache(maxsize=256)
 def make_seed(j0: SeedType, l0: int, params: Params) -> Seed:
     """Construct the seed table entry for (j0, l0) at the given parameters."""
@@ -102,8 +102,6 @@ def make_seed(j0: SeedType, l0: int, params: Params) -> Seed:
     return Seed(j0, l0, p, pair)
 
 
-# the darboux, xhr and recurrence suites of one pair ask for the same members
-@lru_cache(maxsize=256)
 def psi_hat(j0: SeedType, l0: int, n: int, params: Params) -> Poly:
     """Transformed eigenfunction A P_n' + B P_n, (A, B) the seed's `darboux_pair`.
 

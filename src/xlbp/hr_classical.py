@@ -44,6 +44,7 @@ __all__ = [
     "expand_in_hr_basis",
     "apply_l1",
     "apply_l2",
+    "pair_derivative",
     "IdentityTag",
     "verify_identity",
 ]
@@ -152,8 +153,8 @@ def _require_nonzero(value: Fraction, factor: str) -> Fraction:
 # pole of P_n, so those members are cached there too), ttrr_b 3621, ttrr_d 429,
 # _shifted_params 492, _swapped_params 289, _generating_terms
 # 2145 (certify-sweep), recurrence._c_vector 1914, _twisted_c_row 1732,
-# _twisted_e_row 1188, xhr.x_poly 2946, darboux.psi_hat 2310,
-# darboux.make_seed 264, xhr._member_pair 262, recurrence.q_poly 264, moments 297,
+# _twisted_e_row 1188, xhr.x_poly 2554, darboux.make_seed 264,
+# xhr._member_pair 262, recurrence.q_poly 264, moments 297,
 # cli.build_parser 1, and quadrature._node_geometry 113, _node_modulus 558
 # and _node_phase 1051 (quad-circle, 938 at seeds 1-2, and 857 to 1131 over
 # seeds 11-20, where seed 14 also reached 193 geometries and 638 moduli;
@@ -163,9 +164,8 @@ def _require_nonzero(value: Fraction, factor: str) -> Fraction:
 # quadrature bounds are at least twice that and the twist-row bounds above it,
 # so those runs never evict them.  The seed, member-pair, member, left-factor
 # and moment bounds hold the working set of a few parameter pairs (one
-# verify-small pair uses 8 seeds, 8 member pairs, 90 members, 72 psi_hat
-# values, 8 left factors and 9 moment tables, and certify-sweep never reads a
-# psi_hat value twice): a run that moves on to a new pair never reads the old
+# verify-small pair uses 8 seeds, 8 member pairs, 78 members, 8 left factors
+# and 9 moment tables): a run that moves on to a new pair never reads the old
 # entries again, and on those runs the smaller bounds lost no cache hit while
 # keeping peak RSS lower.  ttrr_b
 # holds about 110 entries per verify-small pair; a bound that never evicts it
@@ -492,6 +492,18 @@ def apply_l1(p: Poly, params: Params) -> Poly:
 def apply_l2(p: Poly, params: Params) -> Poly:
     """(1-z) p' - (alpha+1) p."""
     return Poly((1, -1)) * p.derivative() - (params.alpha + 1) * p
+
+
+def pair_derivative(a: Poly, b: Poly, n, params: Params) -> tuple:
+    """(U, V) with z(1-z)(A P_n' + B P_n)' = U P_n' + V P_n, by the ODE.
+
+    The ODE z(1-z) P_n'' = (n(1-z) - B1) P_n' - n(alpha+1) P_n removes P_n'':
+    U = z(1-z)(A' + B) + A (n(1-z) - B1) and V = z(1-z) B' - n(alpha+1) A,
+    both linear in n when A and B do not depend on n.
+    """
+    z1z = Poly((0, 1, -1))
+    u = z1z * (a.derivative() + b) + a * (Poly((n, -n)) - _pearson_b1(params))
+    return u, z1z * b.derivative() - n * (params.alpha + 1) * a
 
 
 # ---------------------------------------------------------------------------

@@ -9,12 +9,12 @@ relations nontrivial.
 `XIndex.is_admissible` decides which members exist, and `x_poly` builds
 every one of them as X_n = A P_n' + B P_n, from one classical polynomial and
 the compact pair (A, B) of `_member_pair`, which does not depend on n.  The
-seed's Darboux pair in `darboux` gives the same members up to a sign and z^l0
-(`darboux_route_poly`), and the test suite cross-checks the two pairs.  Type 4
-also has the added state n = -l0-1, the constant member of degree 0 that
-closes its recurrences over the full window.  It has no pair form, so
-`x_poly` returns it directly; it has no Darboux route or exact norm yet, so
-`darboux_route_poly` and `x_norm_ratio` refuse it.
+seed's Darboux pair in `darboux` is the same pair up to `compact_darboux_sign`
+and z^l0 for types 3 and 4; verify's xhr/construction record compares the two
+pairs once per (j0, l0), which covers every member.  Type 4 also has the added
+state n = -l0-1, the constant member of degree 0 that closes its recurrences
+over the full window.  It has no pair form, so `x_poly` returns it directly;
+it has no exact norm yet, so `x_norm_ratio` refuses it.
 
 The family's weight is the classical weight times kappa * z^m * (z-1)^(+-1)
 / eta^2, with eta the seed polynomial of `make_seed` (`x_weight_factor`).
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .darboux import SeedType, make_seed, psi_hat, seed_theta
+from .darboux import SeedType, make_seed, seed_theta
 from .exact_core import Poly
 from .hr_classical import (
     CertificationError,
@@ -45,9 +45,7 @@ __all__ = [
     "x_poly",
     "x_partner",
     "x_norm_ratio",
-    "xp4_derivative_factor",
     "x_weight_factor",
-    "darboux_route_poly",
     "compact_darboux_sign",
 ]
 
@@ -193,21 +191,6 @@ def compact_darboux_sign(j0: SeedType) -> int:
     return -1 if SeedType(j0) in (SeedType.T3, SeedType.T4) else 1
 
 
-def darboux_route_poly(idx: XIndex, params: Params) -> Poly:
-    """z^l0-normalised transformed eigenfunction as a true polynomial.
-
-    Built from the seed's Darboux pair, not the compact pair; equals
-    compact_darboux_sign(j0) * x_poly(idx, params), which the tests assert.
-    """
-    idx.require_admissible()
-    if idx.n < 0:
-        raise InadmissibleIndexError("the added state is not a polynomial")
-    ph = psi_hat(idx.j0, idx.l0, idx.n, params)
-    if idx.j0 in (SeedType.T3, SeedType.T4):
-        ph = ph.shifted(idx.l0)
-    return ph.require_polynomial()
-
-
 def x_norm_ratio(idx: XIndex, params: Params) -> Fraction:
     """Diagonal norm of the family in units of the classical zeroth norm.
 
@@ -221,26 +204,6 @@ def x_norm_ratio(idx: XIndex, params: Params) -> Fraction:
     n = idx.n
     theta = seed_theta(idx.j0, idx.l0, params)
     return (theta - n) * (n + params.beta) * norm_ratio(n, params)
-
-
-def xp4_derivative_factor(l0: int, n: int, params: Params) -> Poly | None:
-    """Common-factor law for type-4 derivatives.
-
-    (P^(4,l0,n))' = (n+l0+1)(n+alpha+1) * [z^l0 p_l0] * P_n(z; alpha+1, beta-1)
-    where z^l0 p_l0 is the rescaled seed polynomial.  Exact coefficientwise
-    comparison: None when the law holds, else the nonzero residual lhs - rhs.
-    """
-    idx = XIndex(SeedType.T4, l0, n)
-    lhs = x_poly(idx, params).derivative()
-    seed = make_seed(SeedType.T4, l0, params)
-    rhs = (
-        (n + l0 + 1)
-        * (n + params.alpha + 1)
-        * seed.p_poly
-        * hr_poly(n, params.shifted(1, -1))
-    )
-    diff = lhs - rhs
-    return None if diff.is_zero else diff
 
 
 @dataclass(frozen=True)

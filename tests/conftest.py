@@ -61,7 +61,6 @@ PACKAGE_CACHES = (
     hr_classical._twisted_e_row,
     hr_classical._generating_terms,
     darboux.make_seed,
-    darboux.psi_hat,
     xhr._member_pair,
     xhr.x_poly,
     recurrence.q_poly,

@@ -22,15 +22,20 @@
                    the published left-side coefficients of the l0 = 1, n = 5
                    reference cases, and the published (wrong) sign of the
                    type-3 middle right-side coefficient
+  darboux_route_poly and xp4_derivative_factor
+                   one member from the seed's Darboux pair through `psi_hat`,
+                   and the type-4 derivative law at one n, member by member:
+                   the per-n routes of the laws that verify proves once per
+                   seed on the n-free pairs
 """
 
 from fractions import Fraction
 
 from xlbp.exact_core import Poly
-from xlbp.darboux import SeedType
+from xlbp.darboux import SeedType, make_seed, psi_hat
 from xlbp.hr_classical import ParameterPoleError, Params, hr_poly, pochhammer, ttrr_coeffs
 from xlbp.recurrence import _c_row, example_oracles
-from xlbp.xhr import WeightFactor, XIndex
+from xlbp.xhr import InadmissibleIndexError, WeightFactor, XIndex, x_poly
 
 
 def build_via_ttrr(n: int, params: Params) -> Poly:
@@ -185,3 +190,33 @@ def inner_product(f, g, table) -> Fraction:
     coefficient of f(z) g(1/z) times the normalised moment k.
     """
     return sum((v * moment_value(table, e) for e, v in (f * g.inverted()).items()), Fraction(0))
+
+
+def darboux_route_poly(idx: XIndex, params: Params) -> Poly:
+    """z^l0-normalised transformed eigenfunction as a true polynomial.
+
+    Built from the seed's Darboux pair, not the compact pair; equals
+    compact_darboux_sign(j0) * x_poly(idx, params).  The added state has no
+    such route and is refused.
+    """
+    idx.require_admissible()
+    if idx.n < 0:
+        raise InadmissibleIndexError("the added state is not a polynomial")
+    ph = psi_hat(idx.j0, idx.l0, idx.n, params)
+    if idx.j0 in (SeedType.T3, SeedType.T4):
+        ph = ph.shifted(idx.l0)
+    return ph.require_polynomial()
+
+
+def xp4_derivative_factor(l0: int, n: int, params: Params) -> Poly | None:
+    """Common-factor law for type-4 derivatives at one n.
+
+    (P^(4,l0,n))' = (n+l0+1)(n+alpha+1) * [z^l0 p_l0] * P_n(z; alpha+1, beta-1)
+    where z^l0 p_l0 is the rescaled seed polynomial.  Exact coefficientwise
+    comparison: None when the law holds, else the nonzero residual lhs - rhs.
+    """
+    lhs = x_poly(XIndex(SeedType.T4, l0, n), params).derivative()
+    seed = make_seed(SeedType.T4, l0, params)
+    rhs = (n + l0 + 1) * (n + params.alpha + 1) * seed.p_poly * hr_poly(n, params.shifted(1, -1))
+    diff = lhs - rhs
+    return None if diff.is_zero else diff

@@ -22,6 +22,7 @@ from pathlib import Path
 import mpmath as mp
 import pytest
 
+from xlbp import cli
 from xlbp.darboux import backward_apply, psi_hat, xi
 from xlbp.exact_core import Poly
 from xlbp.hr_classical import (
@@ -41,7 +42,7 @@ from xlbp.quadrature import (
     exceptional_quad,
 )
 from xlbp.recurrence import a_coeffs_formula, a_coeffs_solver, certify, example_oracles
-from xlbp.xhr import XIndex, x_norm_ratio, x_poly, xp4_derivative_factor
+from xlbp.xhr import XIndex, x_norm_ratio, x_poly
 
 from conftest import (
     PAIR_A,
@@ -56,6 +57,7 @@ from reference import (
     example_a_oracles,
     inner_product,
     stacked_expansion,
+    xp4_derivative_factor,
 )
 from test_recurrence import reduced_xi_reading
 
@@ -131,6 +133,8 @@ def test_criterion_3_backward_image_law():
         for params in pairs_for_type(j0):
             shifted = params.shifted(1, -1)
             for l0 in (1, 2, 3):
+                # proved for every n on the seed's n-free pair, then member by member
+                assert cli._backward_image_law(j0, l0, params) is None, (j0, l0, params)
                 for n in range(0, 11):
                     if j0 == 1 and n == l0:
                         continue
@@ -247,6 +251,8 @@ def test_criterion_6_closed_form_cross_check():
 def test_criterion_7_type4_derivative_factorisation():
     for params in pairs_for_type(4):
         for l0 in (1, 2, 3):
+            # proved for every n on the n-free pair, then member by member
+            assert cli._derivative_factor_law(l0, params) is None, (l0, params)
             for n in range(0, 9):
                 assert xp4_derivative_factor(l0, n, params) is None, (l0, n, params)
     report(7, "type-4 derivative factorisation, exact", True)

@@ -18,9 +18,9 @@ from hypothesis import strategies as st
 
 from xlbp import cli, hr_classical, quadrature, recurrence, xhr
 from xlbp.cli import main
-from xlbp.darboux import xi
-from xlbp.exact_core import Poly
-from xlbp.hr_classical import IdentityTag, Params, hr_poly
+from xlbp.darboux import make_seed
+from xlbp.exact_core import Poly, format_rational
+from xlbp.hr_classical import IdentityTag, ParameterPoleError, Params, hr_poly, verify_identity
 from xlbp.recurrence import example_oracles
 from xlbp.xhr import XIndex
 
@@ -71,18 +71,18 @@ DEEP_CERTIFICATE_SHA256 = {
 }
 
 # verify --alpha 3/5 --beta 1/2 --max-n 8 --max-l0 2, by --suite: digests of
-# the reports printed before Poly and LaurentPoly became one class; xhr and
-# recurrence are those reports without the norm-theta and eigenvalue-reading
-# records, which could not fail unless another record failed with them.
-# identities and darboux are those reports without the records that could not
-# fail on their own, with the summary recounted: the twist-up, partner-twist
-# and span-coefficients identities (multi-twist-p and -q at one j), pearson
-# past n = 0 (it does not depend on n), the darboux kernel table (ell's own
-# coefficients rearranged) and darboux/vanishing (p P' - p' P with p = P)
+# the reports printed before Poly and LaurentPoly became one class; recurrence
+# is that report without the eigenvalue-reading records, which could not fail
+# unless another record failed with them.  identities is that report without
+# the records that could not fail on their own, with the summary recounted:
+# the twist-up, partner-twist and span-coefficients identities (multi-twist-p
+# and -q at one j) and pearson past n = 0 (it does not depend on n).  darboux
+# and xhr are the reports of the records that prove the Darboux laws once per
+# seed on the n-free pairs, all passing, which replaced the per-n records
 REPORT_SHA256 = {
     "identities": "69dcee8fc5fabfcd77a0e90498e5fe54ec4f4d6c8dabcd5b5fd6cc96350cc7ee",
-    "darboux": "e5ccc1213289f6f1d083806172fda9bf8482b3cdda1c79ca8c79d9a86f218e81",
-    "xhr": "6051bafc4fa79e7da7fcf5a92276d83606c7da5427a1d4ec7ae7afc600555009",
+    "darboux": "78b745780e6740b5d4e9ad448dd87641817246afa903d3ab7aa930c7f66d9a70",
+    "xhr": "cc1bc5ad77b943eba2c89157761a1e1637e639fd37d75ee3aa901fe802f50a59",
     "recurrence": "41b0b8ec6de33deb942223c9da19f713a97c77fb41517a735fe302d7007502e5",
 }
 
@@ -167,6 +167,21 @@ class TestGen:
     def test_bad_flags_exit_2(self):
         proc = run_cli("gen", "--family", "nope", "--n", "1")
         assert proc.returncode == 2
+
+    def test_degenerate_type2_member_is_a_pole(self):
+        # alpha + beta = 1 makes the leading factor l0-n-alpha-beta of the
+        # type-2 members (l0, n) = (1, 0) and (2, 1) vanish: a parameter pole,
+        # named, with exit 2 and no traceback
+        for l0, n in ((1, 0), (2, 1)):
+            proc = run_cli(
+                "gen", "--family", "xhr", "--j0", "2", "--l0", str(l0), "--n", str(n),
+                "--alpha", "1/3", "--beta", "2/3",
+            )
+            assert proc.returncode == 2
+            assert proc.stderr == (
+                f"error: l0-n-alpha-beta = 0 at l0={l0}, n={n}: "
+                "the leading coefficient of the type-2 member vanishes\n"
+            )
 
     def test_integer_beta_is_not_a_pole(self):
         # P_3(z; 1/2, 0) = z^3: the hypergeometric form's 0/0 at beta = 0 is
@@ -378,7 +393,7 @@ class TestVerify:
             assert {s: hashlib.sha256(r).hexdigest() for s, r in cold.items()} == REPORT_SHA256
         if (alpha, beta) == ("3/5", "1"):
             skipped = {s: json.loads(r)["summary"]["skipped"] for s, r in cold.items()}
-            assert skipped == {"identities": 15, "darboux": 36, "xhr": 54, "recurrence": 22}
+            assert skipped == {"identities": 15, "darboux": 4, "xhr": 6, "recurrence": 22}
 
     def test_skips_are_recorded(self, tmp_path):
         # (1,1) poles two identity checks; they must appear as skips
@@ -394,24 +409,6 @@ class TestVerify:
         assert skipped
         assert all(c["reason"] for c in skipped)
 
-    def test_degenerate_type2_member_is_skipped(self):
-        # alpha + beta = 1 makes the leading factor l0-n-alpha-beta of the
-        # type-2 members (l0, n) = (1, 0) and (2, 1) vanish: a parameter pole,
-        # recorded as a skipped check rather than a traceback or exit 2
-        for suite, check in (("xhr", "construction"), ("darboux", "backward-image")):
-            proc = run_cli(
-                "verify",
-                "--suite", suite, "--alpha", "1/3", "--beta", "2/3",
-                "--max-n", "8", "--max-l0", "2",
-            )
-            assert "Traceback" not in proc.stderr
-            assert proc.returncode == 0, suite
-            checks = {c["check_id"]: c for c in json.loads(proc.stdout)["checks"]}
-            for l0, n in ((1, 0), (2, 1)):
-                record = checks[f"{suite}/{check}/j0=2/l0={l0}/n={n}"]
-                assert record["status"] == "skipped"
-                assert record["reason"].startswith(f"l0-n-alpha-beta = 0 at l0={l0}, n={n}")
-
     @pytest.mark.parametrize(
         "j0, alpha, beta, reason",
         [(4, "3/5", "1", "alpha+1 = 0"), (3, "-1", "1/2", "alpha+1 = 0")],
@@ -419,16 +416,18 @@ class TestVerify:
     )
     def test_seed_reversal_skip_names_the_vanishing_factor(self, j0, alpha, beta, reason):
         # a seed pole is a pole of P_l0, raised with hr_poly's message; the
-        # type-4 seed reverses P_l0 at the negated pair, where alpha+1 is 1-beta
+        # type-4 seed reverses P_l0 at the negated pair, where alpha+1 is 1-beta.
+        # The seed's one backward-image record skips with that message
+        with pytest.raises(ParameterPoleError, match=f"^{re.escape(reason)}$"):
+            make_seed(j0, 1, Params(Fraction(alpha), Fraction(beta)))
         proc = run_cli(
             "verify", "--suite", "darboux", f"--alpha={alpha}", f"--beta={beta}",
-            "--j0", str(j0), "--max-n", "2", "--max-l0", "1",
+            "--j0", str(j0), "--max-l0", "1",
         )
         assert proc.returncode == 0
-        checks = {c["check_id"]: c for c in json.loads(proc.stdout)["checks"]}
-        for n in range(3):
-            record = checks[f"darboux/backward-image/j0={j0}/l0=1/n={n}"]
-            assert (record["status"], record["reason"]) == ("skipped", reason)
+        [record] = json.loads(proc.stdout)["checks"]
+        assert record["check_id"] == f"darboux/backward-image/j0={j0}/l0=1"
+        assert (record["status"], record["reason"]) == ("skipped", reason)
 
     def test_divergent_integral_is_skipped(self, tmp_path):
         # (-1/2, -1/4) passes positivity, but the type-2 integrand behaves
@@ -512,84 +511,106 @@ class TestVerify:
         }
 
     @pytest.mark.usefixtures("fresh_caches")
-    @pytest.mark.parametrize("fault", ["scaled", "constant", "laurent"])
+    @pytest.mark.parametrize("fault", ["scaled", "constant", "laurent", "theta", "ode-step"])
     def test_refuted_backward_image_exits_1_with_a_witness(self, monkeypatch, fault):
-        # cli looks psi_hat up by name.  Doubling the member keeps it in the
-        # span, so the backward image is 2 xi P_n and the image law's witness
-        # is the difference xi P_n(.; alpha+1, beta-1).  Adding 1 adds the
-        # linear multiplier (1-beta-l0) + (l0-alpha-2) z to the numerator,
-        # which the degree-2 seed polynomial cannot divide, so the division's
-        # remainder is that multiplier.  Adding z^-2 to a type-3 member leaves
-        # a remainder with a pole at 0, written as its text so that its
-        # exponent is kept
+        # one record per seed proves the image law for every n from the
+        # Darboux pair (A, B), ell and theta, which cli looks up by name.  At
+        # n = 0 the law's differences are U = z(1-z)(A' + B) - B1 A + ell A +
+        # theta (1-z) A and V = z(1-z) B' + ell B - theta (alpha+1) A, so
+        # doubling B adds z(1-z) B to U and z(1-z) B' + ell B to V; adding 1
+        # to ell adds A and B; adding 1 to theta adds (1-z) A and
+        # -(alpha+1) A.  Adding z^-2 to a type-3 B leaves differences with a
+        # pole at 0, written as their text so that the exponents are kept.  A
+        # wrong n term in the ODE step (n A added to U) shows only at n = 1
         params = Params(Fraction(3, 5), Fraction(1, 2))
-        original = cli.psi_hat
-        index = (3, 1, 2) if fault == "laurent" else (1, 2, 4)
+        seed = (3, 1) if fault == "laurent" else (1, 2)
+        original_seed, ell, theta = cli.make_seed, cli._first_order_coefficient, cli.seed_theta
 
-        def perturbed(j0, l0, n, pair):
-            member = original(j0, l0, n, pair)
-            if (j0, l0, n) != index:
-                return member
-            if fault == "scaled":
-                return 2 * member
-            return member + (Poly.one().shifted(-2) if fault == "laurent" else Poly.one())
+        def perturbed_seed(j0, l0, pair):
+            made = original_seed(j0, l0, pair)
+            if (j0, l0) != seed or fault not in ("scaled", "laurent"):
+                return made
+            a, b = made.darboux_pair
+            return replace(made, darboux_pair=(a, 2 * b if fault == "scaled" else b + Poly.one().shifted(-2)))
 
-        monkeypatch.setattr(cli, "psi_hat", perturbed)
+        def shifted(original, name):
+            return lambda *key: original(*key) + (1 if fault == name and key[:2] == seed else 0)
+
+        monkeypatch.setattr(cli, "make_seed", perturbed_seed)
+        monkeypatch.setattr(cli, "_first_order_coefficient", shifted(ell, "constant"))
+        monkeypatch.setattr(cli, "seed_theta", shifted(theta, "theta"))
+        if fault == "ode-step":
+            step, seed_a = cli.pair_derivative, make_seed(*seed, params).darboux_pair[0]
+
+            def wrong_step(a, b, n, pair):
+                u, v = step(a, b, n, pair)
+                return (u + n * a if a == seed_a else u), v
+
+            monkeypatch.setattr(cli, "pair_derivative", wrong_step)
         code, report, err = verify_in_process("darboux", "--alpha", "3/5", "--beta", "1/2")
         assert code == 1
         assert "Traceback" not in err
         failed = [c for c in report["checks"] if c["status"] == "fail"]
-        assert [c["check_id"] for c in failed] == ["darboux/backward-image/j0=%d/l0=%d/n=%d" % index]
-        witness = failed[0]["witness"]
-        if fault == "scaled":
-            want = xi(1, 2, 4, params) * hr_poly(4, params.shifted(1, -1))
-            assert Poly([Fraction(c) for c in witness]) == want
-        elif fault == "constant":
-            assert witness == ["-3/2", "-3/5"]
+        assert [c["check_id"] for c in failed] == ["darboux/backward-image/j0=%d/l0=%d" % seed]
+        if fault == "laurent":
+            want = {"n": 0, "U": ["-1 + z^-1"], "V": ["-11/10*z^-1 - z^-2"]}
+        elif fault == "ode-step":
+            a = make_seed(*seed, params).darboux_pair[0]
+            want = {"n": 1, "U": [format_rational(c) for c in a.coeffs], "V": None}
         else:
-            assert witness == ["63/25*z^-2"]
+            a, b = make_seed(*seed, params).darboux_pair
+            z1z = Poly((0, 1, -1))
+            du, dv = {
+                "scaled": (z1z * b, z1z * b.derivative() + ell(*seed, params) * b),
+                "constant": (a, b),
+                "theta": (Poly((1, -1)) * a, -(params.alpha + 1) * a),
+            }[fault]
+            want = {"n": 0, **{k: [format_rational(c) for c in p.coeffs] for k, p in (("U", du), ("V", dv))}}
+        assert failed[0]["witness"] == want
 
     @pytest.mark.usefixtures("fresh_caches")
     def test_refuted_construction_exits_1_with_a_witness(self, monkeypatch):
-        # cli looks x_poly up by name; a constant added to one compact-form
-        # member leaves the Darboux route as it is, so the two routes differ
-        # by that constant
-        original = cli.x_poly
-        target = XIndex(3, 1, 4)
+        # cli looks the compact pair up by name; a constant added to one
+        # seed's A leaves the Darboux pair as it is, so the two pairs differ by
+        # that constant in A and not at all in B
+        original = cli._member_pair
 
-        def perturbed(idx, params):
-            member = original(idx, params)
-            return member + Poly.one() if idx == target else member
+        def perturbed(j0, l0, params):
+            a, b = original(j0, l0, params)
+            return (a + Poly.one(), b) if (j0, l0) == (3, 1) else (a, b)
 
-        monkeypatch.setattr(cli, "x_poly", perturbed)
+        monkeypatch.setattr(cli, "_member_pair", perturbed)
         code, report, err = verify_in_process("xhr", "--alpha", "3/5", "--beta", "1/2")
         assert code == 1
         assert "Traceback" not in err
         failed = [c for c in report["checks"] if c["status"] == "fail"]
-        assert [c["check_id"] for c in failed] == ["xhr/construction/j0=3/l0=1/n=4"]
-        assert failed[0]["witness"] == ["1"]
+        assert [c["check_id"] for c in failed] == ["xhr/construction/j0=3/l0=1"]
+        assert failed[0]["witness"] == {"A": ["1"], "B": None}
 
     @pytest.mark.usefixtures("fresh_caches")
     def test_refuted_derivative_factor_exits_1_with_a_reason(self, monkeypatch):
-        # xp4_derivative_factor looks x_poly up in xhr, the construction
-        # record in cli.  Adding z^2 to one type-4 member refutes only the
-        # derivative law, whose witness is its residual 2z, coefficient by
-        # coefficient from z^0
-        original = xhr.x_poly
+        # cli looks the seed up by name.  Adding 1 to the type-4 seed
+        # polynomial p of l0 = 2 changes the right side of the derivative law
+        # only, whose targets are U = -(n+3) p z(1-z)^2 and
+        # V = (n+3)(alpha+1) p z(1-z): at n = 0 the differences are 3 z(1-z)^2
+        # and -3 (8/5) z(1-z), coefficient by coefficient from z^0
+        original = cli.make_seed
 
-        def perturbed(idx, params):
-            member = original(idx, params)
-            return member + Poly((0, 0, 1)) if (idx.j0, idx.l0, idx.n) == (4, 2, 3) else member
+        def perturbed(j0, l0, params):
+            seed = original(j0, l0, params)
+            return replace(seed, p_poly=seed.p_poly + 1) if (j0, l0) == (4, 2) else seed
 
-        monkeypatch.setattr(xhr, "x_poly", perturbed)
+        monkeypatch.setattr(cli, "make_seed", perturbed)
         code, report, err = verify_in_process(
-            "xhr", "--alpha", "3/5", "--beta", "1/2", "--max-n", "4", "--j0", "4"
+            "xhr", "--alpha", "3/5", "--beta", "1/2", "--j0", "4"
         )
         assert code == 1
         assert "Traceback" not in err
         failed = [c for c in report["checks"] if c["status"] == "fail"]
-        assert [c["check_id"] for c in failed] == ["xhr/derivative-factor/l0=2/n=3"]
-        assert failed[0]["witness"] == ["0", "2"]
+        assert [c["check_id"] for c in failed] == ["xhr/derivative-factor/l0=2"]
+        assert failed[0]["witness"] == {
+            "n": 0, "U": ["0", "3", "-6", "3"], "V": ["0", "-24/5", "24/5"]
+        }
 
     @pytest.mark.usefixtures("fresh_caches")
     def test_published_type3_sign_exits_1_with_a_witness(self, monkeypatch):
@@ -704,9 +725,7 @@ class TestVerify:
     @pytest.mark.parametrize(
         "suite, alpha, beta, check_id, reason",
         [
-            # n+alpha+1 = 0 makes the type-3 member vanish at n = 1
-            ("darboux", "-2", "-1", "darboux/backward-image/j0=3/l0=1/n=1",
-             "the type-3 member vanishes at l0=1, n=1"),
+            # n+alpha+1 = 0 makes the type-3 member vanish at n = 3
             ("recurrence", "-4", "-1", "recurrence/certify/j0=3/l0=1/n=3",
              "the type-3 member vanishes at l0=1, n=3"),
         ],
@@ -724,16 +743,19 @@ class TestVerify:
     def test_type4_seed_exists_where_the_reversal_identity_poles(self):
         # at (1, 2/3) the seed is P_2(z; -2/3, -1) reversed; the reversal
         # identity's pair (-2, 1/3) poles there, the seed does not
+        negated = Params(Fraction(-2, 3), -1)
+        with pytest.raises(ParameterPoleError):
+            verify_identity(IdentityTag.REVERSAL, 2, negated)
+        seed = make_seed(4, 2, Params(1, Fraction(2, 3)))
+        assert seed.p_poly == hr_poly(2, negated).reversed(2)
         code, report, err = verify_in_process(
-            "darboux", "--alpha", "1", "--beta=2/3", "--j0", "4", "--max-n", "6", "--max-l0", "2"
+            "darboux", "--alpha", "1", "--beta=2/3", "--j0", "4", "--max-l0", "2"
         )
         assert code == 0, err
-        records = [
-            c for c in report["checks"]
-            if c["check_id"].startswith("darboux/backward-image/j0=4/l0=2/")
+        assert [(c["check_id"], c["status"]) for c in report["checks"]] == [
+            ("darboux/backward-image/j0=4/l0=1", "pass"),
+            ("darboux/backward-image/j0=4/l0=2", "pass"),
         ]
-        assert len(records) == 7
-        assert all(c["status"] == "pass" for c in records)
 
     @pytest.mark.parametrize(
         "suite, summary",

@@ -143,12 +143,17 @@ class TestPsiHat:
 
     @pytest.mark.parametrize(
         "j0, l0, n, alpha, beta",
-        [(3, 1, 1, -2, -1), (4, 1, 0, -1, 2)],
+        [(3, 1, 1, -2, -1), (4, 1, 0, -1, 2), (2, 1, 0, "1/3", "2/3"), (2, 2, 1, "1/3", "2/3")],
     )
     def test_vanishing_member_is_a_pole(self, j0, l0, n, alpha, beta):
-        # only the excluded type-1 member may vanish; any other is a pole
-        with pytest.raises(ParameterPoleError, match=f"type-{j0} member vanishes"):
-            psi_hat(j0, l0, n, Params(alpha, beta))
+        # only the excluded type-1 member may vanish; any other is a pole.  At
+        # n+alpha+1 = 0 the type-3 member vanishes; at alpha + beta = 1 the
+        # type-2 leading factor l0-n-alpha-beta does, and is named
+        message = f"the type-{j0} member vanishes at l0={l0}, n={n}"
+        if j0 == 2:
+            message = f"l0-n-alpha-beta = 0 at l0={l0}, n={n}: the type-2 member vanishes"
+        with pytest.raises(ParameterPoleError, match=f"^{re.escape(message)}$"):
+            psi_hat(j0, l0, n, Params(Fraction(alpha), Fraction(beta)))
 
     def test_pole_order_for_reversed_types(self):
         for j0 in (3, 4):

@@ -31,10 +31,10 @@ def test_subset_and_certify_cases_match_the_manifest(manifest):
 
 
 def test_check_names_the_pair_and_the_failing_records(manifest, monkeypatch):
-    # a wrong backward eigenvalue in the darboux suite: --check names the pair
+    # a wrong seed eigenvalue in the darboux suite: --check names the pair
     # and every record of that kind, and nothing else
-    xi = cli.xi
-    monkeypatch.setattr(cli, "xi", lambda *args: xi(*args) + 1)
+    theta = cli.seed_theta
+    monkeypatch.setattr(cli, "seed_theta", lambda *args: theta(*args) + 1)
     pair = (Fraction(3, 2), Fraction(1, 2))
     assert pair in SUBSET
     key = grid_manifest.pair_key(*pair)

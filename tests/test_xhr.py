@@ -18,18 +18,16 @@ from xlbp.xhr import (
     InadmissibleIndexError,
     XIndex,
     compact_darboux_sign,
-    darboux_route_poly,
     x_norm_ratio,
     x_partner,
     x_poly,
     x_weight_factor,
-    xp4_derivative_factor,
 )
 
 from xlbp.recurrence import q_poly
 
 from conftest import PAIR_A, PAIR_B, PAIR_C, PAIR_D, clear_package_caches, pairs_for_type
-from reference import weight_factor_by_type
+from reference import darboux_route_poly, weight_factor_by_type, xp4_derivative_factor
 
 
 def ratio_at(factor, z):
