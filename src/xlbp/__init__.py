@@ -30,7 +30,7 @@ from .hr_classical import (
     ttrr_coeffs,
     verify_identity,
 )
-from .darboux import Seed, SeedType, backward_apply, make_seed, psi_hat, xi
+from .darboux import Seed, SeedType, make_seed, psi_hat, xi
 from .xhr import (
     InadmissibleIndexError,
     WeightFactor,

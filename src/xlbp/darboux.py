@@ -8,10 +8,12 @@ Laurent object is recovered by shifting the exponent down by l0.  A seed is
 therefore defined exactly where that P_l0 is.
 
 The backward operator sends a transformed eigenfunction to a classical
-polynomial with parameters shifted to (alpha+1, beta-1).  It is realised here
-as a first-order differential expression followed by an exact Laurent
-division; non-divisibility is a meaningful outcome (the input is then outside
-the transformed family's span) and is reported with the remainder as witness.
+polynomial with parameters shifted to (alpha+1, beta-1).  It is a first-order
+differential expression followed by an exact Laurent division by the seed's
+A, and it is applied here to an n-free pair (a, b), the input a P_n' + b P_n
+at every n at once; non-divisibility is a meaningful outcome (the input is
+then outside the transformed family's span) and is reported with the
+remainder as witness.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exact_core import Poly
-from .hr_classical import ParameterPoleError, Params, hr_poly
+from .hr_classical import ParameterPoleError, Params, hr_poly, pair_derivative
 
 __all__ = [
     "SeedType",
@@ -30,7 +32,7 @@ __all__ = [
     "make_seed",
     "seed_theta",
     "psi_hat",
-    "backward_apply",
+    "backward_pair",
     "xi",
 ]
 
@@ -53,7 +55,7 @@ class Seed:
     and type-2 polynomial, a true polynomial of degree at most l0.
     `darboux_pair` is (Q p, -Q p' - P p), with P and Q the type's gauge
     factors and p = `p_poly` shifted down by l0 for types 3 and 4:
-    `psi_hat` is A P_n' + B P_n, `backward_apply` divides by A.
+    `psi_hat` is A P_n' + B P_n, `backward_pair` divides by A.
     """
 
     j0: SeedType
@@ -77,7 +79,7 @@ def seed_theta(j0: SeedType, l0: int, params: Params) -> Fraction:
     return -l0 - 1 - params.alpha - params.beta
 
 
-# psi_hat, backward_apply and the darboux and xhr records ask for the same
+# psi_hat, backward_pair and the darboux and xhr records ask for the same
 # few seeds over and over within one parameter pair
 @lru_cache(maxsize=256)
 def make_seed(j0: SeedType, l0: int, params: Params) -> Seed:
@@ -139,24 +141,32 @@ def _first_order_coefficient(j0: SeedType, l0: int, params: Params) -> Poly:
     return Poly((l0, -l0))
 
 
-def backward_apply(j0: SeedType, l0: int, p: Poly, params: Params) -> tuple:
-    """Apply the backward operator to a (Laurent) polynomial: (image, remainder).
+def backward_pair(j0: SeedType, l0: int, pair: tuple, params: Params) -> tuple:
+    """The backward operator on a P_n' + b P_n at every n at once: (image pair, remainder).
 
-    Forms z(1-z) p' + (type-specific linear) p and divides it by the
-    A of the seed's `darboux_pair`, returning `divmod`'s quotient and remainder.
-    The input is in the transformed family's span exactly when the remainder
-    is zero; a nonzero remainder is returned as the witness rather than
-    raised.
+    (a, b) does not depend on n.  With (U_n, V_n) = `pair_derivative`(a, b, n),
+    the operator's numerator z(1-z) F' + ell F of F = a P_n' + b P_n is
+    (U_n + ell a) P_n' + (V_n + ell b) P_n, ell the type's linear multiplier.
+    `pair_derivative` is linear in n, so the numerator's pair is its value at
+    n = 0 plus n times the difference of its values at n = 1 and 0.  Each of
+    those four n-free entries is divided by the A of the seed's
+    `darboux_pair`, and the image pair ((E0, E1), (F0, F1)) gives the image
+    (E0 + n E1) P_n'(.; alpha, beta) + (F0 + n F1) P_n(.; alpha, beta) of
+    every member.  Division is linear too, so when all four divisions are
+    exact, the numerator is divisible by A at every n.  The remainder is
+    the first nonzero one of the four, or zero; it is returned as the
+    witness rather than raised.
     """
-    j0 = SeedType(j0)
-    if p.is_zero:
-        raise ValueError("backward operator input must be nonzero")
+    a, b = pair
     # the pair's A = Q p; for type 3 this is -z p, where the sign matters
     # for the image to land on xi_n * P_n(.; alpha+1, beta-1)
     divisor = make_seed(j0, l0, params).darboux_pair[0]
-    a1 = Poly((0, 1, -1))  # z(1-z)
-    numerator = a1 * p.derivative() + _first_order_coefficient(j0, l0, params) * p
-    return divmod(numerator, divisor)
+    ell = _first_order_coefficient(j0, l0, params)
+    (u0, v0), (u1, v1) = (pair_derivative(a, b, n, params) for n in (0, 1))
+    entries = (u0 + ell * a, u1 - u0, v0 + ell * b, v1 - v0)
+    quotients, remainders = zip(*(divmod(entry, divisor) for entry in entries))
+    remainder = next((r for r in remainders if not r.is_zero), Poly.zero())
+    return (quotients[:2], quotients[2:]), remainder
 
 
 def xi(j0: SeedType, l0: int, n: int, params: Params) -> Fraction:

@@ -8,7 +8,10 @@ certification pipeline:
   1. apply the backward operator to q * (transformed eigenfunction) of each
      member m: the image I_m, whose coefficients c_{m,j} in the classical
      basis P_j(.; alpha+1, beta-1) are integer numerators over one
-     denominator per member.  Only the bottom l0+3 rows are expanded;
+     denominator per member.  The operator runs once per seed, on the
+     n-free pair q (A, B) of the seed's Darboux pair (A, B); the image pair
+     it leaves gives every I_m from P_m and P_m'.  Only the bottom l0+3 rows
+     are expanded;
   2. solve the exact nullspace condition for the left-side a coefficients
      (authoritative route) on the integer numerator columns of those bottom
      rows of the window-vanishing conditions, rescaling each nullspace
@@ -46,7 +49,7 @@ from functools import lru_cache
 from math import lcm
 from operator import add
 
-from .darboux import SeedType, backward_apply, make_seed, psi_hat, xi
+from .darboux import SeedType, backward_pair, make_seed, psi_hat, xi
 from .exact_core import Poly, solve_exact
 from .hr_classical import (
     CertificationError,
@@ -93,26 +96,49 @@ def _block_rows(l0: int) -> int:
     return l0 + 3
 
 
-# bounded like the polynomial caches in hr_classical: one full run of any
-# workload in bench/ leaves at most 1914 entries.  An entry is the image and
-# l0+3 expansion rows, so its size grows with m only through the image
-@lru_cache(maxsize=4096)
-def _c_vector(j0: SeedType, l0: int, m: int, params: Params) -> tuple:
-    """(image, numerators, denominator) for member m: what certify reads of it.
+# one entry per seed, like make_seed's
+@lru_cache(maxsize=256)
+def _image_pair(j0: SeedType, l0: int, params: Params) -> tuple:
+    """((E0, E1), (F0, F1)): I_m = (E0 + m E1) P_m' + (F0 + m F1) P_m at every m.
 
-    image is the backward image I_m of q * psi_hat_m, of degree at most
-    m+l0+1, and numerators[j]/denominator = c_{m,j} is its coefficient of
-    P_j(.; alpha+1, beta-1) for the bottom rows j < l0+3 that the solver
-    reads first (zero above the image's degree).  Certify reads the image
-    itself for the residual.
+    The backward operator applied once to the n-free pair q (A, B), with
+    (A, B) the seed's Darboux pair, so that q (A P_m' + B P_m) = q psi_hat_m.
+    The image is built from the seed and P_m alone, never from the members
+    that the b-route expands, so the cross-route stays independent of it.
     """
-    product = q_poly(j0, l0, params) * psi_hat(j0, l0, m, params)
-    image, remainder = backward_apply(j0, l0, product, params)
+    q = q_poly(j0, l0, params)
+    a, b = make_seed(j0, l0, params).darboux_pair
+    pair, remainder = backward_pair(j0, l0, (q * a, q * b), params)
     if not remainder.is_zero:
         raise CertificationError(
             "backward image of q * psi_hat is not in the family span",
             residual=remainder,
         )
+    return pair
+
+
+# bounded like the polynomial caches in hr_classical: one full run of any
+# workload in bench/ leaves at most 1914 entries.  An entry is the image and
+# l0+3 expansion rows, so its size grows with m only through the image,
+# which the seed's cached image pair builds from P_m
+@lru_cache(maxsize=4096)
+def _c_vector(j0: SeedType, l0: int, m: int, params: Params) -> tuple:
+    """(image, numerators, denominator) for member m: what certify reads of it.
+
+    image is the backward image I_m of q * psi_hat_m, of degree at most
+    m+l0+1, built from the seed's `_image_pair` and P_m, and
+    numerators[j]/denominator = c_{m,j} is its coefficient of
+    P_j(.; alpha+1, beta-1) for the bottom rows j < l0+3 that the solver
+    reads first (zero above the image's degree).  Certify reads the image
+    itself for the residual.  A vanishing member has a zero image, and only
+    then is psi_hat built: it names the parameter pole, and the excluded
+    type-1 member, which vanishes identically, is no input at all.
+    """
+    (e0, e1), (f0, f1) = _image_pair(j0, l0, params)
+    p_m = hr_poly(m, params)
+    image = (e0 + m * e1) * p_m.derivative() + (f0 + m * f1) * p_m
+    if image.is_zero and psi_hat(j0, l0, m, params).is_zero:
+        raise ValueError("backward operator input must be nonzero")
     image = image.require_polynomial()
     block = _block_rows(l0)
     # the image has degree m+l0+1 unless a parameter value lowers it

@@ -64,6 +64,7 @@ PACKAGE_CACHES = (
     xhr._member_pair,
     xhr.x_poly,
     recurrence.q_poly,
+    recurrence._image_pair,
     recurrence._c_vector,
     quadrature._node_geometry,
     quadrature._node_modulus,

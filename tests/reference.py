@@ -27,12 +27,16 @@
                    and the type-4 derivative law at one n, member by member:
                    the per-n routes of the laws that verify proves once per
                    seed on the n-free pairs
+  backward_apply   the backward operator on one expanded (Laurent)
+                   polynomial, with one long division per input: the
+                   member-by-member route of the image pair `backward_pair`
+                   gives once per seed
 """
 
 from fractions import Fraction
 
 from xlbp.exact_core import Poly
-from xlbp.darboux import SeedType, make_seed, psi_hat
+from xlbp.darboux import SeedType, _first_order_coefficient, make_seed, psi_hat
 from xlbp.hr_classical import ParameterPoleError, Params, hr_poly, pochhammer, ttrr_coeffs
 from xlbp.recurrence import _c_row, example_oracles
 from xlbp.xhr import InadmissibleIndexError, WeightFactor, XIndex, x_poly
@@ -220,3 +224,20 @@ def xp4_derivative_factor(l0: int, n: int, params: Params) -> Poly | None:
     rhs = (n + l0 + 1) * (n + params.alpha + 1) * seed.p_poly * hr_poly(n, params.shifted(1, -1))
     diff = lhs - rhs
     return None if diff.is_zero else diff
+
+
+def backward_apply(j0: SeedType, l0: int, p: Poly, params: Params) -> tuple:
+    """Apply the backward operator to a (Laurent) polynomial: (image, remainder).
+
+    Forms z(1-z) p' + (type-specific linear) p and divides it by the
+    A of the seed's `darboux_pair`, returning `divmod`'s quotient and remainder.
+    The input is in the transformed family's span exactly when the remainder
+    is zero; a nonzero remainder is returned as the witness rather than
+    raised.
+    """
+    j0 = SeedType(j0)
+    if p.is_zero:
+        raise ValueError("backward operator input must be nonzero")
+    divisor = make_seed(j0, l0, params).darboux_pair[0]
+    numerator = Poly((0, 1, -1)) * p.derivative() + _first_order_coefficient(j0, l0, params) * p
+    return divmod(numerator, divisor)

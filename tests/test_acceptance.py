@@ -23,7 +23,7 @@ import mpmath as mp
 import pytest
 
 from xlbp import cli
-from xlbp.darboux import backward_apply, psi_hat, xi
+from xlbp.darboux import psi_hat, xi
 from xlbp.exact_core import Poly
 from xlbp.hr_classical import (
     IdentityTag,
@@ -53,6 +53,7 @@ from conftest import (
     pairs_for_type,
 )
 from reference import (
+    backward_apply,
     example3_middle_coefficient_as_published,
     example_a_oracles,
     inner_product,

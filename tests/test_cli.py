@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xlbp import cli, hr_classical, quadrature, recurrence, xhr
+from xlbp import cli, darboux, hr_classical, quadrature, recurrence, xhr
 from xlbp.cli import main
 from xlbp.darboux import make_seed
 from xlbp.exact_core import Poly, format_rational
@@ -820,21 +820,23 @@ class TestVerify:
 def perturb_c_expansion(monkeypatch, index=0):
     """Add 1 to c_{m,index} of every member image certify makes.
 
-    The image of member m is backward_apply's quotient; adding
-    P_index(.; alpha+1, beta-1) to it (P_top for index -1, top its degree)
-    adds 1 to that coefficient of its expansion and changes no other, on
-    every route certify reads it by.  recurrence imports backward_apply by
-    name, so the patch goes there; the caller must clear the caches, or
-    _c_vector serves unpatched images.
+    Every route certify reads an image by goes through recurrence._c_vector,
+    so the wrapper goes there: the image gains P_index(.; alpha+1, beta-1)
+    (P_top for index -1, top its degree), which adds 1 to that coefficient
+    of its expansion and changes no other, and its bottom row `index`, when
+    the block holds one, gains the denominator.  The wrapper sits outside
+    _c_vector's cache, so images cached before the patch are perturbed too.
     """
-    original = recurrence.backward_apply
+    original = recurrence._c_vector
 
-    def perturbed(j0, l0, p, params):
-        image, remainder = original(j0, l0, p, params)
+    def perturbed(j0, l0, m, params):
+        image, rows, den = original(j0, l0, m, params)
         k = image.degree if index == -1 else index
-        return image + hr_poly(k, params.shifted(1, -1)), remainder
+        if k < len(rows):
+            rows = rows[:k] + (rows[k] + den,) + rows[k + 1 :]
+        return image + hr_poly(k, params.shifted(1, -1)), rows, den
 
-    monkeypatch.setattr(recurrence, "backward_apply", perturbed)
+    monkeypatch.setattr(recurrence, "_c_vector", perturbed)
 
 
 def verify_in_process(suite, *argv):
@@ -969,6 +971,24 @@ class TestCertify:
         assert code == 1
         assert re.match(f"certification failed: ({C_FAULT_REASON})", err.getvalue())
         assert "Traceback" not in err.getvalue()
+
+    @pytest.mark.usefixtures("fresh_caches")
+    def test_backward_image_outside_the_span_exits_1(self, monkeypatch):
+        # a wrong linear multiplier leaves the seed's image pair with a
+        # remainder after division by A: no member has an image, and certify
+        # refuses before any member is built
+        original = darboux._first_order_coefficient
+        monkeypatch.setattr(
+            darboux, "_first_order_coefficient", lambda *args: original(*args) + 1
+        )
+        code, err = certify_in_process(
+            "--j0", "2", "--l0", "2", "--n", "9", "--alpha", "3/5", "--beta", "1/2"
+        )
+        assert code == 1
+        assert err == (
+            "certification failed: backward image of q * psi_hat is not in the family span\n"
+            "residual coefficients: ['0', '-692/3125', '174/625', '-27/250']\n"
+        )
 
     @pytest.mark.usefixtures("fresh_caches")
     def test_stacked_expansion_nonzero_at_excluded_index_exits_1(self, monkeypatch):

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xlbp.darboux import (
-    backward_apply,
+    _first_order_coefficient,
+    backward_pair,
     make_seed,
     psi_hat,
     seed_theta,
@@ -16,6 +17,7 @@ from xlbp.exact_core import Poly
 from xlbp.hr_classical import ParameterPoleError, Params, hr_poly, pochhammer
 
 from conftest import PAIR_A, PAIR_B, pairs_for_type
+from reference import backward_apply
 
 # alpha and beta in {-4, -7/2, ..., 4}: every integer pole of P_l0 for l0 <= 3
 GRID = [Fraction(k, 2) for k in range(-8, 9)]
@@ -196,6 +198,35 @@ class TestBackwardOperator:
     def test_zero_input_rejected(self):
         with pytest.raises(ValueError):
             backward_apply(1, 1, Poly.zero(), PAIR_A)
+
+    @pytest.mark.parametrize("j0", [1, 2, 3, 4])
+    def test_pair_image_law(self, j0):
+        # on the seed's own Darboux pair the image pair gives xi_n P_n(alpha+1, beta-1)
+        # at every n, the excluded type-1 member's zero included
+        for params in pairs_for_type(j0):
+            shifted = params.shifted(1, -1)
+            for l0 in (1, 2, 3):
+                ((e0, e1), (f0, f1)), remainder = backward_pair(
+                    j0, l0, make_seed(j0, l0, params).darboux_pair, params
+                )
+                assert remainder.is_zero, (j0, l0, params)
+                for n in range(0, 11):
+                    p_n = hr_poly(n, params)
+                    image = (e0 + n * e1) * p_n.derivative() + (f0 + n * f1) * p_n
+                    assert image == xi(j0, l0, n, params) * hr_poly(n, shifted), (j0, l0, n)
+
+    def test_pair_not_divisible_returns_the_first_remainder(self):
+        # the four entries are (U_0 + ell a, U_1 - U_0, V_0 + ell b, V_1 - V_0);
+        # with b = 0 and a = 1 the first is z(1-z)*0 + (n(1-z) - B1) + ell at
+        # n = 0, a linear polynomial that the seed's linear A does not divide
+        divisor = make_seed(1, 1, PAIR_A).darboux_pair[0]
+        pair = (Poly.one(), Poly.zero())
+        ((e0, _), _), remainder = backward_pair(1, 1, pair, PAIR_A)
+        numerator = _first_order_coefficient(1, 1, PAIR_A) - Poly(
+            (1 - PAIR_A.beta, -(2 + PAIR_A.alpha))
+        )
+        assert not remainder.is_zero
+        assert e0 * divisor + remainder == numerator
 
 
 class TestEigenvalues:

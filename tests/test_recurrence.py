@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from xlbp import recurrence
-from xlbp.darboux import backward_apply, make_seed, psi_hat, seed_theta, xi
+from xlbp.darboux import make_seed, psi_hat, seed_theta, xi
 from xlbp.exact_core import Poly
 from xlbp.hr_classical import ParameterPoleError, Params, hr_poly, pochhammer, twisted_coeffs
 from xlbp.recurrence import (
@@ -22,6 +22,7 @@ from xlbp.xhr import XIndex, x_poly
 
 from conftest import PACKAGE_CACHES, PAIR_A, pairs_for_recurrence
 from reference import (
+    backward_apply,
     example3_middle_coefficient_as_published,
     example_a_oracles,
     stacked_expansion,
@@ -251,6 +252,53 @@ class TestCExpansion:
                     want = reference_expand_in_hr_basis(image.require_polynomial(), shifted)
                     want += [Fraction(0)] * (n + l0 + 2 - len(want))
                     assert c_values(j0, l0, n, params) == want, (j0, l0, n)
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            Params(Fraction(3, 5), Fraction(1, 2)),
+            Params(Fraction(7, 3), Fraction(-1, 4)),
+            Params(1, Fraction(1, 3)),
+            Params(Fraction(4, 5), 1),
+        ],
+        ids=str,
+    )
+    @pytest.mark.parametrize("j0", [1, 2, 3, 4])
+    def test_image_pair_matches_the_member_level_operator(self, j0, params):
+        # the seed's image pair gives the image the backward operator leaves
+        # of the expanded q * psi_hat_m, with no remainder, or the same
+        # refusal: the excluded type-1 member, and parameter poles of the
+        # negated seeds at the integer pairs
+        def outcome(route):
+            try:
+                return route()
+            except (ValueError, ParameterPoleError) as exc:
+                return type(exc), str(exc)
+
+        def member_level(l0, m):
+            image, remainder = backward_apply(
+                j0, l0, q_poly(j0, l0, params) * psi_hat(j0, l0, m, params), params
+            )
+            assert remainder.is_zero, (l0, m)
+            return image
+
+        for l0 in (1, 2, 3, 4):
+            for m in [*range(2 * l0 + 4), 60, 99]:
+                want = outcome(lambda: member_level(l0, m))
+                assert outcome(lambda: _c_vector(j0, l0, m, params)[0]) == want, (l0, m)
+
+    @pytest.mark.usefixtures("fresh_caches")
+    def test_psi_hat_is_built_only_for_a_zero_image(self, monkeypatch):
+        # the images come from the seed's image pair; psi_hat only names a
+        # vanishing member, so a certificate with none never calls it
+        def forbidden(*args):
+            raise AssertionError(f"psi_hat{args} called")
+
+        monkeypatch.setattr(recurrence, "psi_hat", forbidden)
+        for j0 in (1, 2, 3, 4):
+            assert certify(XIndex(j0, 2, 9), PAIR_A).residual_zero
+        with pytest.raises(AssertionError, match="psi_hat"):
+            _c_vector(1, 2, 2, PAIR_A)
 
     def test_residual_is_integers_over_one_denominator(self):
         # nums[k]/den is the z^k coefficient of sum_l a_l I_{n-l} - sum_j w_j P_j,

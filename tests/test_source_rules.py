@@ -236,7 +236,8 @@ def test_seed_type_is_compared_by_value(path):
 # the backward images replaces; and the per-n compact form, the backward
 # divisor and the seed's gauge-factor fields, which the n-free member and
 # Darboux pairs replace; and the per-n Darboux route and type-4 derivative
-# law, which verify's records prove once per seed on those pairs
+# law, which verify's records prove once per seed on those pairs; and the
+# per-member backward operator, which one image pair per seed replaces
 REMOVED_NAMES = frozenset(
     {
         "XPoly",
@@ -269,6 +270,7 @@ REMOVED_NAMES = frozenset(
         "Q_factor",
         "darboux_route_poly",
         "xp4_derivative_factor",
+        "backward_apply",
     }
 )
 

@@ -337,7 +337,9 @@ PER_TYPE_HELPERS = {
     "make_seed": lambda j0: make_seed(j0, 2, PAIR_A),
     "psi_hat": lambda j0: darboux.psi_hat(j0, 2, 3, PAIR_A),
     "_first_order_coefficient": lambda j0: darboux._first_order_coefficient(j0, 2, PAIR_A),
-    "backward_apply": lambda j0: darboux.backward_apply(j0, 2, Poly((1, 2, 3)), PAIR_A),
+    "backward_pair": lambda j0: darboux.backward_pair(
+        j0, 2, (Poly((1, 2, 3)), Poly((0, 1))), PAIR_A
+    ),
     "xi": lambda j0: darboux.xi(j0, 2, 3, PAIR_A),
     "_member_pair": lambda j0: xhr._member_pair(j0, 2, PAIR_A),
     "_kappa": lambda j0: xhr._kappa(j0, 2, PAIR_A),
