@@ -147,10 +147,8 @@ def _require_nonzero(value: Fraction, factor: str) -> Fraction:
 
 # Every cache in the package is bounded so that a long-lived process stops
 # growing.  One full run of each workload in bench/ (seeds 1-5, quad-circle
-# 1-3) left at most these entries with the bounds lifted: hr_poly 6068
-# (verify-small; certify-sweep 1163, of which about 410 are the window
-# members P_j(alpha+1, beta-1) of certify's residual; integer beta is not a
-# pole of P_n, so those members are cached there too), ttrr_b 3621, ttrr_d 429,
+# 1-3) left at most these entries with the bounds lifted: hr_poly 6004
+# (verify-small; certify-sweep 655), ttrr_b 3621, ttrr_d 429,
 # _shifted_params 492, _swapped_params 289, _generating_terms
 # 2145 (certify-sweep), recurrence._c_vector 1914, _twisted_c_row 1732,
 # _twisted_e_row 1188, xhr.x_poly 2554, darboux.make_seed 264,

@@ -32,10 +32,12 @@ certification pipeline:
      P_j are independent, so R = 0 exactly when e_j = sum_l a_l c_{n-l,j}
      equals b_j xi_j at every j: the b cross-route e_j / xi_j = b_j where
      xi_j != 0, e_j = 0 where xi_j = 0, and every window-vanishing row, so
-     the a of step 2 holds on the rows it was not solved on.  R is
-     accumulated as integer numerators over one denominator, in both modes;
-     only a nonzero R is expanded, to name the first j where the routes
-     disagree.
+     the a of step 2 holds on the rows it was not solved on.  By l2-shift
+     the right side is L2 S, with L2 p = (1-z) p' - (alpha+1) p and
+     S = sum_j b_j (j-theta) P_j over the window's P_j at (alpha, beta), so
+     nothing is built at (alpha+1, beta-1).  R is accumulated as integer
+     numerators over one denominator, in both modes; only a nonzero R is
+     expanded, to name the first j where the routes disagree.
 
 A certificate is only produced when every step succeeds exactly; failures
 raise CertificationError rather than degrade.
@@ -49,7 +51,7 @@ from functools import lru_cache
 from math import lcm
 from operator import add
 
-from .darboux import SeedType, backward_pair, make_seed, psi_hat, xi
+from .darboux import SeedType, backward_pair, make_seed, psi_hat, seed_theta, xi
 from .exact_core import Poly, solve_exact
 from .hr_classical import (
     CertificationError,
@@ -177,31 +179,59 @@ def a_coeffs_formula(idx: XIndex, params: Params) -> list:
     return out
 
 
-def _image_residual(idx: XIndex, a, weights: dict, params: Params) -> tuple:
-    """(numerators, Q): sum_l a_l I_{n-l} - sum_j weights[j] P_j(.; alpha+1, beta-1).
+def _accumulate(terms: list, size: int) -> tuple:
+    """(numerators, Q) of sum c p over (Fraction c, Poly p) terms, unreduced.
 
-    numerators[k]/Q is the z^k coefficient, k = 0..n+l0+1.  The images of
-    the members n-l and the P_j are accumulated as integer numerators over
-    the lcm Q of their coefficients' denominators; nothing is reduced, so R
-    is zero exactly when every numerator is.  The type-1 member at n-l = l0
-    vanishes and has no image; its slot contributes nothing.
+    numerators[k]/Q is the z^k coefficient, k < size, and Q is the lcm of
+    the terms' denominators.
     """
-    j0, l0, n = idx.j0, idx.l0, idx.n
-    shifted = params.shifted(1, -1)
-    terms = [
-        (Fraction(a_l), _c_vector(j0, l0, n - l, params)[0])
-        for l, a_l in enumerate(a)
-        if a_l and XIndex(j0, l0, n - l).is_admissible
-    ]
-    terms += [(-Fraction(w), hr_poly(j, shifted)) for j, w in weights.items() if w]
     den = lcm(*(c.denominator * p.denominator for c, p in terms))
-    acc = [0] * (n + l0 + 2)
+    acc = [0] * size
     for c, p in terms:
         weight = c.numerator * (den // (c.denominator * p.denominator))
         lo = p.min_exp
         hi = lo + len(p.numerators)
         acc[lo:hi] = map(add, acc[lo:hi], map(weight.__mul__, p.numerators))
     return acc, den
+
+
+def _image_residual(idx: XIndex, a, b: dict, params: Params) -> tuple:
+    """(numerators, Q): sum_l a_l I_{n-l} - sum_j b_j xi_j P_j(.; alpha+1, beta-1).
+
+    numerators[k]/Q is the z^k coefficient, k = 0..n+l0+1.  By l2-shift,
+    xi_j P_j(.; alpha+1, beta-1) = (j-theta) L2 P_j with L2 p = (1-z) p' -
+    (alpha+1) p, so the right side is L2 S for S = sum_j b_j (j-theta) P_j,
+    built from the P_j at (alpha, beta) that the members were built from.
+    The images of the members n-l, S and L2 S are integer numerators over
+    lcms of their denominators; nothing is reduced, so R is zero exactly
+    when every numerator is.  The type-1 member at n-l = l0 vanishes and
+    has no image; its slot contributes nothing.  The type-4 added state
+    j = -l0-1 is the seed eigenvalue theta, so its image is zero and its
+    term drops.
+    """
+    j0, l0, n = idx.j0, idx.l0, idx.n
+    size = n + l0 + 2
+    images, image_den = _accumulate(
+        [
+            (Fraction(a_l), _c_vector(j0, l0, n - l, params)[0])
+            for l, a_l in enumerate(a)
+            if a_l and XIndex(j0, l0, n - l).is_admissible
+        ],
+        size,
+    )
+    theta = seed_theta(j0, l0, params)
+    # the added state is the only negative index
+    s, s_den = _accumulate(
+        [(v * (j - theta), hr_poly(j, params)) for j, v in b.items() if v and j >= 0],
+        size + 1,
+    )
+    # coefficient k of L2 S, alpha+1 = p/r: (r((k+1) s_{k+1} - k s_k) - p s_k) / (s_den r)
+    p, r = (params.alpha + 1).numerator, (params.alpha + 1).denominator
+    rhs = [r * ((k + 1) * s[k + 1] - k * s[k]) - p * s[k] for k in range(size)]
+    rhs_den = s_den * r
+    den = lcm(image_den, rhs_den)
+    left, right = den // image_den, den // rhs_den
+    return [left * u - right * v for u, v in zip(images, rhs)], den
 
 
 @dataclass(frozen=True)
@@ -395,11 +425,11 @@ def certify(
     # cross-route: the backward operator maps the relation onto
     # sum_l a_l I_{n-l} = sum_j b_j xi_j P_j(.; alpha+1, beta-1), so the
     # residual R is zero exactly when b_j xi_j is the stacked expansion
-    # coefficient e_j at every j.  xi_j is read only where b_j != 0 or at a
-    # failure; only a failure expands R, to name its first nonzero row.  The
-    # type-4 added state sits at theta, so its weight is zero
-    weights = {j: v * xi(j0, l0, j, params) for j, v in b.items() if v}
-    nums, den = _image_residual(idx, a, weights, params)
+    # coefficient e_j at every j.  The right side is built as L2 of one sum
+    # over the window's P_j at (alpha, beta), so no P_j(.; alpha+1, beta-1)
+    # is built and xi_j is read only at a failure; only a failure expands R,
+    # to name its first nonzero row
+    nums, den = _image_residual(idx, a, b, params)
     if any(nums):
         residual = Poly.from_numerators(nums, den)
         rows, rows_den = expand_in_hr_basis(residual, params.shifted(1, -1))

@@ -13,6 +13,11 @@
                    the coefficients sum_l a_l c_{n-l,m} of a left side's
                    backward images, summed as Fractions over the full
                    expansion rows, which certify's one residual replaces
+  shifted_family_residual
+                   certify's residual with its right side summed over the
+                   window's P_j(.; alpha+1, beta-1), each weighted by
+                   b_j xi_j, which the one L2 of `_image_residual` over the
+                   P_j at (alpha, beta) is compared with
   weight_factor_by_type
                    the exceptional-to-classical weight ratio written out per
                    type, with a classical P_l0 as the squared base and a
@@ -36,9 +41,9 @@
 from fractions import Fraction
 
 from xlbp.exact_core import Poly
-from xlbp.darboux import SeedType, _first_order_coefficient, make_seed, psi_hat
+from xlbp.darboux import SeedType, _first_order_coefficient, make_seed, psi_hat, xi
 from xlbp.hr_classical import ParameterPoleError, Params, hr_poly, pochhammer, ttrr_coeffs
-from xlbp.recurrence import _c_row, example_oracles
+from xlbp.recurrence import _c_row, _c_vector, example_oracles
 from xlbp.xhr import InadmissibleIndexError, WeightFactor, XIndex, x_poly
 
 
@@ -145,6 +150,26 @@ def stacked_expansion(idx, a, params: Params) -> list:
         )
         for m in range(n + l0 + 2)
     ]
+
+
+def shifted_family_residual(idx, a, b: dict, params: Params) -> Poly:
+    """sum_l a_l I_{n-l} - sum_j b_j xi_j P_j(.; alpha+1, beta-1), one P_j per window index.
+
+    The type-4 added state j = -l0-1 sits at theta, so its xi_j is zero and
+    it is skipped, as is every zero b_j; the type-1 member at n-l = l0 has
+    no image.
+    """
+    j0, l0, n = idx.j0, idx.l0, idx.n
+    shifted = params.shifted(1, -1)
+    out = Poly.zero()
+    for l, a_l in enumerate(a):
+        if a_l and XIndex(j0, l0, n - l).is_admissible:
+            out = out + Fraction(a_l) * _c_vector(j0, l0, n - l, params)[0]
+    for j, v in b.items():
+        weight = v * xi(j0, l0, j, params)
+        if weight:
+            out = out - weight * hr_poly(j, shifted)
+    return out
 
 
 def weight_factor_by_type(j0, l0: int, params: Params) -> WeightFactor:

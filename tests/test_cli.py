@@ -1100,6 +1100,32 @@ class TestCertify:
         assert second == "residual coefficients: ['-51/142']"
         assert Fraction(-51, 142) == -example_oracles(2, Params(Fraction(3, 5), Fraction(1, 2)))[7]
 
+    @pytest.mark.usefixtures("fresh_caches")
+    @pytest.mark.parametrize("shift", [Fraction(1), Fraction(-1, 3)])
+    @pytest.mark.parametrize("j0", ["1", "2", "3", "4"])
+    @pytest.mark.parametrize("mode", [[], ["--mode", "thm11", "--k", "3"]], ids=["thm12", "thm11"])
+    def test_wrong_eigenvalue_exits_1(self, monkeypatch, shift, j0, mode):
+        # a wrong seed eigenvalue theta, and with it every xi_j, is a
+        # verified failure: the residual drops the type-4 added state by its
+        # index, never by j == theta, so no negative degree reaches hr_poly
+        theta = darboux.seed_theta
+
+        def wrong_theta(j0, l0, params):
+            return theta(j0, l0, params) + shift
+
+        def wrong_xi(j0, l0, n, params):
+            return -(n - wrong_theta(j0, l0, params)) * (n + params.alpha + 1)
+
+        monkeypatch.setattr(recurrence, "seed_theta", wrong_theta)
+        monkeypatch.setattr(recurrence, "xi", wrong_xi)
+        code, err = certify_in_process(
+            "--j0", j0, "--l0", "2", "--n", "9", "--alpha", "3/5", "--beta", "1/2", *mode
+        )
+        assert code == 1
+        assert err.startswith("certification failed: ")
+        if mode:
+            assert err.startswith("certification failed: b cross-route mismatch at j=0: ")
+
     def test_json_deterministic(self):
         args = (
             "certify",

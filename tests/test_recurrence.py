@@ -25,6 +25,7 @@ from reference import (
     backward_apply,
     example3_middle_coefficient_as_published,
     example_a_oracles,
+    shifted_family_residual,
     stacked_expansion,
 )
 from test_darboux import GRID, reversal_identity_seed, seed_base
@@ -301,15 +302,17 @@ class TestCExpansion:
             _c_vector(1, 2, 2, PAIR_A)
 
     def test_residual_is_integers_over_one_denominator(self):
-        # nums[k]/den is the z^k coefficient of sum_l a_l I_{n-l} - sum_j w_j P_j,
-        # and its expansion is the stacked sums less the weights
+        # nums[k]/den is the z^k coefficient of sum_l a_l I_{n-l} - sum_j w_j P_j
+        # with w_j = b_j xi_j and P_j at (alpha+1, beta-1), and its expansion
+        # is the stacked sums less the weights
         params = Params(Fraction(7, 3), Fraction(-1, 4))
         shifted = params.shifted(1, -1)
         for j0 in (1, 2, 3, 4):
             idx = XIndex(j0, 2, 7)
             a = [Fraction(1), Fraction(-2, 3), Fraction(5, 7), Fraction(0)]
-            weights = {3: Fraction(1, 2), 8: Fraction(-4, 9), 10: Fraction(0)}
-            nums, den = _image_residual(idx, a, weights, params)
+            b = {3: Fraction(1, 2), 8: Fraction(-4, 9), 10: Fraction(0)}
+            weights = {j: v * xi(j0, 2, j, params) for j, v in b.items()}
+            nums, den = _image_residual(idx, a, b, params)
             assert all(type(v) is int for v in nums) and den > 0
             assert len(nums) == idx.n + idx.l0 + 2
             images = [_c_vector(j0, 2, idx.n - l, params)[0] for l in range(len(a))]
@@ -322,6 +325,52 @@ class TestCExpansion:
             sums = stacked_expansion(idx, a, params)
             expanded = reference_expand_in_hr_basis(want, shifted)
             assert expanded == [s - weights.get(m, 0) for m, s in enumerate(sums)], j0
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            PAIR_A,
+            Params(Fraction(7, 3), Fraction(-1, 4)),
+            Params(Fraction(5, 2), Fraction(7, 5)),
+            Params(1, Fraction(1, 3)),
+            Params(Fraction(4, 5), 1),
+            Params(3, 2),
+            Params(Fraction(-1, 2), Fraction(-1, 4)),
+        ],
+        ids=str,
+    )
+    def test_residual_matches_the_shifted_family_route(self, params):
+        # the one L2 over the P_j at (alpha, beta) gives the residual that
+        # sums b_j xi_j P_j(.; alpha+1, beta-1) gives, on certified (a, b)
+        # and on perturbed ones, which make it nonzero; a b at the type-4
+        # added state, which sits at theta, changes neither
+        checked = nonzero = 0
+        for j0 in (1, 2, 3, 4):
+            for l0 in (1, 2, 3):
+                for mode, n, k in (("thm12", 2 * l0 + 3, None), ("thm11", l0 + 3, 3)):
+                    idx = XIndex(j0, l0, n)
+                    try:
+                        cert = certify(idx, params, mode=mode, k=k)
+                    except ParameterPoleError:
+                        continue
+                    a, b = list(cert.a), dict(cert.b)
+                    top = max(b)
+                    candidates = [
+                        (a, b),
+                        (a[:-1] + [a[-1] + Fraction(1, 7)], b),
+                        (a, {**b, top: b[top] - Fraction(2, 3)}),
+                        (a, {**b, min(b): b[min(b)] + 1}),
+                    ]
+                    for a_try, b_try in candidates:
+                        nums, den = _image_residual(idx, a_try, b_try, params)
+                        want = shifted_family_residual(idx, a_try, b_try, params)
+                        assert Poly.from_numerators(nums, den) == want, (j0, l0, mode)
+                        checked += 1
+                        nonzero += not want.is_zero
+                    if j0 == 4 and mode == "thm11":
+                        assert min(b) == -l0 - 1
+                        assert shifted_family_residual(idx, a, candidates[3][1], params).is_zero
+        assert checked >= 40 and nonzero >= checked // 2
 
 
 class TestACoefficients:
@@ -390,10 +439,10 @@ class TestACoefficients:
 
     @pytest.mark.parametrize("j0", [1, 2, 3, 4])
     def test_residual_decides_the_rows_below_the_window(self, j0):
-        # with the window's stacked sums e_j as weights the residual is zero
-        # exactly when every stacked sum below the window is: the closed
-        # form passes, a perturbed last entry and (types 3, 4) the reduced
-        # eigenvalue reading fail
+        # with b_j = e_j / xi_j from the window's stacked sums e_j the
+        # residual is zero exactly when every stacked sum below the window
+        # is: the closed form passes, a perturbed last entry and (types 3,
+        # 4) the reduced eigenvalue reading fail
         for params in pairs_for_recurrence(j0):
             for l0 in (1, 2):
                 idx = XIndex(j0, l0, 2 * l0 + 6)
@@ -404,8 +453,11 @@ class TestACoefficients:
                 for a in candidates:
                     sums = stacked_expansion(idx, a, params)
                     window = dict(enumerate(sums))
-                    below = not any(window.pop(j) for j in range(idx.n - l0))
-                    nums, _ = _image_residual(idx, a, window, params)
+                    below = not any([window.pop(j) for j in range(idx.n - l0)])
+                    xis = {j: xi(j0, l0, j, params) for j in window}
+                    assert all(xis.values())
+                    b = {j: e / xis[j] for j, e in window.items()}
+                    nums, _ = _image_residual(idx, a, b, params)
                     assert (not any(nums)) == below
                     assert below == (a is formula), (l0, params)
 
@@ -478,6 +530,27 @@ class TestCertify:
             assert "a-solver" in certify(XIndex(j0, l0, n), PAIR_A).method_tags
             images = [_c_vector(j0, l0, n - l, PAIR_A)[0] for l in range(l0 + 2)]
             assert calls == [(image, list(range(l0 + 3))) for image in images], l0
+
+    @pytest.mark.usefixtures("fresh_caches")
+    def test_certify_builds_no_classical_polynomial_at_the_shifted_pair(self, monkeypatch):
+        # the images and the residual's right side read P_j at (alpha, beta)
+        # only: nothing is built at (alpha+1, beta-1)
+        seen = set()
+        original = recurrence.hr_poly
+
+        def spy(n, params):
+            seen.add(params)
+            return original(n, params)
+
+        monkeypatch.setattr(recurrence, "hr_poly", spy)
+        for params in (PAIR_A, Params(Fraction(7, 3), Fraction(-1, 4))):
+            for j0 in (1, 2, 3, 4):
+                for l0 in (1, 2):
+                    seen.clear()
+                    assert certify(XIndex(j0, l0, 2 * l0 + 4), params).residual_zero
+                    cert = certify(XIndex(j0, l0, 2 * l0 + 4), params, mode="thm11", k=3)
+                    assert cert.residual_zero
+                    assert seen == {params}, (j0, l0)
 
     def test_certificate_recheck_is_independent(self):
         # re-multiply and subtract outside the certify pipeline
