@@ -115,9 +115,9 @@ class Params:
         return f"(alpha={self.alpha}, beta={self.beta})"
 
 
-# the twist rows, identities, partners and c-vectors of one pair ask for the
-# same few related pairs over and over; one object per pair lets the caches
-# keyed on it match by identity
+# the identities, partners and c-vectors of one pair ask for the same few
+# related pairs over and over; one object per pair lets the caches keyed on
+# it match by identity
 @lru_cache(maxsize=1024)
 def _shifted_params(params: Params, d_alpha: int, d_beta: int) -> Params:
     return Params(params.alpha + d_alpha, params.beta + d_beta)
@@ -148,27 +148,24 @@ def _require_nonzero(value: Fraction, factor: str) -> Fraction:
 # Every cache in the package is bounded so that a long-lived process stops
 # growing.  One full run of each workload in bench/ (seeds 1-5, quad-circle
 # 1-3) left at most these entries with the bounds lifted: hr_poly 6004
-# (verify-small; certify-sweep 655), ttrr_b 3621, ttrr_d 429,
-# _shifted_params 492, _swapped_params 289, _generating_terms
-# 2145 (certify-sweep), recurrence._c_vector 1914, _twisted_c_row 1732,
-# _twisted_e_row 1188, xhr.x_poly 2554, darboux.make_seed 264,
+# (verify-small; certify-sweep 655), ttrr_b 685 (verify-small; certify-sweep
+# reads none), ttrr_d 429, _shifted_params 363, _swapped_params 289,
+# _generating_terms 2145 (certify-sweep), recurrence._c_vector 1914,
+# xhr.x_poly 2554, darboux.make_seed 264,
 # xhr._member_pair 262, recurrence.q_poly 264, moments 297,
 # cli.build_parser 1, and quadrature._node_geometry 113, _node_modulus 558
 # and _node_phase 1051 (quad-circle, 938 at seeds 1-2, and 857 to 1131 over
 # seeds 11-20, where seed 14 also reached 193 geometries and 638 moduli;
 # `verify --suite quadrature` at (3/5, 1/2) and (7/3, -1/4) left 193 and 89
 # node geometries, 363 and 251 moduli, and 282 and 170 phases).
-# The polynomial, ttrr_d, related-pair, generating-term, c-vector and
-# quadrature bounds are at least twice that and the twist-row bounds above it,
-# so those runs never evict them.  The seed, member-pair, member, left-factor
+# The polynomial, recurrence-coefficient, related-pair, generating-term,
+# c-vector and quadrature bounds are at least twice that, so those runs never
+# evict them.  The seed, member-pair, member, left-factor
 # and moment bounds hold the working set of a few parameter pairs (one
 # verify-small pair uses 8 seeds, 8 member pairs, 78 members, 8 left factors
 # and 9 moment tables): a run that moves on to a new pair never reads the old
 # entries again, and on those runs the smaller bounds lost no cache hit while
-# keeping peak RSS lower.  ttrr_b
-# holds about 110 entries per verify-small pair; a bound that never evicts it
-# made peak RSS 0.4 MB higher and saved 92 misses in about 21,800 reads over
-# verify-small seeds 1-2 (integer shifts of two pairs can meet).
+# keeping peak RSS lower.
 @lru_cache(maxsize=16384)
 def hr_poly(n: int, params: Params) -> Poly:
     """P_n(z; alpha, beta), monic of degree n.
@@ -211,8 +208,8 @@ def hr_partner(n: int, params: Params) -> Poly:
     return hr_poly(n, params.swapped())
 
 
-# the identities, twist rows and connection polynomials of one pair read the
-# same recurrence coefficients many times
+# the identities and connection polynomials of one pair read the same
+# recurrence coefficients many times
 @lru_cache(maxsize=1024)
 def ttrr_d(n: int, params: Params) -> Fraction:
     """Recurrence coefficient d_n = -(n+beta)/(n+alpha+1)."""
@@ -339,46 +336,25 @@ def dk_bk_sequence(k: int, n: int, params: Params) -> tuple:
     return ds, bs
 
 
-def _entry(row: tuple, l: int) -> Fraction:
-    """Coefficient l >= 1 of a twist row; zero past the row's end."""
-    return row[l - 1] if l <= len(row) else Fraction(0)
+def _raise_twist_pole(n: int, j: int, x: int, side: str) -> None:
+    """Raise at the zero factor k+x, x an integer, that the twist recurrence meets first.
 
-
-# The twist rows depend on (m, t, params) only, so every (n, j) and every
-# identity of one parameter pair share them.
-@lru_cache(maxsize=2048)
-def _twisted_c_row(m: int, t: int, params: Params) -> tuple:
-    """(C^(1), ..., C^(min(t, m))) with P_m(alpha+t, beta-t) = P_m + sum_l C^(l) P_{m-l}.
-
-    Row (m, t), for m, t >= 1, combines rows (m, t-1) and (m-1, t-1) with b_m
-    at (alpha+t-1, beta-t+1); rows with m = 0 or t = 0 are empty.
-    `twisted_coeffs` fills the rows level by level, so the recursive calls
-    here are cache hits unless a row was evicted.
+    The recurrence builds the j-fold twist level by level.  Level t reads
+    b_m at (alpha+t-1, beta-t+1) for m = n-j+t, ..., n on the P side, and at
+    (beta-t, alpha+t) for m = n, n-1, ..., n-t+1 on the Q side; each b_m
+    checks its factor n+alpha, then n+alpha+1, and is reported as `ttrr_b`
+    reports it.
     """
-    shift_b = ttrr_b(m, params.shifted(t - 1, -(t - 1)))
-    prev = _twisted_c_row(m, t - 1, params) if t > 1 else ()
-    prev_down = _twisted_c_row(m - 1, t - 1, params) if t > 1 and m > 1 else ()
-    row = []
-    for l in range(1, min(t, m) + 1):
-        down = Fraction(1) if l == 1 else _entry(prev_down, l - 1)
-        row.append(_entry(prev, l) + shift_b * down)
-    return tuple(row)
-
-
-@lru_cache(maxsize=2048)
-def _twisted_e_row(n: int, t: int, params: Params) -> tuple:
-    """(E^(1), ..., E^(t)) of the t-fold partner twist at index n, t >= 1.
-
-    The E recurrence keeps the first index fixed: at twist level t the new
-    term of E^(l) picks up b_{n-l+1} at parameters (beta-t, alpha+t).
-    """
-    prev = _twisted_e_row(n, t - 1, params) if t > 1 else ()
-    swapped = Params(params.beta - t, params.alpha + t)
-    row = []
-    for l in range(1, t + 1):
-        down = Fraction(1) if l == 1 else prev[l - 2]
-        row.append(_entry(prev, l) + ttrr_b(n - l + 1, swapped) * down)
-    return tuple(row)
+    for t in range(1, j + 1):
+        if side == "P":
+            ms, offset = range(n - j + t, n + 1), t - 1
+        else:
+            ms, offset = range(n, n - t, -1), -t
+        for m in ms:
+            if m + x + offset == 0:
+                raise ParameterPoleError(f"n+alpha at n={m} = 0")
+            if m + x + offset + 1 == 0:
+                raise ParameterPoleError(f"n+alpha+1 at n={m} = 0")
 
 
 def twisted_coeffs(n: int, j: int, params: Params, side: str = "P") -> list:
@@ -386,20 +362,35 @@ def twisted_coeffs(n: int, j: int, params: Params, side: str = "P") -> list:
 
     side="P": C with P_n(z; alpha+j, beta-j) = P_n + sum C^(l) P_{n-l}.
     side="Q": E with Q_n(z) = Q_n(z; alpha+j, beta-j) + sum E^(l) Q_{n-l}(z; alpha+j, beta-j).
-    Returns [coef_1, ..., coef_j].  The rows are built twist level by twist
-    level (t ascending, then m ascending), so a parameter pole is always
-    reported at the same row.
+    Returns [coef_1, ..., coef_j].  With [x]_l = x(x-1)...(x-l+1),
+        C^(l) = (-1)^l binom(j, l) [n]_l [n+alpha+beta]_l / ([n+alpha]_l [n+alpha+j]_l),
+    and E^(l) is the same with beta for alpha and n+beta-j for n+alpha+j.
+    The denominators' factors over l = 1..j are k+alpha for n-j < k <= n+j
+    (P) and k+beta for n-2j < k <= n (Q): exactly the factors of the b's the
+    two-level twist recurrence reads, so the poles are the same, and each is
+    reported as the factor that recurrence meets first (`_raise_twist_pole`).
+    The running product is built in integers, one Fraction per coefficient.
     """
     if not 1 <= j <= n:
         raise ValueError("need 1 <= j <= n")
-    if side == "P":
-        for t in range(1, j + 1):
-            for m in range(n - j + t, n + 1):
-                _twisted_c_row(m, t, params)
-        return list(_twisted_c_row(n, j, params))
-    if side != "Q":
+    if side not in ("P", "Q"):
         raise ValueError("side must be 'P' or 'Q'")
-    return list(_twisted_e_row(n, j, params))
+    # x = p/q is alpha (P) or beta (Q); the last factor is n+x+shift
+    x, shift = (params.alpha, j) if side == "P" else (params.beta, -j)
+    p, q = x.numerator, x.denominator
+    if q == 1:
+        _raise_twist_pole(n, j, p, side)
+    s, r = (params.alpha + params.beta).as_integer_ratio()
+    out = []
+    num = den = 1
+    for l in range(1, j + 1):
+        # coefficient l is coefficient l-1 times
+        # -(j-l+1)/l * k (k+alpha+beta) / ((k+x)(k+x+shift)), k = n-l+1
+        k = n - l + 1
+        num *= -(j - l + 1) * k * (k * r + s) * q * q
+        den *= l * r * (k * q + p) * ((k + shift) * q + p)
+        out.append(Fraction(num, den))
+    return out
 
 
 @lru_cache(maxsize=8192)

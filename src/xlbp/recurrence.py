@@ -162,6 +162,9 @@ def a_coeffs_formula(idx: XIndex, params: Params) -> list:
     Types 1, 2: the (l0+1)-fold twist coefficients at (alpha, beta).
     Types 3, 4: the same coefficients at (alpha+1, beta-1), scaled by the ratio
     xi(n)/xi(n-l) of the full backward eigenvalues -(m-theta)(m+alpha+1).
+    The twist coefficients come from their closed product form
+    (`twisted_coeffs`), so this is a route independent of the c-route
+    solver it cross-checks.
     """
     j0, l0, n = idx.j0, idx.l0, idx.n
     if n < 2 * l0 + 1:

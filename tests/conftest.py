@@ -57,8 +57,6 @@ PACKAGE_CACHES = (
     hr_classical.ttrr_b,
     hr_classical.hr_poly,
     hr_classical.moments,
-    hr_classical._twisted_c_row,
-    hr_classical._twisted_e_row,
     hr_classical._generating_terms,
     darboux.make_seed,
     xhr._member_pair,

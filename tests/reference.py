@@ -7,6 +7,10 @@
                    pairing <w f, g-bar> summed term by term, which the
                    integer weighting `_moment_weights` is compared with
   is_monic         a nonzero polynomial with leading coefficient 1
+  reference_twisted_coeffs
+                   the twist coefficients from the two-level recurrence in
+                   the b's of shifted pairs, which the closed product form
+                   of `twisted_coeffs` is compared with
   long_division    quotient and remainder of two polynomials by Fraction
                    long division, which `divmod` on `Poly` is compared with
   stacked_expansion
@@ -42,7 +46,7 @@ from fractions import Fraction
 
 from xlbp.exact_core import Poly
 from xlbp.darboux import SeedType, _first_order_coefficient, make_seed, psi_hat, xi
-from xlbp.hr_classical import ParameterPoleError, Params, hr_poly, pochhammer, ttrr_coeffs
+from xlbp.hr_classical import ParameterPoleError, Params, hr_poly, pochhammer, ttrr_b, ttrr_coeffs
 from xlbp.recurrence import _c_row, _c_vector, example_oracles
 from xlbp.xhr import InadmissibleIndexError, WeightFactor, XIndex, x_poly
 
@@ -71,6 +75,48 @@ def build_via_ttrr(n: int, params: Params) -> Poly:
 
 def is_monic(p: Poly) -> bool:
     return not p.is_zero and p.leading == 1
+
+
+def reference_twisted_coeffs(n: int, j: int, params: Params, side: str) -> list:
+    """Twist coefficients from the two-level recurrence, the table rebuilt per call.
+
+    Level t of the P side combines entries (m, t-1) and (m-1, t-1) with b_m
+    at (alpha+t-1, beta-t+1), m ascending; the Q side keeps n fixed and
+    picks up b_{n-l+1} at (beta-t, alpha+t).  A parameter pole is raised by
+    the first b that reads a zero factor, and the closed form
+    `twisted_coeffs` must name that same factor.
+    """
+    if side == "P":
+        table = {}
+        for m in range(n - j + 1, n + 1):
+            if m < 0:
+                continue
+            table[(m, 0)] = {}
+        for t in range(1, j + 1):
+            for m in range(n - (j - t), n + 1):
+                if m < 0:
+                    continue
+                shift_b = ttrr_b(m, params.shifted(t - 1, -(t - 1)))
+                prev = table.get((m, t - 1), {})
+                prev_down = table.get((m - 1, t - 1), {})
+                cur = {}
+                for l in range(1, min(t, m) + 1):
+                    up = prev.get(l, Fraction(0))
+                    down = Fraction(1) if l == 1 else prev_down.get(l - 1, Fraction(0))
+                    cur[l] = up + shift_b * down
+                table[(m, t)] = cur
+        final = table[(n, j)]
+    else:
+        final = {0: Fraction(1)}
+        for t in range(1, j + 1):
+            swapped = Params(params.beta - t, params.alpha + t)
+            nxt = {0: Fraction(1)}
+            for l in range(1, t + 1):
+                up = final.get(l, Fraction(0))
+                down = final.get(l - 1, Fraction(0))
+                nxt[l] = up + ttrr_b(n - l + 1, swapped) * down
+            final = nxt
+    return [final.get(l, Fraction(0)) for l in range(1, j + 1)]
 
 
 _EXAMPLE_A = {

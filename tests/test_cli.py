@@ -363,7 +363,7 @@ class TestVerify:
     @pytest.mark.usefixtures("fresh_caches")
     @pytest.mark.parametrize("alpha, beta", [("3/5", "1/2"), ("1", "1/3"), ("3/5", "1")])
     def test_reports_do_not_depend_on_cache_state(self, alpha, beta):
-        # the exact suites share cached twist rows, seeds, members, partners
+        # the exact suites share cached recurrence coefficients, seeds, members, partners
         # and moment tables; a report must read the same whether its suite
         # runs on empty caches, on caches that every suite has filled, or on
         # caches that the suites before it fill in a one-process verify run.
@@ -971,6 +971,41 @@ class TestCertify:
         assert code == 1
         assert re.match(f"certification failed: ({C_FAULT_REASON})", err.getvalue())
         assert "Traceback" not in err.getvalue()
+
+    @pytest.mark.usefixtures("fresh_caches")
+    def test_wrong_twist_closed_form_exits_1(self, monkeypatch):
+        # the P-side closed form with n+alpha+j+1 for its factor n+alpha+j:
+        # the hypergeometric P_n refutes it in verify, and the solver's a
+        # refutes it in certify
+        original = hr_classical.twisted_coeffs
+
+        def shifted_factor(n, j, params, side="P"):
+            if side == "Q":
+                return original(n, j, params, side)
+            a, b = params.alpha, params.beta
+            out, c = [], Fraction(1)
+            for l in range(1, j + 1):
+                k = n - l + 1
+                c *= Fraction(-(j - l + 1), l) * k * (k + a + b) / ((k + a) * (k + a + j + 1))
+                out.append(c)
+            return out
+
+        monkeypatch.setattr(hr_classical, "twisted_coeffs", shifted_factor)
+        monkeypatch.setattr(recurrence, "twisted_coeffs", shifted_factor)
+        code, report, err = verify_in_process(
+            "identities", "--alpha", "3/5", "--beta", "1/2", "--max-n", "3"
+        )
+        assert code == 1
+        assert "Traceback" not in err
+        failed = [c["check_id"] for c in report["checks"] if c["status"] == "fail"]
+        assert [f"identities/multi-twist-p/n={n}" for n in (1, 2, 3)] == [
+            c for c in failed if "multi-twist" in c
+        ]
+        code, err = certify_in_process(
+            "--j0", "1", "--l0", "1", "--n", "5", "--alpha", "3/5", "--beta", "1/2"
+        )
+        assert code == 1
+        assert err == "certification failed: closed-form a disagrees with solver route\n"
 
     @pytest.mark.usefixtures("fresh_caches")
     def test_backward_image_outside_the_span_exits_1(self, monkeypatch):

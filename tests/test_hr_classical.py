@@ -27,7 +27,7 @@ from xlbp.hr_classical import (
 )
 
 from conftest import PAIR_A, PAIR_B, PAIRS_MAIN
-from reference import build_via_ttrr, inner_product, is_monic, moment_value
+from reference import build_via_ttrr, inner_product, is_monic, moment_value, reference_twisted_coeffs
 
 
 def test_pochhammer_values():
@@ -423,40 +423,26 @@ class TestTwistedCoefficients:
         with pytest.raises(ValueError):
             twisted_coeffs(3, 0, PAIR_A, "P")
 
-
-def reference_twisted_coeffs(n, j, params, side):
-    """twisted_coeffs as first written: the whole table rebuilt on every call."""
-    if side == "P":
-        table = {}
-        for m in range(n - j + 1, n + 1):
-            if m < 0:
-                continue
-            table[(m, 0)] = {}
-        for t in range(1, j + 1):
-            for m in range(n - (j - t), n + 1):
-                if m < 0:
-                    continue
-                shift_b = ttrr_b(m, params.shifted(t - 1, -(t - 1)))
-                prev = table.get((m, t - 1), {})
-                prev_down = table.get((m - 1, t - 1), {})
-                cur = {}
-                for l in range(1, min(t, m) + 1):
-                    up = prev.get(l, Fraction(0))
-                    down = Fraction(1) if l == 1 else prev_down.get(l - 1, Fraction(0))
-                    cur[l] = up + shift_b * down
-                table[(m, t)] = cur
-        final = table[(n, j)]
-    else:
-        final = {0: Fraction(1)}
-        for t in range(1, j + 1):
-            swapped = Params(params.beta - t, params.alpha + t)
-            nxt = {0: Fraction(1)}
-            for l in range(1, t + 1):
-                up = final.get(l, Fraction(0))
-                down = final.get(l - 1, Fraction(0))
-                nxt[l] = up + ttrr_b(n - l + 1, swapped) * down
-            final = nxt
-    return [final.get(l, Fraction(0)) for l in range(1, j + 1)]
+    # (n, j) = (5, 3): the P side's zero factors k+alpha run over 3 <= k <= 8
+    # and the Q side's k+beta over 0 <= k <= 5; each message names the factor
+    # the twist recurrence meets first (tests/reference.py)
+    @pytest.mark.parametrize(
+        "n, j, side, alpha, beta, message",
+        [
+            (5, 3, "P", -3, Fraction(1, 2), "n+alpha at n=3 = 0"),  # bottom, k = 3
+            (5, 3, "P", -5, Fraction(1, 2), "n+alpha+1 at n=4 = 0"),  # middle, k = 5
+            (5, 3, "P", -8, Fraction(1, 2), "n+alpha+1 at n=5 = 0"),  # top, k = 8
+            (5, 3, "Q", Fraction(1, 2), 0, "n+alpha at n=3 = 0"),  # bottom, k = 0
+            (5, 3, "Q", Fraction(1, 2), -2, "n+alpha at n=4 = 0"),  # middle, k = 2
+            (5, 3, "Q", Fraction(1, 2), -5, "n+alpha+1 at n=5 = 0"),  # top, k = 5
+            # one level with two zero factors, 2+alpha+1 and 3+alpha
+            (3, 2, "P", -3, Fraction(1, 2), "n+alpha+1 at n=2 = 0"),
+        ],
+    )
+    def test_pole_names_the_first_zero_factor(self, n, j, side, alpha, beta, message):
+        with pytest.raises(ParameterPoleError) as exc:
+            twisted_coeffs(n, j, Params(alpha, beta), side)
+        assert str(exc.value) == message
 
 
 def reference_norm_ratio(n, params):
@@ -487,7 +473,27 @@ small_rationals = st.one_of(
 )
 
 
-class TestCachedRows:
+class TestProductForms:
+    """The integer product forms against the recurrences they replace."""
+
+    # the P side's poles and values depend on alpha and alpha+beta, the Q
+    # side's on beta and alpha+beta: each side walks the integers -12..4 in
+    # its own parameter, against fixed values of the other, so every branch
+    # of the pole walk fires at some (n, j) with n <= 10
+    TWIST_GRID = [Fraction(k) for k in range(-12, 5)] + [Fraction(-7, 2), Fraction(2, 5)]
+    TWIST_OTHERS = (Fraction(1, 3), Fraction(-5, 3), Fraction(2))
+
+    def test_closed_form_matches_the_recurrence_table_on_a_grid(self):
+        pairs = [(x, y) for x in self.TWIST_GRID for y in self.TWIST_OTHERS]
+        for side, swap in (("P", False), ("Q", True)):
+            for x, y in pairs:
+                params = Params(y, x) if swap else Params(x, y)
+                for n in range(1, 11):
+                    for j in range(1, n + 1):
+                        want = outcome(reference_twisted_coeffs, n, j, params, side)
+                        got = outcome(twisted_coeffs, n, j, params, side)
+                        assert got == want, (params, n, j, side)
+
     @settings(max_examples=150, deadline=None)
     @given(
         alpha=small_rationals,
@@ -503,13 +509,13 @@ class TestCachedRows:
         ),
     )
     # at alpha = -3 the first twist level of (n, j) = (3, 2) has two poles:
-    # b_2 (2+alpha+1 = 0) and b_3 (3+alpha = 0); the first in row order wins
+    # b_2 (2+alpha+1 = 0) and b_3 (3+alpha = 0); the first in level order wins
     @example(alpha=Fraction(-3), beta=Fraction(1, 2), calls=[(3, 2, "P")])
     @example(alpha=Fraction(-3), beta=Fraction(1, 2), calls=[(3, 1, "P"), (4, 3, "P"), (3, 2, "P")])
     @example(alpha=Fraction(1, 2), beta=Fraction(-1), calls=[(2, 2, "Q"), (4, 3, "Q")])
-    def test_twist_rows_match_the_table_rebuilt_per_call(self, alpha, beta, calls):
-        # one example makes several calls, so later calls meet rows that
-        # earlier ones cached; a pole must still be reported at the same row
+    def test_closed_form_matches_the_recurrence_table(self, alpha, beta, calls):
+        # one example makes several calls; the closed form keeps no state,
+        # so a pole is reported at the same factor whatever came before
         params = Params(alpha, beta)
         for n, j, side in calls:
             j = min(j, n)

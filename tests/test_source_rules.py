@@ -271,6 +271,9 @@ REMOVED_NAMES = frozenset(
         "darboux_route_poly",
         "xp4_derivative_factor",
         "backward_apply",
+        "_twisted_c_row",
+        "_twisted_e_row",
+        "_entry",
     }
 )
 
