@@ -151,7 +151,9 @@ def _require_nonzero(value: Fraction, factor: str) -> Fraction:
 # (verify-small; certify-sweep 655), ttrr_b 685 (verify-small; certify-sweep
 # reads none), ttrr_d 429, _shifted_params 363, _swapped_params 289,
 # _generating_terms 2145 (certify-sweep), recurrence._c_vector 1914,
-# xhr.x_poly 2554, darboux.make_seed 264,
+# xhr.x_poly 2422 (verify-small; certify-sweep 168),
+# recurrence._member_top 660 (verify-small; certify-sweep 432),
+# recurrence._pair_numerators 132, darboux.make_seed 264,
 # xhr._member_pair 262, recurrence.q_poly 264, moments 297,
 # cli.build_parser 1, and quadrature._node_geometry 113, _node_modulus 558
 # and _node_phase 1051 (quad-circle, 938 at seeds 1-2, and 857 to 1131 over
@@ -160,12 +162,14 @@ def _require_nonzero(value: Fraction, factor: str) -> Fraction:
 # node geometries, 363 and 251 moduli, and 282 and 170 phases).
 # The polynomial, recurrence-coefficient, related-pair, generating-term,
 # c-vector and quadrature bounds are at least twice that, so those runs never
-# evict them.  The seed, member-pair, member, left-factor
+# evict them.  The seed, member-pair, member, member-top, left-factor
 # and moment bounds hold the working set of a few parameter pairs (one
-# verify-small pair uses 8 seeds, 8 member pairs, 78 members, 8 left factors
-# and 9 moment tables): a run that moves on to a new pair never reads the old
-# entries again, and on those runs the smaller bounds lost no cache hit while
-# keeping peak RSS lower.
+# verify-small pair uses 8 seeds, 8 member pairs, 74 members, 20 member tops
+# and 4 integer member pairs, 8 left factors and 9 moment tables), and a
+# certify-sweep step reads a member top again only within its own (n, n+1):
+# a run that moves on to a new pair never reads the old entries again, and
+# on those runs the smaller bounds lost no cache hit while keeping peak RSS
+# lower.
 @lru_cache(maxsize=16384)
 def hr_poly(n: int, params: Params) -> Poly:
     """P_n(z; alpha, beta), monic of degree n.
@@ -174,8 +178,11 @@ def hr_poly(n: int, params: Params) -> Poly:
     ((-n)_k (alpha+1)_k) / ((1-beta-n)_k k!) is, as P_n is monic, the product
     over k <= i < n of ((1-beta-n+i)(i+1)) / ((i-n)(alpha+1+i)), with no beta
     in any denominator.  So the poles are alpha in {-n, ..., -1}, raised with
-    the recurrence route's message; integer beta is not a pole.  Numerators
-    are integer running products over one common denominator.
+    the recurrence route's message; integer beta is not a pole.  The factors
+    (i+1)/(i-n) multiply to (-1)^(n-k) binom(n, k), so the numerators are
+    that binomial times integer running products of the other factors, over
+    prod_{i<n} (alpha+1+i) alone, and the content gcd of the canonical form
+    works on integers without the n!^2 of the separate factors.
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
@@ -189,17 +196,20 @@ def hr_poly(n: int, params: Params) -> Poly:
     # alpha+1+i = up[i]/qa and 1-beta-n+i = down[i]/qb
     up = [pa + (1 + i) * qa for i in range(n)]
     down = [(1 - n + i) * qb - pb for i in range(n)]
-    # term ratio c_{i+1}/c_i = ((i-n) up[i] qb) / (down[i] qa (i+1)), and c_n = 1, so
-    # c_k = prod_{i<k} (i-n) up[i] qb * prod_{i>=k} down[i] qa (i+1) / prod_{i<n} (i-n) up[i] qb
+    # c_k = (-1)^(n-k) binom(n, k) prod_{k<=i<n} down[i] qa / (up[i] qb), so over
+    # prod_{i<n} up[i] qb numerator k is that binomial times
+    # prod_{i<k} up[i] qb * prod_{i>=k} down[i] qa
     suffix = [1] * (n + 1)
     for i in range(n - 1, -1, -1):
-        suffix[i] = suffix[i + 1] * down[i] * qa * (i + 1)
+        suffix[i] = suffix[i + 1] * down[i] * qa
     nums = []
     prefix = 1
+    binom = -1 if n % 2 else 1
     for k in range(n + 1):
-        nums.append(prefix * suffix[k])
+        nums.append(binom * prefix * suffix[k])
         if k < n:
-            prefix *= (k - n) * up[k] * qb
+            prefix *= up[k] * qb
+            binom = -binom * (n - k) // (k + 1)
     return Poly.from_numerators(nums, prefix)
 
 

@@ -20,10 +20,18 @@ certification pipeline:
      formula route is cross-checked;
   3. expand the left side over the window members for the right-side b
      coefficients: the members have distinct degrees, so back-substitution
-     from the top degree down finds b, and what it leaves over is the
-     residual, which must be the zero polynomial.  The window is every
-     admissible index in its range, so the index set alone decides its
-     members; `xhr.x_poly` builds each, the type-4 added state included;
+     from the top degree down finds b.  The window is every admissible
+     index in its range, so the index set alone decides its members.  A
+     sharp window's members take every degree of its own range, the top
+     2l0+2 of the left side, so from n = 4l0+5 on b is found there alone,
+     from each member's top terms, built from the top of P_j and the
+     n-free member pair (A, B) without building the member; the relation
+     is then proved at every degree as the integer residual
+     A (q S1' - S2') + B (q S1 - S2) = 0, S1 = sum_l a_l P_{n-l} and
+     S2 = sum_j b_j P_j.  Below that, and over the thm11 window,
+     `xhr.x_poly` builds each whole member, the type-4 added state
+     included, and what back-substitution leaves over is the residual,
+     which must be the zero polynomial;
   4. apply the backward operator to the relation itself: with xi_j the
      backward eigenvalues, the residual
          R = sum_l a_l I_{n-l} - sum_{j in window} b_j xi_j P_j(.; alpha+1, beta-1)
@@ -49,10 +57,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from operator import add
+from operator import add, sub
 
 from .darboux import SeedType, backward_pair, make_seed, psi_hat, seed_theta, xi
-from .exact_core import Poly, solve_exact
+from .exact_core import Poly, _mul, solve_exact
 from .hr_classical import (
     CertificationError,
     ParameterPoleError,
@@ -61,7 +69,7 @@ from .hr_classical import (
     hr_poly,
     twisted_coeffs,
 )
-from .xhr import XIndex, x_poly
+from .xhr import XIndex, _member_pair, _member_parts, x_poly
 
 __all__ = [
     "CertificationError",
@@ -235,6 +243,97 @@ def _image_residual(idx: XIndex, a, b: dict, params: Params) -> tuple:
     den = lcm(image_den, rhs_den)
     left, right = den // image_den, den // rhs_den
     return [left * u - right * v for u, v in zip(images, rhs)], den
+
+
+def _dense(p: Poly, den: int, size: int = 0) -> list:
+    """p's numerators over den, a multiple of p.denominator, from z^0 up to size at least."""
+    scale = den // p.denominator
+    nums = [0] * p.min_exp + [scale * v for v in p.numerators]
+    return nums + [0] * (size - len(nums))
+
+
+# one entry per seed, like _member_pair's
+@lru_cache(maxsize=256)
+def _pair_numerators(j0: SeedType, l0: int, params: Params) -> tuple:
+    """(A numerators, B numerators, D): `_member_pair` over one denominator.
+
+    Both lists have the same length, so A P' is never longer than B P,
+    whichever of A and B vanishes or has the lower degree.
+    """
+    a, b = _member_pair(j0, l0, params)
+    den = lcm(a.denominator, b.denominator)
+    size = max(a.degree, b.degree) + 1
+    return _dense(a, den, size), _dense(b, den, size), den
+
+
+# bounded like x_poly, whose role it takes in thm12 mode from n = 4l0+5 on:
+# a window and the next n's share all but one member
+@lru_cache(maxsize=256)
+def _member_top(j0: SeedType, l0: int, m: int, params: Params) -> Poly:
+    """X_m's terms of degree deg X_m - 2l0 - 1 and above: all a sharp window reads of it.
+
+    X_m = A P_m' + B P_m, and its z^k coefficient reads P_m only from
+    k - max(len A, len B) + 1 up, so the top of P_m and the integer pair
+    give these terms without building X_m.  The pole checks are x_poly's
+    (`_member_parts`).  A top whose degree is not the member's declared one
+    can only come from a wrong pair; x_poly then builds the whole member and
+    names its degree.
+    """
+    idx = XIndex(j0, l0, m)
+    p_m, _ = _member_parts(idx, params)
+    a, b, den = _pair_numerators(j0, l0, params)
+    bottom = max(0, idx.degree - 2 * l0 - 1)
+    # P_m from z^start up, dense, and P_m' over the same exponents
+    start = max(0, bottom - max(len(a), len(b)) + 1)
+    skip = start - p_m.min_exp
+    p = list(p_m.numerators[skip:]) if skip >= 0 else [0] * -skip + list(p_m.numerators)
+    dp = [(start + t) * v for t, v in enumerate(p[1:], start=1)]
+    top = _mul(b, p)
+    if dp:
+        top[: len(top) - 1] = map(add, top, _mul(a, dp))
+    top = Poly.from_numerators(top[bottom - start :], den * p_m.denominator).shifted(bottom)
+    if top.degree != idx.degree:
+        return _cut(x_poly(idx, params), bottom)
+    return top
+
+
+def _cut(p: Poly, bottom: int) -> Poly:
+    """p's terms of degree bottom and above."""
+    drop = bottom - p.min_exp
+    if drop <= 0:
+        return p
+    return Poly.from_numerators(p.numerators[drop:], p.denominator).shifted(bottom)
+
+
+def _relation_residual(idx: XIndex, left: dict, b: dict, params: Params) -> tuple:
+    """(numerators, Q): q sum_j left_j X_j - sum_j b_j X_j, left_j = a_l at j = n-l.
+
+    numerators[k]/Q is the z^k coefficient.  Every member is A P_j' + B P_j
+    with the n-free pair (A, B), so the relation's residual is
+    A (q S1' - S2') + B (q S1 - S2) with S1 = sum_j left_j P_j and
+    S2 = sum_j b_j P_j, each integer numerators over one lcm (`_accumulate`).
+    Nothing is reduced, so the relation holds exactly when every numerator
+    is zero.  Every member here has pair form: `left` omits the vanishing
+    type-1 member, and a sharp window holds no added state.
+    """
+    j0, l0, n = idx.j0, idx.l0, idx.n
+    size = n + l0 + 2
+    s1, d1 = _accumulate([(c, hr_poly(j, params)) for j, c in left.items() if c], size)
+    s2, d2 = _accumulate([(v, hr_poly(j, params)) for j, v in b.items() if v], size)
+    q = q_poly(j0, l0, params)
+    qn = _dense(q, q.denominator)
+    den = lcm(q.denominator * d1, d2)
+    w1, w2 = den // (q.denominator * d1), den // d2
+    # q S1 - S2 and q S1' - S2', over den
+    v = [w1 * u for u in _mul(qn, s1)]
+    v[:size] = map(sub, v, (w2 * u for u in s2))
+    ds1 = [k * u for k, u in enumerate(s1[1:], start=1)]
+    u = [w1 * t for t in _mul(qn, ds1)]
+    u[: size - 1] = map(sub, u, (k * w2 * t for k, t in enumerate(s2[1:], start=1)))
+    a_nums, b_nums, pair_den = _pair_numerators(j0, l0, params)
+    out = _mul(b_nums, v)
+    out[: len(out) - 1] = map(add, out, _mul(a_nums, u))
+    return out, den * pair_den
 
 
 @dataclass(frozen=True)
@@ -415,15 +514,34 @@ def certify(
 
     q = q_poly(j0, l0, params)
     # the type-1 member at n-l = l0 is identically zero and contributes nothing
-    left = [l for l in range(len(a)) if XIndex(j0, l0, n - l).is_admissible]
+    left = {n - l: a_l for l, a_l in enumerate(a) if XIndex(j0, l0, n - l).is_admissible}
     # each member once, the left side's first: the first parameter pole met
     # names a skipped verify record
-    members = {
-        j: x_poly(XIndex(j0, l0, j), params)
-        for j in dict.fromkeys([n - l for l in left] + window)
-    }
-    lhs = q * sum((a[l] * members[n - l] for l in left), Poly.zero())
-    b = _solve_b(lhs, {j: members[j] for j in window})
+    order = dict.fromkeys([*left, *window])
+    # a sharp window's members take every degree from X_{n-l0}'s up to the
+    # left side's top, so back-substitution on those 2l0+2 degrees alone
+    # finds b, from each member's top terms, and the relation's residual
+    # then proves every degree.  This is the route from n = 4l0+5 on, where
+    # the window's degrees are under a third of the left side's n+2l0+2;
+    # below that the whole members are short enough to cost no more, and
+    # the thm11 window reaches degree 0.  Back-substitution on whole members
+    # leaves the relation's residual itself
+    top_route = mode == "thm12" and n >= 4 * l0 + 5
+    if top_route:
+        members = {j: _member_top(j0, l0, j, params) for j in order}
+        bottom = members[window[0]].degree
+    else:
+        members = {j: x_poly(XIndex(j0, l0, j), params) for j in order}
+        bottom = 0
+    lhs = q * sum((c * members[j] for j, c in left.items()), Poly.zero())
+    b = _solve_b(_cut(lhs, bottom), {j: _cut(members[j], bottom) for j in window})
+    if top_route:
+        nums, den = _relation_residual(idx, left, b, params)
+        if any(nums):
+            raise CertificationError(
+                "window expansion is inconsistent: the relation fails",
+                residual=Poly.from_numerators(nums, den),
+            )
 
     # cross-route: the backward operator maps the relation onto
     # sum_l a_l I_{n-l} = sum_j b_j xi_j P_j(.; alpha+1, beta-1), so the

@@ -125,29 +125,22 @@ def _member_pair(j0: SeedType, l0: int, params: Params) -> tuple:
     return left, pref * (a + 1) * hr_poly(l0 + 1, Params(-a - 2, -b + 1))
 
 
-# certify builds each window member once per (j0, l0, pair) through this
-# cache; consecutive n share all but one member of their windows
+# certify's whole-member route (thm11, and thm12 below n = 4l0+5) builds each
+# window member once per (j0, l0, pair) through this cache; consecutive n
+# share all but one member of their windows
 @lru_cache(maxsize=256)
 def x_poly(idx: XIndex, params: Params) -> Poly:
     """Exceptional polynomial A P_n' + B P_n from the compact pair, with degree check.
 
-    A vanishing leading factor is refused by name, as a parameter pole, before
-    the member is built.  The added state of type 4 (n = -l0-1) has no
-    pair form: normalised by z^l0 it is the constant
-    compact_darboux_sign(4) = -1, of degree 0 = idx.degree.
+    `_member_parts` refuses the member's parameter poles before it is built.
+    The added state of type 4 (n = -l0-1) has no pair form: normalised by
+    z^l0 it is the constant compact_darboux_sign(4) = -1, of degree
+    0 = idx.degree.
     """
     idx.require_admissible()
     if idx.n < 0:
         return Poly((compact_darboux_sign(idx.j0),))
-    for factor, value in _leading_factors(idx, params):
-        if value == 0:
-            raise ParameterPoleError(
-                f"{factor} = 0 at l0={idx.l0}, n={idx.n}: "
-                f"the leading coefficient of the type-{int(idx.j0)} member vanishes"
-            )
-    # P_n first: where it has a pole, its message names the member's index
-    p_n = hr_poly(idx.n, params)
-    left, right = _member_pair(idx.j0, idx.l0, params)
+    p_n, (left, right) = _member_parts(idx, params)
     poly = left * p_n.derivative() + right * p_n
     if poly.degree != idx.degree:
         raise CertificationError(
@@ -155,6 +148,24 @@ def x_poly(idx: XIndex, params: Params) -> Poly:
             residual=poly,
         )
     return poly
+
+
+def _member_parts(idx: XIndex, params: Params) -> tuple:
+    """(P_n, (A, B)) of a member of pair form, once its parameter poles are refused.
+
+    A vanishing leading factor is refused by name, then P_n is built (where
+    it has a pole, its message names the member's index), then the pair.
+    `x_poly` and certify's top terms of a member both start here, so they
+    refuse the same member with the same message.
+    """
+    for factor, value in _leading_factors(idx, params):
+        if value == 0:
+            raise ParameterPoleError(
+                f"{factor} = 0 at l0={idx.l0}, n={idx.n}: "
+                f"the leading coefficient of the type-{int(idx.j0)} member vanishes"
+            )
+    p_n = hr_poly(idx.n, params)
+    return p_n, _member_pair(idx.j0, idx.l0, params)
 
 
 def _leading_factors(idx: XIndex, params: Params) -> tuple:

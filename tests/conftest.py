@@ -64,6 +64,8 @@ PACKAGE_CACHES = (
     recurrence.q_poly,
     recurrence._image_pair,
     recurrence._c_vector,
+    recurrence._pair_numerators,
+    recurrence._member_top,
     quadrature._node_geometry,
     quadrature._node_modulus,
     quadrature._node_phase,

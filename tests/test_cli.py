@@ -1136,6 +1136,84 @@ class TestCertify:
         assert Fraction(-51, 142) == -example_oracles(2, Params(Fraction(3, 5), Fraction(1, 2)))[7]
 
     @pytest.mark.usefixtures("fresh_caches")
+    def test_inconsistent_top_window_expansion_exits_1(self, monkeypatch):
+        # the same fault from n = 4l0+5 on, where no member is built whole:
+        # the constant added to X_{n+l0+1} lies below the window's degrees,
+        # so b is unchanged, and the member's share -b_{n+l0+1} X_{n+l0+1}
+        # of the relation's residual gains -b_{n+l0+1}, all that is left
+        original = recurrence._relation_residual
+
+        def perturbed(idx, left, b, params):
+            nums, den = original(idx, left, b, params)
+            share = b[idx.n + idx.l0 + 1]
+            return (
+                [nums[0] * share.denominator - share.numerator * den]
+                + [v * share.denominator for v in nums[1:]],
+                den * share.denominator,
+            )
+
+        cert = recurrence.certify(XIndex(2, 1, 9), Params(Fraction(3, 5), Fraction(1, 2)))
+        assert cert.b[11] == Fraction(91, 222)
+        monkeypatch.setattr(recurrence, "_relation_residual", perturbed)
+        code, err = certify_in_process(
+            "--j0", "2", "--l0", "1", "--n", "9", "--alpha", "3/5", "--beta", "1/2"
+        )
+        assert code == 1
+        first, second = err.splitlines()
+        assert first == (
+            "certification failed: window expansion is inconsistent: the relation fails"
+        )
+        assert second == "residual coefficients: ['-91/222']"
+
+    @pytest.mark.usefixtures("fresh_caches")
+    def test_wrong_member_pair_entry_exits_1(self, monkeypatch):
+        # B + 1 in place of B: the members' top terms and the residual read
+        # the same wrong pair.  Back-substitution still closes on the
+        # window's degrees 9..12, so what is left lies below them
+        original = recurrence._pair_numerators
+
+        def perturbed(j0, l0, params):
+            a, b, den = original(j0, l0, params)
+            return a, [b[0] + den] + b[1:], den
+
+        monkeypatch.setattr(recurrence, "_pair_numerators", perturbed)
+        code, err = certify_in_process(
+            "--j0", "2", "--l0", "1", "--n", "9", "--alpha", "3/5", "--beta", "1/2"
+        )
+        assert code == 1
+        first, second = err.splitlines()
+        assert first == (
+            "certification failed: window expansion is inconsistent: the relation fails"
+        )
+        assert second == (
+            "residual coefficients: ['-253772057421875/2482755227545042944', "
+            "'241389137734375/14896531365270257664', '25218416890625/445276752766230528', "
+            "'28955084375/575292962230272', '-206941721875/6125218489009152', "
+            "'-233996440825/752156676969984', '-1491046452595/1159574876995392', "
+            "'-1316888521891/158123846863008', '249563578547/10402884662040']"
+        )
+
+    @pytest.mark.usefixtures("fresh_caches")
+    def test_wrong_b_entry_in_the_residual_exits_1(self, monkeypatch):
+        # b_n + 1 in place of b_n: the residual is -X_n, named in full
+        original = recurrence._relation_residual
+
+        def perturbed(idx, left, b, params):
+            return original(idx, left, {**b, idx.n: b[idx.n] + 1}, params)
+
+        monkeypatch.setattr(recurrence, "_relation_residual", perturbed)
+        code, err = certify_in_process(
+            "--j0", "3", "--l0", "2", "--n", "13", "--alpha", "3/5", "--beta", "1/2"
+        )
+        assert code == 1
+        first, second = err.splitlines()
+        assert first == (
+            "certification failed: window expansion is inconsistent: the relation fails"
+        )
+        member = xhr.x_poly(XIndex(3, 2, 13), Params(Fraction(3, 5), Fraction(1, 2)))
+        assert second == f"residual coefficients: {[str(-c) for c in member.coeffs]}"
+
+    @pytest.mark.usefixtures("fresh_caches")
     @pytest.mark.parametrize("shift", [Fraction(1), Fraction(-1, 3)])
     @pytest.mark.parametrize("j0", ["1", "2", "3", "4"])
     @pytest.mark.parametrize("mode", [[], ["--mode", "thm11", "--k", "3"]], ids=["thm12", "thm11"])

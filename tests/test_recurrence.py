@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from xlbp import recurrence
+import grid_manifest
+from xlbp import recurrence, xhr
 from xlbp.darboux import make_seed, psi_hat, seed_theta, xi
 from xlbp.exact_core import Poly
 from xlbp.hr_classical import ParameterPoleError, Params, hr_poly, pochhammer, twisted_coeffs
@@ -20,7 +21,7 @@ from xlbp.recurrence import (
 )
 from xlbp.xhr import XIndex, x_poly
 
-from conftest import PACKAGE_CACHES, PAIR_A, pairs_for_recurrence
+from conftest import PACKAGE_CACHES, PAIR_A, clear_package_caches, pairs_for_recurrence
 from reference import (
     backward_apply,
     example3_middle_coefficient_as_published,
@@ -646,6 +647,70 @@ class TestBExpansion:
             )
             assert err.value.residual == bad - peeled
             assert err.value.residual.degree == k
+
+    @pytest.mark.usefixtures("fresh_caches")
+    def test_thm12_builds_no_whole_member(self, monkeypatch):
+        # from n = 4l0+5 on, thm12 reads each member's top 2l0+2 terms and
+        # the P_j alone; its b is the back-substitution's over the whole
+        # members, and with x_poly refused it still prints the manifest's
+        # certificates
+        expected = {}
+        for j0 in (1, 2, 3, 4):
+            for l0 in (1, 2):
+                for n in (4 * l0 + 5, 4 * l0 + 11):
+                    cert = certify(XIndex(j0, l0, n), PAIR_A)
+                    left = sum(
+                        (
+                            a_l * x_poly(XIndex(j0, l0, n - l), PAIR_A)
+                            for l, a_l in enumerate(cert.a)
+                            if XIndex(j0, l0, n - l).is_admissible
+                        ),
+                        Poly.zero(),
+                    )
+                    members = _window_members(cert, PAIR_A)
+                    assert _solve_b(q_poly(j0, l0, PAIR_A) * left, members) == cert.b
+                    expected[j0, l0, n] = cert.to_json_dict()
+        clear_package_caches()
+
+        def refuse(idx, params):
+            raise AssertionError(f"x_poly({idx}) built a whole member")
+
+        monkeypatch.setattr(recurrence, "x_poly", refuse)
+        monkeypatch.setattr(xhr, "x_poly", refuse)
+        for (j0, l0, n), data in expected.items():
+            assert certify(XIndex(j0, l0, n), PAIR_A).to_json_dict() == data
+        manifest = grid_manifest.load()["certify"]
+        large = [
+            (case, pair)
+            for case, pair in grid_manifest.CERTIFY_CASES
+            if len(case) == 3 and case[2] >= 4 * case[1] + 5
+        ]
+        assert large
+        for case, pair in large:
+            record = manifest[grid_manifest.certify_key(case, pair)]
+            assert grid_manifest.certify_record(case, pair) == record
+
+    @pytest.mark.usefixtures("fresh_caches")
+    def test_top_terms_refuse_a_degree_drop_as_x_poly_does(self, monkeypatch):
+        # a pair that lost the top terms of both A and B builds members of
+        # too low a degree; from the members' top terms certify names the
+        # first one with x_poly's message and whole-member residual
+        original = xhr._member_pair
+
+        def truncated(j0, l0, params):
+            return tuple(
+                part - Poly((part.leading,)).shifted(part.degree)
+                for part in original(j0, l0, params)
+            )
+
+        monkeypatch.setattr(xhr, "_member_pair", truncated)
+        monkeypatch.setattr(recurrence, "_member_pair", truncated)
+        with pytest.raises(CertificationError, match="degree mismatch") as direct:
+            x_poly(XIndex(2, 1, 9), PAIR_A)
+        with pytest.raises(CertificationError, match="degree mismatch") as err:
+            certify(XIndex(2, 1, 9), PAIR_A)
+        assert str(err.value) == str(direct.value)
+        assert err.value.residual == direct.value.residual
 
     def test_members_sharing_a_degree_are_refused(self):
         members = {0: Poly((1, 1)), 1: Poly((2, 1))}
