@@ -150,26 +150,30 @@ def _require_nonzero(value: Fraction, factor: str) -> Fraction:
 # 1-3) left at most these entries with the bounds lifted: hr_poly 6004
 # (verify-small; certify-sweep 655), ttrr_b 685 (verify-small; certify-sweep
 # reads none), ttrr_d 429, _shifted_params 363, _swapped_params 289,
-# _generating_terms 2145 (certify-sweep), recurrence._c_vector 1914,
-# xhr.x_poly 2422 (verify-small; certify-sweep 168),
-# recurrence._member_top 660 (verify-small; certify-sweep 432),
-# recurrence._pair_numerators 132, darboux.make_seed 264,
-# xhr._member_pair 262, recurrence.q_poly 264, moments 297,
+# _generating_terms 510 (verify-small; certify-sweep 447),
+# recurrence._c_top 1914 (verify-small; certify-sweep 364),
+# recurrence._c_vector 110 (verify-small; certify-sweep 58),
+# xhr.x_poly 2554 (verify-small; certify-sweep 168),
+# recurrence._member_top 432 (certify-sweep; verify-small reads none),
+# recurrence._pair_numerators 24, darboux.make_seed 264,
+# recurrence._image_pair and _image_numerators 264, xhr._member_pair 262,
+# recurrence.q_poly 264, moments 297,
 # cli.build_parser 1, and quadrature._node_geometry 113, _node_modulus 558
 # and _node_phase 1051 (quad-circle, 938 at seeds 1-2, and 857 to 1131 over
 # seeds 11-20, where seed 14 also reached 193 geometries and 638 moduli;
 # `verify --suite quadrature` at (3/5, 1/2) and (7/3, -1/4) left 193 and 89
 # node geometries, 363 and 251 moduli, and 282 and 170 phases).
 # The polynomial, recurrence-coefficient, related-pair, generating-term,
-# c-vector and quadrature bounds are at least twice that, so those runs never
-# evict them.  The seed, member-pair, member, member-top, left-factor
-# and moment bounds hold the working set of a few parameter pairs (one
-# verify-small pair uses 8 seeds, 8 member pairs, 74 members, 20 member tops
-# and 4 integer member pairs, 8 left factors and 9 moment tables), and a
-# certify-sweep step reads a member top again only within its own (n, n+1):
-# a run that moves on to a new pair never reads the old entries again, and
-# on those runs the smaller bounds lost no cache hit while keeping peak RSS
-# lower.
+# c-row, c-vector and quadrature bounds are at least twice that, so those
+# runs never evict them.  The seed, image-pair, member-pair, member,
+# member-top, left-factor and moment bounds hold the working set of a few
+# parameter pairs (one verify-small pair uses 8 seeds, 8 image pairs,
+# 8 member pairs, 74 members, 8 left factors and 9 moment tables, and no
+# member top at n <= 8),
+# and a certify-sweep step reads a member top again only within its own
+# (n, n+1): a run that moves on to a new pair never reads the old entries
+# again, and on those runs the smaller bounds lost no cache hit while
+# keeping peak RSS lower.
 @lru_cache(maxsize=16384)
 def hr_poly(n: int, params: Params) -> Poly:
     """P_n(z; alpha, beta), monic of degree n.

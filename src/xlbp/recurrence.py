@@ -10,14 +10,18 @@ certification pipeline:
      basis P_j(.; alpha+1, beta-1) are integer numerators over one
      denominator per member.  The operator runs once per seed, on the
      n-free pair q (A, B) of the seed's Darboux pair (A, B); the image pair
-     it leaves gives every I_m from P_m and P_m'.  Only the bottom l0+3 rows
-     are expanded;
+     it leaves gives I_m = (E0 + m E1) P_m' + (F0 + m F1) P_m.  Row j of
+     the expansion reads only the image's terms of degree j and above, so
+     the 2l0+4 rows j = m-2l0-3..m come from the top 3l0+5 terms of I_m,
+     taken from the top of P_m and the integer image pair, with no image
+     built;
   2. solve the exact nullspace condition for the left-side a coefficients
-     (authoritative route) on the integer numerator columns of those bottom
-     rows of the window-vanishing conditions, rescaling each nullspace
-     component by its column's denominator.  A rank-deficient block is
-     solved again on every row from the full expansions.  The closed
-     formula route is cross-checked;
+     (authoritative route) on the integer numerator columns of the l0+3
+     window-vanishing rows just below the window, which those rows of the
+     members n-l0-1..n hold, rescaling each nullspace component by its
+     column's denominator.  A rank-deficient block is solved again on the
+     bottom l0+3 rows, from built images, and then on every row from the
+     full expansions.  The closed formula route is cross-checked;
   3. expand the left side over the window members for the right-side b
      coefficients: the members have distinct degrees, so back-substitution
      from the top degree down finds b.  The window is every admissible
@@ -40,12 +44,15 @@ certification pipeline:
      P_j are independent, so R = 0 exactly when e_j = sum_l a_l c_{n-l,j}
      equals b_j xi_j at every j: the b cross-route e_j / xi_j = b_j where
      xi_j != 0, e_j = 0 where xi_j = 0, and every window-vanishing row, so
-     the a of step 2 holds on the rows it was not solved on.  By l2-shift
-     the right side is L2 S, with L2 p = (1-z) p' - (alpha+1) p and
-     S = sum_j b_j (j-theta) P_j over the window's P_j at (alpha, beta), so
-     nothing is built at (alpha+1, beta-1).  R is accumulated as integer
-     numerators over one denominator, in both modes; only a nonzero R is
-     expanded, to name the first j where the routes disagree.
+     the a of step 2 holds on the rows it was not solved on.  The left side
+     is E0 S1' + E1 T1' + F0 S1 + F1 T1 in the image pair's n-free entries,
+     with S1 = sum_l a_l P_{n-l} and T1 = sum_l a_l (n-l) P_{n-l}, so no
+     member's image is built.  By l2-shift the right side is L2 S, with
+     L2 p = (1-z) p' - (alpha+1) p and S = sum_j b_j (j-theta) P_j over the
+     window's P_j at (alpha, beta), so nothing is built at
+     (alpha+1, beta-1).  R is accumulated as integer numerators over one
+     denominator, in both modes; only a nonzero R is expanded, to name the
+     first j where the routes disagree.
 
 A certificate is only produced when every step succeeds exactly; failures
 raise CertificationError rather than degrade.
@@ -56,8 +63,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from math import lcm
-from operator import add, sub
+from operator import add, mul, sub
 
 from .darboux import SeedType, backward_pair, make_seed, psi_hat, seed_theta, xi
 from .exact_core import Poly, _mul, solve_exact
@@ -97,11 +105,11 @@ def q_poly(j0: SeedType, l0: int, params: Params) -> Poly:
 
 
 def _block_rows(l0: int) -> int:
-    """How many bottom window-vanishing rows the solver tries first: l0 + 3.
+    """How many window-vanishing rows each block of the solver holds: l0 + 3.
 
     l0 + 2 unknowns with a one-dimensional solution space need rank l0 + 1;
-    the bottom rows reach it within l0 + 2 rows except at non-generic
-    parameters, which the fallback to every row handles.
+    a block reaches it within l0 + 2 rows except at non-generic parameters,
+    which the fallbacks to the other block and to every row handle.
     """
     return l0 + 3
 
@@ -127,20 +135,37 @@ def _image_pair(j0: SeedType, l0: int, params: Params) -> tuple:
     return pair
 
 
+# one entry per seed, like _image_pair's
+@lru_cache(maxsize=256)
+def _image_numerators(j0: SeedType, l0: int, params: Params) -> tuple | None:
+    """((E0, E1, F0, F1), D): `_image_pair` over one denominator (`_numerators`).
+
+    None where an entry has a pole at 0: a member's image can still be a
+    polynomial there, and only `_c_vector`, which builds it, decides.
+    """
+    (e0, e1), (f0, f1) = _image_pair(j0, l0, params)
+    entries = (e0, e1, f0, f1)
+    if min(p.min_exp for p in entries) < 0:
+        return None
+    return _numerators(entries)
+
+
 # bounded like the polynomial caches in hr_classical: one full run of any
-# workload in bench/ leaves at most 1914 entries.  An entry is the image and
+# workload in bench/ leaves at most 110 entries.  An entry is the image and
 # l0+3 expansion rows, so its size grows with m only through the image,
 # which the seed's cached image pair builds from P_m
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=256)
 def _c_vector(j0: SeedType, l0: int, m: int, params: Params) -> tuple:
-    """(image, numerators, denominator) for member m: what certify reads of it.
+    """(image, numerators, denominator) for member m: its whole image and bottom rows.
 
     image is the backward image I_m of q * psi_hat_m, of degree at most
     m+l0+1, built from the seed's `_image_pair` and P_m, and
     numerators[j]/denominator = c_{m,j} is its coefficient of
-    P_j(.; alpha+1, beta-1) for the bottom rows j < l0+3 that the solver
-    reads first (zero above the image's degree).  Certify reads the image
-    itself for the residual.  A vanishing member has a zero image, and only
+    P_j(.; alpha+1, beta-1) for the bottom rows j < l0+3, which the solver
+    reads where the rows below the window (`_c_top`) leave a too large
+    solution space (zero above the image's degree).  The full rows
+    (`_c_row`) expand the image, and so does `_c_top` where the top terms
+    cannot decide a member.  A vanishing member has a zero image, and only
     then is psi_hat built: it names the parameter pole, and the excluded
     type-1 member, which vanishes identically, is no input at all.
     """
@@ -162,6 +187,90 @@ def _c_row(j0: SeedType, l0: int, m: int, params: Params) -> tuple:
     image, _, den = _c_vector(j0, l0, m, params)
     nums, _ = expand_in_hr_basis(image, params.shifted(1, -1))
     return tuple(nums) + (0,) * (m + l0 + 2 - len(nums)), den
+
+
+# bounded like the polynomial caches in hr_classical: one full run of any
+# workload in bench/ leaves at most 1914 entries, each 2l0+4 rows.  n and
+# n+1 read the rows of the members they share
+@lru_cache(maxsize=4096)
+def _c_top(j0: SeedType, l0: int, m: int, params: Params) -> tuple:
+    """(numerators, denominator): c_{m,j} = numerators[j-m+2l0+3]/denominator, j = m-2l0-3..m.
+
+    The solver's first block is the l0+3 window-vanishing rows just below
+    the window, and these 2l0+4 rows are all it reads of member m at every
+    n whose left side holds m (rows below 0 read as zero).  Row j of the
+    expansion reads only the image's terms of degree j and above
+    (`_top_expansion`), so the top 3l0+5 terms of I_m = (E0 + m E1) P_m' +
+    (F0 + m F1) P_m, from the top of P_m and the seed's integer image pair
+    (`_pair_top`), give them, and no image is built.  Where the top terms
+    cannot decide, `_c_vector` builds the image and refuses it as before: a
+    pair with a pole at 0, no term of degree m-2l0-3 or above (a vanishing
+    member among them), and an expansion pole, alpha+1+k = 0 for some
+    k <= deg I_m, which the top rows never divide by.
+    """
+    pair = _image_numerators(j0, l0, params)
+    p_m = hr_poly(m, params)
+    start = m - 2 * l0 - 3
+    lo = max(0, start)
+    top = []
+    if pair is not None:
+        (e0, e1, f0, f1), pair_den = pair
+        e = [u + m * v for u, v in zip(e0, e1)]
+        f = [u + m * v for u, v in zip(f0, f1)]
+        top = _pair_top(e, f, p_m, lo)
+        while top and not top[-1]:
+            top.pop()
+    shifted = params.shifted(1, -1)
+    k = -shifted.alpha  # the expansion's pole, alpha+1+k = 0
+    if not top or (k.denominator == 1 and 0 < k < lo + len(top)):
+        image = _c_vector(j0, l0, m, params)[0]
+        rows, den = expand_in_hr_basis(image, shifted, range(lo, min(m, image.degree) + 1))
+    else:
+        rows, den = _top_expansion(top, lo, m, shifted)
+        den *= pair_den * p_m.denominator
+    return (0,) * (lo - start) + tuple(rows) + (0,) * (m + 1 - lo - len(rows)), den
+
+
+def _top_expansion(f: list, lo: int, hi: int, params: Params) -> tuple:
+    """(numerators, D): rows lo..hi of `expand_in_hr_basis` (fewer above f's top), from f.
+
+    f[i] is the z^(lo+i) coefficient, and no term below lo is read: row j
+    is e_j = A_j sum_{t>=j} (f_t/A_t) w_{t-j}.  With alpha = p/r and
+    beta = s/u, A_t/A_(t-1) = (p+tr)/(tr) and w_d/w_(d-1) = ((d-1)u-s)/(du),
+    so A_j/A_t and w_d over the degrees lo..top are short products of small
+    integers, where the whole expansion takes lcms over A_0..A_top.  The
+    rows are not reduced; D > 0.  Needs p+kr != 0 for lo < k <= top.
+    """
+    p, r = params.alpha.numerator, params.alpha.denominator
+    s, u = params.beta.numerator, params.beta.denominator
+    size = len(f)
+    hi = min(hi, lo + size - 1)
+    # f_t/A_t = g_t / (A_lo up), g_t = f_t prod_{lo<k<=t} kr prod_{t<k<=top} (p+kr)
+    ks = range(lo + 1, lo + size)
+    down = _prefix_products([k * r for k in ks])
+    up = _prefix_products([p + k * r for k in reversed(ks)])
+    g = [v * down[i] * up[size - 1 - i] for i, v in enumerate(f)]
+    # w_d = ws[d] / w_den, ws[d] = prod_{i<=d} ((i-1)u-s) prod_{d<i<size} iu
+    rising = _prefix_products([(i - 1) * u - s for i in range(1, size)])
+    w_den = _prefix_products([i * u for i in range(size - 1, 0, -1)])
+    ws = [rising[d] * w_den[size - 1 - d] for d in range(size)]
+    # A_j/A_lo = h_j / h_den, h_j = prod_{lo<k<=j} (p+kr) prod_{j<k<=hi} kr
+    rows = hi - lo + 1
+    h_num = _prefix_products([p + k * r for k in range(lo + 1, hi + 1)])
+    h_den = _prefix_products([k * r for k in range(hi, lo, -1)])
+    out = [h_num[i] * h_den[rows - 1 - i] * sum(map(mul, g[i:], ws)) for i in range(rows)]
+    total = h_den[-1] * up[-1] * w_den[-1]
+    if total < 0:
+        return [-v for v in out], -total
+    return out, total
+
+
+def _prefix_products(terms: list) -> list:
+    """prod(terms[:i]) for i = 0..len(terms)."""
+    out = [1] * (len(terms) + 1)
+    for i, v in enumerate(terms):
+        out[i + 1] = out[i] * v
+    return out
 
 
 def a_coeffs_formula(idx: XIndex, params: Params) -> list:
@@ -206,6 +315,51 @@ def _accumulate(terms: list, size: int) -> tuple:
     return acc, den
 
 
+def _image_sum(idx: XIndex, a, params: Params) -> tuple:
+    """(numerators, Q): sum_l a_l I_{n-l}, numerators[k]/Q its z^k coefficient, k < n+l0+2.
+
+    With the seed's image pair, I_m = (E0 + m E1) P_m' + (F0 + m F1) P_m,
+    so the sum is E0 S1' + E1 T1' + F0 S1 + F1 T1 with S1 = sum_l a_l
+    P_{n-l} and T1 = sum_l a_l (n-l) P_{n-l}, integer numerators over one
+    lcm: no image is built.  Each member's top rows
+    (`_c_top`) are read first, so a member is refused as `_c_vector`
+    refuses it; where the image pair has a pole at 0, the images built
+    there are summed.  The type-1 member at n-l = l0 vanishes and has no
+    image; its slot contributes nothing.
+    """
+    j0, l0, n = idx.j0, idx.l0, idx.n
+    size = n + l0 + 2
+    left = [(a_l, n - l) for l, a_l in enumerate(a) if a_l and XIndex(j0, l0, n - l).is_admissible]
+    for _, m in left:
+        _c_top(j0, l0, m, params)
+    pair = _image_numerators(j0, l0, params)
+    if pair is None:
+        return _accumulate([(c, _c_vector(j0, l0, m, params)[0]) for c, m in left], size)
+    (e0, e1, f0, f1), pair_den = pair
+    # S1 and T1 over one denominator, the P_{n-l} of degree n at most
+    left = [(c, m, hr_poly(m, params)) for c, m in left]
+    den = lcm(*(c.denominator * p.denominator for c, _, p in left))
+    s1, t1 = [0] * (n + 1), [0] * (n + 1)
+    for c, m, p in left:
+        weight = c.numerator * (den // (c.denominator * p.denominator))
+        lo, hi = p.min_exp, p.min_exp + len(p.numerators)
+        s1[lo:hi] = map(add, s1[lo:hi], map(weight.__mul__, p.numerators))
+        weight *= m
+        t1[lo:hi] = map(add, t1[lo:hi], map(weight.__mul__, p.numerators))
+    # the z^(i-1) coefficient of E0 S1' + F0 S1 takes s1[j] (F0[i-1-j] +
+    # j E0[i-j]) at each j, and that of E1 T1' + F1 T1 the same of t1[j]
+    def linear(u, v):
+        """u + v j for j = 0..n."""
+        return range(u, u + v * (n + 1), v) if v else repeat(u, n + 1)
+
+    out = [0] * (len(e0) + n + 1)
+    for i, (u0, v0, u1, v1) in enumerate(zip([0, *f0], [*e0, 0], [0, *f1], [*e1, 0])):
+        if u0 or v0 or u1 or v1:
+            row = map(add, map(mul, s1, linear(u0, v0)), map(mul, t1, linear(u1, v1)))
+            out[i : i + n + 1] = map(add, out[i : i + n + 1], row)
+    return (out[1:] + [0] * size)[:size], den * pair_den
+
+
 def _image_residual(idx: XIndex, a, b: dict, params: Params) -> tuple:
     """(numerators, Q): sum_l a_l I_{n-l} - sum_j b_j xi_j P_j(.; alpha+1, beta-1).
 
@@ -213,23 +367,14 @@ def _image_residual(idx: XIndex, a, b: dict, params: Params) -> tuple:
     xi_j P_j(.; alpha+1, beta-1) = (j-theta) L2 P_j with L2 p = (1-z) p' -
     (alpha+1) p, so the right side is L2 S for S = sum_j b_j (j-theta) P_j,
     built from the P_j at (alpha, beta) that the members were built from.
-    The images of the members n-l, S and L2 S are integer numerators over
+    The left side (`_image_sum`), S and L2 S are integer numerators over
     lcms of their denominators; nothing is reduced, so R is zero exactly
-    when every numerator is.  The type-1 member at n-l = l0 vanishes and
-    has no image; its slot contributes nothing.  The type-4 added state
-    j = -l0-1 is the seed eigenvalue theta, so its image is zero and its
-    term drops.
+    when every numerator is.  The type-4 added state j = -l0-1 is the seed
+    eigenvalue theta, so its image is zero and its term drops.
     """
     j0, l0, n = idx.j0, idx.l0, idx.n
     size = n + l0 + 2
-    images, image_den = _accumulate(
-        [
-            (Fraction(a_l), _c_vector(j0, l0, n - l, params)[0])
-            for l, a_l in enumerate(a)
-            if a_l and XIndex(j0, l0, n - l).is_admissible
-        ],
-        size,
-    )
+    images, image_den = _image_sum(idx, a, params)
     theta = seed_theta(j0, l0, params)
     # the added state is the only negative index
     s, s_den = _accumulate(
@@ -252,18 +397,40 @@ def _dense(p: Poly, den: int, size: int = 0) -> list:
     return nums + [0] * (size - len(nums))
 
 
+def _numerators(polys) -> tuple:
+    """(numerator lists, D): each of polys from z^0 over one denominator D, all of one length.
+
+    With one length, a product with P' is never longer than one with P,
+    whichever entry vanishes or has the lower degree.
+    """
+    den = lcm(*(p.denominator for p in polys))
+    size = max(1, *(p.degree + 1 for p in polys))
+    return tuple(_dense(p, den, size) for p in polys), den
+
+
 # one entry per seed, like _member_pair's
 @lru_cache(maxsize=256)
 def _pair_numerators(j0: SeedType, l0: int, params: Params) -> tuple:
-    """(A numerators, B numerators, D): `_member_pair` over one denominator.
+    """(A numerators, B numerators, D): `_member_pair` over one denominator (`_numerators`)."""
+    (a, b), den = _numerators(_member_pair(j0, l0, params))
+    return a, b, den
 
-    Both lists have the same length, so A P' is never longer than B P,
-    whichever of A and B vanishes or has the lower degree.
+
+def _pair_top(a: list, b: list, p_m: Poly, bottom: int) -> list:
+    """Numerators of a P_m' + b P_m from z^bottom up, over the pair's denominator times P_m's.
+
+    a and b are integer numerators from z^0 of one length w, so a z^k
+    coefficient reads P_m only from z^(k-w+1) up: the top of P_m gives
+    these terms without building the product.
     """
-    a, b = _member_pair(j0, l0, params)
-    den = lcm(a.denominator, b.denominator)
-    size = max(a.degree, b.degree) + 1
-    return _dense(a, den, size), _dense(b, den, size), den
+    start = max(0, bottom - len(b) + 1)
+    skip = start - p_m.min_exp
+    p = list(p_m.numerators[skip:]) if skip >= 0 else [0] * -skip + list(p_m.numerators)
+    dp = [(start + t) * v for t, v in enumerate(p[1:], start=1)]
+    top = _mul(b, p)
+    if dp:
+        top[: len(top) - 1] = map(add, top, _mul(a, dp))
+    return top[bottom - start :]
 
 
 # bounded like x_poly, whose role it takes in thm12 mode from n = 4l0+5 on:
@@ -272,9 +439,8 @@ def _pair_numerators(j0: SeedType, l0: int, params: Params) -> tuple:
 def _member_top(j0: SeedType, l0: int, m: int, params: Params) -> Poly:
     """X_m's terms of degree deg X_m - 2l0 - 1 and above: all a sharp window reads of it.
 
-    X_m = A P_m' + B P_m, and its z^k coefficient reads P_m only from
-    k - max(len A, len B) + 1 up, so the top of P_m and the integer pair
-    give these terms without building X_m.  The pole checks are x_poly's
+    X_m = A P_m' + B P_m, so the top of P_m and the integer pair give
+    these terms without building X_m (`_pair_top`).  The pole checks are x_poly's
     (`_member_parts`).  A top whose degree is not the member's declared one
     can only come from a wrong pair; x_poly then builds the whole member and
     names its degree.
@@ -283,15 +449,8 @@ def _member_top(j0: SeedType, l0: int, m: int, params: Params) -> Poly:
     p_m, _ = _member_parts(idx, params)
     a, b, den = _pair_numerators(j0, l0, params)
     bottom = max(0, idx.degree - 2 * l0 - 1)
-    # P_m from z^start up, dense, and P_m' over the same exponents
-    start = max(0, bottom - max(len(a), len(b)) + 1)
-    skip = start - p_m.min_exp
-    p = list(p_m.numerators[skip:]) if skip >= 0 else [0] * -skip + list(p_m.numerators)
-    dp = [(start + t) * v for t, v in enumerate(p[1:], start=1)]
-    top = _mul(b, p)
-    if dp:
-        top[: len(top) - 1] = map(add, top, _mul(a, dp))
-    top = Poly.from_numerators(top[bottom - start :], den * p_m.denominator).shifted(bottom)
+    top = Poly.from_numerators(_pair_top(a, b, p_m, bottom), den * p_m.denominator)
+    top = top.shifted(bottom)
     if top.degree != idx.degree:
         return _cut(x_poly(idx, params), bottom)
     return top
@@ -359,11 +518,15 @@ def a_coeffs_solver(idx: XIndex, params: Params) -> SolverOutcome:
     D_l before normalising.  A unique normalised solution exists when the
     nullspace is one-dimensional with a nonzero leading component.
 
-    The solve runs on the bottom l0+3 rows first.  The full nullspace lies
-    in the block's, so a block of nullity 0 or 1 leaves at most its own
-    vector, which certify's residual then proves on every other row.  Only
-    a block of nullity 2 or more is solved again on every row, from the
-    full expansions.
+    The solve runs on the l0+3 rows just below the window first, read from
+    each member's top rows (`_c_top`).  The full nullspace lies in a
+    block's, so a block of nullity 0 or 1 leaves at most its own vector,
+    which certify's residual then proves on every other row.  A block of
+    nullity 2 or more is solved again on the bottom l0+3 rows
+    (`_c_vector`), and if that block too leaves two or more dimensions, on
+    every row from the full expansions.  The nullity reported is the full
+    system's wherever the closed-form a lies in it, whichever block found
+    it.
 
     At n = 2*l0+1 for type 1 the last slot multiplies the identically-zero
     member; the solve runs on the remaining columns (where uniqueness is
@@ -373,13 +536,23 @@ def a_coeffs_solver(idx: XIndex, params: Params) -> SolverOutcome:
     if n < 2 * l0 + 1:
         raise ValueError("solver route requires n >= 2*l0 + 1")
     active = [l for l in range(l0 + 2) if XIndex(j0, l0, n - l).is_admissible]
-    columns = [_c_vector(j0, l0, n - l, params)[1:] for l in active]
-    block = min(_block_rows(l0), n - l0)
-    solution = solve_exact([[nums[m] for nums, _ in columns] for m in range(block)])
-    if len(solution.nullspace) > 1 and block < n - l0:
+    # the rows n-2l0-3..n-l0-1, or every row where there are no more; the
+    # top rows of member n-l start at n-l-2l0-3
+    first = max(0, n - 2 * l0 - 3)
+    columns = [_c_top(j0, l0, n - l, params) for l in active]
+    solution = solve_exact(
+        [
+            [nums[j - n + l + 2 * l0 + 3] for l, (nums, _) in zip(active, columns)]
+            for j in range(first, n - l0)
+        ]
+    )
+    if len(solution.nullspace) > 1 and first:
+        columns = [_c_vector(j0, l0, n - l, params)[1:] for l in active]
+        solution = solve_exact([[nums[j] for nums, _ in columns] for j in range(_block_rows(l0))])
+    if len(solution.nullspace) > 1 and first:
         # member n-l has n-l+l0+2 > n-l0 coefficients, so every row index exists
         columns = [_c_row(j0, l0, n - l, params) for l in active]
-        solution = solve_exact([[nums[m] for nums, _ in columns] for m in range(n - l0)])
+        solution = solve_exact([[nums[j] for nums, _ in columns] for j in range(n - l0)])
     nullity = len(solution.nullspace)
     if nullity != 1:
         return SolverOutcome(None, nullity)

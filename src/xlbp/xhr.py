@@ -158,31 +158,36 @@ def _member_parts(idx: XIndex, params: Params) -> tuple:
     `x_poly` and certify's top terms of a member both start here, so they
     refuse the same member with the same message.
     """
-    for factor, value in _leading_factors(idx, params):
-        if value == 0:
-            raise ParameterPoleError(
-                f"{factor} = 0 at l0={idx.l0}, n={idx.n}: "
-                f"the leading coefficient of the type-{int(idx.j0)} member vanishes"
-            )
+    factor = _vanishing_leading_factor(idx, params)
+    if factor is not None:
+        raise ParameterPoleError(
+            f"{factor} = 0 at l0={idx.l0}, n={idx.n}: "
+            f"the leading coefficient of the type-{int(idx.j0)} member vanishes"
+        )
     p_n = hr_poly(idx.n, params)
     return p_n, _member_pair(idx.j0, idx.l0, params)
 
 
-def _leading_factors(idx: XIndex, params: Params) -> tuple:
-    """Named factors whose product is the member's z^degree coefficient.
+def _vanishing_leading_factor(idx: XIndex, params: Params) -> str | None:
+    """The name of the first vanishing named factor of the member's z^degree coefficient, or None.
 
     A and B are built from monic classical polynomials, so the leading
-    coefficient is the prefactor times the leading terms' linear combination.
+    coefficient is the prefactor times the leading terms' linear
+    combination.  The rising factorial (x)_l0 vanishes exactly at an integer
+    x in (-l0, 0], so it is read off x without being formed.
     """
     n, l0 = idx.n, idx.l0
     a, b = params.alpha, params.beta
     if idx.j0 == SeedType.T1:
-        return (("n-l0", n - l0),)
+        return "n-l0" if n == l0 else None
     if idx.j0 == SeedType.T2:
-        return (("l0-n-alpha-beta", l0 - n - a - b),)
-    if idx.j0 == SeedType.T3:
-        return (("(beta)_l0", pochhammer(b, l0)), ("n+alpha+1", n + a + 1))
-    return (("(-alpha)_l0", pochhammer(-a, l0)), ("n+alpha+1", n + a + 1))
+        return "l0-n-alpha-beta" if a + b == l0 - n else None
+    name, x = ("(beta)_l0", b) if idx.j0 == SeedType.T3 else ("(-alpha)_l0", -a)
+    if x.denominator == 1 and -l0 < x.numerator <= 0:
+        return name
+    if a.denominator == 1 and a.numerator == -n - 1:
+        return "n+alpha+1"
+    return None
 
 
 def x_partner(idx: XIndex, params: Params) -> Poly:

@@ -63,7 +63,9 @@ PACKAGE_CACHES = (
     xhr.x_poly,
     recurrence.q_poly,
     recurrence._image_pair,
+    recurrence._image_numerators,
     recurrence._c_vector,
+    recurrence._c_top,
     recurrence._pair_numerators,
     recurrence._member_top,
     quadrature._node_geometry,

@@ -818,25 +818,55 @@ class TestVerify:
 
 
 def perturb_c_expansion(monkeypatch, index=0):
-    """Add 1 to c_{m,index} of every member image certify makes.
+    """Add 1 to c_{m,index} of every member image certify reads.
 
-    Every route certify reads an image by goes through recurrence._c_vector,
-    so the wrapper goes there: the image gains P_index(.; alpha+1, beta-1)
-    (P_top for index -1, top its degree), which adds 1 to that coefficient
-    of its expansion and changes no other, and its bottom row `index`, when
-    the block holds one, gains the denominator.  The wrapper sits outside
-    _c_vector's cache, so images cached before the patch are perturbed too.
+    Certify reads an image's rows through recurrence._c_top (the rows just
+    below the window) and recurrence._c_vector (the bottom rows, and the
+    image that the full rows expand), and sums the images for the residual
+    through recurrence._image_sum, so the wrappers go to all three: each
+    image gains P_index(.; alpha+1, beta-1) (P_top for index -1, top its
+    degree), which adds 1 to that coefficient of its expansion and changes
+    no other.  A row `index` gains the row's denominator where a cached
+    entry holds one, and the residual's sum gains sum_l a_l P_index.  The
+    wrappers sit outside the caches, so entries cached before the patch are
+    perturbed too.
     """
-    original = recurrence._c_vector
+    c_top, c_vector, image_sum = recurrence._c_top, recurrence._c_vector, recurrence._image_sum
 
-    def perturbed(j0, l0, m, params):
-        image, rows, den = original(j0, l0, m, params)
-        k = image.degree if index == -1 else index
+    def row(j0, l0, m, params):
+        return c_vector(j0, l0, m, params)[0].degree if index == -1 else index
+
+    def perturbed_top(j0, l0, m, params):
+        rows, den = c_top(j0, l0, m, params)
+        i = row(j0, l0, m, params) - m + 2 * l0 + 3
+        if 0 <= i < len(rows):
+            rows = rows[:i] + (rows[i] + den,) + rows[i + 1 :]
+        return rows, den
+
+    def perturbed_vector(j0, l0, m, params):
+        image, rows, den = c_vector(j0, l0, m, params)
+        k = row(j0, l0, m, params)
         if k < len(rows):
             rows = rows[:k] + (rows[k] + den,) + rows[k + 1 :]
         return image + hr_poly(k, params.shifted(1, -1)), rows, den
 
-    monkeypatch.setattr(recurrence, "_c_vector", perturbed)
+    def perturbed_sum(idx, a, params):
+        nums, den = image_sum(idx, a, params)
+        j0, l0, n = idx.j0, idx.l0, idx.n
+        total = Poly.from_numerators(nums, den) + sum(
+            (
+                Fraction(a_l) * hr_poly(row(j0, l0, n - l, params), params.shifted(1, -1))
+                for l, a_l in enumerate(a)
+                if a_l and XIndex(j0, l0, n - l).is_admissible
+            ),
+            Poly.zero(),
+        )
+        coeffs = list(total.coeffs) + [0] * (len(nums) - len(total.coeffs))
+        return [int(c * total.denominator) for c in coeffs], total.denominator
+
+    monkeypatch.setattr(recurrence, "_c_top", perturbed_top)
+    monkeypatch.setattr(recurrence, "_c_vector", perturbed_vector)
+    monkeypatch.setattr(recurrence, "_image_sum", perturbed_sum)
 
 
 def verify_in_process(suite, *argv):
@@ -1050,17 +1080,31 @@ class TestCertify:
                 "b cross-route mismatch at j=6: -887642462975/29678398188816546 != 0",
             ),
             (
+                ("--j0", "1", "--l0", "1", "--n", "12", "--alpha", "1", "--beta", "1/2"),
+                5,
+                "b cross-route mismatch at j=5: -67/101920 != 0",
+            ),
+            (
+                ("--j0", "3", "--l0", "2", "--n", "14", "--alpha", "3/5", "--beta", "1/2"),
+                6,
+                "b cross-route mismatch at j=6: -344927314525/16966143970484544 != 0",
+            ),
+            (
                 ("--j0", "1", "--l0", "1", "--n", "9", "--alpha", "1", "--beta", "1/2"),
                 5,
-                "b cross-route mismatch at j=5: -13/12320 != 0",
+                "closed-form a disagrees with solver route",
             ),
         ],
     )
     def test_fault_between_block_and_window_is_caught(self, monkeypatch, argv, index, message):
-        # row `index` lies above the l0+3 bottom rows the solver reads first
-        # and below the window, so only the residual sees it; its failure
-        # sends certify to the full expansions, which name the row as they
-        # did before the bottom-block solve
+        # the solver reads the l0+3 rows just below the window, and falls
+        # back to the bottom l0+3 rows.  A fault on a row between the two
+        # blocks (j=5 at n=12, j=6 at n=14) leaves the solver's a unchanged,
+        # so only the residual sees it, and its failure expands the residual
+        # to name the row.  A fault inside the first block either leaves no
+        # nonzero solution there (j=6 at n=12: the closed form stands in,
+        # and the residual names the row) or a wrong one, which the closed
+        # form refutes (j=5 at n=9)
         perturb_c_expansion(monkeypatch, index=index)
         code, err = certify_in_process(*argv)
         assert code == 1

@@ -10,6 +10,7 @@ from xlbp.hr_classical import ParameterPoleError, Params, hr_poly, pochhammer, t
 from xlbp.recurrence import (
     CertificationError,
     _c_row,
+    _c_top,
     _c_vector,
     _image_residual,
     _solve_b,
@@ -199,6 +200,52 @@ class TestCExpansion:
                     Poly.zero(),
                 )
 
+    @pytest.mark.parametrize(
+        "params",
+        [
+            PAIR_A,
+            Params(Fraction(7, 3), Fraction(-1, 4)),
+            Params(2, Fraction(1, 2)),
+            Params(Fraction(4, 5), 1),
+            Params(1, Fraction(1, 3)),
+            Params(-2, Fraction(1, 2)),
+            Params(-3, Fraction(2, 3)),
+            Params(-4, -4),
+            Params(-5, 2),
+        ],
+        ids=str,
+    )
+    def test_top_rows_are_the_full_rows(self, params):
+        # the rows m-2l0-3..m read from the image's top terms are the full
+        # expansion's (zero below row 0), or the same refusal: at a negative
+        # integer alpha the expansion poles at alpha+1+k = 0 for k up to the
+        # image's degree, which the top rows never divide by, and a
+        # vanishing member has a zero image
+        def outcome(route):
+            try:
+                nums, den = route()
+            except (ValueError, ParameterPoleError) as exc:
+                return type(exc), str(exc)
+            return [Fraction(v, den) for v in nums]
+
+        def full_rows(j0, l0, m):
+            nums, den = _c_row(j0, l0, m, params)
+            return [nums[j] if j >= 0 else 0 for j in range(m - 2 * l0 - 3, m + 1)], den
+
+        refusals = set()
+        for j0 in (1, 2, 3, 4):
+            for l0 in (1, 2, 3):
+                for m in range(41):
+                    if not XIndex(j0, l0, m).is_admissible:
+                        continue
+                    want = outcome(lambda: full_rows(j0, l0, m))
+                    assert outcome(lambda: _c_top(j0, l0, m, params)) == want, (j0, l0, m)
+                    if isinstance(want, tuple):
+                        refusals.add(want[1])
+        if params.alpha < 0:
+            k = -params.alpha - 1
+            assert ("alpha+1 = 0" if k == 1 else f"n+alpha+1 at n={k - 1} = 0") in refusals
+
     def test_inadmissible_rejected(self):
         # the excluded type-1 member vanishes, so the backward operator has
         # no input and neither route expands it; the reference stacked
@@ -301,6 +348,58 @@ class TestCExpansion:
             assert certify(XIndex(j0, 2, 9), PAIR_A).residual_zero
         with pytest.raises(AssertionError, match="psi_hat"):
             _c_vector(1, 2, 2, PAIR_A)
+
+    @pytest.mark.parametrize(
+        "params",
+        [PAIR_A, Params(-2, Fraction(1, 2)), Params(-3, Fraction(2, 3)), Params(-4, -4)],
+        ids=str,
+    )
+    def test_image_sum_is_the_sum_of_the_images(self, params):
+        # the residual's left side, summed in pair form from S1 and T1,
+        # equals the sum of the built images, and where a member's image is
+        # refused (the expansion's pole at a negative integer alpha, a
+        # vanishing member) the sum is refused first with the same message
+        def outcome(route):
+            try:
+                return route()
+            except (ValueError, ParameterPoleError) as exc:
+                return type(exc), str(exc)
+
+        def built(idx, a):
+            out = Poly.zero()
+            for l, a_l in enumerate(a):
+                if XIndex(idx.j0, idx.l0, idx.n - l).is_admissible:
+                    image = _c_vector(idx.j0, idx.l0, idx.n - l, params)[0]
+                    out = out + a_l * image
+            return out
+
+        refused = 0
+        for j0 in (1, 2, 3, 4):
+            for l0 in (1, 2):
+                for n in range(7):
+                    idx = XIndex(j0, l0, n)
+                    a = [Fraction(1, l + 1) for l in range(min(l0 + 2, n + 1))]
+                    want = outcome(lambda: built(idx, a))
+                    got = outcome(lambda: Poly.from_numerators(*recurrence._image_sum(idx, a, params)))
+                    assert got == want, (j0, l0, n)
+                    refused += isinstance(want, tuple)
+        assert refused > 0 or params == PAIR_A
+
+    @pytest.mark.usefixtures("fresh_caches")
+    def test_image_pair_with_a_pole_at_zero_builds_the_images(self, monkeypatch):
+        # an image pair with a pole at 0 leaves each member to the image
+        # _c_vector builds, which refuses a non-polynomial image by name, in
+        # the solver and in the thm11 residual alike
+        original = recurrence._image_pair
+
+        def over_z(j0, l0, params):
+            return tuple(tuple(p.shifted(-1) for p in half) for half in original(j0, l0, params))
+
+        monkeypatch.setattr(recurrence, "_image_pair", over_z)
+        assert recurrence._image_numerators(3, 1, PAIR_A) is None
+        for mode, k in (("thm12", None), ("thm11", 3)):
+            with pytest.raises(ValueError, match="not a polynomial: pole of order 1 at 0"):
+                certify(XIndex(3, 1, 9), PAIR_A, mode=mode, k=k)
 
     def test_residual_is_integers_over_one_denominator(self):
         # nums[k]/den is the z^k coefficient of sum_l a_l I_{n-l} - sum_j w_j P_j
@@ -418,18 +517,19 @@ class TestACoefficients:
     def test_window_membership_where_the_solver_is_not_unique(self, j0, params, monkeypatch):
         # the window rows have a two-dimensional solution space here, so there
         # is no solver a to compare with; the closed form still lies in it.
-        # The bottom block shows the deficiency first, and the solve is
-        # repeated on all six rows
+        # The rows below the window show the deficiency first, then the
+        # bottom block, and the solve is repeated on all six rows
         idx = XIndex(j0, 1, 7)
         solves = spy_solves(monkeypatch)
         assert a_coeffs_solver(idx, params).nullity == 2
-        assert solves == [(4, 2), (6, 2)]
+        assert solves == [(4, 2), (4, 2), (6, 2)]
         assert not any(stacked_window_rows(idx, a_coeffs_formula(idx, params), params))
         assert "a-formula-fallback(nullspace-dim=2)" in certify(idx, params).method_tags
 
     @pytest.mark.parametrize("j0", [1, 2, 3, 4])
     def test_generic_solve_reads_only_the_bottom_block(self, j0, monkeypatch):
-        # one solve on l0+3 rows; the residual proves the rest
+        # one solve on l0+3 rows, those just below the window, which no
+        # bottom row of `_c_vector` joins; the residual proves the rest
         solves = spy_solves(monkeypatch)
         for l0 in (1, 2):
             for n in (2 * l0 + 1, 2 * l0 + 4, 2 * l0 + 9):
@@ -437,6 +537,22 @@ class TestACoefficients:
                 outcome = a_coeffs_solver(XIndex(j0, l0, n), PAIR_A)
                 assert outcome.nullity == 1
                 assert solves == [(min(l0 + 3, n - l0), 1)], (l0, n)
+
+    @pytest.mark.parametrize("j0, l0, n", [(1, 1, 9), (2, 1, 31), (3, 2, 12)])
+    def test_deficient_rows_below_the_window_fall_back_to_the_bottom_block(
+        self, j0, l0, n, monkeypatch
+    ):
+        # at alpha = 1 the rows just below the window leave two dimensions
+        # where the bottom l0+3 rows leave one: the bottom block then gives
+        # the solver's a, with the tags of a unique solve
+        params = Params(1, Fraction(1, 2))
+        idx = XIndex(j0, l0, n)
+        solves = spy_solves(monkeypatch)
+        outcome = a_coeffs_solver(idx, params)
+        assert solves == [(l0 + 3, 2), (l0 + 3, 1)]
+        assert list(outcome.a) == a_coeffs_formula(idx, params)
+        assert certify(idx, params).method_tags == certify(idx, PAIR_A).method_tags
+        assert certify(idx, params).method_tags[1] == "a-solver"
 
     @pytest.mark.parametrize("j0", [1, 2, 3, 4])
     def test_residual_decides_the_rows_below_the_window(self, j0):
@@ -514,9 +630,9 @@ class TestCertify:
     @pytest.mark.parametrize("j0", [1, 2, 3, 4])
     @pytest.mark.usefixtures("fresh_caches")
     def test_cross_route_expands_no_residual(self, j0, monkeypatch):
-        # a generic certificate expands each left-side member's image once,
-        # on its bottom l0+3 rows; the residual that proves the other rows
-        # and the b cross-route is not expanded
+        # at a non-integer alpha a certificate expands nothing: the rows the
+        # solver reads come from each member's top terms, and the residual
+        # that proves the other rows and the b cross-route is not expanded
         calls = []
         original = recurrence.expand_in_hr_basis
 
@@ -526,11 +642,26 @@ class TestCertify:
 
         monkeypatch.setattr(recurrence, "expand_in_hr_basis", spy)
         for l0 in (1, 2):
-            n = 2 * l0 + 4
-            calls.clear()
-            assert "a-solver" in certify(XIndex(j0, l0, n), PAIR_A).method_tags
-            images = [_c_vector(j0, l0, n - l, PAIR_A)[0] for l in range(l0 + 2)]
-            assert calls == [(image, list(range(l0 + 3))) for image in images], l0
+            for n in (2 * l0 + 1, 2 * l0 + 4, 4 * l0 + 9):
+                assert "a-solver" in certify(XIndex(j0, l0, n), PAIR_A).method_tags
+                assert certify(XIndex(j0, l0, n), PAIR_A, mode="thm11", k=3).residual_zero
+        assert calls == []
+
+    @pytest.mark.usefixtures("fresh_caches")
+    def test_certify_builds_no_member_image(self, monkeypatch):
+        # at a non-integer alpha neither the solver nor the residual builds
+        # or expands a member's backward image, and certify still prints the
+        # manifest's certificates, thm11 ones included
+        def refuse(*args):
+            raise AssertionError(f"image built or expanded: {args[:1]}")
+
+        monkeypatch.setattr(recurrence, "_c_vector", refuse)
+        monkeypatch.setattr(recurrence, "expand_in_hr_basis", refuse)
+        manifest = grid_manifest.load()["certify"]
+        for case, pair in grid_manifest.CERTIFY_CASES:
+            record = manifest[grid_manifest.certify_key(case, pair)]
+            assert record["exit"] == 0
+            assert grid_manifest.certify_record(case, pair) == record, case
 
     @pytest.mark.usefixtures("fresh_caches")
     def test_certify_builds_no_classical_polynomial_at_the_shifted_pair(self, monkeypatch):

@@ -114,6 +114,31 @@ class TestConstruction:
             x_poly(XIndex(2, 1, 3), PAIR_A)
         assert err.value.residual.degree < 4
 
+    @pytest.mark.parametrize("j0", [1, 2, 3, 4])
+    def test_vanishing_leading_factor_matches_the_factor_values(self, j0):
+        # the named factors of the leading coefficient as values, with the
+        # rising factorials formed: the first that is zero is the one a
+        # member is refused for, and none is where all are nonzero
+        def factors(n, l0, a, b):
+            if j0 == 1:
+                return [("n-l0", n - l0)]
+            if j0 == 2:
+                return [("l0-n-alpha-beta", l0 - n - a - b)]
+            name, x = ("(beta)_l0", b) if j0 == 3 else ("(-alpha)_l0", -a)
+            return [(name, pochhammer(x, l0)), ("n+alpha+1", n + a + 1)]
+
+        grid = [Fraction(k, 2) for k in range(-9, 10)]
+        named = set()
+        for a in grid:
+            for b in grid:
+                for l0 in (1, 2, 3):
+                    for n in range(6):
+                        want = next((f for f, v in factors(n, l0, a, b) if v == 0), None)
+                        idx = XIndex(j0, l0, n)
+                        assert xhr._vanishing_leading_factor(idx, Params(a, b)) == want
+                        named.add(want)
+        assert len(named) == (2 if j0 in (1, 2) else 3)
+
     @pytest.mark.usefixtures("fresh_caches")
     @pytest.mark.parametrize("j0", [1, 2, 3, 4])
     def test_a_member_takes_one_classical_build(self, j0, monkeypatch):
