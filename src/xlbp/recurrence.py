@@ -203,7 +203,7 @@ def _c_top(j0: SeedType, l0: int, m: int, params: Params) -> tuple:
     (`_top_expansion`), so the top 3l0+5 terms of I_m = (E0 + m E1) P_m' +
     (F0 + m F1) P_m, from the top of P_m and the seed's integer image pair
     (`_pair_top`), give them, and no image is built.  Where the top terms
-    cannot decide, `_c_vector` builds the image and refuses it as before: a
+    cannot decide, `_c_vector` builds the image and its checks decide: a
     pair with a pole at 0, no term of degree m-2l0-3 or above (a vanishing
     member among them), and an expansion pole, alpha+1+k = 0 for some
     k <= deg I_m, which the top rows never divide by.

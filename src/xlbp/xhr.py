@@ -169,7 +169,7 @@ def _member_parts(idx: XIndex, params: Params) -> tuple:
 
 
 def _vanishing_leading_factor(idx: XIndex, params: Params) -> str | None:
-    """The name of the first vanishing named factor of the member's z^degree coefficient, or None.
+    """The first named factor of the member's z^degree coefficient that vanishes, or None.
 
     A and B are built from monic classical polynomials, so the leading
     coefficient is the prefactor times the leading terms' linear
